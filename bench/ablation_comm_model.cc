@@ -25,22 +25,14 @@ void CollectiveAgreement() {
         CommPrimitive::kAllToAll}) {
     for (double mib : {4.0, 64.0, 512.0}) {
       const double bytes = mib * 1024 * 1024;
-      Simulator sim;
-      std::vector<std::unique_ptr<Device>> devices;
-      std::vector<std::unique_ptr<Stream>> streams;
-      std::vector<Device*> device_ptrs;
-      for (int r = 0; r < 4; ++r) {
-        devices.push_back(std::make_unique<Device>(r, 108));
-        streams.push_back(std::make_unique<Stream>(&sim, devices[r].get(),
-                                                   "c" + std::to_string(r)));
-        device_ptrs.push_back(devices[r].get());
+      // The ring transport's schedule, summed step by step in replay order:
+      // host-side call overhead, then equal chunk rotations.
+      const int steps = RingStepCount(primitive, 4);
+      const double chunk = WireFactor(primitive, 4) * bytes / steps;
+      double stepwise = link.call_overhead_us;
+      for (int step = 0; step < steps; ++step) {
+        stepwise += RingStepTime(link, bytes, chunk);
       }
-      RingCollectiveOp op("op", device_ptrs, link, primitive, bytes, nullptr);
-      for (int r = 0; r < 4; ++r) {
-        op.EnqueueOn(*streams[r], r);
-      }
-      sim.Run();
-      const double stepwise = op.end_time() - op.start_time();
       const double analytic = model.LatencyUs(primitive, bytes);
       table.AddRow({CommPrimitiveName(primitive), FormatBytes(bytes),
                     FormatDouble(analytic, 1), FormatDouble(stepwise, 1),

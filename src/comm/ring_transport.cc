@@ -1,7 +1,5 @@
 #include "src/comm/ring_transport.h"
 
-#include <utility>
-
 #include "src/util/check.h"
 
 namespace flo {
@@ -25,78 +23,6 @@ SimTime RingStepTime(const InterconnectSpec& link, double message_bytes, double 
   const double busbw_gbps = link.EffectiveBusBandwidth(message_bytes);
   const double bytes_per_us = busbw_gbps * 1e3;
   return link.base_latency_us + chunk_bytes / bytes_per_us;
-}
-
-RingCollectiveOp::RingCollectiveOp(std::string name, std::vector<Device*> devices,
-                                   InterconnectSpec link, CommPrimitive primitive, double bytes,
-                                   std::function<void()> apply)
-    : name_(std::move(name)),
-      devices_(std::move(devices)),
-      link_(std::move(link)),
-      primitive_(primitive),
-      bytes_(bytes),
-      apply_(std::move(apply)) {
-  FLO_CHECK_GE(devices_.size(), 2u);
-  FLO_CHECK_GT(bytes_, 0.0);
-  arrived_.assign(devices_.size(), false);
-  done_callbacks_.resize(devices_.size());
-}
-
-void RingCollectiveOp::EnqueueOn(Stream& stream, int rank) {
-  FLO_CHECK_GE(rank, 0);
-  FLO_CHECK_LT(rank, static_cast<int>(devices_.size()));
-  stream.Enqueue(name_, [this, rank](Simulator& sim, Stream::DoneFn done) {
-    Arrive(sim, rank, std::move(done));
-  });
-}
-
-void RingCollectiveOp::Arrive(Simulator& sim, int rank, Stream::DoneFn done) {
-  FLO_CHECK(!arrived_[rank]) << name_ << ": rank " << rank << " arrived twice";
-  arrived_[rank] = true;
-  done_callbacks_[rank] = std::move(done);
-  if (++arrived_count_ < static_cast<int>(devices_.size())) {
-    return;
-  }
-  start_time_ = sim.Now();
-  for (Device* device : devices_) {
-    device->AcquireSms(link_.comm_sm_count);
-  }
-  // Host-side setup before the first chunk moves.
-  sim.Schedule(link_.call_overhead_us, [this, &sim]() { RunStep(sim, 0); });
-}
-
-void RingCollectiveOp::RunStep(Simulator& sim, int step) {
-  const int total_steps = RingStepCount(primitive_, static_cast<int>(devices_.size()));
-  if (step >= total_steps) {
-    Complete(sim);
-    return;
-  }
-  // Per-step payload: the classic ring moves the whole wire volume in
-  // `total_steps` equal rotations.
-  const double wire_bytes = WireFactor(primitive_, static_cast<int>(devices_.size())) * bytes_;
-  const double chunk = wire_bytes / total_steps;
-  const SimTime duration = RingStepTime(link_, bytes_, chunk);
-  const SimTime begin = sim.Now();
-  sim.Schedule(duration, [this, &sim, step, begin]() {
-    steps_.push_back(StepSpan{step, begin, sim.Now()});
-    RunStep(sim, step + 1);
-  });
-}
-
-void RingCollectiveOp::Complete(Simulator& sim) {
-  FLO_CHECK(!completed_);
-  completed_ = true;
-  end_time_ = sim.Now();
-  for (Device* device : devices_) {
-    device->ReleaseSms(link_.comm_sm_count);
-  }
-  if (apply_) {
-    apply_();
-  }
-  for (auto& done : done_callbacks_) {
-    FLO_CHECK(done != nullptr);
-    done();
-  }
 }
 
 }  // namespace flo

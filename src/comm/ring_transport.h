@@ -1,24 +1,20 @@
-// Mechanistic ring transport: a collective simulated step by step.
+// Mechanistic ring transport: the step algebra of a collective simulated
+// step by step.
 //
-// Where CollectiveOp charges one closed-form duration from the cost model,
-// RingCollectiveOp schedules the actual ring algorithm: 2(n-1) chunk
-// rotations for AllReduce, (n-1) for ReduceScatter/AllGather, (n-1)
-// pairwise exchange rounds for All-to-All. Every step pays the hop latency
-// and moves bytes/n per rank at the link's effective bandwidth. Summed, the
-// steps reproduce the analytic model — the equivalence is tested — while
-// giving the timeline per-step granularity (useful for tracing and for
-// validating that the closed form is not hiding structure).
+// Where the closed form charges one duration from the cost model, the ring
+// transport (EngineOptions::detailed_comm, replayed by ScheduleExecutor)
+// schedules the actual ring algorithm: 2(n-1) chunk rotations for
+// AllReduce, (n-1) for ReduceScatter/AllGather, (n-1) pairwise exchange
+// rounds for All-to-All. Every step pays the hop latency and moves the
+// step's share of the wire volume at the link's effective bandwidth.
+// Summed, the steps reproduce the analytic model — the equivalence is
+// tested — while showing that the closed form is not hiding structure.
 #ifndef SRC_COMM_RING_TRANSPORT_H_
 #define SRC_COMM_RING_TRANSPORT_H_
 
-#include <functional>
-#include <string>
-#include <vector>
-
 #include "src/comm/primitive.h"
 #include "src/hw/interconnect.h"
-#include "src/sim/device.h"
-#include "src/sim/stream.h"
+#include "src/sim/event_record.h"
 
 namespace flo {
 
@@ -29,48 +25,6 @@ int RingStepCount(CommPrimitive primitive, int gpu_count);
 // is the whole call's payload — pipelining efficiency is a property of the
 // full transfer, so the bandwidth is evaluated at message size.
 SimTime RingStepTime(const InterconnectSpec& link, double message_bytes, double chunk_bytes);
-
-class RingCollectiveOp {
- public:
-  struct StepSpan {
-    int step = 0;
-    SimTime start = 0.0;
-    SimTime end = 0.0;
-  };
-
-  // `bytes` = per-rank payload. `apply` runs once, at completion.
-  RingCollectiveOp(std::string name, std::vector<Device*> devices, InterconnectSpec link,
-                   CommPrimitive primitive, double bytes, std::function<void()> apply);
-
-  // Enqueues this rank's share on its comm stream (rendezvous semantics,
-  // like CollectiveOp).
-  void EnqueueOn(Stream& stream, int rank);
-
-  bool completed() const { return completed_; }
-  SimTime start_time() const { return start_time_; }
-  SimTime end_time() const { return end_time_; }
-  const std::vector<StepSpan>& steps() const { return steps_; }
-
- private:
-  void Arrive(Simulator& sim, int rank, Stream::DoneFn done);
-  void RunStep(Simulator& sim, int step);
-  void Complete(Simulator& sim);
-
-  std::string name_;
-  std::vector<Device*> devices_;
-  InterconnectSpec link_;
-  CommPrimitive primitive_;
-  double bytes_;
-  std::function<void()> apply_;
-
-  std::vector<bool> arrived_;
-  std::vector<Stream::DoneFn> done_callbacks_;
-  int arrived_count_ = 0;
-  bool completed_ = false;
-  SimTime start_time_ = 0.0;
-  SimTime end_time_ = 0.0;
-  std::vector<StepSpan> steps_;
-};
 
 }  // namespace flo
 

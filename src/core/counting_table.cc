@@ -10,7 +10,6 @@ CountingTable::CountingTable(std::vector<int> group_targets)
     : targets_(std::move(group_targets)) {
   FLO_CHECK(!targets_.empty());
   counts_.reserve(targets_.size());
-  callbacks_.resize(targets_.size());
   for (int target : targets_) {
     FLO_CHECK_GT(target, 0);
     counts_.push_back(std::make_unique<std::atomic<int>>(0));
@@ -29,31 +28,12 @@ int CountingTable::count(int group) const {
   return counts_[group]->load(std::memory_order_acquire);
 }
 
-void CountingTable::OnGroupComplete(int group, std::function<void()> callback) {
-  FLO_CHECK_GE(group, 0);
-  FLO_CHECK_LT(group, group_count());
-  FLO_CHECK(callback != nullptr);
-  if (GroupComplete(group)) {
-    callback();
-    return;
-  }
-  callbacks_[group].push_back(std::move(callback));
-}
-
 bool CountingTable::RecordTile(int group) {
   FLO_CHECK_GE(group, 0);
   FLO_CHECK_LT(group, group_count());
   const int new_count = counts_[group]->fetch_add(1, std::memory_order_acq_rel) + 1;
   FLO_CHECK_LE(new_count, targets_[group]) << "group over-counted";
-  if (new_count != targets_[group]) {
-    return false;
-  }
-  auto callbacks = std::move(callbacks_[group]);
-  callbacks_[group].clear();
-  for (auto& callback : callbacks) {
-    callback();
-  }
-  return true;
+  return new_count == targets_[group];
 }
 
 bool CountingTable::GroupComplete(int group) const { return count(group) >= target(group); }
@@ -70,9 +50,6 @@ bool CountingTable::AllComplete() const {
 void CountingTable::Reset() {
   for (auto& count : counts_) {
     count->store(0, std::memory_order_release);
-  }
-  for (auto& callbacks : callbacks_) {
-    callbacks.clear();
   }
 }
 

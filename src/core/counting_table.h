@@ -9,7 +9,6 @@
 #define SRC_CORE_COUNTING_TABLE_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -24,10 +23,6 @@ class CountingTable {
   int target(int group) const;
   int count(int group) const;
 
-  // Registers a callback fired exactly once, when `group` completes. If the
-  // group already completed the callback fires immediately.
-  void OnGroupComplete(int group, std::function<void()> callback);
-
   // Records one finished tile of `group`; returns true if this tile
   // completed the group (the "signal"). Over-counting is a caller bug.
   bool RecordTile(int group);
@@ -35,14 +30,13 @@ class CountingTable {
   bool GroupComplete(int group) const;
   bool AllComplete() const;
 
-  // Resets all counters (keeps targets and drops callbacks); lets one
-  // table be reused across iterations like the persistent device buffer.
+  // Resets all counters (keeps targets); lets one table be reused across
+  // iterations like the persistent device buffer.
   void Reset();
 
  private:
   std::vector<int> targets_;
   std::vector<std::unique_ptr<std::atomic<int>>> counts_;
-  std::vector<std::vector<std::function<void()>>> callbacks_;
 };
 
 }  // namespace flo

@@ -87,8 +87,11 @@ OverlapRun OverlapEngine::ExecuteInternal(const ScenarioSpec& spec, bool memoize
   }
   run.plan_cache_hit = cache_hit;
   if (memoize) {
+    // Keep memo entries small: group traces and timelines stay per-call.
     OverlapRun cached = run;
-    cached.groups.clear();  // keep memo entries small; traces stay per-call
+    cached.groups.clear();
+    cached.gemm_timeline = Timeline();
+    cached.comm_timeline = Timeline();
     run_memo_.emplace(fingerprint, std::move(cached));
   }
   return run;

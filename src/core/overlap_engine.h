@@ -28,7 +28,7 @@
 #include "src/core/tuner.h"
 #include "src/core/wave_partition.h"
 #include "src/hw/cluster.h"
-#include "src/sim/event_queue.h"
+#include "src/sim/event_record.h"
 #include "src/sim/timeline.h"
 #include "src/util/thread_pool.h"
 
@@ -68,8 +68,9 @@ class OverlapEngine {
   // with Execute, and plan_cache_hit reflects the fresh lookup — but on a
   // repeat spec the deterministic simulation itself (gemm configs, seeded
   // schedule replay) is skipped and the cached result returned with
-  // `groups` traces empty. Specs carrying per-scenario options bypass the
-  // memo entirely (their engine options are not part of the fingerprint).
+  // `groups` traces and the rank-0 timelines empty (only Execute callers
+  // read them). Specs carrying per-scenario options bypass the memo
+  // entirely (their engine options are not part of the fingerprint).
   OverlapRun ExecuteMemoized(const ScenarioSpec& spec);
 
   // Sweeps many scenarios through the shared executor. Plans are reused
@@ -137,8 +138,8 @@ class OverlapEngine {
   std::unique_ptr<ThreadPool> tune_pool_;
   // ExecuteMemoized results keyed by the spec's order-sensitive content
   // fingerprint (ScenarioSpec::MixInto). Entries store runs with `groups`
-  // cleared; timings are exact because the schedule replay is a pure
-  // function of (plan, configs, options, case seed), all derived
+  // and timelines cleared; timings are exact because the schedule replay
+  // is a pure function of (plan, configs, options, case seed), all derived
   // deterministically from the spec.
   std::unordered_map<uint64_t, OverlapRun> run_memo_;
 };

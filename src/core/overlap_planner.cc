@@ -267,17 +267,23 @@ ExecutionPlan OverlapPlanner::BuildImbalancedLegacy(const ScenarioSpec& spec,
                            ? *spec.forced_partition
                            : tuner_->Tune(reference, spec.primitive).partition;
   PredictorSetup reference_setup = tuner_->MakeSetup(reference, spec.primitive);
+  const int reference_waves = reference_setup.EffectiveWaveCount();
+  if (base.TotalWaves() != reference_waves) {
+    // A forced base (e.g. the serving safety plan's SingleGroup(1)) is
+    // restated over the reference's waves, as for balanced specs.
+    base = base.group_count() > reference_waves ? WavePartition::PerWave(reference_waves)
+                                                : ScalePartitionExact(base, reference_waves);
+  }
   // Every rank must be able to host one counting-table group per collective
   // call: cap the group count at the lightest rank's wave count by
   // coarsening, then restate the base over the reference's waves.
-  int min_waves = reference_setup.EffectiveWaveCount();
+  int min_waves = reference_waves;
   for (const auto& shape : shapes) {
     PredictorSetup setup = tuner_->MakeSetup(shape, spec.primitive);
     min_waves = std::min(min_waves, setup.EffectiveWaveCount());
   }
   if (base.group_count() > min_waves) {
-    base = ScalePartitionExact(ScalePartition(base, min_waves),
-                               reference_setup.EffectiveWaveCount());
+    base = ScalePartitionExact(ScalePartition(base, min_waves), reference_waves);
   }
   if (!spec.forced_partition.has_value() && base.group_count() > 1) {
     // Multi-rank gating (Sec. 4.2.2 extension): if the rendezvous-aware
@@ -301,7 +307,7 @@ ExecutionPlan OverlapPlanner::BuildImbalancedLegacy(const ScenarioSpec& spec,
     plan.predicted_non_overlap_us = predicted_non_overlap;
     if (!scalable || PredictOverlapLatencyMultiRank(setups, partitions).latency_us >=
                          predicted_non_overlap) {
-      base = WavePartition::SingleGroup(reference_setup.EffectiveWaveCount());
+      base = WavePartition::SingleGroup(reference_waves);
     }
   }
   // Per-rank group tile counts proportional to the reference rank's

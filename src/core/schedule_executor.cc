@@ -2,15 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <numeric>
 #include <string>
 
-#include "src/sim/simulator.h"
+#include "src/comm/ring_transport.h"
 #include "src/util/check.h"
 
 namespace flo {
 
-ScheduleExecutor::ScheduleExecutor(ClusterSpec spec) : spec_(spec), devices_(spec_) {}
+ScheduleExecutor::ScheduleExecutor(ClusterSpec spec) : spec_(spec), devices_(spec_) {
+  handler_ = loop_.RegisterHandler(
+      [this](const EventRecord& record, SimTime now) { Dispatch(record, now); });
+}
 
 double ScheduleExecutor::JitterFactor(Rng* rng, bool enabled, double amplitude) {
   if (!enabled || rng == nullptr) {
@@ -59,179 +62,155 @@ SimTime ScheduleExecutor::ExecuteSequential(const ExecutionPlan& plan,
   return gemm_us + worst_comm * JitterFactor(&rng, options.jitter, options.comm_jitter);
 }
 
-std::vector<ScheduleExecutor::RankState> ScheduleExecutor::BuildRankStates(
-    Simulator* sim, const ExecutionPlan& plan, const std::vector<GemmConfig>& rank_configs) {
-  const int n = spec_.gpu_count;
-  const int group_count = plan.group_count();
-  std::vector<RankState> ranks(n);
-  for (int r = 0; r < n; ++r) {
-    RankState& state = ranks[r];
-    state.config = rank_configs[r];
-    state.group_tiles = plan.group_tiles[r];
-    state.group_of_slot.reserve(state.config.tile_count);
-    for (int g = 0; g < group_count; ++g) {
-      for (int i = 0; i < state.group_tiles[g]; ++i) {
-        state.group_of_slot.push_back(g);
+void ScheduleExecutor::Push(SimTime time, Kind kind, int index, int ring_step) {
+  EventRecord record;
+  record.handler = handler_;
+  record.slot = static_cast<uint32_t>(kind);
+  // Rank or group in the low half, ring step boundary in the high half.
+  record.key = (static_cast<uint64_t>(ring_step) << 32) | static_cast<uint32_t>(index);
+  loop_.Push(time, record);
+}
+
+void ScheduleExecutor::Dispatch(const EventRecord& record, SimTime now) {
+  const int index = static_cast<int>(record.key & 0xffffffffu);
+  switch (static_cast<Kind>(record.slot)) {
+    case Kind::kCommStage:
+      StartStage(index, now);
+      return;
+    case Kind::kGemmLaunch:
+      // Kernel launch overhead precedes the first wave.
+      Push(now + spec_.gpu.kernel_launch_overhead_us, Kind::kWaveStart, index);
+      return;
+    case Kind::kWaveStart:
+      NextWave(index, now);
+      return;
+    case Kind::kWaveEnd:
+      LandWave(index, now);
+      return;
+    case Kind::kPollRelease:
+      FinishStage(index, now);
+      return;
+    case Kind::kCollectiveEnd:
+      CompleteCollective(index, now);
+      return;
+    case Kind::kRingStep:
+      RingStep(index, static_cast<int>(record.key >> 32), now);
+      return;
+  }
+}
+
+void ScheduleExecutor::StartStage(int rank, SimTime now) {
+  RankState& state = ranks_[rank];
+  const int group = state.stage / 2;
+  if (state.stage % 2 == 1) {
+    Arrive(group, now);
+  } else if (tables_[rank].GroupComplete(group)) {
+    Signal(rank, group, now);
+  } else {
+    state.signal_armed = true;
+  }
+}
+
+void ScheduleExecutor::Signal(int rank, int group, SimTime now) {
+  ranks_[rank].signal_armed = false;
+  // The signal time the paper cares about is when the *last* rank's tiles
+  // land; later ranks overwrite earlier ones.
+  GroupTrace& trace = run_->groups[group];
+  trace.signal_time = std::max(trace.signal_time, now);
+  const double poll = options_->signal_poll_interval_us;
+  if (poll > 0.0) {
+    // The polling kernel only observes the table on its next query;
+    // release on the poll boundary.
+    const double remainder = std::fmod(now, poll);
+    const double wait = remainder == 0.0 ? 0.0 : poll - remainder;
+    Push(now + wait, Kind::kPollRelease, rank);
+  } else {
+    FinishStage(rank, now);
+  }
+}
+
+void ScheduleExecutor::FinishStage(int rank, SimTime now) {
+  RankState& state = ranks_[rank];
+  if (rank == 0) {
+    const char* kind = state.stage % 2 == 0 ? "signal_g" : "comm_g";
+    run_->comm_timeline.Add(kind + std::to_string(state.stage / 2), state.stage_start, now);
+  }
+  if (++state.stage < 2 * static_cast<int>(groups_.size())) {
+    state.stage_start = now;
+    Push(now, Kind::kCommStage, rank);
+  }
+}
+
+void ScheduleExecutor::NextWave(int rank, SimTime now) {
+  // Wave loop with dynamic width = free SMs at wave start.
+  RankState& state = ranks_[rank];
+  if (state.tiles_done >= state.config->tile_count) {
+    state.gemm_done = now;
+    if (rank == 0) {
+      run_->gemm_timeline.Add("gemm", 0.0, now);
+    }
+    return;
+  }
+  const int width = devices_.device(rank).ComputeSms();
+  state.wave_tiles = std::min(width, state.config->tile_count - state.tiles_done);
+  const double duration = state.config->wave_time_us *
+                          JitterFactor(rng_, options_->jitter, options_->wave_jitter);
+  Push(now + duration, Kind::kWaveEnd, rank);
+}
+
+void ScheduleExecutor::LandWave(int rank, SimTime now) {
+  RankState& state = ranks_[rank];
+  CountingTable& table = tables_[rank];
+  for (int i = 0; i < state.wave_tiles; ++i) {
+    // Tiles fill the groups in order; RecordTile's true is the signal, and
+    // only a signal stage already waiting on this group consumes it.
+    const int group = state.tile_group;
+    if (table.RecordTile(group)) {
+      ++state.tile_group;
+      if (state.signal_armed && state.stage == 2 * group) {
+        Signal(rank, group, now);
       }
     }
-    FLO_CHECK_EQ(static_cast<int>(state.group_of_slot.size()), state.config.tile_count)
-        << "plan's counting targets must cover rank " << r << "'s tiles exactly";
-    state.table = std::make_unique<CountingTable>(state.group_tiles);
-    state.gemm_stream =
-        std::make_unique<Stream>(sim, &devices_.device(r), "gemm" + std::to_string(r));
-    state.comm_stream =
-        std::make_unique<Stream>(sim, &devices_.device(r), "comm" + std::to_string(r));
   }
-  return ranks;
+  state.tiles_done += state.wave_tiles;
+  NextWave(rank, now);
 }
 
-ScheduleExecutor::CollectiveSet ScheduleExecutor::BuildCollectives(
-    const ExecutionPlan& plan, const EngineOptions& options, int per_collective_sms, Rng* rng,
-    OverlapRun* run) {
-  const int n = spec_.gpu_count;
-  const int group_count = plan.group_count();
-  CollectiveSet collectives;
-  collectives.closed_form.reserve(group_count);
-  collectives.ring.reserve(group_count);
-  for (int g = 0; g < group_count; ++g) {
-    std::vector<Device*> group_devices;
-    group_devices.reserve(n);
-    for (int r = 0; r < n; ++r) {
-      group_devices.push_back(&devices_.device(r));
-    }
-    const CommSegment& segment = plan.segments[g];
-    run->groups[g].group = g;
-    run->groups[g].tiles = plan.group_tiles[0][g];
-    run->groups[g].bytes = segment.max_bytes;
-    if (options.detailed_comm) {
-      InterconnectSpec link = spec_.link;
-      link.comm_sm_count = per_collective_sms;
-      collectives.ring.push_back(std::make_unique<RingCollectiveOp>(
-          "comm_g" + std::to_string(g), std::move(group_devices), link, plan.primitive,
-          segment.max_bytes, nullptr));
-      collectives.closed_form.push_back(nullptr);
-    } else {
-      const double latency = segment.latency_us;
-      const double jitter = JitterFactor(rng, options.jitter, options.comm_jitter);
-      collectives.closed_form.push_back(std::make_unique<CollectiveOp>(
-          "comm_g" + std::to_string(g), std::move(group_devices), per_collective_sms,
-          [latency, jitter]() { return latency * jitter; }, nullptr));
-      collectives.ring.push_back(nullptr);
-    }
+void ScheduleExecutor::Arrive(int group, SimTime now) {
+  GroupState& collective = groups_[group];
+  if (++collective.arrived < spec_.gpu_count) {
+    return;
   }
-  return collectives;
-}
-
-void ScheduleExecutor::EnqueueSignalDispatch(Simulator* sim, std::vector<RankState>* ranks,
-                                             CollectiveSet* collectives,
-                                             const EngineOptions& options, OverlapRun* run) {
-  // Comm streams: per group, a signal kernel (waits for the local counting
-  // table, released on a poll boundary) followed by this rank's share of
-  // the collective rendezvous.
-  const int group_count = static_cast<int>(run->groups.size());
-  const double poll = options.signal_poll_interval_us;
-  for (RankState& state : *ranks) {
-    for (int g = 0; g < group_count; ++g) {
-      CountingTable* table = state.table.get();
-      state.comm_stream->Enqueue(
-          "signal_g" + std::to_string(g),
-          [table, g, poll, sim, run](Simulator&, Stream::DoneFn done) {
-            table->OnGroupComplete(g, [done = std::move(done), g, poll, sim, run]() {
-              // The signal time the paper cares about is when the *last*
-              // rank's tiles land; later ranks overwrite earlier ones.
-              run->groups[g].signal_time = std::max(run->groups[g].signal_time, sim->Now());
-              if (poll > 0.0) {
-                // The polling kernel only observes the table on its next
-                // query; release on the poll boundary.
-                const double remainder = std::fmod(sim->Now(), poll);
-                const double wait = remainder == 0.0 ? 0.0 : poll - remainder;
-                sim->Schedule(wait, [done = std::move(done)]() { done(); });
-              } else {
-                done();
-              }
-            });
-          });
-      const int rank = static_cast<int>(&state - ranks->data());
-      if (options.detailed_comm) {
-        collectives->ring[g]->EnqueueOn(*state.comm_stream, rank);
-      } else {
-        collectives->closed_form[g]->EnqueueOn(*state.comm_stream, rank);
-      }
-    }
+  // Last rank arrived: the transfer begins now on all devices.
+  run_->groups[group].comm_start = now;
+  for (int r = 0; r < spec_.gpu_count; ++r) {
+    devices_.device(r).AcquireSms(per_collective_sms_);
+  }
+  if (options_->detailed_comm) {
+    // Host-side setup before the first chunk moves.
+    Push(now + spec_.link.call_overhead_us, Kind::kRingStep, group, 0);
+  } else {
+    Push(now + collective.duration, Kind::kCollectiveEnd, group);
   }
 }
 
-void ScheduleExecutor::EnqueueWaveSchedulers(Simulator* sim, std::vector<RankState>* ranks,
-                                             const EngineOptions& options, Rng* rng) {
-  // GEMM kernels: wave loop with dynamic width = free SMs at wave start.
-  const bool jitter = options.jitter;
-  const double wave_jitter_amp = options.wave_jitter;
-  const double launch_overhead = spec_.gpu.kernel_launch_overhead_us;
-  for (RankState& state : *ranks) {
-    Device* device = state.gemm_stream->device();
-    state.gemm_stream->Enqueue(
-        "gemm", [sim, rng, state_ptr = &state, device, jitter, wave_jitter_amp,
-                 launch_overhead](Simulator&, Stream::DoneFn done) {
-          auto next_wave = std::make_shared<std::function<void()>>();
-          // The recursive closure holds itself only weakly: ownership
-          // lives in the scheduled events (each wave event keeps the next
-          // one alive), so the last wave releases the function — and the
-          // captured `done` — instead of leaking a shared_ptr cycle.
-          *next_wave = [sim, rng, state_ptr, device, jitter, wave_jitter_amp,
-                        weak_self = std::weak_ptr<std::function<void()>>(next_wave),
-                        done = std::move(done)]() {
-            RankState& state = *state_ptr;
-            if (state.tiles_done >= state.config.tile_count) {
-              done();
-              return;
-            }
-            const int width = device->ComputeSms();
-            const int take = std::min(width, state.config.tile_count - state.tiles_done);
-            const double duration =
-                state.config.wave_time_us * JitterFactor(rng, jitter, wave_jitter_amp);
-            sim->Schedule(duration, [state_ptr, take, next_wave = weak_self.lock()]() {
-              RankState& state = *state_ptr;
-              for (int i = 0; i < take; ++i) {
-                const int slot = state.tiles_done + i;
-                state.table->RecordTile(state.group_of_slot[slot]);
-              }
-              state.tiles_done += take;
-              (*next_wave)();
-            });
-          };
-          // Kernel launch overhead precedes the first wave.
-          sim->Schedule(launch_overhead, [next_wave]() { (*next_wave)(); });
-        });
+void ScheduleExecutor::RingStep(int group, int step, SimTime now) {
+  if (step >= groups_[group].steps) {
+    CompleteCollective(group, now);
+    return;
   }
+  Push(now + groups_[group].step_us, Kind::kRingStep, group, step + 1);
 }
 
-void ScheduleExecutor::CollectResults(const std::vector<RankState>& ranks,
-                                      const CollectiveSet& collectives,
-                                      const EngineOptions& options, OverlapRun* run) {
-  SimTime total = 0.0;
-  SimTime gemm_end = 0.0;
-  for (size_t r = 0; r < ranks.size(); ++r) {
-    FLO_CHECK(ranks[r].gemm_stream->idle()) << "rank " << r << " GEMM never finished";
-    FLO_CHECK(ranks[r].comm_stream->idle()) << "rank " << r << " comm stream stalled";
-    FLO_CHECK(ranks[r].table->AllComplete());
-    total = std::max(total, ranks[r].comm_stream->last_completion_time());
-    total = std::max(total, ranks[r].gemm_stream->last_completion_time());
-    gemm_end = std::max(gemm_end, ranks[r].gemm_stream->last_completion_time());
+void ScheduleExecutor::CompleteCollective(int group, SimTime now) {
+  groups_[group].completed = true;
+  run_->groups[group].comm_end = now;
+  for (int r = 0; r < spec_.gpu_count; ++r) {
+    devices_.device(r).ReleaseSms(per_collective_sms_);
   }
-  for (size_t g = 0; g < run->groups.size(); ++g) {
-    if (options.detailed_comm) {
-      FLO_CHECK(collectives.ring[g]->completed()) << "group " << g << " never ran";
-      run->groups[g].comm_start = collectives.ring[g]->start_time();
-      run->groups[g].comm_end = collectives.ring[g]->end_time();
-    } else {
-      FLO_CHECK(collectives.closed_form[g]->completed())
-          << "group " << g << " collective never ran";
-      run->groups[g].comm_start = collectives.closed_form[g]->start_time();
-      run->groups[g].comm_end = collectives.closed_form[g]->end_time();
-    }
+  for (int r = 0; r < spec_.gpu_count; ++r) {
+    FinishStage(r, now);
   }
-  run->total_us = total;
-  run->gemm_end_us = gemm_end;
 }
 
 OverlapRun ScheduleExecutor::ExecuteOverlap(const ExecutionPlan& plan,
@@ -246,8 +225,8 @@ OverlapRun ScheduleExecutor::ExecuteOverlap(const ExecutionPlan& plan,
     FLO_CHECK_EQ(static_cast<int>(tiles.size()), group_count);
   }
   FLO_CHECK_EQ(static_cast<int>(plan.segments.size()), group_count);
+  FLO_CHECK(loop_.empty());
 
-  Simulator sim;
   Rng rng(case_seed);
   if (options.reserved_sms > 0) {
     for (int r = 0; r < n; ++r) {
@@ -261,7 +240,6 @@ OverlapRun ScheduleExecutor::ExecuteOverlap(const ExecutionPlan& plan,
   // so nothing is reserved and the run degenerates to sequential
   // execution.
   const bool persistent = options.persistent_comm_sms && group_count > 1;
-  const int per_collective_sms = persistent ? 0 : spec_.link.comm_sm_count;
   if (persistent) {
     for (int r = 0; r < n; ++r) {
       devices_.device(r).AcquireSms(spec_.link.comm_sm_count);
@@ -271,16 +249,66 @@ OverlapRun ScheduleExecutor::ExecuteOverlap(const ExecutionPlan& plan,
   OverlapRun run;
   run.partition = plan.partition;
   run.groups.resize(group_count);
+  options_ = &options;
+  rng_ = &rng;
+  run_ = &run;
+  per_collective_sms_ = persistent ? 0 : spec_.link.comm_sm_count;
 
-  std::vector<RankState> ranks = BuildRankStates(&sim, plan, rank_configs);
-  CollectiveSet collectives =
-      BuildCollectives(plan, options, per_collective_sms, &rng, &run);
-  EnqueueSignalDispatch(&sim, &ranks, &collectives, options, &run);
-  EnqueueWaveSchedulers(&sim, &ranks, options, &rng);
+  ranks_.assign(n, RankState{});
+  tables_.clear();
+  for (int r = 0; r < n; ++r) {
+    const std::vector<int>& targets = plan.group_tiles[r];
+    FLO_CHECK_EQ(std::accumulate(targets.begin(), targets.end(), 0), rank_configs[r].tile_count)
+        << "plan's counting targets must cover rank " << r << "'s tiles exactly";
+    ranks_[r].config = &rank_configs[r];
+    tables_.emplace_back(targets);
+  }
+  groups_.assign(group_count, GroupState{});
+  for (int g = 0; g < group_count; ++g) {
+    const CommSegment& segment = plan.segments[g];
+    run.groups[g].group = g;
+    run.groups[g].tiles = plan.group_tiles[0][g];
+    run.groups[g].bytes = segment.max_bytes;
+    GroupState& collective = groups_[g];
+    if (options.detailed_comm) {
+      // The classic ring moves the whole wire volume in `steps` equal
+      // rotations.
+      FLO_CHECK_GT(segment.max_bytes, 0.0);
+      collective.steps = RingStepCount(plan.primitive, n);
+      const double chunk = WireFactor(plan.primitive, n) * segment.max_bytes / collective.steps;
+      collective.step_us = RingStepTime(spec_.link, segment.max_bytes, chunk);
+    } else {
+      collective.duration =
+          segment.latency_us * JitterFactor(&rng, options.jitter, options.comm_jitter);
+      FLO_CHECK_GE(collective.duration, 0.0);
+    }
+  }
 
-  sim.Run();
+  // Both cursors of every rank start at t=0: comm cursors first, then the
+  // GEMM kernels.
+  for (int r = 0; r < n; ++r) {
+    Push(0.0, Kind::kCommStage, r);
+  }
+  for (int r = 0; r < n; ++r) {
+    Push(0.0, Kind::kGemmLaunch, r);
+  }
+  loop_.RunToCompletion();
 
-  CollectResults(ranks, collectives, options, &run);
+  SimTime gemm_end = 0.0;
+  for (int r = 0; r < n; ++r) {
+    const RankState& state = ranks_[r];
+    FLO_CHECK_EQ(state.tiles_done, state.config->tile_count)
+        << "rank " << r << " GEMM never finished";
+    FLO_CHECK_EQ(state.stage, 2 * group_count) << "rank " << r << " comm stream stalled";
+    FLO_CHECK(tables_[r].AllComplete());
+    gemm_end = std::max(gemm_end, state.gemm_done);
+  }
+  for (int g = 0; g < group_count; ++g) {
+    FLO_CHECK(groups_[g].completed) << "group " << g << " collective never ran";
+  }
+  // Every rank's comm stream ends with the last group's collective.
+  run.total_us = std::max(gemm_end, run.groups.back().comm_end);
+  run.gemm_end_us = gemm_end;
   // The executor's devices persist across runs: return every acquired SM
   // so the next scenario in a batch starts from a clean pool.
   if (options.reserved_sms > 0) {
@@ -293,8 +321,9 @@ OverlapRun ScheduleExecutor::ExecuteOverlap(const ExecutionPlan& plan,
       devices_.device(r).ReleaseSms(spec_.link.comm_sm_count);
     }
   }
-  run.gemm_timeline = ranks[0].gemm_stream->timeline();
-  run.comm_timeline = ranks[0].comm_stream->timeline();
+  options_ = nullptr;
+  rng_ = nullptr;
+  run_ = nullptr;
   return run;
 }
 

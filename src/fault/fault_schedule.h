@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "src/fault/fault_config.h"
-#include "src/sim/event_queue.h"
+#include "src/sim/event_record.h"
 
 namespace flo {
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/obs/span.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/event_record.h"
 
 namespace flo {

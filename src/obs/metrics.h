@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "src/sim/event_queue.h"
+#include "src/sim/event_record.h"
 #include "src/util/csv.h"
 #include "src/util/stats.h"
 

@@ -24,7 +24,7 @@
 #include "src/obs/metrics.h"
 #include "src/sched/sched_config.h"
 #include "src/serve/request_queue.h"
-#include "src/sim/event_queue.h"
+#include "src/sim/event_record.h"
 
 namespace flo {
 

@@ -17,7 +17,7 @@
 
 #include "src/core/scenario.h"
 #include "src/models/workloads.h"
-#include "src/sim/event_queue.h"
+#include "src/sim/event_record.h"
 #include "src/util/rng.h"
 
 namespace flo {

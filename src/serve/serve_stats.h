@@ -9,7 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/sim/event_queue.h"
+#include "src/sim/event_record.h"
 #include "src/util/csv.h"
 #include "src/util/stats.h"
 

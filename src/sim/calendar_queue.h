@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/sim/event_queue.h"
 #include "src/sim/event_record.h"
 #include "src/util/check.h"
 

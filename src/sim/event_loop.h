@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/sim/calendar_queue.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/event_record.h"
 
 namespace flo {

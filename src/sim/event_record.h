@@ -11,6 +11,11 @@
 
 namespace flo {
 
+// Simulated time in microseconds. Microseconds are the natural unit here:
+// kernel launch overheads are ~5 us and end-to-end runs are ~1e6 us, so
+// doubles keep full precision across the whole range.
+using SimTime = double;
+
 // Tag for the tagged-record dispatch. kArrival is special: arrivals sort
 // ahead of every other event type at equal timestamps (see EventLoop).
 enum class EventType : uint8_t {

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "src/sim/event_queue.h"
+#include "src/sim/event_record.h"
 
 namespace flo {
 

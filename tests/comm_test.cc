@@ -3,12 +3,10 @@
 #include <numeric>
 #include <vector>
 
-#include "src/comm/collective_op.h"
 #include "src/comm/cost_model.h"
 #include "src/comm/functional.h"
 #include "src/comm/primitive.h"
 #include "src/hw/interconnect.h"
-#include "src/sim/simulator.h"
 #include "src/util/rng.h"
 
 namespace flo {
@@ -258,54 +256,6 @@ TEST(FunctionalAllToAllTest, ZeroCountsAreLegal) {
   EXPECT_FLOAT_EQ(out_storage[0][0], 3.0f);
   EXPECT_FLOAT_EQ(out_storage[1][0], 1.0f);
   EXPECT_FLOAT_EQ(out_storage[1][1], 2.0f);
-}
-
-TEST(CollectiveOpTest, RendezvousWaitsForAllRanks) {
-  Simulator sim;
-  Device d0(0, 16);
-  Device d1(1, 16);
-  Stream s0(&sim, &d0, "c0");
-  Stream s1(&sim, &d1, "c1");
-  bool applied = false;
-  CollectiveOp op("ar", {&d0, &d1}, 4, [] { return 10.0; }, [&] { applied = true; });
-  // Rank 0 arrives at t=0; rank 1 arrives after 50us of prior work.
-  op.EnqueueOn(s0, 0);
-  s1.EnqueueTimed("busy", 50.0);
-  op.EnqueueOn(s1, 1);
-  sim.Run();
-  EXPECT_TRUE(op.completed());
-  EXPECT_TRUE(applied);
-  EXPECT_DOUBLE_EQ(op.start_time(), 50.0);
-  EXPECT_DOUBLE_EQ(op.end_time(), 60.0);
-  EXPECT_DOUBLE_EQ(s0.last_completion_time(), 60.0);
-}
-
-TEST(CollectiveOpTest, HoldsSmFootprintWhileResident) {
-  Simulator sim;
-  Device d0(0, 16);
-  Device d1(1, 16);
-  Stream s0(&sim, &d0, "c0");
-  Stream s1(&sim, &d1, "c1");
-  int sm_during = -1;
-  CollectiveOp op("rs", {&d0, &d1}, 6, [] { return 5.0; }, nullptr);
-  op.EnqueueOn(s0, 0);
-  op.EnqueueOn(s1, 1);
-  sim.Schedule(2.0, [&] { sm_during = d0.sm_available(); });
-  sim.Run();
-  EXPECT_EQ(sm_during, 10);
-  EXPECT_EQ(d0.sm_available(), 16);
-  EXPECT_EQ(d1.sm_available(), 16);
-}
-
-TEST(CollectiveOpDeathTest, DoubleArrivalAborts) {
-  Simulator sim;
-  Device d0(0, 16);
-  Stream s0(&sim, &d0, "c0");
-  Stream s1(&sim, &d0, "c1");
-  CollectiveOp op("x", {&d0, &d0}, 0, [] { return 1.0; }, nullptr);
-  op.EnqueueOn(s0, 0);
-  op.EnqueueOn(s1, 0);
-  EXPECT_DEATH(sim.Run(), "arrived twice");
 }
 
 }  // namespace

@@ -30,45 +30,13 @@ TEST(CountingTableTest, GroupsAreIndependent) {
   EXPECT_TRUE(table.AllComplete());
 }
 
-TEST(CountingTableTest, CallbackFiresOnceOnCompletion) {
+TEST(CountingTableTest, ResetClearsCounts) {
   CountingTable table({2});
-  int fired = 0;
-  table.OnGroupComplete(0, [&] { ++fired; });
   table.RecordTile(0);
-  EXPECT_EQ(fired, 0);
-  table.RecordTile(0);
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(CountingTableTest, LateCallbackFiresImmediately) {
-  CountingTable table({1});
-  table.RecordTile(0);
-  int fired = 0;
-  table.OnGroupComplete(0, [&] { ++fired; });
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(CountingTableTest, MultipleCallbacksAllFire) {
-  CountingTable table({1, 1});
-  int a = 0;
-  int b = 0;
-  table.OnGroupComplete(0, [&] { ++a; });
-  table.OnGroupComplete(0, [&] { ++b; });
-  table.RecordTile(0);
-  EXPECT_EQ(a, 1);
-  EXPECT_EQ(b, 1);
-}
-
-TEST(CountingTableTest, ResetClearsCountsAndCallbacks) {
-  CountingTable table({2});
-  int fired = 0;
-  table.RecordTile(0);
-  table.OnGroupComplete(0, [&] { ++fired; });
   table.Reset();
   EXPECT_EQ(table.count(0), 0);
-  table.RecordTile(0);
-  table.RecordTile(0);
-  EXPECT_EQ(fired, 0) << "callbacks registered before Reset must not survive";
+  EXPECT_FALSE(table.RecordTile(0));
+  EXPECT_TRUE(table.RecordTile(0)) << "the signal fires again after Reset";
   EXPECT_TRUE(table.GroupComplete(0));
 }
 

@@ -123,6 +123,39 @@ TEST(OverlapEngineTest, ImbalancedRunWinsOnCommHeavyShapes) {
   EXPECT_GT(run.groups.size(), 1u) << "the tuned plan should actually overlap here";
 }
 
+TEST(OverlapEngineTest, MemoHitKeepsTimingsButDropsTracesAndTimelines) {
+  OverlapEngine engine(MakeA800Cluster(4), {}, NoJitter());
+  const ScenarioSpec spec =
+      ScenarioSpec::Overlap(GemmShape{4096, 8192, 8192}, CommPrimitive::kAllReduce);
+  const OverlapRun miss = engine.ExecuteMemoized(spec);
+  EXPECT_FALSE(miss.groups.empty());
+  EXPECT_FALSE(miss.comm_timeline.empty());
+  const OverlapRun hit = engine.ExecuteMemoized(spec);
+  EXPECT_EQ(hit.total_us, miss.total_us);
+  EXPECT_EQ(hit.gemm_end_us, miss.gemm_end_us);
+  EXPECT_TRUE(hit.groups.empty());
+  EXPECT_TRUE(hit.gemm_timeline.empty());
+  EXPECT_TRUE(hit.comm_timeline.empty());
+}
+
+TEST(OverlapEngineTest, ImbalancedForcedSingleGroupCoversEveryTile) {
+  // A degraded serving batch runs the safety plan, forced SingleGroup(1),
+  // on whatever spec it carries. An imbalanced spec restates that base
+  // over the heaviest rank's waves, so the one group holds every tile.
+  OverlapEngine engine(MakeA800Cluster(4), {}, NoJitter());
+  const std::vector<GemmShape> shapes{
+      GemmShape{2048, 4096, 1024}, GemmShape{3072, 4096, 1024},
+      GemmShape{4096, 4096, 1024}, GemmShape{6144, 4096, 1024}};
+  const WavePartition safety = WavePartition::SingleGroup(1);
+  const OverlapRun run =
+      engine.Execute(ScenarioSpec::Imbalanced(shapes, CommPrimitive::kAllToAll, &safety));
+  ASSERT_EQ(run.groups.size(), 1u);
+  EXPECT_EQ(run.partition.group_count(), 1);
+  EXPECT_EQ(run.groups[0].tiles, engine.tuner().GemmConfigFor(shapes[0]).tile_count);
+  // One group means no overlap: the collective follows the slowest GEMM.
+  EXPECT_GE(run.groups[0].comm_start, run.gemm_end_us);
+}
+
 TEST(OverlapEngineTest, ImbalancedSlowestRankDominates) {
   OverlapEngine engine(MakeA800Cluster(2), {}, NoJitter());
   const std::vector<GemmShape> shapes{GemmShape{1024, 4096, 7168},

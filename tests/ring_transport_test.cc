@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/comm/cost_model.h"
 #include "src/comm/ring_transport.h"
+#include "src/core/schedule_executor.h"
 #include "src/hw/cluster.h"
-#include "src/sim/simulator.h"
 
 namespace flo {
 namespace {
@@ -22,46 +24,22 @@ TEST(RingStepTimeTest, ScalesWithChunkSize) {
   EXPECT_GE(RingStepTime(link, msg, 1024.0), link.base_latency_us);
 }
 
-class RingFixture {
- public:
-  explicit RingFixture(int gpus) {
-    for (int r = 0; r < gpus; ++r) {
-      devices_.push_back(std::make_unique<Device>(r, 108));
-      streams_.push_back(std::make_unique<Stream>(&sim_, devices_[r].get(),
-                                                  "c" + std::to_string(r)));
-    }
-  }
-
-  std::vector<Device*> DevicePtrs() {
-    std::vector<Device*> out;
-    for (auto& d : devices_) {
-      out.push_back(d.get());
-    }
-    return out;
-  }
-
-  Simulator sim_;
-  std::vector<std::unique_ptr<Device>> devices_;
-  std::vector<std::unique_ptr<Stream>> streams_;
-};
-
-TEST(RingCollectiveOpTest, RunsAllStepsAndCompletes) {
-  RingFixture fixture(4);
-  const InterconnectSpec link = MakeNvlinkA800();
-  bool applied = false;
-  RingCollectiveOp op("ar", fixture.DevicePtrs(), link, CommPrimitive::kAllReduce,
-                      64.0 * 1024 * 1024, [&] { applied = true; });
-  for (int r = 0; r < 4; ++r) {
-    op.EnqueueOn(*fixture.streams_[r], r);
-  }
-  fixture.sim_.Run();
-  EXPECT_TRUE(op.completed());
-  EXPECT_TRUE(applied);
-  EXPECT_EQ(op.steps().size(), 6u);
-  // Steps are back to back.
-  for (size_t s = 1; s < op.steps().size(); ++s) {
-    EXPECT_DOUBLE_EQ(op.steps()[s].start, op.steps()[s - 1].end);
-  }
+// Replays a one-group plan moving `bytes` per rank through the stepwise
+// ring transport and returns the group's trace.
+GroupTrace ReplayRingGroup(const ClusterSpec& cluster, CommPrimitive primitive, double bytes) {
+  GemmConfig config;
+  config.tile_count = 2 * cluster.gpu.sm_count;
+  config.wave_time_us = 10.0;
+  ExecutionPlan plan;
+  plan.primitive = primitive;
+  plan.partition = WavePartition::SingleGroup(2);
+  plan.group_tiles.assign(cluster.gpu_count, {config.tile_count});
+  plan.segments = {CommSegment{0, bytes, 0.0}};
+  ScheduleExecutor executor(cluster);
+  const OverlapRun run = executor.ExecuteOverlap(
+      plan, std::vector<GemmConfig>(cluster.gpu_count, config),
+      EngineOptions{.jitter = false, .detailed_comm = true}, 1);
+  return run.groups.at(0);
 }
 
 class RingVsAnalyticTest
@@ -72,19 +50,24 @@ TEST_P(RingVsAnalyticTest, StepwiseSumMatchesClosedForm) {
   // tuner interpolates — otherwise the predictor would be validated
   // against a different machine than the one it predicts.
   const auto [primitive, gpus, mib] = GetParam();
-  const InterconnectSpec link = MakePcie4090();
+  const ClusterSpec cluster = Make4090Cluster(gpus);
+  const InterconnectSpec& link = cluster.link;
   const double bytes = mib * 1024 * 1024;
 
-  RingFixture fixture(gpus);
-  RingCollectiveOp op("op", fixture.DevicePtrs(), link, primitive, bytes, nullptr);
-  for (int r = 0; r < gpus; ++r) {
-    op.EnqueueOn(*fixture.streams_[r], r);
+  const GroupTrace group = ReplayRingGroup(cluster, primitive, bytes);
+  const double stepwise = group.comm_end - group.comm_start;
+
+  // The replayed span is exactly the call overhead plus every ring step.
+  const int steps = RingStepCount(primitive, gpus);
+  const double chunk = WireFactor(primitive, gpus) * bytes / steps;
+  double expected = link.call_overhead_us;
+  for (int step = 0; step < steps; ++step) {
+    expected += RingStepTime(link, bytes, chunk);
   }
-  fixture.sim_.Run();
+  EXPECT_NEAR(stepwise, expected, 1e-9 * expected);
 
   CommCostModel model(link, gpus);
   const double analytic = model.LatencyUs(primitive, bytes);
-  const double stepwise = op.end_time() - op.start_time();
   EXPECT_NEAR(stepwise, analytic, 0.02 * analytic)
       << CommPrimitiveName(primitive) << " " << gpus << " GPUs " << mib << " MiB";
 }
@@ -96,21 +79,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          CommPrimitive::kAllGather,
                                          CommPrimitive::kAllToAll),
                        ::testing::Values(2, 4, 8), ::testing::Values(1.0, 16.0, 256.0)));
-
-TEST(RingCollectiveOpTest, HoldsSmFootprintDuringTransfer) {
-  RingFixture fixture(2);
-  InterconnectSpec link = MakeNvlinkA800();
-  RingCollectiveOp op("rs", fixture.DevicePtrs(), link, CommPrimitive::kReduceScatter,
-                      8.0 * 1024 * 1024, nullptr);
-  op.EnqueueOn(*fixture.streams_[0], 0);
-  op.EnqueueOn(*fixture.streams_[1], 1);
-  int observed = -1;
-  fixture.sim_.Schedule(link.call_overhead_us + 1.0,
-                        [&] { observed = fixture.devices_[0]->sm_available(); });
-  fixture.sim_.Run();
-  EXPECT_EQ(observed, 108 - link.comm_sm_count);
-  EXPECT_EQ(fixture.devices_[0]->sm_available(), 108);
-}
 
 }  // namespace
 }  // namespace flo

@@ -1,68 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "src/sim/device.h"
-#include "src/sim/event_queue.h"
-#include "src/sim/sim_event.h"
-#include "src/sim/simulator.h"
-#include "src/sim/stream.h"
 #include "src/sim/timeline.h"
 
 namespace flo {
 namespace {
-
-TEST(EventQueueTest, PopsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.Push(3.0, [&] { order.push_back(3); });
-  q.Push(1.0, [&] { order.push_back(1); });
-  q.Push(2.0, [&] { order.push_back(2); });
-  while (!q.empty()) {
-    SimTime t = 0.0;
-    q.Pop(&t)();
-  }
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueueTest, TiesBreakByInsertionOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.Push(1.0, [&order, i] { order.push_back(i); });
-  }
-  while (!q.empty()) {
-    SimTime t = 0.0;
-    q.Pop(&t)();
-  }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(SimulatorTest, ClockAdvancesMonotonically) {
-  Simulator sim;
-  std::vector<SimTime> times;
-  sim.Schedule(5.0, [&] { times.push_back(sim.Now()); });
-  sim.Schedule(1.0, [&] {
-    times.push_back(sim.Now());
-    sim.Schedule(2.0, [&] { times.push_back(sim.Now()); });
-  });
-  sim.Run();
-  ASSERT_EQ(times.size(), 3u);
-  EXPECT_DOUBLE_EQ(times[0], 1.0);
-  EXPECT_DOUBLE_EQ(times[1], 3.0);
-  EXPECT_DOUBLE_EQ(times[2], 5.0);
-}
-
-TEST(SimulatorTest, RunReturnsFinalTime) {
-  Simulator sim;
-  sim.Schedule(7.5, [] {});
-  EXPECT_DOUBLE_EQ(sim.Run(), 7.5);
-}
-
-TEST(SimulatorDeathTest, PastSchedulingAborts) {
-  Simulator sim;
-  EXPECT_DEATH(sim.Schedule(-1.0, [] {}), "past");
-}
 
 TEST(DeviceTest, TracksOccupancy) {
   Device device(0, 100);
@@ -86,97 +28,16 @@ TEST(DeviceDeathTest, OverReleaseAborts) {
   EXPECT_DEATH(device.ReleaseSms(1), "releasing more");
 }
 
-TEST(StreamTest, TasksRunInFifoOrder) {
-  Simulator sim;
-  Device device(0, 16);
-  Stream stream(&sim, &device, "s");
-  std::vector<int> order;
-  stream.EnqueueTimed("a", 5.0, [&] { order.push_back(1); });
-  stream.EnqueueTimed("b", 1.0, [&] { order.push_back(2); });
-  sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  // FIFO: the short task waits for the long one: completes at 6.
-  EXPECT_DOUBLE_EQ(stream.last_completion_time(), 6.0);
-}
-
-TEST(StreamTest, TimelineRecordsSpans) {
-  Simulator sim;
-  Device device(0, 16);
-  Stream stream(&sim, &device, "s");
-  stream.EnqueueTimed("first", 2.0);
-  stream.EnqueueTimed("second", 3.0);
-  sim.Run();
-  ASSERT_EQ(stream.timeline().spans().size(), 2u);
-  EXPECT_EQ(stream.timeline().spans()[0].name, "first");
-  EXPECT_DOUBLE_EQ(stream.timeline().spans()[0].end, 2.0);
-  EXPECT_DOUBLE_EQ(stream.timeline().spans()[1].start, 2.0);
-  EXPECT_DOUBLE_EQ(stream.timeline().BusyTime(), 5.0);
-  EXPECT_DOUBLE_EQ(stream.timeline().EndTime(), 5.0);
-}
-
-TEST(StreamTest, DeferredDurationSeesOccupancyAtStart) {
-  Simulator sim;
-  Device device(0, 16);
-  Stream stream(&sim, &device, "s");
-  device.AcquireSms(8);
-  double seen = 0.0;
-  stream.EnqueueDeferred(
-      "k", [&] { seen = device.ComputeSms(); return 1.0; }, nullptr, nullptr);
-  sim.Run();
-  EXPECT_DOUBLE_EQ(seen, 8.0);
-  device.ReleaseSms(8);
-}
-
-TEST(StreamTest, IdleReflectsState) {
-  Simulator sim;
-  Device device(0, 16);
-  Stream stream(&sim, &device, "s");
-  EXPECT_TRUE(stream.idle());
-  stream.EnqueueTimed("t", 1.0);
-  EXPECT_FALSE(stream.idle());
-  sim.Run();
-  EXPECT_TRUE(stream.idle());
-}
-
-TEST(SimEventTest, CrossStreamDependency) {
-  Simulator sim;
-  Device device(0, 16);
-  Stream producer(&sim, &device, "p");
-  Stream consumer(&sim, &device, "c");
-  SimEvent event;
-  producer.EnqueueTimed("work", 10.0);
-  event.RecordOn(producer);
-  event.WaitOn(consumer);
-  SimTime consumer_start = -1.0;
-  consumer.Enqueue("after", [&](Simulator& s, Stream::DoneFn done) {
-    consumer_start = s.Now();
-    done();
-  });
-  sim.Run();
-  EXPECT_TRUE(event.fired());
-  EXPECT_DOUBLE_EQ(event.fire_time(), 10.0);
-  EXPECT_DOUBLE_EQ(consumer_start, 10.0);
-}
-
-TEST(SimEventTest, WaitOnAlreadyFiredEventPassesThrough) {
-  Simulator sim;
-  Device device(0, 16);
-  Stream stream(&sim, &device, "s");
-  SimEvent event;
-  sim.Schedule(0.0, [&] { event.Fire(sim); });
-  sim.Run();
-  event.WaitOn(stream);
-  stream.EnqueueTimed("t", 1.0);
-  sim.Run();
-  EXPECT_TRUE(stream.idle());
-}
-
-TEST(SimEventDeathTest, DoubleFireAborts) {
-  Simulator sim;
-  SimEvent event;
-  sim.Schedule(0.0, [&] { event.Fire(sim); });
-  sim.Run();
-  EXPECT_DEATH(event.Fire(sim), "twice");
+TEST(TimelineTest, RecordsSpansInOrder) {
+  Timeline timeline;
+  timeline.Add("first", 0.0, 2.0);
+  timeline.Add("second", 2.0, 5.0);
+  ASSERT_EQ(timeline.spans().size(), 2u);
+  EXPECT_EQ(timeline.spans()[0].name, "first");
+  EXPECT_DOUBLE_EQ(timeline.spans()[0].end, 2.0);
+  EXPECT_DOUBLE_EQ(timeline.spans()[1].start, 2.0);
+  EXPECT_DOUBLE_EQ(timeline.BusyTime(), 5.0);
+  EXPECT_DOUBLE_EQ(timeline.EndTime(), 5.0);
 }
 
 TEST(TimelineTest, FindFirstMatchesSubstring) {
@@ -188,27 +49,6 @@ TEST(TimelineTest, FindFirstMatchesSubstring) {
   EXPECT_EQ(span->name, "comm_g0");
   EXPECT_EQ(timeline.FindFirst("nccl"), nullptr);
 }
-
-// Property sweep: a chain of N timed tasks ends exactly at the sum of
-// durations regardless of how they interleave with standalone events.
-class StreamChainTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(StreamChainTest, ChainDurationAddsUp) {
-  const int n = GetParam();
-  Simulator sim;
-  Device device(0, 4);
-  Stream stream(&sim, &device, "s");
-  double expected = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double d = 0.5 * (i + 1);
-    expected += d;
-    stream.EnqueueTimed("t", d);
-  }
-  sim.Run();
-  EXPECT_NEAR(stream.last_completion_time(), expected, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Chains, StreamChainTest, ::testing::Values(1, 2, 5, 16, 64));
 
 }  // namespace
 }  // namespace flo
