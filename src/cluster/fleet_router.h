@@ -1,10 +1,11 @@
 // Request placement for the serving fleet: which replica gets the next
 // request.
 //
-// The router sees replicas only through snapshots (load, warmth) and is
-// deterministic: identical snapshot sequences produce identical
-// placements, with the lowest replica id breaking every tie. Three
-// policies:
+// The router sees replicas through a per-replica view of load and plan
+// warmth — a vector of snapshots, or the fleet's event-maintained
+// ReplicaTable — and is deterministic: identical views produce identical
+// placements, with the first (lowest-id) replica breaking every tie. One
+// tiered implementation serves both views. Three policies:
 //  - round-robin: rotate over accepting replicas, load-blind;
 //  - least-loaded: minimize backlog cost — the executor's remaining busy
 //    time plus queue depth x predicted per-request cost;
@@ -19,6 +20,7 @@
 #define SRC_CLUSTER_FLEET_ROUTER_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,6 +28,8 @@
 #include "src/sim/event_record.h"
 
 namespace flo {
+
+class ReplicaTable;
 
 enum class PlacementPolicy {
   kRoundRobin,
@@ -71,11 +75,29 @@ class FleetRouter {
   // replica and must not hand it straight back.
   int Place(const std::vector<ReplicaSnapshot>& replicas, int avoid_id = -1);
 
+  // The same policy over the fleet's ReplicaTable, for a request with plan
+  // key `key` at `now`, pricing queued requests at `cost_estimate_us`
+  // each. The pending tier is read lazily through `pending(id)`, which is
+  // only called for accepting replicas once no accepting replica is warm
+  // or tuning for the key. Picks equal what Place(vector) returns on
+  // snapshots of the same state (tests/router_differential_test.cc).
+  int Place(const ReplicaTable& table, uint64_t key, SimTime now, double cost_estimate_us,
+            const std::function<bool(int id)>& pending, int avoid_id = -1);
+
+  // Plan-affinity tiers, in preference order; kAny is plain least-loaded.
+  enum class Tier { kWarm, kTuning, kPending, kAny };
+
  private:
-  int PlaceRoundRobin(const std::vector<ReplicaSnapshot>& replicas, int avoid_id);
-  // Least backlog among `replicas` entries satisfying `pred`; -1 if none.
-  template <typename Pred>
-  static int LeastLoaded(const std::vector<ReplicaSnapshot>& replicas, Pred pred);
+  // The one policy implementation, over a bitmask view of either form:
+  // per 64-slot word, the eligible slots (accepting, not avoided) ANDed
+  // with a tier's bits, then a least-load scan over the set bits.
+  template <typename View>
+  int PlaceTiered(const View& view);
+  template <typename View>
+  int PlaceRoundRobin(const View& view);
+  // Least load among the view's candidates in `tier`; -1 if none.
+  template <typename View>
+  static int LeastLoaded(const View& view, Tier tier);
 
   PlacementPolicy policy_;
   // Round-robin rotation state: the id after which the scan resumes.

@@ -85,20 +85,28 @@ ServingCluster::ServingCluster(ClusterSpec hardware, ClusterConfig config,
   }
 }
 
+ServingCluster::~ServingCluster() {
+  for (const auto& replica : replicas_) {
+    replica->store()->SetChangeCallback(nullptr);
+  }
+}
+
 Replica* ServingCluster::SpawnReplica(SimTime now) {
-  const int id = next_replica_id_++;
+  const int id = table_.AddSlot();
+  FLO_CHECK_EQ(static_cast<size_t>(id), replicas_.size());
   replicas_.push_back(std::make_unique<Replica>(id, hardware_, tuner_config_, options_,
                                                 config_.store_capacity, now));
   Replica* replica = replicas_.back().get();
+  // The store feeds its slot's resident bits from here on — attached
+  // before the bootstrap below so the shipped plans register too. Replica
+  // stores are only mutated on the simulation thread.
+  replica->store()->SetChangeCallback(
+      [this, id](uint64_t key, bool resident) { table_.SetResident(id, key, resident); });
   // Subscribing bootstraps the fresh store (and tuner) with every
   // published plan: a replica spawned mid-burst starts warm — both tiers
   // — instead of re-tuning the mix.
   shipper_.Subscribe(id, replica->store(), &replica->engine().tuner());
-  replica->StartSession(config_.serve, &events_, HooksFor(replica));
-  replica->session()->SetFaultPolicy(
-      ServeSession::FaultPolicy{config_.faults.tuner_retry_budget,
-                                config_.faults.retry_backoff_base_us,
-                                config_.faults.retry_backoff_jitter_us, config_.faults.seed});
+  StartSession(replica);
   ++spawns_;
   EmitFleetInstant(config_.serve.obs, SpanKind::kReplicaSpawn, now,
                    static_cast<uint64_t>(id), 0);
@@ -111,16 +119,32 @@ Replica* ServingCluster::SpawnReplica(SimTime now) {
 }
 
 Replica* ServingCluster::FindReplica(int id) {
-  for (const auto& replica : replicas_) {
-    if (replica->id() == id) {
-      return replica.get();
-    }
-  }
-  return nullptr;
+  return id >= 0 && static_cast<size_t>(id) < replicas_.size() ? replicas_[id].get() : nullptr;
+}
+
+void ServingCluster::StartSession(Replica* replica) {
+  replica->StartSession(config_.serve, &events_, HooksFor(replica));
+  replica->session()->SetFaultPolicy(
+      ServeSession::FaultPolicy{config_.faults.tuner_retry_budget,
+                                config_.faults.retry_backoff_base_us,
+                                config_.faults.retry_backoff_jitter_us, config_.faults.seed});
+  table_.ResetSession(replica->id());
+  SyncAccepting(*replica);
+}
+
+void ServingCluster::SyncAccepting(const Replica& replica) {
+  table_.SetAccepting(replica.id(), replica.session() != nullptr && replica.accepting());
 }
 
 ServeSession::Hooks ServingCluster::HooksFor(Replica* replica) {
   ServeSession::Hooks hooks;
+  const int id = replica->id();
+  hooks.load_changed = [this, id](size_t pending_requests, SimTime busy_until) {
+    table_.SetLoad(id, busy_until, pending_requests);
+  };
+  hooks.tuning_changed = [this, id](uint64_t key, bool tuning) {
+    table_.SetTuning(id, key, tuning);
+  };
   if (config_.ship_plans) {
     hooks.acquire_tuning = [this, replica](uint64_t key) {
       return shipper_.BeginTuning(key, replica->id());
@@ -192,29 +216,14 @@ double ServingCluster::CostEstimateUs() const {
                            : config_.default_cost_estimate_us;
 }
 
-const std::vector<ReplicaSnapshot>& ServingCluster::Snapshots(uint64_t key, SimTime now) {
-  std::vector<ReplicaSnapshot>& snapshots = snapshot_scratch_;
-  snapshots.clear();
-  snapshots.reserve(replicas_.size());
-  const double cost_estimate = CostEstimateUs();
-  for (const auto& replica : replicas_) {
-    if (replica->retired() || replica->session() == nullptr) {
-      continue;
-    }
-    const ServeSession& session = *replica->session();
-    ReplicaSnapshot snapshot;
-    snapshot.id = replica->id();
-    snapshot.accepting = replica->accepting();
-    snapshot.queued_requests = session.pending_requests();
-    snapshot.busy_us = std::max(0.0, session.busy_until() - now);
-    snapshot.pending_cost_us =
-        static_cast<double>(snapshot.queued_requests) * cost_estimate;
-    snapshot.plan_tuning = session.IsTuningKey(key);
-    snapshot.plan_warm = replica->store()->Contains(key) && !snapshot.plan_tuning;
-    snapshot.plan_pending = session.PendingKeyCount(key) > 0;
-    snapshots.push_back(snapshot);
-  }
-  return snapshots;
+int ServingCluster::Place(uint64_t key, SimTime now, int avoid_id) {
+  // The pending tier (same-key requests admitted here, not yet tuning or
+  // warm) is the rare cold path, so it is probed per replica on demand
+  // rather than tracked in the table.
+  const std::function<bool(int)> pending = [this, key](int id) {
+    return replicas_[static_cast<size_t>(id)]->session()->PendingKeyCount(key) > 0;
+  };
+  return router_.Place(table_, key, now, CostEstimateUs(), pending, avoid_id);
 }
 
 void ServingCluster::PlaceRequest(ServeRequest request, SimTime now) {
@@ -230,7 +239,7 @@ void ServingCluster::PlaceRequest(ServeRequest request, SimTime now) {
     }
     scheduler_->ChargeArrival(request.tenant_id, now);
   }
-  const int id = router_.Place(Snapshots(key, now));
+  const int id = Place(key, now);
   if (id == -1) {
     // Every replica is down or draining. Under fault injection that is a
     // transient (health restores are already scheduled): park the arrival
@@ -238,12 +247,10 @@ void ServingCluster::PlaceRequest(ServeRequest request, SimTime now) {
     // faults it is a configuration error, as before.
     FLO_CHECK(faults_active_) << "no accepting replica (autoscaler drained below min?)";
     ++fault_report_.placement_stalls;
-    PushRequeue(std::move(request), now + config_.faults.retry_backoff_base_us);
+    PushRequeue(std::move(request), key, now + config_.faults.retry_backoff_base_us);
     return;
   }
-  Replica* replica = FindReplica(id);
-  FLO_CHECK(replica != nullptr);
-  replica->session()->Admit(std::move(request), now);
+  replicas_[static_cast<size_t>(id)]->session()->Admit(std::move(request), key, now);
 }
 
 void ServingCluster::DispatchAll(SimTime now) {
@@ -257,6 +264,7 @@ void ServingCluster::DispatchAll(SimTime now) {
 void ServingCluster::MaybeRetire(Replica* replica, SimTime now) {
   if (replica->draining() && !replica->retired() && replica->session()->idle()) {
     replica->Retire(now);
+    SyncAccepting(*replica);
     shipper_.Unsubscribe(replica->id());
     ++drains_;
     EmitFleetInstant(config_.serve.obs, SpanKind::kReplicaRetire, now,
@@ -320,7 +328,7 @@ void ServingCluster::AutoscaleCheck(SimTime now) {
     case Autoscaler::Decision::kPrespawn:
       ++prespawns_;
       EmitFleetInstant(config_.serve.obs, SpanKind::kPrespawn, now,
-                       static_cast<uint64_t>(next_replica_id_),
+                       static_cast<uint64_t>(replicas_.size()),
                        static_cast<uint64_t>(std::max(
                            0.0, observation.rate_estimate + observation.rate_trend + 0.5)));
       SpawnReplica(now);
@@ -333,6 +341,7 @@ void ServingCluster::AutoscaleCheck(SimTime now) {
         EmitFleetInstant(config_.serve.obs, SpanKind::kReplicaDrain, now,
                          static_cast<uint64_t>(youngest_accepting->id()), 0);
         youngest_accepting->BeginDrain();
+        SyncAccepting(*youngest_accepting);
         MaybeRetire(youngest_accepting, now);
       }
       break;
@@ -443,11 +452,9 @@ FleetReport ServingCluster::Run(RequestCursor* cursor) {
         // Drop the prior run's session, or its report would be merged
         // into this run's (the report covers this run only).
         replica->ClearSession();
+        SyncAccepting(*replica);
       } else {
-        replica->StartSession(config_.serve, &events_, HooksFor(replica.get()));
-        replica->session()->SetFaultPolicy(ServeSession::FaultPolicy{
-            config_.faults.tuner_retry_budget, config_.faults.retry_backoff_base_us,
-            config_.faults.retry_backoff_jitter_us, config_.faults.seed});
+        StartSession(replica.get());
         accepting += replica->accepting() ? 1 : 0;
       }
     }
@@ -605,6 +612,7 @@ void ServingCluster::ApplyFault(const FaultEvent& event, SimTime now) {
       EmitFleetInstant(obs, SpanKind::kFaultCrash, now, id,
                        static_cast<uint64_t>(event.duration_us));
       replica->SetHealth(Replica::Health::kCrashed);
+      SyncAccepting(*replica);
       session->SetStalled(true);
       // Teardown: evacuate the backlog, lose the store, release every
       // in-flight search the dead replica owned, and leave the shipper's
@@ -625,6 +633,7 @@ void ServingCluster::ApplyFault(const FaultEvent& event, SimTime now) {
       EmitFleetInstant(obs, SpanKind::kFaultInject, now, id,
                        static_cast<uint64_t>(event.kind));
       replica->SetHealth(Replica::Health::kHung);
+      SyncAccepting(*replica);
       session->SetStalled(true);
       // The detection deadline comes from the recovery policy, not the
       // event: a hang shorter than the deadline resolves invisibly.
@@ -646,6 +655,7 @@ void ServingCluster::ApplyFault(const FaultEvent& event, SimTime now) {
       // The straggler keeps executing (slowly) but is unroutable until
       // the window closes.
       replica->SetHealth(Replica::Health::kStraggling);
+      SyncAccepting(*replica);
       session->SetCostMultiplier(event.magnitude);
       push_restore(FaultKind::kSlowdown, replica->id(), event.duration_us);
       break;
@@ -685,6 +695,7 @@ void ServingCluster::OnHealthRestore(const EventRecord& record, SimTime now) {
           replica->id(), replica->store(), &replica->engine().tuner());
       ++fault_report_.replica_restarts;
       replica->SetHealth(Replica::Health::kHealthy);
+      SyncAccepting(*replica);
       replica->session()->SetStalled(false);
       replica->session()->Dispatch(now);
       break;
@@ -693,6 +704,7 @@ void ServingCluster::OnHealthRestore(const EventRecord& record, SimTime now) {
         return;
       }
       replica->SetHealth(Replica::Health::kHealthy);
+      SyncAccepting(*replica);
       replica->session()->SetStalled(false);
       replica->session()->Dispatch(now);
       break;
@@ -701,6 +713,7 @@ void ServingCluster::OnHealthRestore(const EventRecord& record, SimTime now) {
         return;
       }
       replica->SetHealth(Replica::Health::kHealthy);
+      SyncAccepting(*replica);
       replica->session()->SetCostMultiplier(1.0);
       replica->session()->Dispatch(now);
       break;
@@ -725,15 +738,17 @@ void ServingCluster::OnHangDetect(const EventRecord& record, SimTime now) {
 }
 
 void ServingCluster::RequeueFrom(Replica* replica, SimTime now) {
-  requeue_scratch_.clear();
-  const size_t evacuated = replica->session()->ExtractPending(&requeue_scratch_);
+  evacuated_.clear();
+  evacuated_keys_.clear();
+  const size_t evacuated = replica->session()->ExtractPending(&evacuated_, &evacuated_keys_);
   if (evacuated == 0) {
     return;
   }
   fault_report_.requests_requeued += evacuated;
   EmitFleetInstant(config_.serve.obs, SpanKind::kFaultRequeue, now,
                    static_cast<uint64_t>(replica->id()), evacuated);
-  for (ServeRequest& request : requeue_scratch_) {
+  for (size_t i = 0; i < evacuated_.size(); ++i) {
+    ServeRequest& request = evacuated_[i];
     ++request.retries;
     if (request.retries > config_.faults.retry_budget) {
       // The budget bounds backoff growth and flags the report; it never
@@ -745,48 +760,46 @@ void ServingCluster::RequeueFrom(Replica* replica, SimTime now) {
       ++fault_report_.retry_budget_exhausted;
     }
     const double backoff = RequeueBackoffUs(config_.faults, request.id, request.retries);
-    PushRequeue(std::move(request), now + backoff);
+    PushRequeue(std::move(request), evacuated_keys_[i], now + backoff);
   }
-  requeue_scratch_.clear();
+  evacuated_.clear();
 }
 
-void ServingCluster::PushRequeue(ServeRequest request, SimTime at) {
+void ServingCluster::PushRequeue(ServeRequest request, uint64_t key, SimTime at) {
   uint32_t slot;
   if (!requeue_free_.empty()) {
     slot = requeue_free_.back();
     requeue_free_.pop_back();
-    requeue_pool_[slot] = std::move(request);
+    requeue_pool_[slot] = KeyedRequest{std::move(request), key};
   } else {
     slot = static_cast<uint32_t>(requeue_pool_.size());
-    requeue_pool_.push_back(std::move(request));
+    requeue_pool_.push_back(KeyedRequest{std::move(request), key});
   }
   EventRecord record;
   record.type = EventType::kRequeue;
-  record.key = static_cast<uint64_t>(requeue_pool_[slot].id);
+  record.key = static_cast<uint64_t>(requeue_pool_[slot].request.id);
   record.handler = fault_handler_;
   record.slot = slot;
   events_.Push(at, record);
 }
 
 void ServingCluster::OnRequeue(const EventRecord& record, SimTime now) {
-  ServeRequest request = std::move(requeue_pool_[record.slot]);
+  ServeRequest request = std::move(requeue_pool_[record.slot].request);
+  const uint64_t key = requeue_pool_[record.slot].key;
   requeue_free_.push_back(record.slot);
-  const uint64_t key = keyer_.CanonicalKey(request.spec);
-  const int id = router_.Place(Snapshots(key, now));
+  const int id = Place(key, now);
   if (id == -1) {
     // Nothing routable right now (every replica down or draining).
     // Health restores are already on the clock, so back off at the base
     // interval without charging another retry.
     ++fault_report_.placement_stalls;
-    PushRequeue(std::move(request), now + config_.faults.retry_backoff_base_us);
+    PushRequeue(std::move(request), key, now + config_.faults.retry_backoff_base_us);
     return;
   }
   ++fault_report_.requests_retried;
   EmitFleetInstant(config_.serve.obs, SpanKind::kFaultRetry, now,
                    static_cast<uint64_t>(request.id), static_cast<uint64_t>(request.retries));
-  Replica* replica = FindReplica(id);
-  FLO_CHECK(replica != nullptr);
-  replica->session()->Admit(std::move(request), now);
+  replicas_[static_cast<size_t>(id)]->session()->Admit(std::move(request), key, now);
 }
 
 void ServingCluster::SchedCheck(SimTime now) {
@@ -828,8 +841,9 @@ void ServingCluster::SchedCheck(SimTime now) {
     if (!victim) {
       continue;
     }
-    preempt_scratch_.clear();
-    const size_t pulled = replica->session()->ExtractQueued(&preempt_scratch_);
+    evacuated_.clear();
+    evacuated_keys_.clear();
+    const size_t pulled = replica->session()->ExtractQueued(&evacuated_, &evacuated_keys_);
     if (pulled == 0) {
       MaybeRetire(replica.get(), now);
       continue;
@@ -837,18 +851,15 @@ void ServingCluster::SchedCheck(SimTime now) {
     sched_preempted_ += pulled;
     EmitFleetInstant(config_.serve.obs, SpanKind::kSchedPreempt, now,
                      static_cast<uint64_t>(replica->id()), pulled);
-    for (ServeRequest& request : preempt_scratch_) {
-      const uint64_t key = keyer_.CanonicalKey(request.spec);
-      const int id = router_.Place(Snapshots(key, now), replica->id());
-      Replica* target = id != -1 ? FindReplica(id) : nullptr;
-      if (target == nullptr) {
-        // Nowhere better: hand the request straight back. Not a retry —
-        // preemption is a placement revision, not a failure.
-        target = replica.get();
-      }
-      target->session()->Admit(std::move(request), now);
+    for (size_t i = 0; i < evacuated_.size(); ++i) {
+      const uint64_t key = evacuated_keys_[i];
+      const int id = Place(key, now, replica->id());
+      // Nowhere better: hand the request straight back. Not a retry —
+      // preemption is a placement revision, not a failure.
+      Replica* target = id != -1 ? replicas_[static_cast<size_t>(id)].get() : replica.get();
+      target->session()->Admit(std::move(evacuated_[i]), key, now);
     }
-    preempt_scratch_.clear();
+    evacuated_.clear();
     MaybeRetire(replica.get(), now);
   }
   // Re-arm while served work remains, like the autoscale checkpoint.

@@ -3,8 +3,9 @@
 //
 // Layering (the fleet analogue of ScenarioSpec -> Planner -> Executor):
 //   trace -> RequestCursor/ArrivalPump (streamed admission) -> FleetRouter
-//   (placement) -> Replica ServeSessions (per-tenant queues, executor +
-//   tuning lanes) -> shared EventLoop (typed records, calendar queue)
+//   (placement over the event-maintained ReplicaTable) -> Replica
+//   ServeSessions (per-tenant queues, executor + tuning lanes) -> shared
+//   EventLoop (typed records, calendar queue)
 // with two fleet-level services threaded through the session hooks:
 //   - PlanShipper: fleet-wide single-flight of tuner searches and
 //     publication of freshly tuned plans to every replica's PlanStore, so
@@ -29,6 +30,7 @@
 #include "src/cluster/fleet_router.h"
 #include "src/cluster/plan_shipping.h"
 #include "src/cluster/replica.h"
+#include "src/cluster/replica_table.h"
 #include "src/core/overlap_engine.h"
 #include "src/fault/fault_config.h"
 #include "src/fault/fault_schedule.h"
@@ -120,6 +122,9 @@ class ServingCluster {
  public:
   explicit ServingCluster(ClusterSpec hardware, ClusterConfig config = {},
                           TunerConfig tuner_config = {}, EngineOptions options = {});
+  // Detaches the replica stores' residency feeds: a store handle kept
+  // past the fleet must not write into its freed placement table.
+  ~ServingCluster();
 
   // Serves the trace to completion. Replica engines and stores persist
   // across calls (a second run of the same trace serves warm); the report
@@ -155,11 +160,18 @@ class ServingCluster {
 
  private:
   Replica* SpawnReplica(SimTime now);
+  // nullptr for ids never spawned (a replica's id is its index).
   Replica* FindReplica(int id);
   ServeSession::Hooks HooksFor(Replica* replica);
-  // Returns a reference to snapshot_scratch_, rebuilt for this call: one
-  // router decision per arrival must not cost a vector allocation.
-  const std::vector<ReplicaSnapshot>& Snapshots(uint64_t key, SimTime now);
+  // Starts the replica's session for this run and resets its table slot.
+  void StartSession(Replica* replica);
+  // Mirrors the replica's lifecycle and health into its table slot; called
+  // after every change to either.
+  void SyncAccepting(const Replica& replica);
+  // The router's pick for a request keyed `key` (-1 when none accepts).
+  int Place(uint64_t key, SimTime now, int avoid_id = -1);
+  // Keys the request once; the key rides with it through admission,
+  // requeues and preemption.
   void PlaceRequest(ServeRequest request, SimTime now);
   void DispatchAll(SimTime now);
   void MaybeRetire(Replica* replica, SimTime now);
@@ -181,8 +193,9 @@ class ServingCluster {
   // Evacuates every pending request off `replica` and schedules each for
   // re-placement after its deterministic backoff.
   void RequeueFrom(Replica* replica, SimTime now);
-  // Parks one request in the requeue pool and schedules its kRequeue.
-  void PushRequeue(ServeRequest request, SimTime at);
+  // Parks one request (with its plan key) in the requeue pool and
+  // schedules its kRequeue.
+  void PushRequeue(ServeRequest request, uint64_t key, SimTime at);
 
   ClusterSpec hardware_;
   ClusterConfig config_;
@@ -209,8 +222,10 @@ class ServingCluster {
   uint32_t autoscale_handler_ = 0;
   uint32_t fault_handler_ = 0;
   uint32_t sched_handler_ = 0;
+  // Indexed by replica id; never erased.
   std::vector<std::unique_ptr<Replica>> replicas_;
-  int next_replica_id_ = 0;
+  // Placement state, one slot per entry of replicas_.
+  ReplicaTable table_;
 
   // Per-run state (reset by Run).
   std::unique_ptr<Autoscaler> autoscaler_;
@@ -229,7 +244,6 @@ class ServingCluster {
   double last_window_p99_us_ = 0.0;
   // Distinct plan keys seen by PlaceRequest this run.
   std::set<uint64_t> run_keys_;
-  std::vector<ReplicaSnapshot> snapshot_scratch_;
   int peak_replicas_ = 0;
   size_t spawns_ = 0;
   size_t drains_ = 0;
@@ -241,12 +255,18 @@ class ServingCluster {
   FaultSchedule active_schedule_;
   bool faults_active_ = false;
   FaultReport fault_report_;
-  // Requests awaiting their kRequeue firing, pooled so the 24-byte event
-  // record can carry a slot index instead of the request.
-  std::vector<ServeRequest> requeue_pool_;
+  // Requests awaiting their kRequeue firing, with their plan keys, pooled
+  // so the 24-byte event record can carry a slot index instead.
+  struct KeyedRequest {
+    ServeRequest request;
+    uint64_t key = 0;
+  };
+  std::vector<KeyedRequest> requeue_pool_;
   std::vector<uint32_t> requeue_free_;
-  // Scratch for RequeueFrom's evacuations; reused across events.
-  std::vector<ServeRequest> requeue_scratch_;
+  // Scratch for RequeueFrom's and SchedCheck's evacuations (requests and
+  // their keys in step); reused across events.
+  std::vector<ServeRequest> evacuated_;
+  std::vector<uint64_t> evacuated_keys_;
   // shipper_ stats are cumulative across runs; this run's ship_drops are
   // reported as a delta from the Run-start baseline.
   size_t ship_drops_baseline_ = 0;
@@ -254,8 +274,6 @@ class ServingCluster {
   // session's ServeReport and are aggregated at report time).
   size_t sched_preempt_scans_ = 0;
   size_t sched_preempted_ = 0;
-  // Scratch for SchedCheck's evacuations; reused across scans.
-  std::vector<ServeRequest> preempt_scratch_;
 };
 
 }  // namespace flo

@@ -37,6 +37,7 @@
 #include "src/cluster/fleet_router.h"
 #include "src/cluster/plan_shipping.h"
 #include "src/cluster/replica.h"
+#include "src/cluster/replica_table.h"
 #include "src/cluster/serving_cluster.h"
 #include "src/comm/cost_model.h"
 #include "src/comm/functional.h"

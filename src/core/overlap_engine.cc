@@ -31,29 +31,22 @@ void OverlapEngine::UseSharedPlanStore(std::shared_ptr<PlanStore> store) {
 }
 
 OverlapRun OverlapEngine::Execute(const ScenarioSpec& spec) {
-  return ExecuteInternal(spec, /*memoize=*/false);
+  return ExecuteInternal(spec, planner_.CanonicalKey(spec), /*memoize=*/false);
 }
 
 OverlapRun OverlapEngine::ExecuteMemoized(const ScenarioSpec& spec) {
-  // Per-scenario option overrides are not part of the MixInto fingerprint,
-  // so those specs always take the plain path.
-  return ExecuteInternal(spec, /*memoize=*/!spec.options.has_value());
+  return ExecuteMemoized(spec, planner_.CanonicalKey(spec));
 }
 
-OverlapRun OverlapEngine::ExecuteInternal(const ScenarioSpec& spec, bool memoize) {
+OverlapRun OverlapEngine::ExecuteMemoized(const ScenarioSpec& spec, uint64_t key) {
+  // Per-scenario option overrides are not part of the MixInto fingerprint,
+  // so those specs always take the plain path.
+  return ExecuteInternal(spec, key, /*memoize=*/!spec.options.has_value());
+}
+
+OverlapRun OverlapEngine::ExecuteInternal(const ScenarioSpec& spec, uint64_t key,
+                                          bool memoize) {
   const EngineOptions& effective = spec.options.has_value() ? *spec.options : options_;
-  bool cache_hit = false;
-  // Against a shared store another engine may evict concurrently, so take
-  // the plan by value (copied under the store's lock) instead of holding a
-  // reference into the map.
-  ExecutionPlan owned;
-  const ExecutionPlan* plan;
-  if (shared_store_ != nullptr) {
-    owned = planner_.PlanByValue(spec, &cache_hit);
-    plan = &owned;
-  } else {
-    plan = &planner_.Plan(spec, &cache_hit);
-  }
   uint64_t fingerprint = 0;
   if (memoize) {
     StableHash hash;
@@ -62,11 +55,24 @@ OverlapRun OverlapEngine::ExecuteInternal(const ScenarioSpec& spec, bool memoize
     const auto it = run_memo_.find(fingerprint);
     if (it != run_memo_.end()) {
       OverlapRun run = it->second;
-      // Hit/miss is a property of this call's store lookup, not of the
-      // memoized one.
-      run.plan_cache_hit = cache_hit;
+      // The memoized replay needs no plan, but the store lookup still
+      // happens (stats, recency, a rebuild after eviction): hit/miss is a
+      // property of this call's lookup, not of the memoized one.
+      run.plan_cache_hit = planner_.TouchPlan(spec, key);
       return run;
     }
+  }
+  bool cache_hit = false;
+  // Against a shared store another engine may evict concurrently, so take
+  // the plan by value (copied under the store's lock) instead of holding a
+  // reference into the map.
+  ExecutionPlan owned;
+  const ExecutionPlan* plan;
+  if (shared_store_ != nullptr) {
+    owned = planner_.PlanByValue(spec, key, &cache_hit);
+    plan = &owned;
+  } else {
+    plan = &planner_.Plan(spec, key, &cache_hit);
   }
   const std::vector<GemmShape> shapes = spec.RankShapes(cluster_.gpu_count);
   std::vector<GemmConfig> configs;

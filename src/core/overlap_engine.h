@@ -66,12 +66,17 @@ class OverlapEngine {
   // times). The plan-store lookup still happens on every call — store
   // hit/miss counters, LRU recency, and planner stats advance exactly as
   // with Execute, and plan_cache_hit reflects the fresh lookup — but on a
-  // repeat spec the deterministic simulation itself (gemm configs, seeded
-  // schedule replay) is skipped and the cached result returned with
-  // `groups` traces and the rank-0 timelines empty (only Execute callers
-  // read them). Specs carrying per-scenario options bypass the memo
-  // entirely (their engine options are not part of the fingerprint).
+  // repeat spec the plan is not copied (OverlapPlanner::TouchPlan) and the
+  // deterministic simulation itself (gemm configs, seeded schedule replay)
+  // is skipped and the cached result returned with `groups` traces and the
+  // rank-0 timelines empty (only Execute callers read them). Specs
+  // carrying per-scenario options bypass the memo entirely (their engine
+  // options are not part of the fingerprint).
   OverlapRun ExecuteMemoized(const ScenarioSpec& spec);
+  // Keyed form: `key` must equal planner().CanonicalKey(spec) — serving
+  // sessions pass the key their batch was formed around instead of
+  // re-hashing the spec per execution.
+  OverlapRun ExecuteMemoized(const ScenarioSpec& spec, uint64_t key);
 
   // Sweeps many scenarios through the shared executor. Plans are reused
   // across calls via the PlanStore, so repeating a sweep performs zero
@@ -119,7 +124,7 @@ class OverlapEngine {
   SimTime RunNonOverlapImbalanced(const std::vector<GemmShape>& shapes, CommPrimitive primitive);
 
  private:
-  OverlapRun ExecuteInternal(const ScenarioSpec& spec, bool memoize);
+  OverlapRun ExecuteInternal(const ScenarioSpec& spec, uint64_t key, bool memoize);
 
   // The persistent tuning pool, created lazily by the first parallel
   // pretune and reused afterwards (grown if a later call asks for more

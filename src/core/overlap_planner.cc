@@ -107,7 +107,15 @@ void OverlapPlanner::RecordLookup(bool hit, bool* cache_hit) {
 }
 
 const ExecutionPlan& OverlapPlanner::Plan(const ScenarioSpec& spec, bool* cache_hit) {
-  const uint64_t key = CanonicalKey(spec);
+  return Plan(spec, CanonicalKey(spec), cache_hit);
+}
+
+ExecutionPlan OverlapPlanner::PlanByValue(const ScenarioSpec& spec, bool* cache_hit) {
+  return PlanByValue(spec, CanonicalKey(spec), cache_hit);
+}
+
+const ExecutionPlan& OverlapPlanner::Plan(const ScenarioSpec& spec, uint64_t key,
+                                          bool* cache_hit) {
   if (const ExecutionPlan* cached = store_->Find(key)) {
     RecordLookup(true, cache_hit);
     return *cached;
@@ -116,8 +124,8 @@ const ExecutionPlan& OverlapPlanner::Plan(const ScenarioSpec& spec, bool* cache_
   return store_->Put(key, Build(spec));
 }
 
-ExecutionPlan OverlapPlanner::PlanByValue(const ScenarioSpec& spec, bool* cache_hit) {
-  const uint64_t key = CanonicalKey(spec);
+ExecutionPlan OverlapPlanner::PlanByValue(const ScenarioSpec& spec, uint64_t key,
+                                          bool* cache_hit) {
   if (std::optional<ExecutionPlan> cached = store_->FindCopy(key)) {
     RecordLookup(true, cache_hit);
     return *std::move(cached);
@@ -126,6 +134,15 @@ ExecutionPlan OverlapPlanner::PlanByValue(const ScenarioSpec& spec, bool* cache_
   ExecutionPlan built = Build(spec);
   store_->Put(key, built);
   return built;
+}
+
+bool OverlapPlanner::TouchPlan(const ScenarioSpec& spec, uint64_t key) {
+  const bool hit = store_->Touch(key);
+  RecordLookup(hit, nullptr);
+  if (!hit) {
+    store_->Put(key, Build(spec));
+  }
+  return hit;
 }
 
 ExecutionPlan OverlapPlanner::Build(const ScenarioSpec& spec) {

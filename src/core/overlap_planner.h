@@ -69,6 +69,16 @@ class OverlapPlanner {
   // shared PlanStore is attached.
   ExecutionPlan PlanByValue(const ScenarioSpec& spec, bool* cache_hit = nullptr);
 
+  // Keyed forms for callers that already hold the spec's key: `key` must
+  // equal CanonicalKey(spec) (serving paths key a request once, at
+  // placement, and carry the key through batching and execution).
+  const ExecutionPlan& Plan(const ScenarioSpec& spec, uint64_t key, bool* cache_hit);
+  ExecutionPlan PlanByValue(const ScenarioSpec& spec, uint64_t key, bool* cache_hit);
+  // The lookup of PlanByValue without the copy: stats, store hit/miss and
+  // LRU recency advance exactly as PlanByValue's would, and a miss builds
+  // and caches the plan. Returns whether the lookup hit.
+  bool TouchPlan(const ScenarioSpec& spec, uint64_t key);
+
   const PlannerStats& stats() const { return stats_; }
   void ResetStats() { stats_ = PlannerStats{}; }
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "src/obs/metrics.h"
 #include "src/util/check.h"
@@ -149,9 +150,13 @@ void PlanStore::EnforceCapacityLocked() {
         victim = it;
       }
     }
-    plans_.erase(victim->first);
+    const uint64_t key = victim->first;
+    plans_.erase(key);
     last_use_.erase(victim);
     ++stats_.evictions;
+    if (on_change_) {
+      on_change_(key, false);
+    }
   }
 }
 
@@ -165,6 +170,17 @@ const ExecutionPlan* PlanStore::Find(uint64_t key) const {
   ++stats_.hits;
   TouchLocked(key);
   return &it->second;
+}
+
+bool PlanStore::Touch(uint64_t key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (plans_.count(key) == 0) {
+    ++stats_.misses;
+    return false;
+  }
+  ++stats_.hits;
+  TouchLocked(key);
+  return true;
 }
 
 std::optional<ExecutionPlan> PlanStore::FindCopy(uint64_t key) const {
@@ -184,6 +200,9 @@ const ExecutionPlan& PlanStore::Put(uint64_t key, ExecutionPlan plan) {
   auto [it, inserted] = plans_.insert_or_assign(key, std::move(plan));
   TouchLocked(key);
   if (inserted) {
+    if (on_change_) {
+      on_change_(key, true);
+    }
     // The fresh entry holds the max use tick, so eviction can never pick
     // it: the returned reference stays valid.
     EnforceCapacityLocked();
@@ -208,7 +227,13 @@ std::optional<double> PlanStore::PeekPredictedUs(uint64_t key) const {
 bool PlanStore::Erase(uint64_t key) {
   std::lock_guard<std::mutex> lock(mu_);
   last_use_.erase(key);
-  return plans_.erase(key) != 0;
+  if (plans_.erase(key) == 0) {
+    return false;
+  }
+  if (on_change_) {
+    on_change_(key, false);
+  }
+  return true;
 }
 
 size_t PlanStore::size() const {
@@ -218,6 +243,11 @@ size_t PlanStore::size() const {
 
 void PlanStore::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
+  if (on_change_) {
+    for (const auto& entry : plans_) {
+      on_change_(entry.first, false);
+    }
+  }
   plans_.clear();
   last_use_.clear();
 }
@@ -231,6 +261,11 @@ void PlanStore::set_capacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
   capacity_ = capacity;
   EnforceCapacityLocked();
+}
+
+void PlanStore::SetChangeCallback(ChangeCallback on_change) {
+  std::lock_guard<std::mutex> lock(mu_);
+  on_change_ = std::move(on_change);
 }
 
 PlanStoreStats PlanStore::stats() const {

@@ -18,6 +18,7 @@
 #define SRC_CORE_PLAN_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -117,6 +118,10 @@ class PlanStore {
 
   // nullptr when absent. Counts a hit/miss and refreshes LRU recency.
   const ExecutionPlan* Find(uint64_t key) const;
+  // Find without the plan: counts the hit/miss and refreshes LRU recency
+  // exactly as Find/FindCopy do, and returns whether the key is resident.
+  // For callers that only need the lookup's side effects (a memoized run).
+  bool Touch(uint64_t key) const;
   // Thread-safe lookup for shared-store use: returns a copy, so the result
   // survives a concurrent eviction.
   std::optional<ExecutionPlan> FindCopy(uint64_t key) const;
@@ -139,6 +144,17 @@ class PlanStore {
   // 0 = unbounded. Shrinking below the current size evicts immediately.
   size_t capacity() const;
   void set_capacity(size_t capacity);
+
+  // Residency feed: `on_change(key, resident)` fires whenever a key enters
+  // the store (Put of a new key) or leaves it (eviction, Erase, Clear).
+  // It runs under the store's lock, so a mirror of the resident set sees
+  // changes in exactly the order the store applies them; it must not
+  // call back into the store. Overwrites and lookups do not fire. The callback belongs to this
+  // store object: copies and moves do not carry it, and assigning a whole
+  // store over one that has a callback fires nothing. Pass nullptr to
+  // detach.
+  using ChangeCallback = std::function<void(uint64_t key, bool resident)>;
+  void SetChangeCallback(ChangeCallback on_change);
 
   PlanStoreStats stats() const;
   void ResetStats();
@@ -182,6 +198,7 @@ class PlanStore {
   mutable std::map<uint64_t, uint64_t> last_use_;
   mutable uint64_t use_clock_ = 0;
   mutable PlanStoreStats stats_;
+  ChangeCallback on_change_;
 };
 
 }  // namespace flo

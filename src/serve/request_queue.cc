@@ -36,7 +36,11 @@ RequestQueue::Lane& RequestQueue::LaneFor(ServeRequest* request) {
 }
 
 void RequestQueue::Admit(ServeRequest request) {
-  const uint64_t key = keyer_(request.spec);
+  const uint64_t key = keyer_(request.spec);  // before the move below
+  Admit(std::move(request), key);
+}
+
+void RequestQueue::Admit(ServeRequest request, uint64_t key) {
   Lane& lane = LaneFor(&request);
   lane.queue.push_back(Pending{std::move(request), key});
   ++key_depth_[key];
@@ -152,11 +156,14 @@ RequestQueue::BatchPreview RequestQueue::PreviewAt(size_t chosen, int max_batch)
   return preview;
 }
 
-size_t RequestQueue::DrainInto(std::vector<ServeRequest>* out) {
+size_t RequestQueue::DrainInto(std::vector<ServeRequest>* out, std::vector<uint64_t>* keys) {
   FLO_CHECK(out != nullptr);
   size_t drained = 0;
   for (const std::unique_ptr<Lane>& lane : lanes_) {
     while (!lane->queue.empty()) {
+      if (keys != nullptr) {
+        keys->push_back(lane->queue.front().key);
+      }
       out->push_back(std::move(lane->queue.front().request));
       lane->queue.pop_front();
       ++drained;

@@ -56,7 +56,12 @@ class RequestQueue {
   // PeekKey/PopBatch/PreviewBatch. Pass nullptr to restore rotation.
   void SetLanePicker(LanePicker picker) { picker_ = std::move(picker); }
 
+  // Keys the request with the Keyer, then admits it.
   void Admit(ServeRequest request);
+  // Admits a request already keyed by the caller (`key` must be what the
+  // Keyer would return for its spec): callers that route by key compute
+  // it once and carry it here.
+  void Admit(ServeRequest request, uint64_t key);
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
@@ -111,8 +116,9 @@ class RequestQueue {
   // Moves every queued request into *out (appended in lane order, FIFO
   // within a lane) and empties the queue. Deterministic: lane order is
   // alphabetical by tenant. Fault recovery uses this to evacuate a failed
-  // replica's backlog for re-placement. Returns the number drained.
-  size_t DrainInto(std::vector<ServeRequest>* out);
+  // replica's backlog for re-placement. Returns the number drained. With
+  // `keys` non-null, each request's plan key is appended there in step.
+  size_t DrainInto(std::vector<ServeRequest>* out, std::vector<uint64_t>* keys = nullptr);
 
  private:
   struct Pending {

@@ -71,9 +71,28 @@ ServeSession::ServeSession(OverlapEngine* engine, ServeConfig config, EventLoop*
 }
 
 void ServeSession::Admit(ServeRequest request, SimTime now) {
+  const uint64_t key = engine_->planner().CanonicalKey(request.spec);
+  Admit(std::move(request), key, now);
+}
+
+void ServeSession::Admit(ServeRequest request, uint64_t key, SimTime now) {
   ++pending_requests_;
-  queue_.Admit(std::move(request));
+  queue_.Admit(std::move(request), key);
+  LoadChanged();
   Dispatch(now);
+}
+
+void ServeSession::SetTuningKey(uint64_t key, bool tuning) {
+  const bool changed = tuning ? tuning_keys_.insert(key).second : tuning_keys_.erase(key) != 0;
+  if (changed && hooks_.tuning_changed) {
+    hooks_.tuning_changed(key, tuning);
+  }
+}
+
+void ServeSession::LoadChanged() {
+  if (hooks_.load_changed) {
+    hooks_.load_changed(pending_requests_, busy_until_);
+  }
 }
 
 bool ServeSession::idle() const {
@@ -268,7 +287,7 @@ void ServeSession::OnTuningFinished(const EventRecord& record, SimTime now) {
     AbortTuning(batch_slot, key, now);
     return;
   }
-  tuning_keys_.erase(key);
+  SetTuningKey(key, false);
   tuning_requests_ -= batch_pool_[batch_slot].requests.size();
   // Backfill audit: a lower-priority batch slotted into this batch's
   // tuning window must be off the executor by the time the tune
@@ -296,7 +315,7 @@ void ServeSession::OnTuningFinished(const EventRecord& record, SimTime now) {
 
 void ServeSession::AbortTuning(uint32_t batch_slot, uint64_t key, SimTime now) {
   Batch& batch = batch_pool_[batch_slot];
-  tuning_keys_.erase(key);
+  SetTuningKey(key, false);
   tuning_requests_ -= batch.requests.size();
   batch.tune_failed = false;
   ++batch.tune_retries;
@@ -317,6 +336,7 @@ void ServeSession::AbortTuning(uint32_t batch_slot, uint64_t key, SimTime now) {
           ++report_.shed_requests;
           FLO_CHECK_GT(pending_requests_, 0u);
           --pending_requests_;
+          LoadChanged();
           if (Observing(config_)) {
             SpanRecord span;
             span.kind = SpanKind::kSchedShed;
@@ -393,12 +413,16 @@ size_t ServeSession::FailInFlightTuning() {
   return failed;
 }
 
-size_t ServeSession::ExtractPending(std::vector<ServeRequest>* out) {
+size_t ServeSession::ExtractPending(std::vector<ServeRequest>* out,
+                                    std::vector<uint64_t>* keys) {
   FLO_CHECK(out != nullptr);
   size_t extracted = 0;
   auto evacuate = [&](uint32_t s, bool counted_pending) {
     Batch& batch = batch_pool_[s];
     for (ServeRequest& request : batch.requests) {
+      if (keys != nullptr) {
+        keys->push_back(batch.key);
+      }
       out->push_back(std::move(request));
       ++extracted;
       if (counted_pending) {
@@ -435,23 +459,26 @@ size_t ServeSession::ExtractPending(std::vector<ServeRequest>* out) {
       continue;  // already evacuated by an earlier crash
     }
     tuning_requests_ -= batch.requests.size();
-    tuning_keys_.erase(batch.key);
+    SetTuningKey(batch.key, false);
     batch.cancelled = true;
     evacuate(s, /*counted_pending=*/true);
   }
   // Admission queue last: lane order, FIFO within a lane.
-  const size_t drained = queue_.DrainInto(out);
+  const size_t drained = queue_.DrainInto(out, keys);
   FLO_CHECK_GE(pending_requests_, drained);
   pending_requests_ -= drained;
   extracted += drained;
+  LoadChanged();
   return extracted;
 }
 
-size_t ServeSession::ExtractQueued(std::vector<ServeRequest>* out) {
+size_t ServeSession::ExtractQueued(std::vector<ServeRequest>* out,
+                                   std::vector<uint64_t>* keys) {
   FLO_CHECK(out != nullptr);
-  const size_t drained = queue_.DrainInto(out);
+  const size_t drained = queue_.DrainInto(out, keys);
   FLO_CHECK_GE(pending_requests_, drained);
   pending_requests_ -= drained;
+  LoadChanged();
   return drained;
 }
 
@@ -469,13 +496,14 @@ SimTime ServeSession::TuningEtaFor(uint64_t key) const {
 
 void ServeSession::StartTuning(uint32_t batch_slot, SimTime now) {
   ++tuners_busy_;
-  tuning_keys_.insert(batch_pool_[batch_slot].key);
+  SetTuningKey(batch_pool_[batch_slot].key, true);
   // Build and cache the plan now; its cost lands on the tuning lane, so
   // the executor keeps serving warm batches meanwhile. By-value: against
   // a shared store, Plan()'s reference could dangle under concurrent
   // eviction by another engine.
   const size_t searches_before = engine_->tuner().search_count();
-  engine_->planner().PlanByValue(batch_pool_[batch_slot].requests.front().spec);
+  engine_->planner().PlanByValue(batch_pool_[batch_slot].requests.front().spec,
+                                 batch_pool_[batch_slot].key, nullptr);
   const size_t searches = std::max(engine_->tuner().search_count() - searches_before,
                                    batch_pool_[batch_slot].charged_searches);
   FinishTuningAt(batch_slot, TuneCostUs(searches), searches, now);
@@ -509,9 +537,9 @@ void ServeSession::StartTuningGroup(std::vector<uint32_t> group, SimTime now) {
     }
     searches = std::max(searches, batch_pool_[group[i]].charged_searches);
     ++tuners_busy_;
-    tuning_keys_.insert(batch_pool_[group[i]].key);
+    SetTuningKey(batch_pool_[group[i]].key, true);
     // The searches are warm now; this builds and caches the plan.
-    engine_->planner().PlanByValue(specs[i]);
+    engine_->planner().PlanByValue(specs[i], batch_pool_[group[i]].key, nullptr);
     FinishTuningAt(group[i], TuneCostUs(searches), searches, now);
   }
 }
@@ -544,8 +572,10 @@ void ServeSession::ExecuteBatch(uint32_t batch_slot, SimTime now) {
   // schedule: simulate once and charge the service per request. Fleet
   // runs replay the same spec thousands of times, so the deterministic
   // replay itself is memoized (the store lookup still happens per call).
-  const OverlapRun run =
-      config_.memoize_runs ? engine_->ExecuteMemoized(spec) : engine_->Execute(spec);
+  // The batch key is the spec's key, except for the degraded safety spec.
+  const OverlapRun run = !config_.memoize_runs ? engine_->Execute(spec)
+                         : batch.degraded      ? engine_->ExecuteMemoized(spec)
+                                               : engine_->ExecuteMemoized(spec, batch.key);
   double service_us = run.total_us * static_cast<double>(batch.requests.size());
   const bool hit = warm_at_dispatch && run.plan_cache_hit;
   const bool cold = !hit;
@@ -573,6 +603,7 @@ void ServeSession::ExecuteBatch(uint32_t batch_slot, SimTime now) {
   report_.executor_busy_us += service_us;
   const SimTime finish = now + service_us;
   busy_until_ = finish;
+  LoadChanged();
   batch.exec_start = now;
   batch.exec_hit = hit;
   if (Observing(config_)) {

@@ -59,6 +59,14 @@ class ServeSession {
     // and the owner must count it as settled. Only fires with a fleet
     // scheduler attached.
     std::function<void(const ServeRequest& request, SimTime now)> request_shed;
+    // Called whenever pending_requests() or busy_until() changes (admit,
+    // batch dispatch, extraction, shed) with their new values — the feed
+    // a fleet's placement table mirrors instead of polling every session
+    // per arrival.
+    std::function<void(size_t pending_requests, SimTime busy_until)> load_changed;
+    // Called whenever IsTuningKey(key) flips: a tune starts, finishes,
+    // aborts, or is cancelled by extraction.
+    std::function<void(uint64_t key, bool tuning)> tuning_changed;
   };
 
   // Retry/backoff knobs for injected tuner-lane faults (src/fault). The
@@ -85,6 +93,10 @@ class ServeSession {
   // Admits one request and dispatches. `now` is the caller's simulated
   // time (the request's arrival as seen by this session).
   void Admit(ServeRequest request, SimTime now);
+  // Keyed form: `key` must be the engine planner's CanonicalKey of the
+  // request's spec. A fleet keys each request once, at placement, and
+  // carries the key through batching and execution.
+  void Admit(ServeRequest request, uint64_t key, SimTime now);
 
   // Re-evaluates every lane. Idempotent; owners call it after anything
   // that may unblock work (e.g. a peer shipped a plan into the store).
@@ -128,15 +140,17 @@ class ServeSession {
   // elsewhere. Requests already on the executor are cancelled too: their
   // batch completes as a no-op and the requests ride out with the rest.
   // Returns the number extracted. Deterministic order: executor batch,
-  // ready lane, tune-wait lane, tuning slots, then queue lanes.
-  size_t ExtractPending(std::vector<ServeRequest>* out);
+  // ready lane, tune-wait lane, tuning slots, then queue lanes. With
+  // `keys` non-null, each request's plan key is appended there in step.
+  size_t ExtractPending(std::vector<ServeRequest>* out, std::vector<uint64_t>* keys = nullptr);
 
   // --- Fleet-scheduling surface (src/sched) --------------------------
   // Evacuates only the admission queue — requests never batched, tuned,
   // or dispatched — into *out (lane order, FIFO within a lane) for
   // preemptive re-placement through the router. Cheaper and safer than
-  // ExtractPending: in-flight tuning and ready batches stay put.
-  size_t ExtractQueued(std::vector<ServeRequest>* out);
+  // ExtractPending: in-flight tuning and ready batches stay put. `keys`
+  // as for ExtractPending.
+  size_t ExtractQueued(std::vector<ServeRequest>* out, std::vector<uint64_t>* keys = nullptr);
   // Expected completion of the in-flight tuning for `key` (the tuning
   // lane's ETA); negative when the key is not tuning here. The backfill
   // window every fit-check is measured against.
@@ -204,6 +218,11 @@ class ServeSession {
   void EndReservation(SimTime now);
 
   bool IsWarm(uint64_t key) const;
+  // SetTuningKey is the only writer of tuning_keys_ and fires
+  // tuning_changed on a flip; LoadChanged fires load_changed and follows
+  // every write of pending_requests_ or busy_until_.
+  void SetTuningKey(uint64_t key, bool tuning);
+  void LoadChanged();
   // The cold-tuning lane-pool size for this dispatch round: the static
   // config, or — adaptive mode — the observed cold-key pressure (distinct
   // cold keys in flight, parked, or at the rotation head), clamped to

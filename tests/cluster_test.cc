@@ -81,10 +81,9 @@ TEST(FleetRouterTest, PlanAffinityPrefersWarmThenTuningThenLoad) {
 }
 
 TEST(FleetRouterTest, NonAcceptingReplicaNeverWinsAnyAffinityTier) {
-  // `accepting` covers draining replicas and fault-plane health states
-  // (crashed, hung, straggling); retired replicas never even reach the
-  // router — Snapshots() drops them at the source. Whatever the reason,
-  // a non-accepting replica must lose every tier, warm plan or not.
+  // `accepting` covers draining and retired replicas and fault-plane
+  // health states (crashed, hung, straggling). Whatever the reason, a
+  // non-accepting replica must lose every tier, warm plan or not.
   FleetRouter router(PlacementPolicy::kPlanAffinity);
   // Warm tier: the warm winner is draining — fall through to a cold peer.
   EXPECT_EQ(router.Place({Snap(0, 500.0),

@@ -1,0 +1,320 @@
+// Differential tests for snapshot-free placement.
+//
+// The fleet places requests by reading an event-maintained ReplicaTable;
+// the vector-of-snapshots form of FleetRouter::Place is the oracle. The
+// first test applies seeded random mutations to a table and to an
+// independent shadow of the same state (slots added across a bitset word
+// boundary, accept/drain/health flips, busy and queue changes, resident,
+// tuning and pending flips) and, after every mutation, checks that the
+// table-form pick equals Place(vector) on snapshots built from the shadow,
+// with random keys, clocks, cost estimates and avoid ids. Loads come from
+// small value sets, so equal-load ties are common. The second test wires
+// one serving session and its plan store to a table slot through the feeds
+// the cluster uses and checks, after every event, that the slot mirrors
+// the session and store exactly.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/cluster/fleet_router.h"
+#include "src/cluster/replica_table.h"
+#include "src/core/overlap_engine.h"
+#include "src/serve/request_source.h"
+#include "src/serve/serve_session.h"
+#include "src/sim/event_loop.h"
+#include "src/util/rng.h"
+
+namespace flo {
+namespace {
+
+// The fleet state the table should hold, kept independently of it.
+struct Shadow {
+  std::vector<bool> accepting;
+  std::vector<SimTime> busy_until;
+  std::vector<size_t> queued;
+  // Per key, per slot.
+  std::map<uint64_t, std::vector<bool>> resident;
+  std::map<uint64_t, std::vector<bool>> tuning;
+  std::map<uint64_t, std::vector<bool>> pending;
+
+  static bool Bit(const std::map<uint64_t, std::vector<bool>>& bits, uint64_t key, int id) {
+    const auto it = bits.find(key);
+    return it != bits.end() && it->second[static_cast<size_t>(id)];
+  }
+};
+
+constexpr uint64_t kKeys[] = {0x11, 0x22, 0x33};
+// Never written to the table: no bit row exists for it.
+constexpr uint64_t kUnseenKey = 0x44;
+constexpr int kMaxSlots = 70;
+
+void AddSlot(ReplicaTable* table, Shadow* shadow, Rng* rng) {
+  const int id = table->AddSlot();
+  ASSERT_EQ(static_cast<size_t>(id), shadow->accepting.size());
+  const bool accepting = rng->NextBelow(4) != 0;
+  table->SetAccepting(id, accepting);
+  shadow->accepting.push_back(accepting);
+  shadow->busy_until.push_back(0.0);
+  shadow->queued.push_back(0);
+  for (const uint64_t key : kKeys) {
+    shadow->resident[key].push_back(false);
+    shadow->tuning[key].push_back(false);
+    shadow->pending[key].push_back(false);
+  }
+}
+
+void Mutate(ReplicaTable* table, Shadow* shadow, Rng* rng) {
+  const int size = table->size();
+  const int id = static_cast<int>(rng->NextBelow(static_cast<uint64_t>(size)));
+  const uint64_t key = kKeys[rng->NextBelow(3)];
+  switch (rng->NextBelow(8)) {
+    case 0:
+      if (size < kMaxSlots) {
+        AddSlot(table, shadow, rng);
+      }
+      break;
+    case 1: {  // spawn, drain, retire, or a health change
+      const bool accepting = !shadow->accepting[static_cast<size_t>(id)];
+      table->SetAccepting(id, accepting);
+      shadow->accepting[static_cast<size_t>(id)] = accepting;
+      break;
+    }
+    case 2:
+    case 3: {  // admit, dispatch, extract
+      const SimTime busy_until = 100.0 * static_cast<double>(rng->NextBelow(4));
+      const size_t queued = rng->NextBelow(3);
+      table->SetLoad(id, busy_until, queued);
+      shadow->busy_until[static_cast<size_t>(id)] = busy_until;
+      shadow->queued[static_cast<size_t>(id)] = queued;
+      break;
+    }
+    case 4: {  // store put, evict, erase
+      const bool on = !shadow->resident[key][static_cast<size_t>(id)];
+      table->SetResident(id, key, on);
+      shadow->resident[key][static_cast<size_t>(id)] = on;
+      break;
+    }
+    case 5: {  // tune start, finish, abort
+      const bool on = !shadow->tuning[key][static_cast<size_t>(id)];
+      table->SetTuning(id, key, on);
+      shadow->tuning[key][static_cast<size_t>(id)] = on;
+      break;
+    }
+    case 6: {  // same-key requests admitted or drained (probed, not stored)
+      std::vector<bool>& pending = shadow->pending[key];
+      pending[static_cast<size_t>(id)] = !pending[static_cast<size_t>(id)];
+      break;
+    }
+    case 7:  // a fresh session on the slot
+      table->ResetSession(id);
+      shadow->busy_until[static_cast<size_t>(id)] = 0.0;
+      shadow->queued[static_cast<size_t>(id)] = 0;
+      for (const uint64_t k : kKeys) {
+        shadow->tuning[k][static_cast<size_t>(id)] = false;
+      }
+      break;
+  }
+}
+
+TEST(RouterDifferentialTest, TableFormMatchesSnapshotFormUnderRandomMutations) {
+  size_t placements = 0;
+  size_t ties = 0;
+  for (const PlacementPolicy policy :
+       {PlacementPolicy::kRoundRobin, PlacementPolicy::kLeastLoaded,
+        PlacementPolicy::kPlanAffinity}) {
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+      SCOPED_TRACE(std::string(PlacementPolicyName(policy)) + " seed " + std::to_string(seed));
+      Rng rng(seed * 0x9e3779b97f4a7c15ull + static_cast<uint64_t>(policy));
+      ReplicaTable table;
+      Shadow shadow;
+      FleetRouter by_table(policy);
+      FleetRouter by_vector(policy);
+      AddSlot(&table, &shadow, &rng);
+      for (int step = 0; step < 600; ++step) {
+        Mutate(&table, &shadow, &rng);
+        // Half the runs grow past one bitset word early.
+        if (seed % 2 == 0 && step == 10) {
+          while (table.size() < 66) {
+            AddSlot(&table, &shadow, &rng);
+          }
+        }
+        const uint64_t key = rng.NextBelow(5) == 0 ? kUnseenKey : kKeys[rng.NextBelow(3)];
+        const SimTime now = 125.0 * static_cast<double>(rng.NextBelow(3));
+        const double cost = rng.NextBelow(2) == 0 ? 50.0 : 100.0;
+        const int avoid =
+            rng.NextBelow(3) == 0 ? static_cast<int>(rng.NextBelow(table.size())) : -1;
+
+        std::vector<ReplicaSnapshot> snapshots;
+        size_t candidates = 0;
+        std::map<double, int> loads;
+        for (int id = 0; id < table.size(); ++id) {
+          const size_t i = static_cast<size_t>(id);
+          // The cluster's old snapshots skipped retired replicas; a
+          // non-accepting slot may be present or absent to the same effect.
+          if (!shadow.accepting[i] && rng.NextBelow(2) == 0) {
+            continue;
+          }
+          ReplicaSnapshot snapshot;
+          snapshot.id = id;
+          snapshot.accepting = shadow.accepting[i];
+          snapshot.queued_requests = shadow.queued[i];
+          snapshot.busy_us = std::max(0.0, shadow.busy_until[i] - now);
+          snapshot.pending_cost_us = static_cast<double>(shadow.queued[i]) * cost;
+          snapshot.plan_tuning = Shadow::Bit(shadow.tuning, key, id);
+          snapshot.plan_warm = Shadow::Bit(shadow.resident, key, id) && !snapshot.plan_tuning;
+          snapshot.plan_pending = Shadow::Bit(shadow.pending, key, id);
+          snapshots.push_back(snapshot);
+          if (snapshot.accepting && id != avoid) {
+            ++candidates;
+            ++loads[snapshot.busy_us + snapshot.pending_cost_us];
+          }
+        }
+        ties += loads.size() < candidates ? 1 : 0;
+        const std::function<bool(int)> pending = [&](int id) {
+          EXPECT_TRUE(shadow.accepting[static_cast<size_t>(id)])
+              << "pending probed for non-accepting slot " << id;
+          return Shadow::Bit(shadow.pending, key, id);
+        };
+        const int expected = by_vector.Place(snapshots, avoid);
+        const int actual = by_table.Place(table, key, now, cost, pending, avoid);
+        ASSERT_EQ(actual, expected) << "step " << step << " key " << key << " now " << now
+                                    << " avoid " << avoid << " slots " << table.size();
+        ++placements;
+      }
+      // The table's own view of the state matches the shadow.
+      for (int id = 0; id < table.size(); ++id) {
+        const size_t i = static_cast<size_t>(id);
+        EXPECT_EQ(table.accepting(id), shadow.accepting[i]);
+        EXPECT_EQ(table.busy_until(id), shadow.busy_until[i]);
+        EXPECT_EQ(table.queued(id), shadow.queued[i]);
+        for (const uint64_t key : kKeys) {
+          EXPECT_EQ(table.resident(id, key), Shadow::Bit(shadow.resident, key, id));
+          EXPECT_EQ(table.tuning(id, key), Shadow::Bit(shadow.tuning, key, id));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(placements, 3u * 12u * 600u);
+  EXPECT_GT(ties, placements / 10) << "the load sets should produce frequent ties";
+}
+
+ScenarioSpec SmallSpec(int64_t m) {
+  return ScenarioSpec::Overlap(GemmShape{m, 2048, 1024}, CommPrimitive::kAllReduce);
+}
+
+TEST(RouterDifferentialTest, SessionFeedsKeepTheTableSlotInStep) {
+  // One replica's worth of wiring, as ServingCluster does it: the store's
+  // change callback feeds resident bits, the session's hooks feed the load
+  // pair and tuning bits. A two-plan store over four keys evicts, a
+  // scripted tuner failure aborts and retries, and extractions move work
+  // out mid-run.
+  OverlapEngine engine(Make4090Cluster(4), {}, EngineOptions{.jitter = false});
+  auto store = std::make_shared<PlanStore>(2);
+  engine.UseSharedPlanStore(store);
+  ReplicaTable table;
+  const int id = table.AddSlot();
+  table.SetAccepting(id, true);
+  store->SetChangeCallback(
+      [&](uint64_t key, bool resident) { table.SetResident(id, key, resident); });
+  ServeSession::Hooks hooks;
+  hooks.load_changed = [&](size_t pending, SimTime busy_until) {
+    table.SetLoad(id, busy_until, pending);
+  };
+  size_t tuning_flips = 0;
+  hooks.tuning_changed = [&](uint64_t key, bool tuning) {
+    ++tuning_flips;
+    table.SetTuning(id, key, tuning);
+  };
+  EventLoop events;
+  ServeConfig config;
+  config.tuner_lanes = 2;
+  ServeSession session(&engine, config, &events, hooks, id);
+
+  std::vector<uint64_t> keys;
+  std::vector<ScenarioSpec> specs;
+  for (int k = 0; k < 4; ++k) {
+    specs.push_back(SmallSpec(1024 + 512 * k));
+    keys.push_back(engine.planner().CanonicalKey(specs.back()));
+  }
+  auto expect_in_step = [&](const char* where) {
+    SCOPED_TRACE(where);
+    EXPECT_EQ(table.queued(id), session.pending_requests());
+    EXPECT_EQ(table.busy_until(id), session.busy_until());
+    for (const uint64_t key : keys) {
+      EXPECT_EQ(table.tuning(id, key), session.IsTuningKey(key));
+      EXPECT_EQ(table.resident(id, key), store->Contains(key));
+    }
+  };
+
+  Rng rng(17);
+  SimTime now = 0.0;
+  int64_t next_id = 0;
+  std::vector<ServeRequest> extracted;
+  std::vector<uint64_t> extracted_keys;
+  size_t failed_tunes = 0;
+  size_t moved = 0;
+  for (int step = 0; step < 400; ++step) {
+    const uint64_t action = rng.NextBelow(20);
+    if (action < 12) {
+      const size_t k = rng.NextBelow(specs.size());
+      ServeRequest request{next_id++, rng.NextBelow(2) == 0 ? "llm" : "moe", now, specs[k]};
+      if (rng.NextBelow(2) == 0) {
+        session.Admit(std::move(request), keys[k], now);
+      } else {
+        session.Admit(std::move(request), now);
+      }
+      expect_in_step("admit");
+    } else if (action == 12) {
+      failed_tunes += session.FailInFlightTuning();
+    } else if (action == 13) {
+      extracted.clear();
+      extracted_keys.clear();
+      moved += session.ExtractQueued(&extracted, &extracted_keys);
+      ASSERT_EQ(extracted.size(), extracted_keys.size());
+      for (size_t i = 0; i < extracted.size(); ++i) {
+        EXPECT_EQ(extracted_keys[i], engine.planner().CanonicalKey(extracted[i].spec));
+      }
+      expect_in_step("extract queued");
+    } else if (action == 14) {
+      extracted.clear();
+      extracted_keys.clear();
+      moved += session.ExtractPending(&extracted, &extracted_keys);
+      ASSERT_EQ(extracted.size(), extracted_keys.size());
+      for (size_t i = 0; i < extracted.size(); ++i) {
+        EXPECT_EQ(extracted_keys[i], engine.planner().CanonicalKey(extracted[i].spec));
+      }
+      expect_in_step("extract pending");
+    } else if (!events.empty()) {
+      events.RunOne(&now);
+      expect_in_step("event");
+    } else {
+      now += 1000.0;
+    }
+  }
+  events.RunToCompletion();
+  expect_in_step("drained");
+  // The walk really exercised every feed.
+  EXPECT_GT(store->stats().evictions, 0u);
+  EXPECT_GT(tuning_flips, 4u);
+  EXPECT_GT(failed_tunes, 0u);
+  EXPECT_GT(moved, 0u);
+
+  // A fresh session on the slot: idle, nothing tuning, residency kept.
+  table.ResetSession(id);
+  for (const uint64_t key : keys) {
+    EXPECT_FALSE(table.tuning(id, key));
+    EXPECT_EQ(table.resident(id, key), store->Contains(key));
+  }
+  store->Clear();
+  for (const uint64_t key : keys) {
+    EXPECT_FALSE(table.resident(id, key));
+  }
+}
+
+}  // namespace
+}  // namespace flo
