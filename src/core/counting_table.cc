@@ -28,10 +28,11 @@ int CountingTable::count(int group) const {
   return counts_[group]->load(std::memory_order_acquire);
 }
 
-bool CountingTable::RecordTile(int group) {
+bool CountingTable::RecordTiles(int group, int tiles) {
   FLO_CHECK_GE(group, 0);
   FLO_CHECK_LT(group, group_count());
-  const int new_count = counts_[group]->fetch_add(1, std::memory_order_acq_rel) + 1;
+  FLO_CHECK_GT(tiles, 0);
+  const int new_count = counts_[group]->fetch_add(tiles, std::memory_order_acq_rel) + tiles;
   FLO_CHECK_LE(new_count, targets_[group]) << "group over-counted";
   return new_count == targets_[group];
 }

@@ -161,11 +161,14 @@ void ScheduleExecutor::NextWave(int rank, SimTime now) {
 void ScheduleExecutor::LandWave(int rank, SimTime now) {
   RankState& state = ranks_[rank];
   CountingTable& table = tables_[rank];
-  for (int i = 0; i < state.wave_tiles; ++i) {
-    // Tiles fill the groups in order; RecordTile's true is the signal, and
-    // only a signal stage already waiting on this group consumes it.
+  // Tiles fill the groups in order, and the whole wave lands at `now`: one
+  // update per group it touches. RecordTiles' true is the signal, and only
+  // a signal stage already waiting on the group consumes it.
+  for (int left = state.wave_tiles; left > 0;) {
     const int group = state.tile_group;
-    if (table.RecordTile(group)) {
+    const int tiles = std::min(left, table.target(group) - table.count(group));
+    left -= tiles;
+    if (table.RecordTiles(group, tiles)) {
       ++state.tile_group;
       if (state.signal_armed && state.stage == 2 * group) {
         Signal(rank, group, now);

@@ -9,9 +9,11 @@
 //   * a wave cursor — the GEMM wave loop, whose width is whatever SM
 //     budget the resident collectives leave over;
 //   * a comm-stage cursor — signal_0, collective_0, signal_1, ... A signal
-//     stage ends when the rank's counting table completes the group
-//     (CountingTable::RecordTile returns true), released on a poll
-//     boundary when polling is modelled. A collective stage is this rank's
+//     stage ends when the rank's counting table completes the group,
+//     released on a poll boundary when polling is modelled. A landing wave
+//     counts its tiles with one CountingTable::RecordTiles call per group
+//     it touches (all its tiles land at one instant), so replay cost grows
+//     with waves and groups, not tiles. A collective stage is this rank's
 //     arrival at the group's rendezvous; the transfer starts once every
 //     rank has arrived, closed form or ring step by ring step.
 //

@@ -27,6 +27,8 @@ const char* EventTypeName(EventType type) {
       return "hang_detect";
     case EventType::kRetryKick:
       return "retry_kick";
+    case EventType::kSchedCheck:
+      return "sched_check";
   }
   return "?";
 }
@@ -55,9 +57,8 @@ void FlightRecorder::InstallCheckHook() {
 void FlightRecorder::Dump(std::FILE* out) const {
   std::fprintf(out, "--- flight recorder: last %zu of %llu events ---\n", events_.size(),
                static_cast<unsigned long long>(event_next_));
-  const size_t event_start = event_next_ > capacity_ ? event_next_ % capacity_ : 0;
   for (size_t i = 0; i < events_.size(); ++i) {
-    const EventEntry& entry = events_[(event_start + i) % events_.size()];
+    const EventEntry& entry = events_[(event_head_ + i) % events_.size()];
     std::fprintf(out, "  t=%.3f %s key=%llx slot=%u replica=%d\n", entry.time_us,
                  EventTypeName(entry.record.type),
                  static_cast<unsigned long long>(entry.record.key), entry.record.slot,
@@ -65,9 +66,8 @@ void FlightRecorder::Dump(std::FILE* out) const {
   }
   std::fprintf(out, "--- flight recorder: last %zu of %llu spans ---\n", spans_.size(),
                static_cast<unsigned long long>(span_next_));
-  const size_t span_start = span_next_ > capacity_ ? span_next_ % capacity_ : 0;
   for (size_t i = 0; i < spans_.size(); ++i) {
-    const SpanRecord& span = spans_[(span_start + i) % spans_.size()];
+    const SpanRecord& span = spans_[(span_head_ + i) % spans_.size()];
     std::fprintf(out, "  [%.3f, %.3f] %s id=%llx arg=%llu replica=%d\n", span.start_us,
                  span.end_us, SpanKindName(span.kind),
                  static_cast<unsigned long long>(span.id),
@@ -77,8 +77,10 @@ void FlightRecorder::Dump(std::FILE* out) const {
 
 void FlightRecorder::Clear() {
   events_.clear();
+  event_head_ = 0;
   event_next_ = 0;
   spans_.clear();
+  span_head_ = 0;
   span_next_ = 0;
 }
 

@@ -26,12 +26,16 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   // Hot path (called once per dispatched event / emitted span): inline so
-  // the ring write costs two stores and a counter, not a cross-TU call.
+  // the ring write costs two stores and a counter, not a cross-TU call; a
+  // full ring wraps a head cursor, so no write divides.
   void OnEvent(const EventRecord& record, SimTime now) {
     if (events_.size() < capacity_) {
       events_.push_back(EventEntry{now, record});
     } else {
-      events_[event_next_ % capacity_] = EventEntry{now, record};
+      events_[event_head_] = EventEntry{now, record};
+      if (++event_head_ == capacity_) {
+        event_head_ = 0;
+      }
     }
     ++event_next_;
   }
@@ -39,7 +43,10 @@ class FlightRecorder {
     if (spans_.size() < capacity_) {
       spans_.push_back(span);
     } else {
-      spans_[span_next_ % capacity_] = span;
+      spans_[span_head_] = span;
+      if (++span_head_ == capacity_) {
+        span_head_ = 0;
+      }
     }
     ++span_next_;
   }
@@ -61,9 +68,13 @@ class FlightRecorder {
   };
 
   size_t capacity_;
+  // Each ring's head is its oldest entry once full (0 until it wraps); the
+  // *_next_ counters total everything ever recorded.
   std::vector<EventEntry> events_;
+  size_t event_head_ = 0;
   uint64_t event_next_ = 0;
   std::vector<SpanRecord> spans_;
+  size_t span_head_ = 0;
   uint64_t span_next_ = 0;
   int check_hook_ = -1;
 };

@@ -1,5 +1,7 @@
 #include "src/obs/span_tracer.h"
 
+#include <algorithm>
+
 #include "src/util/check.h"
 
 namespace flo {
@@ -63,24 +65,17 @@ SpanTracer::SpanTracer(size_t ring_capacity) : capacity_(ring_capacity) {
 std::vector<SpanRecord> SpanTracer::TrackSpans(size_t track) const {
   FLO_CHECK_LT(track, tracks_.size());
   const Ring& ring = tracks_[track];
-  std::vector<SpanRecord> spans;
-  spans.reserve(ring.buffer.size());
-  if (ring.next <= capacity_) {
-    spans = ring.buffer;
-  } else {
-    // The ring wrapped: oldest retained span sits at the write cursor.
-    const size_t start = ring.next % capacity_;
-    for (size_t i = 0; i < capacity_; ++i) {
-      spans.push_back(ring.buffer[(start + i) % capacity_]);
-    }
-  }
+  // Oldest retained span sits at the head (0 until the ring wraps).
+  std::vector<SpanRecord> spans(ring.buffer.size());
+  std::rotate_copy(ring.buffer.begin(), ring.buffer.begin() + ring.head, ring.buffer.end(),
+                   spans.begin());
   return spans;
 }
 
 void SpanTracer::Clear() {
   for (Ring& ring : tracks_) {
     ring.buffer.clear();
-    ring.next = 0;
+    ring.head = 0;
   }
   emitted_ = 0;
   dropped_ = 0;

@@ -23,7 +23,8 @@ class SpanTracer {
   explicit SpanTracer(size_t ring_capacity);
 
   // Hot path (once per span): inline so a retained span costs a bounds
-  // check and one ring store.
+  // check and one ring store; a full ring wraps a head cursor, so no write
+  // divides.
   void Emit(const SpanRecord& record) {
     FLO_CHECK_GE(record.replica, -1);
     const size_t track = static_cast<size_t>(record.replica + 1);
@@ -34,10 +35,12 @@ class SpanTracer {
     if (ring.buffer.size() < capacity_) {
       ring.buffer.push_back(record);
     } else {
-      ring.buffer[ring.next % capacity_] = record;
+      ring.buffer[ring.head] = record;
+      if (++ring.head == capacity_) {
+        ring.head = 0;
+      }
       ++dropped_;
     }
-    ++ring.next;
     ++emitted_;
   }
 
@@ -57,7 +60,7 @@ class SpanTracer {
  private:
   struct Ring {
     std::vector<SpanRecord> buffer;
-    uint64_t next = 0;  // total spans ever pushed to this ring
+    size_t head = 0;  // oldest retained span once the ring is full
   };
 
   size_t capacity_;

@@ -310,7 +310,73 @@ TEST(ObsMetricsTest, TimeSeriesCsvBackfillsLateRegistrationsWithZero) {
   EXPECT_NE(csv.find("2000,9,7"), std::string::npos);
 }
 
+// --- Span tracer ring -----------------------------------------------------
+
+std::vector<uint64_t> TrackIds(const SpanTracer& tracer, size_t track) {
+  std::vector<uint64_t> ids;
+  for (const SpanRecord& span : tracer.TrackSpans(track)) {
+    ids.push_back(span.id);
+  }
+  return ids;
+}
+
+TEST(ObsSpanTracerTest, RingWrapsOldestFirstAtEveryFillLevel) {
+  SpanTracer tracer(3);
+  // Each entry: spans emitted so far -> retained ids, oldest first. Covers
+  // a partial ring, exactly full, one wrap, a full lap (head back at 0) and
+  // past it.
+  const std::vector<std::pair<uint64_t, std::vector<uint64_t>>> expected{
+      {2, {0, 1}}, {3, {0, 1, 2}}, {4, {1, 2, 3}}, {6, {3, 4, 5}}, {8, {5, 6, 7}}};
+  uint64_t emitted = 0;
+  for (const auto& [count, ids] : expected) {
+    for (; emitted < count; ++emitted) {
+      SpanRecord span;
+      span.id = emitted;
+      tracer.Emit(span);
+    }
+    EXPECT_EQ(TrackIds(tracer, 0), ids) << "after " << count << " spans";
+    EXPECT_EQ(tracer.dropped(), count > 3 ? count - 3 : 0u);
+  }
+  tracer.Clear();
+  SpanRecord span;
+  span.id = 42;
+  tracer.Emit(span);
+  EXPECT_EQ(TrackIds(tracer, 0), std::vector<uint64_t>{42}) << "Clear rewinds the head";
+  EXPECT_EQ(tracer.dropped(), 0u);
+}
+
 // --- Flight recorder ------------------------------------------------------
+
+std::string DumpToString(const FlightRecorder& recorder) {
+  std::FILE* out = std::tmpfile();
+  EXPECT_NE(out, nullptr);
+  if (out == nullptr) {
+    return "";
+  }
+  recorder.Dump(out);
+  std::rewind(out);
+  std::string dump;
+  char buffer[512];
+  size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), out)) > 0) {
+    dump.append(buffer, n);
+  }
+  std::fclose(out);
+  return dump;
+}
+
+TEST(ObsFlightRecorderTest, DumpNamesEveryEventType) {
+  const int last = static_cast<int>(EventType::kSchedCheck);
+  FlightRecorder recorder(static_cast<size_t>(last) + 1);
+  for (int type = 0; type <= last; ++type) {
+    EventRecord record;
+    record.type = static_cast<EventType>(type);
+    recorder.OnEvent(record, 1.0 * type);
+  }
+  const std::string dump = DumpToString(recorder);
+  EXPECT_NE(dump.find(" sched_check key="), std::string::npos) << dump;
+  EXPECT_EQ(dump.find(" ? key="), std::string::npos) << "an event type has no name:\n" << dump;
+}
 
 TEST(ObsFlightRecorderTest, RingRetainsLastNOldestFirst) {
   FlightRecorder recorder(4);
@@ -326,17 +392,7 @@ TEST(ObsFlightRecorderTest, RingRetainsLastNOldestFirst) {
   }
   EXPECT_EQ(recorder.events_seen(), 10u);
 
-  std::FILE* out = std::tmpfile();
-  ASSERT_NE(out, nullptr);
-  recorder.Dump(out);
-  std::rewind(out);
-  std::string dump;
-  char buffer[512];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), out)) > 0) {
-    dump.append(buffer, n);
-  }
-  std::fclose(out);
+  const std::string dump = DumpToString(recorder);
   EXPECT_NE(dump.find("last 4 of 10 events"), std::string::npos);
   EXPECT_NE(dump.find("last 4 of 10 spans"), std::string::npos);
   // The wrapped ring keeps 6..9; the evicted head must be gone and the
@@ -350,6 +406,17 @@ TEST(ObsFlightRecorderTest, RingRetainsLastNOldestFirst) {
 
   recorder.Clear();
   EXPECT_EQ(recorder.events_seen(), 0u);
+  // After Clear the ring fills from slot 0 again.
+  for (int i = 10; i < 15; ++i) {
+    EventRecord record;
+    record.key = static_cast<uint64_t>(i);
+    recorder.OnEvent(record, 100.0 * i);
+  }
+  const std::string refill = DumpToString(recorder);
+  EXPECT_NE(refill.find("last 4 of 5 events"), std::string::npos);
+  EXPECT_EQ(refill.find("key=a "), std::string::npos);
+  ASSERT_NE(refill.find("key=e "), std::string::npos);
+  EXPECT_LT(refill.find("key=b "), refill.find("key=e "));
 }
 
 // --- Sample artifacts for CI schema validation ----------------------------
