@@ -9,18 +9,26 @@
 namespace flo {
 namespace {
 
-// How many non-dominated (t_p, t_m) prefixes to remember per assigned-wave
-// count. The sets stay tiny in practice (compute-bound regimes collapse to
-// a handful of points); the cap only bounds the workspace, overflow merely
-// forfeits some pruning, never correctness.
+// How many non-dominated (t_p, t_m) prefixes the DFS remembers per
+// assigned-wave count. The sets stay tiny in practice (compute-bound
+// regimes collapse to a handful of points); the cap only bounds the
+// workspace, overflow merely forfeits some pruning, never correctness.
+// The optimum DP's fronts are uncapped: dropping a point there could lose
+// the optimum.
 constexpr size_t kDominanceCap = 64;
+constexpr size_t kUncapped = std::numeric_limits<size_t>::max();
 
 // Relative slack applied to the lower bound before pruning on it. The
-// bound sums remaining compute as one multiply-add while real prefixes
-// accumulate it group by group, so the two can differ by a few ULPs; the
-// slack keeps the bound admissible despite that, at no practical cost in
-// pruning power.
+// bound sums remaining compute as one multiply-add and the comm chain in
+// its own order, while real prefixes accumulate both group by group, so
+// the two can differ by a few ULPs; the slack keeps the bound admissible
+// despite that, at no practical cost in pruning power. It also keeps ties
+// open: a pruned prefix is strictly worse than the target.
 constexpr double kBoundSlack = 1e-9;
+
+bool OutOfReach(double bound, double target_us) {
+  return bound * (1.0 - kBoundSlack) > target_us;
+}
 
 // Shared incumbent update for both searchers: accept strict improvements,
 // break latency ties toward the lexicographically smallest group-size
@@ -53,6 +61,30 @@ int FillEqualSized(int waves, int body, int* path) {
   return groups;
 }
 
+// Fills chain[r] for r in 1..table.waves-1: the least collective time r
+// remaining waves can still add to t_m — any split into non-final groups
+// (full[g] each) and one final group (tail[g], g <= final_cap). spine[n],
+// the least full-group cost of n waves, is its O(T^2) first half.
+void FillCommChain(const GroupLatencyTable& table, int final_cap, double* spine,
+                   double* chain) {
+  const double inf = std::numeric_limits<double>::infinity();
+  spine[0] = 0.0;
+  for (int n = 1; n < table.waves; ++n) {
+    double least = inf;
+    for (int g = 1; g <= n; ++g) {
+      least = std::min(least, spine[n - g] + table.full[g]);
+    }
+    spine[n] = least;
+  }
+  for (int r = 1; r < table.waves; ++r) {
+    double least = inf;
+    for (int g = 1; g <= std::min(r, final_cap); ++g) {
+      least = std::min(least, spine[r - g] + table.tail[g]);
+    }
+    chain[r] = least;
+  }
+}
+
 }  // namespace
 
 PartitionSearchResult PartitionSearcher::Search(const GroupLatencyTable& table,
@@ -66,9 +98,12 @@ PartitionSearchResult PartitionSearcher::Search(const GroupLatencyTable& table,
     path_.resize(size);
     seed_path_.resize(size);
     best_path_.resize(size);
+    chain_.resize(size);
+    spine_.resize(size);
   }
   if (dominance_.size() < size) {
     dominance_.resize(size);
+    front_.resize(size);
     for (auto& set : dominance_) {
       set.reserve(kDominanceCap);
     }
@@ -82,19 +117,28 @@ PartitionSearchResult PartitionSearcher::Search(const GroupLatencyTable& table,
   candidates_ = 0;
   budget_exhausted_ = false;
 
-  if (options_.seed_safety_families) {
-    // Single-group fallback, then the equal-sized families. Cheap (O(T^2)
-    // table arithmetic total) and they hand the DFS a strong incumbent.
-    seed_path_[0] = waves;
-    ConsiderCandidate(seed_path_.data(), 1, table.single_group_us);
-    for (int body = 1; body < waves; ++body) {
-      const int groups = FillEqualSized(waves, body, seed_path_.data());
-      ConsiderCandidate(seed_path_.data(), groups,
-                        PredictLatencyWithTable(table, seed_path_.data(), groups));
-    }
+  // Single-group fallback, then the equal-sized families. Cheap (O(T^2)
+  // table arithmetic total) and they hand the DP a strong incumbent.
+  seed_path_[0] = waves;
+  ConsiderCandidate(seed_path_.data(), 1, table.single_group_us);
+  for (int body = 1; body < waves; ++body) {
+    const int groups = FillEqualSized(waves, body, seed_path_.data());
+    ConsiderCandidate(seed_path_.data(), groups,
+                      PredictLatencyWithTable(table, seed_path_.data(), groups));
   }
 
-  Dfs(/*assigned=*/0, /*t_p=*/table.launch_overhead_us, /*t_m=*/0.0, /*depth=*/0);
+  FillCommChain(table, options_.bounded ? options_.sp : waves, spine_.data(), chain_.data());
+  // A seed strictly better than everything in the space wins outright;
+  // otherwise the DFS finds the space's lexicographically smallest
+  // partition at the optimum, which then meets the seeds under the tie
+  // rule.
+  const double optimum = OptimumLatency();
+  if (!budget_exhausted_ && optimum <= best_us_) {
+    target_us_ = optimum;
+    hit_ = false;
+    Dfs(/*assigned=*/0, /*t_p=*/table.launch_overhead_us, /*t_m=*/0.0, /*depth=*/0);
+    FLO_CHECK(hit_ || budget_exhausted_) << "the DFS missed the DP optimum " << optimum;
+  }
 
   PartitionSearchResult result;
   FLO_CHECK_GE(best_groups_, 1) << "search produced no candidate";
@@ -106,71 +150,149 @@ PartitionSearchResult PartitionSearcher::Search(const GroupLatencyTable& table,
   return result;
 }
 
-void PartitionSearcher::Dfs(int assigned, double t_p, double t_m, int depth) {
+bool PartitionSearcher::Spend() {
+  if (nodes_ >= options_.max_nodes) {
+    budget_exhausted_ = true;
+    return false;
+  }
+  ++nodes_;
+  return true;
+}
+
+int PartitionSearcher::MaxTake(int assigned) const {
   const int remaining = table_->waves - assigned;
-  const int max_take =
-      (depth == 0 && options_.bounded) ? std::min(options_.s1, remaining) : remaining;
-  for (int take = 1; take <= max_take; ++take) {
-    if (nodes_ >= options_.max_nodes) {
-      budget_exhausted_ = true;
-      return;
-    }
-    ++nodes_;
-    const double t_p_new = t_p + take * table_->wave_time_us;
-    if (take == remaining) {
-      // Closing group. The single-group partition follows the predictor's
-      // special case (full-width GEMM, sequential collective); any other
-      // closer commits the tail-adjusted final collective.
-      double latency;
-      if (depth == 0) {
-        latency = table_->single_group_us;
-      } else {
-        if (options_.bounded && take > options_.sp) {
+  return (assigned == 0 && options_.bounded) ? std::min(options_.s1, remaining) : remaining;
+}
+
+double PartitionSearcher::CloseLatency(int assigned, int take, double t_p_new,
+                                       double t_m) const {
+  // The single-group partition follows the predictor's special case
+  // (full-width GEMM, sequential collective); any other closer commits the
+  // tail-adjusted final collective.
+  if (assigned == 0) {
+    return table_->single_group_us;
+  }
+  if (options_.bounded && take > options_.sp) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return std::max(t_p_new, t_m) + table_->tail[take];
+}
+
+double PartitionSearcher::CommitGroup(int take, double t_p_new, double t_m) const {
+  // Non-final group: its collective overlaps the next group's compute —
+  // committed here with t_p through this group, exactly as the
+  // group-by-group replay would. Then the canonical form: the next group
+  // ends no earlier than t_p_new + wave_time, so any t_m up to that value
+  // leaves every completion unchanged; raising t_m to it merges such
+  // states for dominance and tightens the bound.
+  return std::max(std::max(t_p_new, t_m) + table_->full[take], t_p_new + table_->wave_time_us);
+}
+
+double PartitionSearcher::Bound(int rest, double t_p, double t_m) const {
+  // Compute term: the remaining waves at full rate, then the best-case
+  // final collective. Comm term: t_m plus the least collective time the
+  // remaining waves can add (it subsumes t_m + the best final collective).
+  const int tail_cap = options_.bounded ? std::min(options_.sp, rest) : rest;
+  return std::max(t_p + rest * table_->wave_time_us + table_->min_tail_prefix[tail_cap],
+                  t_m + chain_[rest]);
+}
+
+double PartitionSearcher::OptimumLatency() {
+  // front_[a] holds every non-dominated (t_p, t_m) over the prefixes that
+  // assign a waves. The transitions are the DFS's, operation for
+  // operation, and correctly rounded arithmetic is monotone, so dropping
+  // dominated points (and points the bound puts out of reach of the best
+  // latency known) keeps the optimum bit-exact.
+  const int waves = table_->waves;
+  for (int a = 0; a <= waves; ++a) {
+    front_[a].clear();
+  }
+  front_[0].push_back(DomPoint{table_->launch_overhead_us, 0.0});
+  double optimum = std::numeric_limits<double>::infinity();
+  for (int a = 0; a < waves; ++a) {
+    const int remaining = waves - a;
+    const int max_take = MaxTake(a);
+    // front_[a] is final here: every insertion lands on a larger count.
+    for (const DomPoint& point : front_[a]) {
+      if (a > 0 && OutOfReach(Bound(remaining, point.t_p, point.t_m),
+                              std::min(optimum, best_us_))) {
+        continue;
+      }
+      for (int take = 1; take <= max_take; ++take) {
+        if (!Spend()) {
+          return optimum;
+        }
+        const double t_p_new = point.t_p + take * table_->wave_time_us;
+        if (take == remaining) {
+          const double latency = CloseLatency(a, take, t_p_new, point.t_m);
+          candidates_ += std::isinf(latency) ? 0 : 1;
+          optimum = std::min(optimum, latency);
           continue;
         }
-        latency = std::max(t_p_new, t_m) + table_->tail[take];
+        const double t_m_new = CommitGroup(take, t_p_new, point.t_m);
+        if (!OutOfReach(Bound(remaining - take, t_p_new, t_m_new), std::min(optimum, best_us_))) {
+          DominatedOrRecord(&front_[a + take], t_p_new, t_m_new, kUncapped);
+        }
+      }
+    }
+  }
+  return optimum;
+}
+
+void PartitionSearcher::Dfs(int assigned, double t_p, double t_m, int depth) {
+  const int remaining = table_->waves - assigned;
+  const int max_take = MaxTake(assigned);
+  for (int take = 1; take <= max_take; ++take) {
+    if (!Spend()) {
+      return;
+    }
+    const double t_p_new = t_p + take * table_->wave_time_us;
+    if (take == remaining) {
+      const double latency = CloseLatency(assigned, take, t_p_new, t_m);
+      if (std::isinf(latency)) {
+        continue;
       }
       ++candidates_;
-      path_[depth] = take;
-      ConsiderCandidate(path_.data(), depth + 1, latency);
+      FLO_CHECK_GE(latency, target_us_) << "the DP optimum is not exact";
+      if (latency == target_us_) {
+        // DFS order is lexicographic, so the first hit is the smallest.
+        path_[depth] = take;
+        ConsiderCandidate(path_.data(), depth + 1, latency);
+        hit_ = true;
+        return;
+      }
       continue;
     }
-    // Non-final group: its collective overlaps the next group's compute —
-    // committed here with t_p through this group, exactly as the
-    // group-by-group replay would.
-    const double t_m_new = std::max(t_p_new, t_m) + table_->full[take];
-    const int rest = remaining - take;
-    const int tail_cap = options_.bounded ? std::min(options_.sp, rest) : rest;
-    const double bound = std::max(t_m_new, t_p_new + rest * table_->wave_time_us) +
-                         table_->min_tail_prefix[tail_cap];
-    if (bound * (1.0 - kBoundSlack) > best_us_) {
+    const double t_m_new = CommitGroup(take, t_p_new, t_m);
+    if (OutOfReach(Bound(remaining - take, t_p_new, t_m_new), target_us_)) {
       continue;
     }
-    if (DominatedOrRecord(assigned + take, t_p_new, t_m_new)) {
+    if (DominatedOrRecord(&dominance_[assigned + take], t_p_new, t_m_new, kDominanceCap)) {
       continue;
     }
     path_[depth] = take;
     Dfs(assigned + take, t_p_new, t_m_new, depth + 1);
-    if (budget_exhausted_) {
+    if (budget_exhausted_ || hit_) {
       return;
     }
   }
 }
 
-bool PartitionSearcher::DominatedOrRecord(int assigned, double t_p, double t_m) {
-  std::vector<DomPoint>& set = dominance_[assigned];
+bool PartitionSearcher::DominatedOrRecord(std::vector<DomPoint>* set, double t_p, double t_m,
+                                          size_t cap) {
   size_t keep = 0;
-  for (size_t i = 0; i < set.size(); ++i) {
-    if (set[i].t_p <= t_p && set[i].t_m <= t_m) {
-      return true;  // an earlier prefix is at least as good on both axes
+  for (size_t i = 0; i < set->size(); ++i) {
+    const DomPoint& point = (*set)[i];
+    if (point.t_p <= t_p && point.t_m <= t_m) {
+      return true;  // an earlier point is at least as good on both axes
     }
-    if (!(t_p <= set[i].t_p && t_m <= set[i].t_m)) {
-      set[keep++] = set[i];  // survives: not dominated by the newcomer
+    if (!(t_p <= point.t_p && t_m <= point.t_m)) {
+      (*set)[keep++] = point;  // survives: not dominated by the newcomer
     }
   }
-  set.resize(keep);
-  if (set.size() < kDominanceCap) {
-    set.push_back(DomPoint{t_p, t_m});
+  set->resize(keep);
+  if (set->size() < cap) {
+    set->push_back(DomPoint{t_p, t_m});
   }
   return false;
 }
@@ -180,6 +302,142 @@ void PartitionSearcher::ConsiderCandidate(const int* sizes, int groups, double l
 }
 
 // --- MultiRankPartitionSearcher ---------------------------------------------
+
+void MultiRankPartitionSearcher::DominanceTable::Reset(int ranks, size_t entry_cap) {
+  ranks_ = ranks;
+  entry_cap_ = entry_cap;
+  key_count_ = 0;
+  pool_used_ = 0;
+  live_ = 0;
+  free_ = -1;
+  if (++stamp_ == 0) {
+    // Stamp wrap-around: slots of 2^32 searches ago would read as live.
+    for (Slot& slot : slots_) {
+      slot.stamp = 0;
+    }
+    stamp_ = 1;
+  }
+  if (slots_.empty()) {
+    slots_.resize(64);
+  }
+}
+
+uint64_t MultiRankPartitionSearcher::DominanceTable::Hash(int cum, const int* prev) const {
+  // Independent per-rank products (no serial multiply chain), then one
+  // finalizing mix.
+  uint64_t hash = static_cast<uint64_t>(cum) * 0x9e3779b97f4a7c15ull;
+  for (int r = 0; r < ranks_; ++r) {
+    hash += static_cast<uint64_t>(prev[r]) * (0xbf58476d1ce4e5b9ull + 2 * static_cast<uint64_t>(r));
+  }
+  hash ^= hash >> 29;
+  hash *= 0x94d049bb133111ebull;
+  return hash ^ (hash >> 32);
+}
+
+void MultiRankPartitionSearcher::DominanceTable::Grow() {
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.stamp != stamp_) {
+      continue;
+    }
+    size_t i = slot.hash & mask;
+    while (slots_[i].stamp == stamp_) {
+      i = (i + 1) & mask;
+    }
+    slots_[i] = slot;
+  }
+}
+
+bool MultiRankPartitionSearcher::DominanceTable::DominatedOrRecord(int cum, const int* prev,
+                                                                   const double* t_p,
+                                                                   double t_m) {
+  const size_t ranks = static_cast<size_t>(ranks_);
+  const size_t vstride = ranks + 1;
+  const uint64_t hash = Hash(cum, prev);
+  size_t mask = slots_.size() - 1;
+  size_t i = hash & mask;
+  for (; slots_[i].stamp == stamp_; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.hash == hash && slot.cum == cum &&
+        std::equal(prev, prev + ranks, keys_.data() + static_cast<size_t>(slot.key) * ranks)) {
+      break;
+    }
+  }
+  if (slots_[i].stamp != stamp_) {
+    // A new key. Without room for its first entry there is nothing to
+    // record, which merely forfeits pruning.
+    if (live_ >= entry_cap_) {
+      return false;
+    }
+    if ((key_count_ + 1) * 2 > slots_.size()) {
+      Grow();
+      mask = slots_.size() - 1;
+      for (i = hash & mask; slots_[i].stamp == stamp_; i = (i + 1) & mask) {
+      }
+    }
+    if (keys_.size() < (key_count_ + 1) * ranks) {
+      keys_.resize((key_count_ + 1) * ranks);
+    }
+    std::copy(prev, prev + ranks, keys_.data() + key_count_ * ranks);
+    slots_[i] = Slot{hash, stamp_, cum, static_cast<int32_t>(key_count_), -1, 0};
+    ++key_count_;
+  }
+  Slot& slot = slots_[i];
+  // Same per-rank boundaries => identical suffix behaviour; compare the
+  // accumulator vectors componentwise.
+  for (int32_t* link = &slot.head; *link >= 0;) {
+    const int32_t entry = *link;
+    const double* vals = vals_.data() + static_cast<size_t>(entry) * vstride;
+    bool entry_dominates = vals[ranks] <= t_m;
+    for (size_t r = 0; r < ranks && entry_dominates; ++r) {
+      entry_dominates = vals[r] <= t_p[r];
+    }
+    if (entry_dominates) {
+      return true;
+    }
+    bool newcomer_dominates = t_m <= vals[ranks];
+    for (size_t r = 0; r < ranks && newcomer_dominates; ++r) {
+      newcomer_dominates = t_p[r] <= vals[r];
+    }
+    if (newcomer_dominates) {
+      // Unlink the entry onto the free list; the newcomer is recorded below.
+      *link = next_[entry];
+      next_[entry] = free_;
+      free_ = entry;
+      --slot.count;
+      --live_;
+    } else {
+      link = &next_[entry];
+    }
+  }
+  if (slot.count >= static_cast<int32_t>(kDominanceCap) || live_ >= entry_cap_) {
+    return false;
+  }
+  int32_t entry = free_;
+  if (entry >= 0) {
+    free_ = next_[entry];
+  } else {
+    entry = static_cast<int32_t>(pool_used_++);
+    if (next_.size() < pool_used_) {
+      next_.resize(pool_used_);
+    }
+    // Guard by the current stride: buffers are retained across searches
+    // with different rank counts.
+    if (vals_.size() < pool_used_ * vstride) {
+      vals_.resize(pool_used_ * vstride);
+    }
+  }
+  double* vals = vals_.data() + static_cast<size_t>(entry) * vstride;
+  std::copy(t_p, t_p + ranks, vals);
+  vals[ranks] = t_m;
+  next_[entry] = slot.head;
+  slot.head = entry;
+  ++slot.count;
+  ++live_;
+  return false;
+}
 
 MultiRankSearchResult MultiRankPartitionSearcher::Search(const MultiRankLatencyTable& tables,
                                                          const PartitionSearchOptions& options,
@@ -199,32 +457,50 @@ MultiRankSearchResult MultiRankPartitionSearcher::Search(const MultiRankLatencyT
     path_.resize(size);
     seed_path_.resize(size);
     best_path_.resize(size);
+    spine_.resize(size);
+    chain_.resize(size);
   }
   const size_t state = size * static_cast<size_t>(rank_count_);
   if (prev_.size() < state) {
     prev_.resize(state);
     t_p_.resize(state);
+    scaled_.resize(state);
+    terms_.resize(state);
   }
-  if (dominance_.size() < size) {
-    dominance_.resize(size);
-  }
-  for (size_t a = 0; a < size; ++a) {
-    dominance_[a].entries = 0;
-  }
+  rank_views_.resize(tables.ranks.size());
+  dominance_.Reset(rank_count_, kDominanceCap * size);
   best_groups_ = 0;
   best_us_ = std::numeric_limits<double>::infinity();
   nodes_ = 0;
   candidates_ = 0;
   budget_exhausted_ = false;
+  for (int r = 0; r < rank_count_; ++r) {
+    const GroupLatencyTable& table = tables.ranks[r];
+    for (int cum = 0; cum <= waves; ++cum) {
+      scaled_[static_cast<size_t>(cum) * rank_count_ + r] =
+          ScaledBoundary(cum, waves, table.waves);
+    }
+    // The space caps the base's final group at sp, and a projection never
+    // gives a rank a larger final group than the base's:
+    // T_r - round((B - f) * T_r / B) <= f * T_r / B + 1/2, so at most f.
+    const int final_cap = options_.bounded ? options_.sp : table.waves;
+    FillCommChain(table, final_cap, spine_.data(), chain_.data());
+    BoundaryTerms* terms = terms_.data() + static_cast<size_t>(r) * size;
+    for (int boundary = 0; boundary < table.waves; ++boundary) {
+      const int rest = table.waves - boundary;
+      terms[boundary] = BoundaryTerms{rest * table.wave_time_us, table.min_tail_prefix[rest],
+                                      chain_[rest]};
+    }
+    rank_views_[r] = RankView{table.waves, table.wave_time_us, table.full.data(),
+                              table.tail.data(), terms};
+  }
   seed_path_[0] = waves;
   single_group_us_ = PredictLatencyWithTableMultiRank(tables, seed_path_.data(), 1,
                                                       &seed_scratch_);
 
-  if (options_.seed_safety_families) {
-    ConsiderCandidate(seed_path_.data(), 1, single_group_us_);
-    for (int body = 1; body < waves; ++body) {
-      ScoreSeed(seed_path_.data(), FillEqualSized(waves, body, seed_path_.data()));
-    }
+  ConsiderCandidate(seed_path_.data(), 1, single_group_us_);
+  for (int body = 1; body < waves; ++body) {
+    ScoreSeed(seed_path_.data(), FillEqualSized(waves, body, seed_path_.data()));
   }
   if (seed != nullptr && !seed->group_sizes.empty()) {
     FLO_CHECK_EQ(seed->TotalWaves(), waves);
@@ -253,6 +529,7 @@ void MultiRankPartitionSearcher::Dfs(int cum, double t_m, int depth) {
   const int max_take =
       (depth == 0 && options_.bounded) ? std::min(options_.s1, remaining) : remaining;
   const int ranks = rank_count_;
+  const RankView* views = rank_views_.data();
   const int* prev = prev_.data() + static_cast<size_t>(depth) * ranks;
   const double* t_p = t_p_.data() + static_cast<size_t>(depth) * ranks;
   int* prev_next = prev_.data() + static_cast<size_t>(depth + 1) * ranks;
@@ -277,11 +554,9 @@ void MultiRankPartitionSearcher::Dfs(int cum, double t_m, int depth) {
         double ready = 0.0;
         double comm = 0.0;
         for (int r = 0; r < ranks; ++r) {
-          const GroupLatencyTable& table = tables_->ranks[r];
-          const int group = table.waves - prev[r];
-          const double tp = t_p[r] + group * table.wave_time_us;
-          ready = std::max(ready, tp);
-          comm = std::max(comm, table.tail[group]);
+          const int group = views[r].waves - prev[r];
+          ready = std::max(ready, t_p[r] + group * views[r].wave_time_us);
+          comm = std::max(comm, views[r].tail[group]);
         }
         latency = std::max(ready, t_m) + comm;
       }
@@ -290,26 +565,39 @@ void MultiRankPartitionSearcher::Dfs(int cum, double t_m, int depth) {
       ConsiderCandidate(path_.data(), depth + 1, latency);
       continue;
     }
-    // Non-final group: project each rank's boundary and commit the group's
-    // rendezvous collective with per-rank compute through this group,
-    // exactly as the full replay would.
+    // Non-final group: project each rank's boundary (ProjectedBoundary,
+    // from the tabulated rounding) and commit the group's rendezvous
+    // collective with per-rank compute through this group, exactly as the
+    // full replay would. The same pass gathers the per-rank bound terms:
+    // compute at full rate plus the best-case final collective, and the
+    // comm chain (every remaining rendezvous collective costs at least
+    // each rank's own).
+    const int* scaled = scaled_.data() + static_cast<size_t>(cum_new) * ranks;
     bool infeasible = false;
     double ready = 0.0;
     double comm = 0.0;
+    double bound_compute = 0.0;
+    double lb_tail = 0.0;
+    double lb_chain = 0.0;
+    double next_ready = 0.0;
     for (int r = 0; r < ranks; ++r) {
-      const GroupLatencyTable& table = tables_->ranks[r];
-      const int boundary =
-          ProjectedBoundary(cum_new, tables_->base_waves, table.waves, prev[r]);
-      if (boundary >= table.waves) {
+      const RankView& view = views[r];
+      const int boundary = std::max(scaled[r], prev[r] + 1);
+      if (boundary >= view.waves) {
         infeasible = true;
         break;
       }
       const int group = boundary - prev[r];
-      const double tp = t_p[r] + group * table.wave_time_us;
+      const double tp = t_p[r] + group * view.wave_time_us;
       prev_next[r] = boundary;
       t_p_next[r] = tp;
       ready = std::max(ready, tp);
-      comm = std::max(comm, table.full[group]);
+      next_ready = std::max(next_ready, tp + view.wave_time_us);
+      comm = std::max(comm, view.full[group]);
+      const BoundaryTerms& terms = view.terms[boundary];
+      bound_compute = std::max(bound_compute, tp + terms.rest_compute);
+      lb_tail = std::max(lb_tail, terms.min_tail);
+      lb_chain = std::max(lb_chain, terms.chain);
     }
     if (infeasible) {
       // Boundaries are monotone in the base prefix sum, so every larger
@@ -320,20 +608,15 @@ void MultiRankPartitionSearcher::Dfs(int cum, double t_m, int depth) {
       take = remaining - 1;
       continue;
     }
-    const double t_m_new = std::max(ready, t_m) + comm;
-    double bound_compute = 0.0;
-    double lb_tail = 0.0;
-    for (int r = 0; r < ranks; ++r) {
-      const GroupLatencyTable& table = tables_->ranks[r];
-      const int rest = table.waves - prev_next[r];
-      bound_compute = std::max(bound_compute, t_p_next[r] + rest * table.wave_time_us);
-      lb_tail = std::max(lb_tail, table.min_tail_prefix[rest]);
-    }
-    const double bound = std::max(t_m_new, bound_compute) + lb_tail;
-    if (bound * (1.0 - kBoundSlack) > best_us_) {
+    // Canonical form, as in the single-rank search: the next rendezvous is
+    // ready no earlier than next_ready, so raising t_m to it changes no
+    // completion.
+    const double t_m_new = std::max(std::max(ready, t_m) + comm, next_ready);
+    const double bound = std::max(std::max(t_m_new, bound_compute) + lb_tail, t_m_new + lb_chain);
+    if (OutOfReach(bound, best_us_)) {
       continue;
     }
-    if (DominatedOrRecord(cum_new, prev_next, t_p_next, t_m_new)) {
+    if (dominance_.DominatedOrRecord(cum_new, prev_next, t_p_next, t_m_new)) {
       continue;
     }
     path_[depth] = take;
@@ -342,58 +625,6 @@ void MultiRankPartitionSearcher::Dfs(int cum, double t_m, int depth) {
       return;
     }
   }
-}
-
-bool MultiRankPartitionSearcher::DominatedOrRecord(int cum, const int* prev,
-                                                   const double* t_p, double t_m) {
-  DomSet& set = dominance_[cum];
-  const size_t ranks = static_cast<size_t>(rank_count_);
-  const size_t vstride = ranks + 1;
-  size_t keep = 0;
-  for (size_t i = 0; i < set.entries; ++i) {
-    const int* entry_prev = set.prevs.data() + i * ranks;
-    const double* entry_vals = set.vals.data() + i * vstride;
-    if (std::equal(entry_prev, entry_prev + ranks, prev)) {
-      // Same per-rank boundaries => identical suffix behaviour; compare
-      // the accumulator vectors componentwise.
-      bool entry_dominates = entry_vals[ranks] <= t_m;
-      for (size_t r = 0; r < ranks && entry_dominates; ++r) {
-        entry_dominates = entry_vals[r] <= t_p[r];
-      }
-      if (entry_dominates) {
-        return true;
-      }
-      bool newcomer_dominates = t_m <= entry_vals[ranks];
-      for (size_t r = 0; r < ranks && newcomer_dominates; ++r) {
-        newcomer_dominates = t_p[r] <= entry_vals[r];
-      }
-      if (newcomer_dominates) {
-        continue;  // drop the entry; the newcomer is recorded below
-      }
-    }
-    if (keep != i) {
-      std::copy(entry_prev, entry_prev + ranks, set.prevs.data() + keep * ranks);
-      std::copy(entry_vals, entry_vals + vstride, set.vals.data() + keep * vstride);
-    }
-    ++keep;
-  }
-  set.entries = keep;
-  if (set.entries < kDominanceCap) {
-    // Guard each buffer by its own stride: a searcher reused across rank
-    // counts keeps buffers sized for the old stride, and prevs (stride R)
-    // outlasting vals (stride R+1) must not skip the vals resize.
-    if (set.prevs.size() < (set.entries + 1) * ranks) {
-      set.prevs.resize((set.entries + 1) * ranks);
-    }
-    if (set.vals.size() < (set.entries + 1) * vstride) {
-      set.vals.resize((set.entries + 1) * vstride);
-    }
-    std::copy(prev, prev + ranks, set.prevs.data() + set.entries * ranks);
-    std::copy(t_p, t_p + ranks, set.vals.data() + set.entries * vstride);
-    set.vals[set.entries * vstride + ranks] = t_m;
-    ++set.entries;
-  }
-  return false;
 }
 
 void MultiRankPartitionSearcher::ScoreSeed(const int* sizes, int groups) {

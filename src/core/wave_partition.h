@@ -54,9 +54,14 @@ WavePartition ScalePartition(const WavePartition& partition, int to_waves);
 // expression shared by ProjectPartition and the fused multi-rank search —
 // the boundary depends only on the base prefix sum, never on later groups,
 // so the branch-and-bound can extend projections one group at a time.
+// ScaledBoundary is the rounding alone (the search tabulates it per rank);
+// ProjectedBoundary adds the at-least-one-wave floor.
+inline int ScaledBoundary(int cum, int from_waves, int to_waves) {
+  return static_cast<int>(static_cast<double>(cum) * to_waves / from_waves + 0.5);
+}
+
 inline int ProjectedBoundary(int cum, int from_waves, int to_waves, int previous) {
-  const int scaled =
-      static_cast<int>(static_cast<double>(cum) * to_waves / from_waves + 0.5);
+  const int scaled = ScaledBoundary(cum, from_waves, to_waves);
   return scaled > previous + 1 ? scaled : previous + 1;
 }
 

@@ -3,10 +3,11 @@
 // The minimum level defaults to kInfo and can be overridden without a
 // recompile through the FLO_LOG_LEVEL environment variable (debug / info /
 // warning / error, or 0-3), read once at first use; tools can still flip
-// it from the command line via SetLogLevel. The level check is a relaxed
-// atomic load, so hot-path FLO_LOG(kDebug) statements (e.g. in the tuner's
-// search) cost one branch when filtered. Emission is serialized behind a
-// mutex — worker pools (parallel pretuning lanes) can log without
+// it from the command line via SetLogLevel. FLO_LOG checks the level (a
+// relaxed atomic load) before it builds the message stream, so a filtered
+// hot-path FLO_LOG(kDebug) statement (e.g. in the tuner's search) costs
+// one branch and evaluates none of its arguments. Emission is serialized
+// behind a mutex — worker pools (parallel pretuning lanes) can log without
 // interleaving bytes on stderr — and can be redirected to a custom sink.
 #ifndef SRC_UTIL_LOGGING_H_
 #define SRC_UTIL_LOGGING_H_
@@ -44,15 +45,12 @@ void LogMessage(LogLevel level, const char* file, int line, const std::string& m
 
 namespace log_internal {
 
+// Collects one message; FLO_LOG constructs it only for enabled levels.
 class LogStream {
  public:
   LogStream(LogLevel level, const char* file, int line)
       : level_(level), file_(file), line_(line) {}
-  ~LogStream() {
-    if (level_ >= GetLogLevel()) {
-      LogMessage(level_, file_, line_, stream_.str());
-    }
-  }
+  ~LogStream() { LogMessage(level_, file_, line_, stream_.str()); }
 
   template <typename T>
   LogStream& operator<<(const T& value) {
@@ -70,6 +68,9 @@ class LogStream {
 }  // namespace log_internal
 }  // namespace flo
 
-#define FLO_LOG(level) ::flo::log_internal::LogStream(::flo::LogLevel::level, __FILE__, __LINE__)
+#define FLO_LOG(level)                                 \
+  if (::flo::LogLevel::level < ::flo::GetLogLevel()) { \
+  } else /* NOLINT */                                  \
+    ::flo::log_internal::LogStream(::flo::LogLevel::level, __FILE__, __LINE__)
 
 #endif  // SRC_UTIL_LOGGING_H_

@@ -120,6 +120,79 @@ TEST(PartitionSearchTest, MatchesExhaustiveEnumerationBitExactly) {
   }
 }
 
+// The bounded space the tuner searches by default, as a candidate list:
+// the single-group fallback and the equal-sized safety families, plus
+// every composition whose first group is at most s1 waves and whose last
+// group is at most sp waves (a single group belongs to it when T <= s1).
+std::vector<WavePartition> BoundedSpace(int waves, int s1, int sp) {
+  std::vector<WavePartition> space;
+  space.push_back(WavePartition{{waves}});
+  for (int body = 1; body < waves; ++body) {
+    WavePartition family;
+    for (int left = waves; left > 0; left -= std::min(body, left)) {
+      family.group_sizes.push_back(std::min(body, left));
+    }
+    space.push_back(family);
+  }
+  for (const WavePartition& candidate : EnumerateAllPartitions(waves)) {
+    const std::vector<int>& sizes = candidate.group_sizes;
+    if (sizes.front() <= s1 && (sizes.size() == 1 || sizes.back() <= sp)) {
+      space.push_back(candidate);
+    }
+  }
+  return space;
+}
+
+// Lexicographic tie rule over any candidate list.
+void ConsiderForBest(const WavePartition& candidate, double latency, WavePartition* best,
+                     double* best_us) {
+  if (latency < *best_us ||
+      (latency == *best_us &&
+       std::lexicographical_compare(candidate.group_sizes.begin(), candidate.group_sizes.end(),
+                                    best->group_sizes.begin(), best->group_sizes.end()))) {
+    *best = candidate;
+    *best_us = latency;
+  }
+}
+
+// Acceptance gate for the default (bounded) search, whose pruning uses
+// the sp-capped comm chain: bit-identical to brute force over the bounded
+// space plus the safety seeds, for every T <= 18, all four primitives and
+// compute- to comm-bound wave times, at the tuner's (s1, sp) = (2, 4) and
+// at a tighter cap. The table-driven scorer stands in for the legacy
+// evaluator (GroupLatencyTableTest pins the two bit for bit).
+TEST(PartitionSearchTest, BoundedSearchMatchesBruteForceOverTheBoundedSpace) {
+  PartitionSearcher searcher;
+  const double wave_times[] = {0.6, 5.0, 60.0};
+  const std::pair<int, int> caps[] = {{2, 4}, {3, 2}};
+  for (const CommPrimitive primitive : kAllPrimitives) {
+    for (int waves = 1; waves <= 18; ++waves) {
+      for (const auto& [s1, sp] : caps) {
+        const PredictorSetup setup = MakeSyntheticSetup(
+            waves, waves * 29 + s1, wave_times[(waves + sp) % 3], primitive);
+        const GroupLatencyTable table = BuildGroupLatencyTable(setup);
+        WavePartition expected;
+        double expected_us = std::numeric_limits<double>::infinity();
+        for (const WavePartition& candidate : BoundedSpace(waves, s1, sp)) {
+          ConsiderForBest(candidate, PredictLatencyWithTable(table, candidate), &expected,
+                          &expected_us);
+        }
+        PartitionSearchOptions options;
+        options.s1 = s1;
+        options.sp = sp;
+        const PartitionSearchResult result = searcher.Search(table, options);
+        ASSERT_EQ(result.predicted_us, expected_us)
+            << "waves=" << waves << " s1=" << s1 << " sp=" << sp
+            << " primitive=" << CommPrimitiveName(primitive);
+        ASSERT_EQ(result.partition.group_sizes, expected.group_sizes)
+            << "waves=" << waves << " s1=" << s1 << " sp=" << sp
+            << " primitive=" << CommPrimitiveName(primitive) << " got "
+            << result.partition.ToString() << " want " << expected.ToString();
+      }
+    }
+  }
+}
+
 TEST(PartitionSearchTest, PrunesFarFewerNodesThanTheFullSpace) {
   PartitionSearcher searcher;
   PartitionSearchOptions options;
@@ -267,6 +340,61 @@ TEST(MultiRankPartitionSearchTest, MatchesExhaustiveRendezvousReplayBitExactly) 
             << " primitive=" << CommPrimitiveName(primitive) << " got "
             << result.base.ToString() << " want " << expected.base.ToString();
         EXPECT_FALSE(result.budget_exhausted);
+      }
+    }
+  }
+}
+
+// Bounded-space counterpart of the gate above for the joint search, seeded
+// like Tuner::TuneImbalanced with the deepest rank's single-rank plan: brute
+// force scores every projectable member of the bounded space, the safety
+// seeds and that seed with the rendezvous replay.
+TEST(MultiRankPartitionSearchTest, BoundedSearchMatchesBruteForceOverTheBoundedSpace) {
+  const ClusterSpec cluster = MakeA800Cluster(4);
+  Tuner tuner(cluster);
+  MultiRankPartitionSearcher searcher;
+  PartitionSearcher rank_searcher;
+  const PartitionSearchOptions options;
+  const double wave_times[] = {0.8, 6.0, 45.0};
+  for (const CommPrimitive primitive : kAllPrimitives) {
+    const Curve& curve = tuner.LatencyCurveFor(primitive);
+    for (const int ranks : {2, 4}) {
+      for (int base_waves = 1; base_waves <= 12; ++base_waves) {
+        std::vector<PredictorSetup> setups;
+        for (int r = 0; r < ranks; ++r) {
+          const int waves = std::max(1, base_waves - 2 * r);
+          setups.push_back(MakeRankSetup(cluster, curve, waves, base_waves * 23 + r * 7,
+                                         wave_times[(base_waves + r) % 3], primitive));
+        }
+        const MultiRankLatencyTable tables = BuildMultiRankLatencyTable(setups);
+        const WavePartition seed = rank_searcher.Search(tables.ranks[0], options).partition;
+        std::vector<WavePartition> space = BoundedSpace(base_waves, options.s1, options.sp);
+        space.push_back(seed);
+        WavePartition expected;
+        double expected_us = std::numeric_limits<double>::infinity();
+        for (const WavePartition& base : space) {
+          std::vector<WavePartition> projected;
+          for (const PredictorSetup& setup : setups) {
+            std::optional<WavePartition> partition =
+                ProjectPartition(base, base_waves, setup.EffectiveWaveCount());
+            if (!partition.has_value()) {
+              break;
+            }
+            projected.push_back(*std::move(partition));
+          }
+          if (projected.size() == setups.size()) {
+            ConsiderForBest(base, PredictOverlapLatencyMultiRank(setups, projected).latency_us,
+                            &expected, &expected_us);
+          }
+        }
+        const MultiRankSearchResult result = searcher.Search(tables, options, &seed);
+        ASSERT_EQ(result.predicted_us, expected_us)
+            << "base_waves=" << base_waves << " ranks=" << ranks
+            << " primitive=" << CommPrimitiveName(primitive);
+        ASSERT_EQ(result.base.group_sizes, expected.group_sizes)
+            << "base_waves=" << base_waves << " ranks=" << ranks
+            << " primitive=" << CommPrimitiveName(primitive) << " got "
+            << result.base.ToString() << " want " << expected.ToString();
       }
     }
   }

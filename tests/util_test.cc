@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "src/util/check.h"
 #include "src/util/csv.h"
 #include "src/util/interp.h"
+#include "src/util/logging.h"
 #include "src/util/parse.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -22,6 +25,35 @@ TEST(CheckTest, PassingCheckDoesNothing) {
 TEST(CheckDeathTest, FailingCheckAborts) {
   EXPECT_DEATH(FLO_CHECK(false) << "boom", "boom");
   EXPECT_DEATH(FLO_CHECK_EQ(1, 2), "1 vs 2");
+}
+
+void CaptureMessage(LogLevel, const char*, int, const std::string& message, void* ctx) {
+  static_cast<std::vector<std::string>*>(ctx)->push_back(message);
+}
+
+TEST(LoggingTest, FilteredMessagesDoNotEvaluateTheirArguments) {
+  const LogLevel saved = GetLogLevel();
+  std::vector<std::string> emitted;
+  SetLogSink(&CaptureMessage, &emitted);
+  SetLogLevel(LogLevel::kWarning);
+  int evaluations = 0;
+  auto argument = [&evaluations] { return ++evaluations; };
+  FLO_LOG(kDebug) << "debug " << argument();
+  FLO_LOG(kInfo) << "info " << argument();
+  EXPECT_EQ(evaluations, 0);
+  EXPECT_TRUE(emitted.empty());
+  FLO_LOG(kWarning) << "warning " << argument();
+  EXPECT_EQ(evaluations, 1);
+  EXPECT_EQ(emitted, std::vector<std::string>{"warning 1"});
+  // The statement form must keep an enclosing if/else intact.
+  bool took_else = false;
+  if (evaluations == 0)
+    FLO_LOG(kError) << "unreachable";
+  else
+    took_else = true;
+  EXPECT_TRUE(took_else);
+  SetLogSink(nullptr, nullptr);
+  SetLogLevel(saved);
 }
 
 TEST(RngTest, DeterministicForSameSeed) {
