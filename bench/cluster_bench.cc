@@ -27,6 +27,11 @@
 //    FIFO run, and sched-on runs are bit-identical across reruns, tune
 //    thread counts, and event backends.
 //
+//  - placement microbench (report only, no gate): ns per table-form
+//    FleetRouter::Place, each preceded by one ReplicaTable::SetLoad, at
+//    128, 512 and 1,024 warm accepting replicas under an idle-heavy and a
+//    busy-heavy load mix.
+//
 //  - prespawn (--prespawn 0 skips): on a scripted ramp burst, the
 //    predictive autoscaler absorbs the burst strictly faster than the
 //    reactive-only autoscaler (>= 1 pre-spawn fired, zero drains during
@@ -49,10 +54,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "bench/trajectory.h"
+#include "src/cluster/replica_table.h"
 #include "src/core/flashoverlap.h"
 #include "src/models/workloads.h"
 #include "src/obs/obs_plane.h"
@@ -279,6 +286,75 @@ FleetReport RunPrespawnFleet(const ClusterSpec& hardware, const PrespawnSetup& s
   return fleet.Run(setup.trace);
 }
 
+// One placement-microbench cell: ns per table-form Place at `replicas`
+// slots under one load mix.
+struct PlaceTiming {
+  int replicas = 0;
+  bool busy = false;
+  double ns_per_place = 0.0;
+};
+
+// Every slot accepting and warm for the one key, as in a warm fleet. Each
+// timed iteration rewrites one random slot's load (the event feed's
+// SetLoad) and then places. The load draws are precomputed outside the
+// timed region. Idle-heavy: half
+// the draws leave the slot idle (busy_until behind the clock, nothing
+// queued), so a zero-load slot is usually near. Busy-heavy: one draw in
+// 256 is idle; the rest owe executor time and hold a queue, so most picks
+// have to compare non-zero loads.
+PlaceTiming TimePlacement(int replicas, bool busy, int placements) {
+  constexpr uint64_t kKey = 0x5eed;
+  constexpr SimTime kNow = 1000.0;
+  constexpr double kCostUs = 100.0;
+  struct Draw {
+    int slot;
+    SimTime busy_until;
+    size_t queued;
+  };
+  Rng rng(static_cast<uint64_t>(replicas) * 2 + (busy ? 1 : 0));
+  const auto draw = [&rng, replicas, busy]() {
+    Draw d{static_cast<int>(rng.NextBelow(static_cast<uint64_t>(replicas))), kNow - 1.0, 0};
+    const bool idle = busy ? rng.NextBelow(256) == 0 : rng.NextBelow(2) == 0;
+    if (!idle) {
+      d.busy_until = kNow + rng.NextDouble(0.0, 1000.0);
+      d.queued = (busy ? 1 : 0) + rng.NextBelow(4);
+    }
+    return d;
+  };
+  ReplicaTable table;
+  for (int i = 0; i < replicas; ++i) {
+    const int id = table.AddSlot();
+    table.SetAccepting(id, true);
+    table.SetResident(id, kKey, true);
+  }
+  for (int i = 0; i < replicas; ++i) {
+    const Draw d = draw();
+    table.SetLoad(i, d.busy_until, d.queued);
+  }
+  std::vector<Draw> draws(static_cast<size_t>(placements));
+  for (Draw& d : draws) {
+    d = draw();
+  }
+  const std::function<bool(int)> pending = [](int) { return false; };
+  FleetRouter router(PlacementPolicy::kPlanAffinity);
+  double best_s = 0.0;
+  uint64_t checksum = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    for (const Draw& d : draws) {
+      table.SetLoad(d.slot, d.busy_until, d.queued);
+      checksum += static_cast<uint64_t>(router.Place(table, kKey, kNow, kCostUs, pending));
+    }
+    const double s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    best_s = rep == 0 ? s : std::min(best_s, s);
+  }
+  // Keeps the picks observable so the loop cannot be elided.
+  volatile uint64_t sink = checksum;
+  (void)sink;
+  return PlaceTiming{replicas, busy, best_s * 1e9 / static_cast<double>(placements)};
+}
+
 // Time from the burst's first arrival to the burst tenant's last finish —
 // the absorb time the predictive tier is supposed to cut.
 double BurstAbsorbUs(const FleetReport& report, double burst_start_us) {
@@ -333,6 +409,19 @@ bool Run(const BenchArgs& args) {
       }
     }
   }
+  // Placement microbench (report only).
+  std::vector<PlaceTiming> placement;
+  Table place_table({"replicas", "load mix", "ns/place"});
+  for (const int replicas : {128, 512, 1024}) {
+    for (const bool busy : {false, true}) {
+      placement.push_back(TimePlacement(replicas, busy, smoke ? 50000 : 400000));
+      place_table.AddRow({std::to_string(replicas), busy ? "busy-heavy" : "idle-heavy",
+                          FormatDouble(placement.back().ns_per_place, 1)});
+    }
+  }
+  Narrate(quiet, "placement (table-form Place after one SetLoad, best of 3):\n%s\n",
+          place_table.Render().c_str());
+
   // Shipping on: every policy's fleet pays each search once.
   FleetReport shipped_4;
   size_t max_shipped_searches = 0;
@@ -562,7 +651,10 @@ bool Run(const BenchArgs& args) {
       "\"prespawn_peak_replicas\": %d, \"reactive_peak_replicas\": %d, "
       "\"prespawn_absorb_us\": %.1f, \"reactive_absorb_us\": %.1f, "
       "\"prespawn_absorb_gain\": %.4f, \"prespawn_off_identical\": %s, "
-      "\"prespawn_rerun_identical\": %s}",
+      "\"prespawn_rerun_identical\": %s, "
+      "\"place_ns_128_idle\": %.1f, \"place_ns_128_busy\": %.1f, "
+      "\"place_ns_512_idle\": %.1f, \"place_ns_512_busy\": %.1f, "
+      "\"place_ns_1024_idle\": %.1f, \"place_ns_1024_busy\": %.1f}",
       smoke ? "true" : "false", setup.trace.size(), shipped_4.distinct_keys, throughput_1,
       throughput_4, round_robin_4.WarmHitRate(), affinity_4.WarmHitRate(),
       round_robin_4.total_searches, affinity_4.total_searches, max_shipped_searches,
@@ -585,7 +677,9 @@ bool Run(const BenchArgs& args) {
           ? 1.0 - prespawn_absorb_us / prespawn_absorb_reactive_us
           : 0.0,
       prespawn_off_identical ? "true" : "false",
-      prespawn_deterministic ? "true" : "false");
+      prespawn_deterministic ? "true" : "false", placement[0].ns_per_place,
+      placement[1].ns_per_place, placement[2].ns_per_place, placement[3].ns_per_place,
+      placement[4].ns_per_place, placement[5].ns_per_place);
   FILE* out = std::fopen("BENCH_cluster.json", "w");
   if (out != nullptr) {
     std::fprintf(out, "%s\n", json);

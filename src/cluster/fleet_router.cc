@@ -43,6 +43,8 @@ class SnapshotView {
   size_t words() const { return (replicas_.size() + 63) / 64; }
   int id(size_t i) const { return replicas_[i].id; }
   double load(size_t i) const { return replicas_[i].busy_us + replicas_[i].pending_cost_us; }
+  // The differential oracle: scans every candidate.
+  bool zero_load_wins() const { return false; }
   uint64_t Candidates(size_t w, FleetRouter::Tier tier) const {
     uint64_t mask = 0;
     for (size_t i = w * 64; i < std::min(replicas_.size(), w * 64 + 64); ++i) {
@@ -84,6 +86,9 @@ class TableView {
   size_t words() const { return table_.words(); }
   int id(size_t i) const { return static_cast<int>(i); }
   double load(size_t i) const { return table_.Load(id(i), now_, cost_estimate_us_); }
+  // Load() is never negative under a non-negative cost estimate, so under
+  // the scan's strict `<` no slot after a zero load can win.
+  bool zero_load_wins() const { return cost_estimate_us_ >= 0.0; }
   uint64_t Candidates(size_t w, FleetRouter::Tier tier) const {
     uint64_t eligible = table_.accepting_word(w);
     if (avoid_id_ >= 0 && static_cast<size_t>(avoid_id_) / 64 == w) {
@@ -140,6 +145,9 @@ int FleetRouter::LeastLoaded(const View& view, Tier tier) {
       if (best == -1 || load < best_load) {
         best = view.id(i);
         best_load = load;
+        if (best_load == 0.0 && view.zero_load_wins()) {
+          return best;
+        }
       }
     }
   }

@@ -90,7 +90,8 @@ class FleetRouter {
  private:
   // The one policy implementation, over a bitmask view of either form:
   // per 64-slot word, the eligible slots (accepting, not avoided) ANDed
-  // with a tier's bits, then a least-load scan over the set bits.
+  // with a tier's bits, then a least-load scan over the set bits (the
+  // table form stops at the first zero load, which nothing can beat).
   template <typename View>
   int PlaceTiered(const View& view);
   template <typename View>

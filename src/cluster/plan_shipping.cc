@@ -4,8 +4,22 @@
 #include <utility>
 
 #include "src/util/check.h"
+#include "src/util/logging.h"
 
 namespace flo {
+
+namespace {
+
+// Puts every plan of `from` into `into`, in key order: the order in which
+// ImportRecords of from.Serialize() would put them. Returns the count.
+size_t PutAll(const PlanStore& from, PlanStore* into) {
+  for (const auto& [key, plan] : from.plans()) {
+    into->Put(key, plan);
+  }
+  return from.size();
+}
+
+}  // namespace
 
 void PlanShipper::ShipToLocked(uint64_t key, const std::string& record,
                                Subscriber* subscriber) {
@@ -23,8 +37,10 @@ size_t PlanShipper::Subscribe(int replica_id, std::shared_ptr<PlanStore> store,
   FLO_CHECK(store != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
   // Bootstrap: a late subscriber (autoscaler spawn) starts warm — both
-  // tiers — with every plan the fleet has already paid for.
-  const size_t bootstrapped = store->ImportRecords(published_.Serialize());
+  // tiers — with every plan the fleet has already paid for. The published
+  // set holds parsed records already (and only changes under mu_), so its
+  // plans are put directly instead of re-serialized and re-parsed.
+  const size_t bootstrapped = PutAll(published_, store.get());
   stats_.shipped += bootstrapped;
   if (tuner != nullptr && !artifacts_.empty()) {
     std::vector<StoredPlan> artifacts;
@@ -157,7 +173,16 @@ size_t PlanShipper::ImportSnapshot(const std::string& text) {
   if (!tuner_tier.has_value()) {
     return 0;
   }
-  const size_t imported = published_.ImportRecords(text);
+  // The plan tier is parsed once and put into the published set and every
+  // subscriber store in the same (key) order a per-store ImportRecords of
+  // the text would apply.
+  const std::optional<PlanStore> parsed = PlanStore::Parse(text);
+  if (!parsed.has_value()) {
+    FLO_LOG(kError) << "snapshot import rejected: malformed or truncated plan tier ("
+                    << text.size() << " bytes); nothing applied";
+    return 0;
+  }
+  const size_t imported = PutAll(*parsed, &published_);
   if (imported == 0) {
     return 0;
   }
@@ -172,7 +197,7 @@ size_t PlanShipper::ImportSnapshot(const std::string& text) {
   // Ship only the records just imported — re-shipping the whole
   // published set would churn the LRU order of bounded subscriber stores.
   for (auto& [id, subscriber] : subscribers_) {
-    stats_.shipped += subscriber.store->ImportRecords(text);
+    stats_.shipped += PutAll(*parsed, subscriber.store.get());
     if (subscriber.tuner != nullptr && !artifacts.empty()) {
       subscriber.tuner->ImportPlans(artifacts);
     }

@@ -56,6 +56,7 @@ ServingCluster::ServingCluster(ClusterSpec hardware, ClusterConfig config,
       options_(options),
       keyer_tuner_(hardware, tuner_config),
       keyer_(&keyer_tuner_, &keyer_store_),
+      catalog_(&keyer_),
       router_(config.policy),
       events_(config.serve.legacy_event_heap) {
   FLO_CHECK_GE(config_.replicas, 1);
@@ -227,8 +228,7 @@ int ServingCluster::Place(uint64_t key, SimTime now, int avoid_id) {
 }
 
 void ServingCluster::PlaceRequest(ServeRequest request, SimTime now) {
-  const uint64_t key = keyer_.CanonicalKey(request.spec);
-  run_keys_.insert(key);
+  const uint64_t key = catalog_.Key(request.spec);
   if (scheduler_ != nullptr) {
     // One arrival charge per admitted request (requeues and preemptive
     // re-placements bypass this path on purpose — a placement revision
@@ -379,7 +379,7 @@ FleetReport ServingCluster::Run(RequestCursor* cursor) {
   cost_samples_ = 0;
   recent_latencies_.clear();
   last_window_p99_us_ = 0.0;
-  run_keys_.clear();
+  catalog_.BeginRun();
   spawns_ = 0;
   drains_ = 0;
   prespawns_ = 0;
@@ -497,7 +497,7 @@ FleetReport ServingCluster::Run(RequestCursor* cursor) {
   FLO_CHECK_EQ(completed_requests_, total_requests_);
 
   FleetReport report;
-  report.distinct_keys = run_keys_.size();
+  report.distinct_keys = catalog_.run_keys();
   report.events = events_.dispatched() - events_before;
   for (const auto& replica : replicas_) {
     ReplicaReport entry;
@@ -510,9 +510,7 @@ FleetReport ServingCluster::Run(RequestCursor* cursor) {
       entry.tuner_searches = replica->SearchesThisRun();
       report.total_searches += entry.tuner_searches;
       report.makespan_us = std::max(report.makespan_us, entry.serve.makespan_us);
-      for (const RequestRecord& record : entry.serve.stats.records()) {
-        report.stats.Record(record);
-      }
+      report.stats.Append(entry.serve.stats);
     }
     report.replicas.push_back(std::move(entry));
   }

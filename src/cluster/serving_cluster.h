@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -31,6 +30,7 @@
 #include "src/cluster/plan_shipping.h"
 #include "src/cluster/replica.h"
 #include "src/cluster/replica_table.h"
+#include "src/cluster/spec_catalog.h"
 #include "src/core/overlap_engine.h"
 #include "src/fault/fault_config.h"
 #include "src/fault/fault_schedule.h"
@@ -170,8 +170,8 @@ class ServingCluster {
   void SyncAccepting(const Replica& replica);
   // The router's pick for a request keyed `key` (-1 when none accepts).
   int Place(uint64_t key, SimTime now, int avoid_id = -1);
-  // Keys the request once; the key rides with it through admission,
-  // requeues and preemption.
+  // Keys the request once, through the catalog; the key rides with it
+  // through admission, requeues and preemption.
   void PlaceRequest(ServeRequest request, SimTime now);
   void DispatchAll(SimTime now);
   void MaybeRetire(Replica* replica, SimTime now);
@@ -207,6 +207,8 @@ class ServingCluster {
   Tuner keyer_tuner_;
   PlanStore keyer_store_;
   OverlapPlanner keyer_;
+  // Keys arrivals and counts each run's distinct keys.
+  SpecCatalog catalog_;
 
   FleetRouter router_;
   PlanShipper shipper_;
@@ -242,8 +244,6 @@ class ServingCluster {
   // checkpoints that completed nothing while work was pending: a fleet
   // stalled behind a straggler or a long cold tune must not read as calm.
   double last_window_p99_us_ = 0.0;
-  // Distinct plan keys seen by PlaceRequest this run.
-  std::set<uint64_t> run_keys_;
   int peak_replicas_ = 0;
   size_t spawns_ = 0;
   size_t drains_ = 0;

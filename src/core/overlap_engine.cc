@@ -39,20 +39,16 @@ OverlapRun OverlapEngine::ExecuteMemoized(const ScenarioSpec& spec) {
 }
 
 OverlapRun OverlapEngine::ExecuteMemoized(const ScenarioSpec& spec, uint64_t key) {
-  // Per-scenario option overrides are not part of the MixInto fingerprint,
-  // so those specs always take the plain path.
+  // Per-scenario option overrides are not part of the plan key, so those
+  // specs always take the plain path.
   return ExecuteInternal(spec, key, /*memoize=*/!spec.options.has_value());
 }
 
 OverlapRun OverlapEngine::ExecuteInternal(const ScenarioSpec& spec, uint64_t key,
                                           bool memoize) {
   const EngineOptions& effective = spec.options.has_value() ? *spec.options : options_;
-  uint64_t fingerprint = 0;
   if (memoize) {
-    StableHash hash;
-    spec.MixInto(hash);
-    fingerprint = hash.value();
-    const auto it = run_memo_.find(fingerprint);
+    const auto it = run_memo_.find(key);
     if (it != run_memo_.end()) {
       OverlapRun run = it->second;
       // The memoized replay needs no plan, but the store lookup still
@@ -98,7 +94,7 @@ OverlapRun OverlapEngine::ExecuteInternal(const ScenarioSpec& spec, uint64_t key
     cached.groups.clear();
     cached.gemm_timeline = Timeline();
     cached.comm_timeline = Timeline();
-    run_memo_.emplace(fingerprint, std::move(cached));
+    run_memo_.emplace(key, std::move(cached));
   }
   return run;
 }

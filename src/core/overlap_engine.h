@@ -71,7 +71,7 @@ class OverlapEngine {
   // is skipped and the cached result returned with `groups` traces and the
   // rank-0 timelines empty (only Execute callers read them). Specs
   // carrying per-scenario options bypass the memo entirely (their engine
-  // options are not part of the fingerprint).
+  // options are not part of the plan key).
   OverlapRun ExecuteMemoized(const ScenarioSpec& spec);
   // Keyed form: `key` must equal planner().CanonicalKey(spec) — serving
   // sessions pass the key their batch was formed around instead of
@@ -141,11 +141,16 @@ class OverlapEngine {
   OverlapPlanner planner_;
   ScheduleExecutor executor_;
   std::unique_ptr<ThreadPool> tune_pool_;
-  // ExecuteMemoized results keyed by the spec's order-sensitive content
-  // fingerprint (ScenarioSpec::MixInto). Entries store runs with `groups`
-  // and timelines cleared; timings are exact because the schedule replay
-  // is a pure function of (plan, configs, options, case seed), all derived
-  // deterministically from the spec.
+  // ExecuteMemoized results keyed by the spec's plan key. Within one
+  // engine the key is the spec's FNV-1a fingerprint (ScenarioSpec::MixInto)
+  // carried on through constant cluster and tuner bytes, and every FNV
+  // step (xor a byte, multiply by an odd prime) is a bijection on 64-bit
+  // states, so distinct fingerprints give distinct keys; only a balanced
+  // and an imbalanced spec (whose key gains a version suffix) could meet,
+  // by a 2^-64 coincidence the plan store already keys on. Entries store
+  // runs with `groups` and timelines cleared; timings are exact because
+  // the schedule replay is a pure function of (plan, configs, options,
+  // case seed), all derived deterministically from the spec.
   std::unordered_map<uint64_t, OverlapRun> run_memo_;
 };
 

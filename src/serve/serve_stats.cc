@@ -45,6 +45,21 @@ void ServeStats::Record(RequestRecord record) {
   records_.push_back(std::move(record));
 }
 
+void ServeStats::Append(const ServeStats& other) {
+  FLO_CHECK(&other != this);
+  const size_t base = records_.size();
+  records_.insert(records_.end(), other.records_.begin(), other.records_.end());
+  for (const auto& [tenant_id, indices] : other.by_tenant_) {
+    std::vector<size_t>& merged = by_tenant_[tenant_id];
+    for (const size_t index : indices) {
+      merged.push_back(base + index);
+    }
+  }
+  retried_requests_ += other.retried_requests_;
+  total_retries_ += other.total_retries_;
+  degraded_requests_ += other.degraded_requests_;
+}
+
 std::vector<std::string> ServeStats::Tenants() const {
   std::vector<std::string> tenants;
   tenants.reserve(by_tenant_.size());

@@ -56,6 +56,9 @@ struct TenantSummary {
 class ServeStats {
  public:
   void Record(RequestRecord record);
+  // Records every record of `other`, in order: the same state as calling
+  // Record on each, with the records and tenant indices copied in bulk.
+  void Append(const ServeStats& other);
 
   size_t count() const { return records_.size(); }
   const std::vector<RequestRecord>& records() const { return records_; }

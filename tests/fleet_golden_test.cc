@@ -22,11 +22,16 @@
 #include <bit>
 #include <cstdio>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/cluster/serving_cluster.h"
+#include "src/cluster/spec_catalog.h"
 #include "src/core/overlap_engine.h"
+#include "src/core/overlap_planner.h"
+#include "src/core/plan_store.h"
+#include "src/core/tuner.h"
 #include "src/fault/fault_schedule.h"
 #include "src/serve/request_source.h"
 #include "src/util/rng.h"
@@ -543,6 +548,35 @@ TEST(FleetGoldenTest, ReportsMatchPinnedDigests) {
         literal += (i == 0 ? "" : ",\n      ") + Literal(actual[i]);
       }
       ADD_FAILURE() << "fleet report drifted; actual:\n" << literal << "}},";
+    }
+  }
+}
+
+TEST(FleetGoldenTest, CatalogKeysAndDistinctKeysMatchRecounts) {
+  // The fleet keys arrivals through a SpecCatalog. On every golden config,
+  // a catalog keys each trace spec as the fleet's canonical key, and each
+  // run's distinct_keys equals a std::set recount.
+  Tuner tuner(Make4090Cluster(4));
+  PlanStore store;
+  OverlapPlanner planner(&tuner, &store);
+  for (const GoldenCase& golden : Cases()) {
+    SCOPED_TRACE(golden.name);
+    ServingCluster fleet(Make4090Cluster(4), golden.config, {}, EngineOptions{.jitter = false});
+    if (!golden.script.empty()) {
+      FaultSchedule schedule;
+      for (const FaultEvent& event : golden.script) {
+        schedule.Add(event);
+      }
+      fleet.SetFaultSchedule(schedule);
+    }
+    SpecCatalog catalog(&planner);
+    std::set<uint64_t> keys;
+    for (const ServeRequest& request : golden.trace) {
+      keys.insert(fleet.KeyFor(request.spec));
+      EXPECT_EQ(catalog.Key(request.spec), fleet.KeyFor(request.spec));
+    }
+    for (int run = 0; run < golden.runs; ++run) {
+      EXPECT_EQ(fleet.Run(golden.trace).distinct_keys, keys.size());
     }
   }
 }

@@ -426,6 +426,83 @@ TEST(PlanShipperSnapshotTest, TwoTierSnapshotRoundTripsThroughImport) {
   EXPECT_EQ(reject.published_size(), 0u);
 }
 
+TEST(PlanShipperSnapshotTest, ImportMatchesPerStoreImportAndRejectsWhole) {
+  // The shipper parses a snapshot once and puts its plans into every
+  // subscriber. Each store must end in the state a per-store
+  // ImportRecords of the same text leaves: same bytes, same LRU order.
+  // Subscribers start with different contents and capacities, so the
+  // import inserts, overwrites and evicts.
+  PlanStore source;
+  for (int i = 0; i < 4; ++i) {
+    source.Put(200 + i, MarkedPlan(i));
+  }
+  const std::string snapshot = source.Serialize();
+  const struct {
+    size_t capacity;
+    int first;  // pre-existing keys 200 + first ...
+    int count;
+  } starts[] = {{0, 0, 0}, {3, 2, 3}, {2, 5, 2}, {0, 1, 2}, {1, 0, 1}};
+  const auto make = [](size_t capacity, int first, int count) {
+    auto store = std::make_shared<PlanStore>(capacity);
+    for (int i = first; i < first + count; ++i) {
+      store->Put(static_cast<uint64_t>(200 + i), MarkedPlan(100 + i));
+    }
+    return store;
+  };
+  PlanShipper shipper;
+  std::vector<std::shared_ptr<PlanStore>> shipped;
+  std::vector<std::shared_ptr<PlanStore>> reference;
+  for (size_t i = 0; i < std::size(starts); ++i) {
+    shipped.push_back(make(starts[i].capacity, starts[i].first, starts[i].count));
+    reference.push_back(make(starts[i].capacity, starts[i].first, starts[i].count));
+    shipper.Subscribe(static_cast<int>(i), shipped.back());
+  }
+  ASSERT_EQ(shipper.ImportSnapshot(snapshot), 4u);
+  EXPECT_EQ(shipper.stats().shipped, 4u * std::size(starts));
+  for (auto& store : reference) {
+    store->ImportRecords(snapshot);
+  }
+
+  // A snapshot truncated at a record boundary (footer kept) applies
+  // nothing anywhere: not to the published set, not to any subscriber.
+  PlanStore bigger;
+  for (int i = 0; i < 3; ++i) {
+    bigger.Put(300 + i, MarkedPlan(i));
+  }
+  const std::string full = bigger.Serialize();
+  const std::string truncated =
+      full.substr(0, full.rfind("\nplan ") + 1) + full.substr(full.rfind("# count"));
+  std::vector<std::string> before;
+  for (const auto& store : shipped) {
+    before.push_back(store->Serialize());
+  }
+  EXPECT_EQ(shipper.ImportSnapshot(truncated), 0u);
+  EXPECT_EQ(shipper.published_size(), 4u);
+  EXPECT_EQ(shipper.stats().shipped, 4u * std::size(starts));
+  for (size_t i = 0; i < shipped.size(); ++i) {
+    EXPECT_EQ(shipped[i]->Serialize(), before[i]) << "subscriber " << i;
+  }
+
+  // Same bytes, then the same LRU order: shrinking to one plan evicts the
+  // rest least recently used first.
+  const auto eviction_order = [](PlanStore* store) {
+    std::vector<uint64_t> evicted;
+    store->SetChangeCallback([&evicted](uint64_t key, bool resident) {
+      if (!resident) {
+        evicted.push_back(key);
+      }
+    });
+    store->set_capacity(1);
+    store->SetChangeCallback(nullptr);
+    return evicted;
+  };
+  for (size_t i = 0; i < shipped.size(); ++i) {
+    SCOPED_TRACE("subscriber " + std::to_string(i));
+    EXPECT_EQ(shipped[i]->Serialize(), reference[i]->Serialize());
+    EXPECT_EQ(eviction_order(shipped[i].get()), eviction_order(reference[i].get()));
+  }
+}
+
 TEST(TunerPersistenceTest, ExportImportRestoresCache) {
   Tuner source(MakeA800Cluster(4));
   source.Tune(GemmShape{4096, 8192, 4096}, CommPrimitive::kAllReduce);

@@ -8,10 +8,13 @@
 // tuning and pending flips) and, after every mutation, checks that the
 // table-form pick equals Place(vector) on snapshots built from the shadow,
 // with random keys, clocks, cost estimates and avoid ids. Loads come from
-// small value sets, so equal-load ties are common. The second test wires
-// one serving session and its plan store to a table slot through the feeds
-// the cluster uses and checks, after every event, that the slot mirrors
-// the session and store exactly.
+// small value sets, so equal-load ties are common. The second test walks
+// tables to 1,024 slots in an idle-heavy regime, a busy one (zero loads
+// rare, equal non-zero loads spread across many bitset words) and a fine
+// one (small non-zero loads among zero loads). The third
+// test wires one serving session and its plan store to a table slot
+// through the feeds the cluster uses and checks, after every event, that
+// the slot mirrors the session and store exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,7 +56,34 @@ constexpr uint64_t kKeys[] = {0x11, 0x22, 0x33};
 constexpr uint64_t kUnseenKey = 0x44;
 constexpr int kMaxSlots = 70;
 
-void AddSlot(ReplicaTable* table, Shadow* shadow, Rng* rng) {
+// How a walk draws loads. Idle-heavy: busy_until in {0, 100, 200, 300}
+// and queued in {0, 1, 2}, so many slots are idle at the probe clocks
+// (0, 125, 250). Busy: every executor runs past the last probe clock and
+// every queue holds work, except for one load draw in 512. Fine:
+// busy_until on a 12.5 us grid and queued in {0, 1}, so small non-zero
+// loads sit among zero loads and a scan that stopped early on a small
+// load would pick wrong.
+enum class Regime { kIdleHeavy, kBusy, kFine };
+
+void SetLoad(ReplicaTable* table, Shadow* shadow, Rng* rng, Regime regime, int id) {
+  SimTime busy_until = 0.0;
+  size_t queued = 0;
+  if (regime == Regime::kIdleHeavy) {
+    busy_until = 100.0 * static_cast<double>(rng->NextBelow(4));
+    queued = rng->NextBelow(3);
+  } else if (regime == Regime::kFine) {
+    busy_until = 12.5 * static_cast<double>(rng->NextBelow(24));
+    queued = rng->NextBelow(2);
+  } else if (rng->NextBelow(512) != 0) {
+    busy_until = 300.0 + 100.0 * static_cast<double>(rng->NextBelow(2));
+    queued = 1 + rng->NextBelow(2);
+  }
+  table->SetLoad(id, busy_until, queued);
+  shadow->busy_until[static_cast<size_t>(id)] = busy_until;
+  shadow->queued[static_cast<size_t>(id)] = queued;
+}
+
+void AddSlot(ReplicaTable* table, Shadow* shadow, Rng* rng, Regime regime = Regime::kIdleHeavy) {
   const int id = table->AddSlot();
   ASSERT_EQ(static_cast<size_t>(id), shadow->accepting.size());
   const bool accepting = rng->NextBelow(4) != 0;
@@ -66,16 +96,20 @@ void AddSlot(ReplicaTable* table, Shadow* shadow, Rng* rng) {
     shadow->tuning[key].push_back(false);
     shadow->pending[key].push_back(false);
   }
+  if (regime != Regime::kIdleHeavy) {
+    SetLoad(table, shadow, rng, regime, id);  // a loaded fleet's new replica takes work at once
+  }
 }
 
-void Mutate(ReplicaTable* table, Shadow* shadow, Rng* rng) {
+void Mutate(ReplicaTable* table, Shadow* shadow, Rng* rng, Regime regime = Regime::kIdleHeavy,
+            int max_slots = kMaxSlots) {
   const int size = table->size();
   const int id = static_cast<int>(rng->NextBelow(static_cast<uint64_t>(size)));
   const uint64_t key = kKeys[rng->NextBelow(3)];
   switch (rng->NextBelow(8)) {
     case 0:
-      if (size < kMaxSlots) {
-        AddSlot(table, shadow, rng);
+      if (size < max_slots) {
+        AddSlot(table, shadow, rng, regime);
       }
       break;
     case 1: {  // spawn, drain, retire, or a health change
@@ -85,14 +119,9 @@ void Mutate(ReplicaTable* table, Shadow* shadow, Rng* rng) {
       break;
     }
     case 2:
-    case 3: {  // admit, dispatch, extract
-      const SimTime busy_until = 100.0 * static_cast<double>(rng->NextBelow(4));
-      const size_t queued = rng->NextBelow(3);
-      table->SetLoad(id, busy_until, queued);
-      shadow->busy_until[static_cast<size_t>(id)] = busy_until;
-      shadow->queued[static_cast<size_t>(id)] = queued;
+    case 3:  // admit, dispatch, extract
+      SetLoad(table, shadow, rng, regime, id);
       break;
-    }
     case 4: {  // store put, evict, erase
       const bool on = !shadow->resident[key][static_cast<size_t>(id)];
       table->SetResident(id, key, on);
@@ -117,7 +146,76 @@ void Mutate(ReplicaTable* table, Shadow* shadow, Rng* rng) {
       for (const uint64_t k : kKeys) {
         shadow->tuning[k][static_cast<size_t>(id)] = false;
       }
+      if (regime != Regime::kIdleHeavy) {
+        SetLoad(table, shadow, rng, regime, id);
+      }
       break;
+  }
+}
+
+// Places one request with a random key, clock, cost estimate and avoid id
+// through both router forms and asserts equal picks. Counts a tie when two
+// eligible candidates share a load, and a busy pick when no eligible
+// candidate has zero load.
+void ExpectSamePick(const ReplicaTable& table, const Shadow& shadow, FleetRouter* by_table,
+                    FleetRouter* by_vector, Rng* rng, int step, size_t* ties,
+                    size_t* busy_picks = nullptr) {
+  const uint64_t key = rng->NextBelow(5) == 0 ? kUnseenKey : kKeys[rng->NextBelow(3)];
+  const SimTime now = 125.0 * static_cast<double>(rng->NextBelow(3));
+  const double cost = rng->NextBelow(2) == 0 ? 50.0 : 100.0;
+  const int avoid = rng->NextBelow(3) == 0 ? static_cast<int>(rng->NextBelow(table.size())) : -1;
+
+  std::vector<ReplicaSnapshot> snapshots;
+  size_t candidates = 0;
+  std::map<double, int> loads;
+  for (int id = 0; id < table.size(); ++id) {
+    const size_t i = static_cast<size_t>(id);
+    // The cluster's old snapshots skipped retired replicas; a
+    // non-accepting slot may be present or absent to the same effect.
+    if (!shadow.accepting[i] && rng->NextBelow(2) == 0) {
+      continue;
+    }
+    ReplicaSnapshot snapshot;
+    snapshot.id = id;
+    snapshot.accepting = shadow.accepting[i];
+    snapshot.queued_requests = shadow.queued[i];
+    snapshot.busy_us = std::max(0.0, shadow.busy_until[i] - now);
+    snapshot.pending_cost_us = static_cast<double>(shadow.queued[i]) * cost;
+    snapshot.plan_tuning = Shadow::Bit(shadow.tuning, key, id);
+    snapshot.plan_warm = Shadow::Bit(shadow.resident, key, id) && !snapshot.plan_tuning;
+    snapshot.plan_pending = Shadow::Bit(shadow.pending, key, id);
+    snapshots.push_back(snapshot);
+    if (snapshot.accepting && id != avoid) {
+      ++candidates;
+      ++loads[snapshot.busy_us + snapshot.pending_cost_us];
+    }
+  }
+  *ties += loads.size() < candidates ? 1 : 0;
+  if (busy_picks != nullptr && !loads.empty() && loads.begin()->first > 0.0) {
+    ++*busy_picks;
+  }
+  const std::function<bool(int)> pending = [&](int id) {
+    EXPECT_TRUE(shadow.accepting[static_cast<size_t>(id)])
+        << "pending probed for non-accepting slot " << id;
+    return Shadow::Bit(shadow.pending, key, id);
+  };
+  const int expected = by_vector->Place(snapshots, avoid);
+  const int actual = by_table->Place(table, key, now, cost, pending, avoid);
+  ASSERT_EQ(actual, expected) << "step " << step << " key " << key << " now " << now
+                              << " avoid " << avoid << " slots " << table.size();
+}
+
+// The table's own view of every slot matches the shadow.
+void ExpectSlotsMatchShadow(const ReplicaTable& table, const Shadow& shadow) {
+  for (int id = 0; id < table.size(); ++id) {
+    const size_t i = static_cast<size_t>(id);
+    EXPECT_EQ(table.accepting(id), shadow.accepting[i]);
+    EXPECT_EQ(table.busy_until(id), shadow.busy_until[i]);
+    EXPECT_EQ(table.queued(id), shadow.queued[i]);
+    for (const uint64_t key : kKeys) {
+      EXPECT_EQ(table.resident(id, key), Shadow::Bit(shadow.resident, key, id));
+      EXPECT_EQ(table.tuning(id, key), Shadow::Bit(shadow.tuning, key, id));
+    }
   }
 }
 
@@ -143,64 +241,62 @@ TEST(RouterDifferentialTest, TableFormMatchesSnapshotFormUnderRandomMutations) {
             AddSlot(&table, &shadow, &rng);
           }
         }
-        const uint64_t key = rng.NextBelow(5) == 0 ? kUnseenKey : kKeys[rng.NextBelow(3)];
-        const SimTime now = 125.0 * static_cast<double>(rng.NextBelow(3));
-        const double cost = rng.NextBelow(2) == 0 ? 50.0 : 100.0;
-        const int avoid =
-            rng.NextBelow(3) == 0 ? static_cast<int>(rng.NextBelow(table.size())) : -1;
-
-        std::vector<ReplicaSnapshot> snapshots;
-        size_t candidates = 0;
-        std::map<double, int> loads;
-        for (int id = 0; id < table.size(); ++id) {
-          const size_t i = static_cast<size_t>(id);
-          // The cluster's old snapshots skipped retired replicas; a
-          // non-accepting slot may be present or absent to the same effect.
-          if (!shadow.accepting[i] && rng.NextBelow(2) == 0) {
-            continue;
-          }
-          ReplicaSnapshot snapshot;
-          snapshot.id = id;
-          snapshot.accepting = shadow.accepting[i];
-          snapshot.queued_requests = shadow.queued[i];
-          snapshot.busy_us = std::max(0.0, shadow.busy_until[i] - now);
-          snapshot.pending_cost_us = static_cast<double>(shadow.queued[i]) * cost;
-          snapshot.plan_tuning = Shadow::Bit(shadow.tuning, key, id);
-          snapshot.plan_warm = Shadow::Bit(shadow.resident, key, id) && !snapshot.plan_tuning;
-          snapshot.plan_pending = Shadow::Bit(shadow.pending, key, id);
-          snapshots.push_back(snapshot);
-          if (snapshot.accepting && id != avoid) {
-            ++candidates;
-            ++loads[snapshot.busy_us + snapshot.pending_cost_us];
-          }
-        }
-        ties += loads.size() < candidates ? 1 : 0;
-        const std::function<bool(int)> pending = [&](int id) {
-          EXPECT_TRUE(shadow.accepting[static_cast<size_t>(id)])
-              << "pending probed for non-accepting slot " << id;
-          return Shadow::Bit(shadow.pending, key, id);
-        };
-        const int expected = by_vector.Place(snapshots, avoid);
-        const int actual = by_table.Place(table, key, now, cost, pending, avoid);
-        ASSERT_EQ(actual, expected) << "step " << step << " key " << key << " now " << now
-                                    << " avoid " << avoid << " slots " << table.size();
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectSamePick(table, shadow, &by_table, &by_vector, &rng, step, &ties));
         ++placements;
       }
-      // The table's own view of the state matches the shadow.
-      for (int id = 0; id < table.size(); ++id) {
-        const size_t i = static_cast<size_t>(id);
-        EXPECT_EQ(table.accepting(id), shadow.accepting[i]);
-        EXPECT_EQ(table.busy_until(id), shadow.busy_until[i]);
-        EXPECT_EQ(table.queued(id), shadow.queued[i]);
-        for (const uint64_t key : kKeys) {
-          EXPECT_EQ(table.resident(id, key), Shadow::Bit(shadow.resident, key, id));
-          EXPECT_EQ(table.tuning(id, key), Shadow::Bit(shadow.tuning, key, id));
-        }
-      }
+      ExpectSlotsMatchShadow(table, shadow);
     }
   }
   EXPECT_EQ(placements, 3u * 12u * 600u);
   EXPECT_GT(ties, placements / 10) << "the load sets should produce frequent ties";
+}
+
+TEST(RouterDifferentialTest, TableFormMatchesSnapshotFormUpTo1024Slots) {
+  // Growth bursts to these sizes cross many bitset words; single AddSlot
+  // mutations between bursts cross some word boundaries one slot at a
+  // time.
+  constexpr int kTargets[] = {40, 150, 300, 600, 1024};
+  constexpr int kStepsPerTarget = 80;
+  size_t placements = 0;
+  size_t ties = 0;
+  size_t busy_picks = 0;
+  for (const Regime regime : {Regime::kIdleHeavy, Regime::kBusy, Regime::kFine}) {
+    for (const PlacementPolicy policy :
+         {PlacementPolicy::kRoundRobin, PlacementPolicy::kLeastLoaded,
+          PlacementPolicy::kPlanAffinity}) {
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(std::string(regime == Regime::kBusy   ? "busy "
+                                 : regime == Regime::kFine ? "fine "
+                                                           : "idle-heavy ") +
+                     PlacementPolicyName(policy) + " seed " + std::to_string(seed));
+        Rng rng(seed * 0xd1b54a32d192ed03ull + static_cast<uint64_t>(policy));
+        ReplicaTable table;
+        Shadow shadow;
+        FleetRouter by_table(policy);
+        FleetRouter by_vector(policy);
+        int step = 0;
+        for (const int target : kTargets) {
+          while (table.size() < target) {
+            AddSlot(&table, &shadow, &rng, regime);
+          }
+          for (int i = 0; i < kStepsPerTarget; ++i, ++step) {
+            Mutate(&table, &shadow, &rng, regime, target + 8);
+            ASSERT_NO_FATAL_FAILURE(ExpectSamePick(table, shadow, &by_table, &by_vector, &rng,
+                                                   step, &ties, &busy_picks));
+            ++placements;
+          }
+        }
+        ExpectSlotsMatchShadow(table, shadow);
+      }
+    }
+  }
+  EXPECT_EQ(placements, 3u * 3u * 3u * 5u * kStepsPerTarget);
+  EXPECT_GT(ties, placements / 2) << "equal loads should be common";
+  // The busy regime (and the fine one at early clocks) leaves the table
+  // form's zero-load exit unused on many picks, so it has to compare
+  // non-zero loads across the whole table.
+  EXPECT_GT(busy_picks, placements / 5) << "non-zero least loads should be common";
 }
 
 ScenarioSpec SmallSpec(int64_t m) {

@@ -250,6 +250,49 @@ TEST(ServeStatsTest, PerTenantSummaries) {
   EXPECT_EQ(stats.Tenants(), (std::vector<std::string>{"a", "b"}));
 }
 
+TEST(ServeStatsTest, AppendEqualsRecordingEachRecord) {
+  // Two replicas' stats merged in order, as the fleet report builds them.
+  std::vector<std::vector<RequestRecord>> parts = {
+      {{0, "a", 0.0, 10.0, 30.0, true, 1}, {1, "b", 2.0, 40.0, 45.0, false, 2},
+       {2, "a", 5.0, 30.0, 50.0, false, 1}},
+      {{3, "b", 1.0, 3.0, 9.0, true, 1}, {4, "c", 0.5, 7.0, 70.0, true, 3},
+       {5, "a", 6.0, 6.5, 90.0, true, 1}},
+  };
+  parts[1][0].retries = 2;
+  parts[1][1].degraded = true;
+  ServeStats appended;
+  ServeStats recorded;
+  for (const auto& part : parts) {
+    ServeStats replica;
+    for (const RequestRecord& record : part) {
+      replica.Record(record);
+      recorded.Record(record);
+    }
+    appended.Append(replica);
+  }
+  ASSERT_EQ(appended.count(), recorded.count());
+  for (size_t i = 0; i < recorded.count(); ++i) {
+    EXPECT_EQ(appended.records()[i].id, recorded.records()[i].id);
+    EXPECT_EQ(appended.records()[i].tenant_id, recorded.records()[i].tenant_id);
+  }
+  EXPECT_EQ(appended.Tenants(), recorded.Tenants());
+  for (const std::string& tenant : recorded.Tenants()) {
+    const TenantSummary a = appended.Summarize(tenant);
+    const TenantSummary r = recorded.Summarize(tenant);
+    EXPECT_EQ(a.requests, r.requests);
+    EXPECT_EQ(a.mean_queue_us, r.mean_queue_us);
+    EXPECT_EQ(a.mean_exec_us, r.mean_exec_us);
+    EXPECT_EQ(a.latency.p50, r.latency.p50);
+    EXPECT_EQ(a.latency.p99, r.latency.p99);
+    EXPECT_EQ(a.cache_hit_rate, r.cache_hit_rate);
+    EXPECT_EQ(a.mean_batch_size, r.mean_batch_size);
+  }
+  EXPECT_EQ(appended.retried_requests(), 1u);
+  EXPECT_EQ(appended.total_retries(), 2u);
+  EXPECT_EQ(appended.degraded_requests(), 1u);
+  EXPECT_EQ(appended.CacheHitRate(), recorded.CacheHitRate());
+}
+
 // --- ServeLoop --------------------------------------------------------------
 
 ScenarioSpec SmallSpec(int64_t m) {
