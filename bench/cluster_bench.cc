@@ -163,7 +163,7 @@ std::vector<ServeRequest> MakeSchedTrace(bool smoke) {
 
 FleetReport RunSchedFleet(const ClusterSpec& hardware,
                           const std::vector<ServeRequest>& trace, bool sched_on,
-                          int tune_threads, bool legacy_heap, ObsPlane* obs = nullptr) {
+                          int tune_threads, ObsPlane* obs = nullptr) {
   ClusterConfig config;
   config.replicas = 1;
   config.sched.enabled = sched_on;
@@ -174,7 +174,6 @@ FleetReport RunSchedFleet(const ClusterSpec& hardware,
   if (tune_threads > 0) {
     config.serve.tune_threads = tune_threads;
   }
-  config.serve.legacy_event_heap = legacy_heap;
   config.serve.obs = obs;
   ServingCluster fleet(hardware, config, {}, EngineOptions{.jitter = false});
   return fleet.Run(trace);
@@ -248,7 +247,7 @@ PrespawnSetup MakePrespawnTrace(const ClusterSpec& hardware, bool smoke) {
 
 FleetReport RunPrespawnFleet(const ClusterSpec& hardware, const PrespawnSetup& setup,
                              bool predictive, double headroom, int tune_threads,
-                             bool legacy_heap, ObsPlane* obs = nullptr) {
+                             ObsPlane* obs = nullptr) {
   ClusterConfig config;
   config.replicas = 1;
   config.autoscale.enabled = true;
@@ -280,7 +279,6 @@ FleetReport RunPrespawnFleet(const ClusterSpec& hardware, const PrespawnSetup& s
   if (tune_threads > 0) {
     config.serve.tune_threads = tune_threads;
   }
-  config.serve.legacy_event_heap = legacy_heap;
   config.serve.obs = obs;
   ServingCluster fleet(hardware, config, {}, EngineOptions{.jitter = false});
   return fleet.Run(setup.trace);
@@ -519,8 +517,8 @@ bool Run(const BenchArgs& args) {
   if (args.sched) {
     const std::vector<ServeRequest> sched_trace = MakeSchedTrace(smoke);
     sched_trace_size = sched_trace.size();
-    sched_fifo = RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/false, 0, false);
-    sched_fair = RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/true, 0, false);
+    sched_fifo = RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/false, 0);
+    sched_fair = RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/true, 0);
     total_events += sched_fifo.events + sched_fair.events;
     sched_victim_p99_fifo = sched_fifo.stats.Summarize("victim").latency.p99;
     sched_victim_p99_fair = sched_fair.stats.Summarize("victim").latency.p99;
@@ -541,12 +539,11 @@ bool Run(const BenchArgs& args) {
       ServingCluster off_fleet(setup.hardware, off, {}, EngineOptions{.jitter = false});
       sched_off_identical = SameTimeline(sched_fifo, off_fleet.Run(sched_trace));
     }
-    // Sched-on timelines and counters must survive reruns, host tune
-    // threads, and the legacy event backend byte-for-byte.
-    for (const auto& [threads, legacy] :
-         std::vector<std::pair<int, bool>>{{0, false}, {8, false}, {0, true}}) {
+    // Sched-on timelines and counters must survive reruns and host tune
+    // threads byte-for-byte.
+    for (const int threads : {0, 8}) {
       const FleetReport variant =
-          RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/true, threads, legacy);
+          RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/true, threads);
       if (!SameTimeline(sched_fair, variant) ||
           !SameSchedOutcomes(sched_fair.sched, variant.sched)) {
         sched_deterministic = false;
@@ -557,7 +554,7 @@ bool Run(const BenchArgs& args) {
       obs_config.enabled = true;
       obs_config.checkpoint_interval_us = 100000.0;
       ObsPlane obs(obs_config);
-      RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/true, 0, false, &obs);
+      RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/true, 0, &obs);
       if (!obs.WriteTrace(args.trace)) {
         std::printf("FAILED to write Chrome trace to %s\n", args.trace.c_str());
         sched_complete = false;
@@ -581,9 +578,9 @@ bool Run(const BenchArgs& args) {
   if (args.prespawn) {
     const PrespawnSetup pre = MakePrespawnTrace(setup.hardware, smoke);
     prespawn_reactive =
-        RunPrespawnFleet(setup.hardware, pre, /*predictive=*/false, 1.0, 0, false);
+        RunPrespawnFleet(setup.hardware, pre, /*predictive=*/false, 1.0, 0);
     prespawn_predictive =
-        RunPrespawnFleet(setup.hardware, pre, /*predictive=*/true, 1.0, 0, false);
+        RunPrespawnFleet(setup.hardware, pre, /*predictive=*/true, 1.0, 0);
     total_events += prespawn_reactive.events + prespawn_predictive.events;
     prespawn_absorb_reactive_us = BurstAbsorbUs(prespawn_reactive, pre.burst_start_us);
     prespawn_absorb_us = BurstAbsorbUs(prespawn_predictive, pre.burst_start_us);
@@ -593,13 +590,12 @@ bool Run(const BenchArgs& args) {
     // bit-identical to the reactive run — off means off.
     prespawn_off_identical = SameTimeline(
         prespawn_reactive,
-        RunPrespawnFleet(setup.hardware, pre, /*predictive=*/false, 9.0, 0, false));
-    // Predictive-on timelines and the pre-spawn count must survive
-    // reruns, host tune threads, and the legacy event backend.
-    for (const auto& [threads, legacy] :
-         std::vector<std::pair<int, bool>>{{0, false}, {8, false}, {0, true}}) {
+        RunPrespawnFleet(setup.hardware, pre, /*predictive=*/false, 9.0, 0));
+    // Predictive-on timelines and the pre-spawn count must survive reruns
+    // and host tune threads.
+    for (const int threads : {0, 8}) {
       const FleetReport variant =
-          RunPrespawnFleet(setup.hardware, pre, /*predictive=*/true, 1.0, threads, legacy);
+          RunPrespawnFleet(setup.hardware, pre, /*predictive=*/true, 1.0, threads);
       if (!SameTimeline(prespawn_predictive, variant) ||
           variant.prespawns != prespawn_predictive.prespawns ||
           variant.spawns != prespawn_predictive.spawns ||
@@ -616,7 +612,7 @@ bool Run(const BenchArgs& args) {
       obs_config.enabled = true;
       obs_config.checkpoint_interval_us = pre.check_interval_us;
       ObsPlane obs(obs_config);
-      RunPrespawnFleet(setup.hardware, pre, /*predictive=*/true, 1.0, 0, false, &obs);
+      RunPrespawnFleet(setup.hardware, pre, /*predictive=*/true, 1.0, 0, &obs);
       if (!obs.WriteTrace(prespawn_trace_path)) {
         std::printf("FAILED to write Chrome trace to %s\n", prespawn_trace_path.c_str());
         prespawn_complete = false;

@@ -1,9 +1,10 @@
-// Planner performance benchmark: branch-and-bound tuner search vs the
-// legacy enumerate-then-evaluate pipeline, plus cold/warm RunBatch sweeps
-// with and without the parallel cold-tuning pool.
+// Planner performance benchmark: branch-and-bound tuner search vs a
+// bench-local enumerate-then-evaluate baseline (EnumeratePruned, then
+// PredictOverlapLatency per candidate), plus cold/warm RunBatch sweeps with
+// and without the parallel cold-tuning pool.
 //
 // Shapes are chosen to land at 30+ effective waves on the 8x A800 cluster —
-// the regime where the legacy path materializes the full 65536-candidate
+// the regime where the baseline materializes the full 65536-candidate
 // pruned space per search. The binary overrides global operator new to
 // count heap allocations, demonstrating that the steady-state B&B search
 // loop allocates nothing per candidate.
@@ -60,26 +61,28 @@ double SecondsSince(Clock::time_point start) {
 struct SearchStats {
   double seconds = 0.0;
   size_t searches = 0;
-  size_t work_units = 0;  // candidates (legacy) or B&B nodes
+  size_t work_units = 0;  // candidates (enumeration) or B&B nodes
   size_t allocations = 0;
   int min_waves = 0;
 };
 
-// Times cold Tuner::Search calls: a fresh tuner per repetition so every
-// search misses every cache. The first (untimed) round warms the searcher
-// workspace and the malloc arena so the timed rounds measure steady state.
-SearchStats TimeColdSearches(const ClusterSpec& cluster, const TunerConfig& config,
-                             const std::vector<GemmShape>& shapes, int repetitions) {
+// Times cold searches: a fresh tuner per repetition so every search misses
+// every cache. The first (untimed) round warms the searcher workspace and
+// the malloc arena so the timed rounds measure steady state. `search`
+// runs one search and returns its work units and effective wave count.
+template <typename SearchFn>
+SearchStats TimeColdSearches(const ClusterSpec& cluster, const std::vector<GemmShape>& shapes,
+                             int repetitions, SearchFn search) {
   SearchStats stats;
   stats.min_waves = 1 << 30;
   {
-    Tuner warmup(cluster, config);
+    Tuner warmup(cluster);
     for (const GemmShape& shape : shapes) {
-      warmup.Tune(shape, CommPrimitive::kAllReduce);
+      search(warmup, shape);
     }
   }
   for (int rep = 0; rep < repetitions; ++rep) {
-    Tuner tuner(cluster, config);
+    Tuner tuner(cluster);
     // Pre-resolve the offline artifacts (GEMM configs, latency curve):
     // they are deployment-time work, not part of the per-size search.
     for (const GemmShape& shape : shapes) {
@@ -89,17 +92,36 @@ SearchStats TimeColdSearches(const ClusterSpec& cluster, const TunerConfig& conf
     const size_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
     const Clock::time_point start = Clock::now();
     for (const GemmShape& shape : shapes) {
-      const TunedPlan& plan = tuner.Tune(shape, CommPrimitive::kAllReduce);
-      stats.work_units += config.use_legacy_enumeration
-                              ? static_cast<size_t>(plan.candidates_evaluated)
-                              : plan.search_nodes;
-      stats.min_waves = std::min(stats.min_waves, plan.effective_waves);
+      const auto [work_units, waves] = search(tuner, shape);
+      stats.work_units += work_units;
+      stats.min_waves = std::min(stats.min_waves, waves);
     }
     stats.seconds += SecondsSince(start);
     stats.allocations += g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
     stats.searches += shapes.size();
   }
   return stats;
+}
+
+// The tuner's branch-and-bound search, through the cached Tune entry point.
+std::pair<size_t, int> BranchAndBoundSearch(Tuner& tuner, const GemmShape& shape) {
+  const TunedPlan& plan = tuner.Tune(shape, CommPrimitive::kAllReduce);
+  return {plan.search_nodes, plan.effective_waves};
+}
+
+// The enumerate-then-evaluate pipeline the branch-and-bound replaced:
+// materialize the pruned space (capped at 65536 candidates) and score every
+// candidate with PredictOverlapLatency's heap-allocating group sweep.
+std::pair<size_t, int> EnumerateThenEvaluate(Tuner& tuner, const GemmShape& shape) {
+  const PredictorSetup setup = tuner.MakeSetup(shape, CommPrimitive::kAllReduce);
+  const int waves = setup.EffectiveWaveCount();
+  const std::vector<WavePartition> candidates =
+      EnumeratePruned(waves, tuner.config().s1, tuner.config().sp);
+  double best_us = std::numeric_limits<double>::infinity();
+  for (const WavePartition& candidate : candidates) {
+    best_us = std::min(best_us, PredictOverlapLatency(setup, candidate).latency_us);
+  }
+  return {candidates.size(), waves};
 }
 
 // --- Multi-rank (imbalanced All-to-All) section -----------------------------
@@ -115,7 +137,7 @@ struct MultiRankStats {
   int base_waves = 0;
 };
 
-// The pre-fusion joint search, mirroring the legacy imbalanced path's
+// The pre-fusion joint search, mirroring the forced imbalanced path's
 // coarsening: enumerate the bounded candidate space at the lightest rank's
 // resolution (so every candidate restates onto every rank), then score
 // each candidate with one full rendezvous replay.
@@ -214,41 +236,40 @@ double TimeRunBatch(OverlapEngine* engine, const std::vector<ScenarioSpec>& spec
 bool Run(bool smoke, const std::string& history_path) {
   const ClusterSpec cluster = MakeA800Cluster(8);
   // 30+ effective waves each (256x128 tiles, width = 104 usable SMs): the
-  // regime where the legacy pipeline enumerates its full candidate cap per
-  // search. The gate below verifies the wave count at runtime.
+  // regime where enumeration reaches its full candidate cap per search.
+  // The gate below verifies the wave count at runtime.
   const std::vector<GemmShape> shapes = {
       {12544, 8192, 8192}, {13056, 8192, 8192}, {13568, 8192, 8192}, {14080, 8192, 8192}};
   const int repetitions = smoke ? 1 : 5;
 
-  TunerConfig legacy_config;
-  legacy_config.use_legacy_enumeration = true;
   const TunerConfig bnb_config;
 
   std::printf("Cold Tuner::Search, %zu shapes x %d repetitions, 8x A800 AllReduce\n",
               shapes.size(), repetitions);
-  const SearchStats legacy = TimeColdSearches(cluster, legacy_config, shapes, repetitions);
-  const SearchStats bnb = TimeColdSearches(cluster, bnb_config, shapes, repetitions);
+  const SearchStats baseline =
+      TimeColdSearches(cluster, shapes, repetitions, EnumerateThenEvaluate);
+  const SearchStats bnb = TimeColdSearches(cluster, shapes, repetitions, BranchAndBoundSearch);
 
-  const double legacy_per_search_us = legacy.seconds * 1e6 / legacy.searches;
+  const double baseline_per_search_us = baseline.seconds * 1e6 / baseline.searches;
   const double bnb_per_search_us = bnb.seconds * 1e6 / bnb.searches;
-  const double speedup = legacy_per_search_us / bnb_per_search_us;
+  const double speedup = baseline_per_search_us / bnb_per_search_us;
   const double bnb_allocs_per_node =
       static_cast<double>(bnb.allocations) / static_cast<double>(bnb.work_units);
 
   Table table({"path", "us/search", "searches/s", "work-units/s", "allocs/search",
                "allocs/candidate"});
-  table.AddRow({"legacy enumerate", FormatDouble(legacy_per_search_us, 1),
-                FormatDouble(legacy.searches / legacy.seconds, 1),
-                FormatDouble(legacy.work_units / legacy.seconds, 0),
-                FormatDouble(static_cast<double>(legacy.allocations) / legacy.searches, 1),
-                FormatDouble(static_cast<double>(legacy.allocations) / legacy.work_units, 2)});
+  table.AddRow({"enumerate+evaluate", FormatDouble(baseline_per_search_us, 1),
+                FormatDouble(baseline.searches / baseline.seconds, 1),
+                FormatDouble(baseline.work_units / baseline.seconds, 0),
+                FormatDouble(static_cast<double>(baseline.allocations) / baseline.searches, 1),
+                FormatDouble(static_cast<double>(baseline.allocations) / baseline.work_units, 2)});
   table.AddRow({"branch-and-bound", FormatDouble(bnb_per_search_us, 1),
                 FormatDouble(bnb.searches / bnb.seconds, 1),
                 FormatDouble(bnb.work_units / bnb.seconds, 0),
                 FormatDouble(static_cast<double>(bnb.allocations) / bnb.searches, 1),
                 FormatDouble(bnb_allocs_per_node, 4)});
   std::printf("%sspeedup: %.1fx at >=%d effective waves\n\n", table.Render().c_str(), speedup,
-              std::min(legacy.min_waves, bnb.min_waves));
+              std::min(baseline.min_waves, bnb.min_waves));
 
   // Multi-rank: the fused imbalanced branch-and-bound vs the joint search
   // that scores the bounded candidate space with full rendezvous replays.
@@ -275,7 +296,7 @@ bool Run(bool smoke, const std::string& history_path) {
   std::printf(
       "%sreplay elimination: %zu -> 0 per search at %d base waves (%.1fx wall-clock); "
       "plan quality: fused %.1f us vs coarse-replay %.1f us\n"
-      "(the replay path scores the legacy coarse space at %.2f us/candidate; the fused "
+      "(the replay path scores the coarse space at %.2f us/candidate; the fused "
       "B&B walks the full fine-resolution bounded space at %.3f us/node)\n\n",
       mr_table.Render().c_str(), replay_replays_per_search, fused.base_waves, mr_speedup,
       fused.best_us, replay.best_us,
@@ -314,9 +335,9 @@ bool Run(bool smoke, const std::string& history_path) {
       "\"mr_replays_per_search\": %zu, \"mr_fused_replays\": 0, "
       "\"mr_fused_nodes_per_search\": %zu, \"mr_replay_best_us\": %.4f, "
       "\"mr_fused_best_us\": %.4f}",
-      smoke ? "true" : "false", std::min(legacy.min_waves, bnb.min_waves), legacy.searches,
-      legacy_per_search_us, legacy.work_units / legacy.seconds,
-      static_cast<double>(legacy.allocations) / legacy.work_units, bnb_per_search_us,
+      smoke ? "true" : "false", std::min(baseline.min_waves, bnb.min_waves), baseline.searches,
+      baseline_per_search_us, baseline.work_units / baseline.seconds,
+      static_cast<double>(baseline.allocations) / baseline.work_units, bnb_per_search_us,
       bnb.searches / bnb.seconds, bnb.work_units / bnb.seconds, bnb_allocs_per_node, speedup,
       cold_us, pooled_cold_us, warm_us, specs.size(), warm_searches,
       imbalanced_shapes.size(), fused.base_waves, replay_search_us, fused_search_us,
@@ -335,7 +356,7 @@ bool Run(bool smoke, const std::string& history_path) {
   }
 
   bool ok = true;
-  if (std::min(legacy.min_waves, bnb.min_waves) < 30) {
+  if (std::min(baseline.min_waves, bnb.min_waves) < 30) {
     std::printf("FAIL: benchmark shapes below 30 effective waves\n");
     ok = false;
   }

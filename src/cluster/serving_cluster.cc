@@ -57,8 +57,7 @@ ServingCluster::ServingCluster(ClusterSpec hardware, ClusterConfig config,
       keyer_tuner_(hardware, tuner_config),
       keyer_(&keyer_tuner_, &keyer_store_),
       catalog_(&keyer_),
-      router_(config.policy),
-      events_(config.serve.legacy_event_heap) {
+      router_(config.policy) {
   FLO_CHECK_GE(config_.replicas, 1);
   FLO_CHECK_GT(config_.default_cost_estimate_us, 0.0);
   if (config_.autoscale.enabled) {

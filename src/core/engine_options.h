@@ -31,10 +31,10 @@ struct EngineOptions {
   // between groups.
   bool persistent_comm_sms = true;
   // Host-side worker threads for cold-plan tuning: RunBatch pre-warms the
-  // tuner for every cold spec in parallel before executing. <= 1 keeps the
-  // legacy sequential behaviour. Never affects which plan is chosen (the
-  // tuner single-flights each key and searches deterministically), so it
-  // stays out of the plan-cache key like every other execution knob.
+  // tuner for every cold spec in parallel before executing; <= 1 tunes
+  // sequentially. Never affects which plan is chosen (the tuner
+  // single-flights each key and searches deterministically), so it stays
+  // out of the plan-cache key like every other execution knob.
   int tune_threads = 0;
 
   bool operator==(const EngineOptions&) const = default;

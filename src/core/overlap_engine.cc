@@ -172,31 +172,4 @@ void OverlapEngine::ExportMetrics(MetricsRegistry* registry) const {
   store_->ExportMetrics(registry);
 }
 
-// --- DEPRECATED shims ---
-
-OverlapRun OverlapEngine::RunOverlap(const GemmShape& shape, CommPrimitive primitive,
-                                     const WavePartition* forced_partition) {
-  return Execute(ScenarioSpec::Overlap(shape, primitive, forced_partition));
-}
-
-SimTime OverlapEngine::RunNonOverlap(const GemmShape& shape, CommPrimitive primitive) {
-  return Execute(ScenarioSpec::NonOverlap(shape, primitive)).total_us;
-}
-
-OverlapRun OverlapEngine::RunOverlapMisconfigured(const GemmShape& shape,
-                                                  CommPrimitive primitive, int extra_tiles) {
-  return Execute(ScenarioSpec::Misconfigured(shape, primitive, extra_tiles));
-}
-
-OverlapRun OverlapEngine::RunOverlapImbalanced(const std::vector<GemmShape>& shapes,
-                                               CommPrimitive primitive,
-                                               const WavePartition* forced_partition) {
-  return Execute(ScenarioSpec::Imbalanced(shapes, primitive, forced_partition));
-}
-
-SimTime OverlapEngine::RunNonOverlapImbalanced(const std::vector<GemmShape>& shapes,
-                                               CommPrimitive primitive) {
-  return Execute(ScenarioSpec::NonOverlapImbalanced(shapes, primitive)).total_us;
-}
-
 }  // namespace flo

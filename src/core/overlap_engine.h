@@ -7,10 +7,6 @@
 // replays the plan on the simulated cluster. RunBatch sweeps many specs
 // through one shared executor, reusing cached plans — a warm sweep
 // performs zero tuner searches.
-//
-// The legacy Run* entry points survive as one-line shims over
-// ScenarioSpec/Execute and are DEPRECATED: new call sites should build a
-// ScenarioSpec directly.
 #ifndef SRC_CORE_OVERLAP_ENGINE_H_
 #define SRC_CORE_OVERLAP_ENGINE_H_
 
@@ -106,22 +102,6 @@ class OverlapEngine {
   // store's totals into registry gauges — the checkpoint-poller body
   // serving layers register on an attached ObsPlane.
   void ExportMetrics(MetricsRegistry* registry) const;
-
-  // --- DEPRECATED shims over ScenarioSpec/Execute ---
-
-  // DEPRECATED: use Execute(ScenarioSpec::Overlap(...)).
-  OverlapRun RunOverlap(const GemmShape& shape, CommPrimitive primitive,
-                        const WavePartition* forced_partition = nullptr);
-  // DEPRECATED: use Execute(ScenarioSpec::NonOverlap(...)).total_us.
-  SimTime RunNonOverlap(const GemmShape& shape, CommPrimitive primitive);
-  // DEPRECATED: use Execute(ScenarioSpec::Misconfigured(...)).
-  OverlapRun RunOverlapMisconfigured(const GemmShape& shape, CommPrimitive primitive,
-                                     int extra_tiles);
-  // DEPRECATED: use Execute(ScenarioSpec::Imbalanced(...)).
-  OverlapRun RunOverlapImbalanced(const std::vector<GemmShape>& shapes, CommPrimitive primitive,
-                                  const WavePartition* forced_partition = nullptr);
-  // DEPRECATED: use Execute(ScenarioSpec::NonOverlapImbalanced(...)).total_us.
-  SimTime RunNonOverlapImbalanced(const std::vector<GemmShape>& shapes, CommPrimitive primitive);
 
  private:
   OverlapRun ExecuteInternal(const ScenarioSpec& spec, uint64_t key, bool memoize);

@@ -17,14 +17,6 @@ StableHash& MixDouble(StableHash& hash, double value) {
   return hash.Mix(std::bit_cast<uint64_t>(value));
 }
 
-// The legacy imbalanced reference rank: the heuristic path tunes on the
-// heaviest shape. Shared by BuildImbalancedLegacy and TuningRequest, so
-// pre-warmed searches always match the search the build will perform.
-const GemmShape& HeaviestRank(const std::vector<GemmShape>& shapes) {
-  return *std::max_element(shapes.begin(), shapes.end(),
-                           [](const GemmShape& a, const GemmShape& b) { return a.m < b.m; });
-}
-
 // See CanonicalKey: bumped when imbalanced plan construction changes.
 constexpr int kImbalancedPlanVersion = 2;
 
@@ -57,13 +49,13 @@ uint64_t OverlapPlanner::CanonicalKey(const ScenarioSpec& spec) const {
   MixDouble(hash, cluster.link.cliff_bytes);
   MixDouble(hash, cluster.link.call_overhead_us);
   const TunerConfig& config = tuner_->config();
-  hash.Mix(config.s1).Mix(config.sp).Mix(config.max_candidates);
+  // 65536: the retired candidate cap, still mixed so stored keys stay valid.
+  hash.Mix(config.s1).Mix(config.sp).Mix(65536);
   hash.Mix(config.exhaustive ? 1 : 0);
   hash.Mix(config.element_size);
-  // The search implementation and its budget can change which partition
-  // wins (the branch-and-bound space is a superset of the truncated legacy
-  // enumeration), so they are plan-relevant.
-  hash.Mix(config.use_legacy_enumeration ? 1 : 0);
+  // 0: the retired search-implementation flag, mixed for the same reason.
+  hash.Mix(0);
+  // The node budget can change which partition wins.
   hash.Mix(config.search_max_nodes);
   if (spec.imbalanced()) {
     // Imbalanced planning-algorithm version: bumped when imbalanced plan
@@ -86,12 +78,6 @@ std::optional<PretuneRequest> OverlapPlanner::TuningRequest(const ScenarioSpec& 
     // Balanced (and misconfigured-ablation) builds tune the broadcast
     // shape.
     return PretuneRequest{{spec.shapes[0]}, spec.primitive};
-  }
-  if (tuner_->config().use_legacy_enumeration) {
-    // The legacy heuristic tunes on the heaviest rank only. spec.shapes
-    // and the expanded RankShapes hold the same multiset, so the maximum
-    // agrees with BuildImbalancedLegacy's choice.
-    return PretuneRequest{{HeaviestRank(spec.shapes)}, spec.primitive};
   }
   // Joint search, keyed by the canonical rank-shape multiset — the same
   // ordering TuneImbalanced keys on (one shared home), so pre-warming one
@@ -243,10 +229,8 @@ ExecutionPlan OverlapPlanner::BuildBalancedOverlap(const ScenarioSpec& spec) {
 ExecutionPlan OverlapPlanner::BuildImbalancedOverlap(const ScenarioSpec& spec) {
   const int n = tuner_->cluster().gpu_count;
   const std::vector<GemmShape> shapes = spec.RankShapes(n);
-  if (spec.forced_partition.has_value() || tuner_->config().use_legacy_enumeration) {
-    // Forced partitions bypass every search; the legacy config keeps the
-    // tune-heaviest-then-rescale heuristic as the comparison baseline.
-    return BuildImbalancedLegacy(spec, shapes);
+  if (spec.forced_partition.has_value()) {
+    return BuildImbalancedForced(spec, shapes);
   }
   // Joint multi-rank search (fused branch-and-bound over per-rank latency
   // tables): the cached base composition already encodes the rendezvous
@@ -273,21 +257,21 @@ ExecutionPlan OverlapPlanner::BuildImbalancedOverlap(const ScenarioSpec& spec) {
   return plan;
 }
 
-ExecutionPlan OverlapPlanner::BuildImbalancedLegacy(const ScenarioSpec& spec,
+ExecutionPlan OverlapPlanner::BuildImbalancedForced(const ScenarioSpec& spec,
                                                     const std::vector<GemmShape>& shapes) {
   ExecutionPlan plan;
   plan.kind = ScenarioKind::kOverlap;
   plan.primitive = spec.primitive;
-  // Tune on the heaviest rank; every rank rescales to its own wave count.
-  const GemmShape& reference = HeaviestRank(shapes);
-  WavePartition base = spec.forced_partition.has_value()
-                           ? *spec.forced_partition
-                           : tuner_->Tune(reference, spec.primitive).partition;
+  // The heaviest rank is the reference: the forced base (e.g. the serving
+  // safety plan's SingleGroup(1)) is restated over its waves, as for
+  // balanced specs, and every rank scales its tiles from it.
+  const GemmShape& reference =
+      *std::max_element(shapes.begin(), shapes.end(),
+                        [](const GemmShape& a, const GemmShape& b) { return a.m < b.m; });
   PredictorSetup reference_setup = tuner_->MakeSetup(reference, spec.primitive);
   const int reference_waves = reference_setup.EffectiveWaveCount();
+  WavePartition base = *spec.forced_partition;
   if (base.TotalWaves() != reference_waves) {
-    // A forced base (e.g. the serving safety plan's SingleGroup(1)) is
-    // restated over the reference's waves, as for balanced specs.
     base = base.group_count() > reference_waves ? WavePartition::PerWave(reference_waves)
                                                 : ScalePartitionExact(base, reference_waves);
   }
@@ -301,31 +285,6 @@ ExecutionPlan OverlapPlanner::BuildImbalancedLegacy(const ScenarioSpec& spec,
   }
   if (base.group_count() > min_waves) {
     base = ScalePartitionExact(ScalePartition(base, min_waves), reference_waves);
-  }
-  if (!spec.forced_partition.has_value() && base.group_count() > 1) {
-    // Multi-rank gating (Sec. 4.2.2 extension): if the rendezvous-aware
-    // prediction says the imbalance eats the overlap gain, fall back to
-    // the single-group (sequential) plan.
-    std::vector<PredictorSetup> setups;
-    std::vector<WavePartition> partitions;
-    double predicted_non_overlap = 0.0;
-    bool scalable = true;
-    for (const auto& shape : shapes) {
-      PredictorSetup setup = tuner_->MakeSetup(shape, spec.primitive);
-      const int waves = setup.EffectiveWaveCount();
-      if (base.group_count() > waves) {
-        scalable = false;
-        break;
-      }
-      partitions.push_back(ScalePartitionExact(base, waves));
-      predicted_non_overlap = std::max(predicted_non_overlap, PredictNonOverlapLatency(setup));
-      setups.push_back(std::move(setup));
-    }
-    plan.predicted_non_overlap_us = predicted_non_overlap;
-    if (!scalable || PredictOverlapLatencyMultiRank(setups, partitions).latency_us >=
-                         predicted_non_overlap) {
-      base = WavePartition::SingleGroup(reference_waves);
-    }
   }
   // Per-rank group tile counts proportional to the reference rank's
   // grouping: every rank keeps the same group count (the collectives are

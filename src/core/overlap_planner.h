@@ -1,13 +1,13 @@
 // Turns a ScenarioSpec into an ExecutionPlan, memoized through a PlanStore.
 //
 // This is the planning layer of the ScenarioSpec -> OverlapPlanner ->
-// ScheduleExecutor pipeline: it owns every decision that the legacy Run*
-// methods made before touching the simulator — tuner search (or forced
-// partition), wave-count adjustment, misconfiguration tile shifting, and
-// the imbalanced multi-rank gating — and caches the result under a
-// canonical hash of (scenario, cluster, tuner config). Execution-only
-// knobs (jitter, polling, reserved SMs) are deliberately not part of the
-// key: one plan serves every EngineOptions mix.
+// ScheduleExecutor pipeline: it owns every decision made before the
+// replay — tuner search (or forced partition), wave-count adjustment,
+// misconfiguration tile shifting, and the joint multi-rank search for
+// imbalanced specs — and caches the result under a canonical hash of
+// (scenario, cluster, tuner config). Execution-only knobs (jitter,
+// polling, reserved SMs) are deliberately not part of the key: one plan
+// serves every EngineOptions mix.
 #ifndef SRC_CORE_OVERLAP_PLANNER_H_
 #define SRC_CORE_OVERLAP_PLANNER_H_
 
@@ -88,10 +88,9 @@ class OverlapPlanner {
   ExecutionPlan BuildNonOverlap(const ScenarioSpec& spec);
   ExecutionPlan BuildBalancedOverlap(const ScenarioSpec& spec);
   ExecutionPlan BuildImbalancedOverlap(const ScenarioSpec& spec);
-  // The pre-joint-search heuristic (tune the heaviest rank, rescale,
-  // gate with one rendezvous replay) — the baseline behind
-  // TunerConfig::use_legacy_enumeration, also used for forced partitions.
-  ExecutionPlan BuildImbalancedLegacy(const ScenarioSpec& spec,
+  // A forced imbalanced partition: restated over the heaviest rank's
+  // waves, coarsened to the lightest rank's, tiles split by group fraction.
+  ExecutionPlan BuildImbalancedForced(const ScenarioSpec& spec,
                                       const std::vector<GemmShape>& shapes);
   // Fills plan->segments from group_tiles via the tuner's cost model.
   void FillCommSegments(ExecutionPlan* plan, const std::vector<GemmShape>& rank_shapes);

@@ -1,9 +1,8 @@
 // Fused branch-and-bound search over the wave-partition design space.
 //
-// The legacy tuner pipeline materializes up to 65536 candidate partitions
-// (std::set<std::vector<int>>), then evaluates each with heap-allocating
-// GroupTiles/Prediction vectors and a piecewise-linear curve lookup per
-// group. This module replaces that enumerate-then-evaluate split with a
+// Rather than materialize candidate partitions (EnumeratePruned) and score
+// each with PredictOverlapLatency — heap-allocating GroupTiles/Prediction
+// vectors and a piecewise-linear curve lookup per group — the search is a
 // single DFS over the partition tree that carries the predictor's
 // (t_p_acc, t_m_acc) recurrence incrementally: every node costs one
 // multiply, one add, one max and one latency-table read (no curve
@@ -63,7 +62,7 @@ struct PartitionSearchOptions {
   // Safety valve: give up refining (keeping the best found so far) after
   // this many group extensions, counting the optimum DP's and the DFS's.
   // The single-group fallback and the equal-sized families are always
-  // scored first (they keep the bounded search a superset of the legacy
+  // scored first (they keep the bounded search a superset of the
   // EnumeratePruned candidate set), so even immediate exhaustion returns
   // a valid plan.
   size_t max_nodes = static_cast<size_t>(1) << 24;

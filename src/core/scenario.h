@@ -1,5 +1,5 @@
-// Declarative scenario description: everything the legacy Run* entry
-// points encoded positionally, as one value type.
+// Declarative scenario description: everything one engine run needs, as
+// one value type.
 //
 // A ScenarioSpec says *what* to execute — per-rank GEMM shapes, the
 // communication primitive, the misconfiguration ablation's extra tiles, an
@@ -64,7 +64,7 @@ struct ScenarioSpec {
 
   std::string Describe() const;
 
-  // --- Builders mirroring the legacy entry points ---
+  // --- Builders, one per scenario family ---
   static ScenarioSpec Overlap(const GemmShape& shape, CommPrimitive primitive,
                               const WavePartition* forced_partition = nullptr);
   static ScenarioSpec NonOverlap(const GemmShape& shape, CommPrimitive primitive);

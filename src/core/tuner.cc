@@ -250,8 +250,7 @@ TunedPlan Tuner::Search(const GemmShape& shape, CommPrimitive primitive) {
   search_count_.fetch_add(1, std::memory_order_relaxed);
   const PredictorSetup setup = MakeSetup(shape, primitive);
   const int waves = setup.EffectiveWaveCount();
-  TunedPlan plan = config_.use_legacy_enumeration ? SearchLegacy(setup, waves)
-                                                  : SearchBranchAndBound(setup, waves);
+  TunedPlan plan = SearchBranchAndBound(setup, waves);
   FLO_LOG(kDebug) << "tuned " << shape.ToString() << " + " << CommPrimitiveName(primitive)
                   << ": partition " << plan.partition.ToString() << ", predicted "
                   << plan.predicted_us << " us over " << plan.candidates_evaluated
@@ -264,8 +263,8 @@ TunedPlan Tuner::SearchBranchAndBound(const PredictorSetup& setup, int waves) co
   PartitionSearchOptions options;
   options.s1 = config_.s1;
   options.sp = config_.sp;
-  // The exhaustive config searches the full 2^(T-1) space for modest T,
-  // exactly like the legacy EnumerateAllPartitions baseline.
+  // The exhaustive config searches the full 2^(T-1) space for modest T
+  // (the space EnumerateAllPartitions lists).
   options.bounded = !(config_.exhaustive && waves <= 20);
   options.max_nodes = static_cast<size_t>(config_.search_max_nodes);
   // One workspace per thread: the pool's parallel cold searches each reuse
@@ -285,32 +284,6 @@ TunedPlan Tuner::SearchBranchAndBound(const PredictorSetup& setup, int waves) co
   plan.candidates_evaluated = static_cast<int>(
       std::min<size_t>(result.candidates_evaluated, std::numeric_limits<int>::max()));
   plan.search_nodes = result.nodes_visited;
-  return plan;
-}
-
-TunedPlan Tuner::SearchLegacy(const PredictorSetup& setup, int waves) const {
-  std::vector<WavePartition> candidates;
-  if (config_.exhaustive && waves <= 20) {
-    candidates = EnumerateAllPartitions(waves);
-  } else {
-    candidates = EnumeratePruned(waves, config_.s1, config_.sp, config_.max_candidates);
-  }
-  FLO_CHECK(!candidates.empty());
-
-  TunedPlan plan;
-  plan.gemm = setup.gemm;
-  plan.effective_waves = waves;
-  plan.predicted_non_overlap_us = PredictNonOverlapLatency(setup);
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& candidate : candidates) {
-    const Prediction prediction = PredictOverlapLatency(setup, candidate);
-    if (prediction.latency_us < best) {
-      best = prediction.latency_us;
-      plan.partition = candidate;
-      plan.predicted_us = prediction.latency_us;
-    }
-  }
-  plan.candidates_evaluated = static_cast<int>(candidates.size());
   return plan;
 }
 

@@ -3,14 +3,11 @@
 // Offline (once per deployment): derive GEMM configurations, sample the
 // communication latency curve, determine the collective's SM footprint.
 // Online (once per new GEMM size): search the wave-group design space for
-// the candidate with the lowest predicted latency. The default search is
-// the fused branch-and-bound walk of src/core/partition_search.h over a
-// precomputed per-group-wave-count latency table; the legacy
-// enumerate-then-evaluate pipeline survives behind
-// TunerConfig::use_legacy_enumeration as the accuracy/performance baseline.
-// Results are cached; unseen sizes can be served by nearest-neighbour
-// matching so dynamic workloads (LLM inference) never pay search latency
-// in-band.
+// the candidate with the lowest predicted latency. The search is the fused
+// branch-and-bound walk of src/core/partition_search.h over a precomputed
+// per-group-wave-count latency table. Results are cached; unseen sizes can
+// be served by nearest-neighbour matching so dynamic workloads (LLM
+// inference) never pay search latency in-band.
 //
 // Concurrency: every public method is thread-safe. Cache lookups take a
 // short critical section; a cache-missing Tune releases the lock for the
@@ -48,15 +45,10 @@ struct TunerConfig {
   // Pruning bounds on the first/last group sizes (paper uses S1=2, SP=4).
   int s1 = 2;
   int sp = 4;
-  int max_candidates = 65536;
   // If true, search the full 2^(T-1) space (the accuracy baseline of
   // Sec. 6.5); only viable for modest T.
   bool exhaustive = false;
   int element_size = 2;
-  // Use the pre-branch-and-bound enumerate-then-evaluate pipeline
-  // (EnumeratePruned/EnumerateAllPartitions + per-candidate prediction).
-  // Kept as the differential-testing and benchmarking baseline.
-  bool use_legacy_enumeration = false;
   // Node budget for the branch-and-bound search (group extensions); on
   // exhaustion the best plan found so far is returned.
   int search_max_nodes = 1 << 24;
@@ -69,7 +61,7 @@ struct TunedPlan {
   GemmConfig gemm;
   int effective_waves = 0;
   int candidates_evaluated = 0;
-  // Branch-and-bound group extensions examined (0 for the legacy path).
+  // Branch-and-bound group extensions examined.
   size_t search_nodes = 0;
 };
 
@@ -184,7 +176,6 @@ class Tuner {
   };
 
   TunedPlan Search(const GemmShape& shape, CommPrimitive primitive);
-  TunedPlan SearchLegacy(const PredictorSetup& setup, int waves) const;
   TunedPlan SearchBranchAndBound(const PredictorSetup& setup, int waves) const;
   // The fused multi-rank search over the deduplicated shape set (the
   // rendezvous max is unchanged by duplicate ranks).

@@ -28,7 +28,7 @@ ServeReport ServeLoop::Run(RequestCursor* cursor) {
   // One session over a private event loop: the single-replica special
   // case of the state machine (src/cluster drives many sessions on one
   // shared loop).
-  EventLoop events(config_.legacy_event_heap);
+  EventLoop events;
   ObsPlane* obs = config_.obs;
   const bool observing = obs != nullptr && obs->enabled();
   if (observing) {

@@ -66,11 +66,6 @@ struct ServeConfig {
   // starting in the round. Never affects the simulated timeline: each
   // lane's charge is decided before the pool runs.
   int tune_threads = 0;
-  // Drive the run through the legacy std::function binary heap instead of
-  // the typed calendar queue. Timelines are bit-identical either way; the
-  // flag exists as the differential baseline sim_bench and the event-core
-  // tests pin the fast path against.
-  bool legacy_event_heap = false;
   // Memoize deterministic schedule replays per spec fingerprint
   // (OverlapEngine::ExecuteMemoized). Plan-store lookups, hit/miss stats,
   // and reports are unchanged; repeat specs skip the simulation itself.

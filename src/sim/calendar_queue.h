@@ -10,8 +10,8 @@
 // Ordering is exact, not approximate: the scan qualifies entries by their
 // integer virtual-bucket index (floor(time / width)), so two events with equal
 // timestamps always land in the same virtual bucket and are tie-broken by the
-// caller-supplied 64-bit order. This is what keeps the serving simulations
-// bit-identical to the legacy binary heap.
+// caller-supplied 64-bit order. Pops therefore come out in exact (time,
+// order) order, as from a binary heap on that pair.
 //
 // The queue itself is permissive about time order: a push earlier than the
 // scan origin simply rewinds the origin (a few extra empty days on the next

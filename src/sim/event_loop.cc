@@ -1,6 +1,5 @@
 #include "src/sim/event_loop.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/util/check.h"
@@ -12,7 +11,7 @@ namespace {
 constexpr uint32_t kCallHandler = 0;
 }  // namespace
 
-EventLoop::EventLoop(bool legacy_heap) : legacy_(legacy_heap) {
+EventLoop::EventLoop() {
   // Handler 0: run a pooled closure and recycle its slot.
   RegisterHandler([this](const EventRecord& record, SimTime) {
     std::function<void()> call = std::move(calls_[record.slot]);
@@ -20,34 +19,6 @@ EventLoop::EventLoop(bool legacy_heap) : legacy_(legacy_heap) {
     free_calls_.push_back(record.slot);
     call();
   });
-}
-
-void EventLoop::PushLegacy(SimTime time, uint64_t order, const EventRecord& record) {
-  // Faithful reproduction of the old cost model: one std::function per
-  // event, captures too big for the small-buffer optimization.
-  heap_.push_back(LegacyEntry{time, order, [this, record](SimTime now) {
-                                if (tap_ != nullptr) {
-                                  tap_(tap_ctx_, record, now);
-                                }
-                                const HandlerSlot& slot = handlers_[record.handler];
-                                slot.invoke(slot.ctx, record, now);
-                              }});
-  std::push_heap(heap_.begin(), heap_.end(), LegacyLater{});
-}
-
-bool EventLoop::RunOneLegacy(SimTime* now) {
-  if (heap_.empty()) {
-    return false;
-  }
-  std::pop_heap(heap_.begin(), heap_.end(), LegacyLater{});
-  LegacyEntry entry = std::move(heap_.back());
-  heap_.pop_back();
-  *now = entry.time;
-  floor_ = entry.time;
-  floor_armed_ = !heap_.empty();
-  ++dispatched_;
-  entry.thunk(entry.time);
-  return true;
 }
 
 void EventLoop::PushCall(SimTime time, std::function<void()> call) {

@@ -1,13 +1,10 @@
-// Serving-scale event loop: typed records over a calendar queue, with the
-// legacy std::function binary heap retained behind a flag as the
-// differential baseline.
+// Serving-scale event loop: typed records over a calendar queue.
 //
-// Ordering contract (identical in both backends): events fire in (time,
-// band, sequence) order, where band 0 holds arrivals and band 1 everything
-// else. Arrivals winning equal-time ties reproduces the legacy engine
-// exactly, which materialized every arrival closure up front (lowest
-// sequence numbers) before any internal event was scheduled. Within a band,
-// push order breaks ties — the FIFO stability determinism rests on.
+// Ordering contract: events fire in (time, band, sequence) order, where
+// band 0 holds arrivals and band 1 everything else. Arrivals win
+// equal-time ties, as if every arrival had been scheduled up front (lowest
+// sequence numbers) before any internal event. Within a band, push order
+// breaks ties — the FIFO stability determinism rests on.
 #ifndef SRC_SIM_EVENT_LOOP_H_
 #define SRC_SIM_EVENT_LOOP_H_
 
@@ -26,7 +23,7 @@ class EventLoop {
  public:
   using Handler = std::function<void(const EventRecord&, SimTime)>;
 
-  explicit EventLoop(bool legacy_heap = false);
+  EventLoop();
 
   // Registers a dispatch target and returns its id for EventRecord::handler.
   // Handlers are never unregistered: sessions register at construction and
@@ -57,12 +54,7 @@ class EventLoop {
     if (floor_armed_) {
       FLO_CHECK_GE(time, floor_) << "event scheduled in the past";
     }
-    const uint64_t order = NextOrder(record.type);
-    if (legacy_) {
-      PushLegacy(time, order, record);
-    } else {
-      calendar_.Push(time, order, record);
-    }
+    calendar_.Push(time, NextOrder(record.type), record);
   }
 
   // Convenience for cold paths (demos, one-off checkpoints): schedules a
@@ -85,9 +77,6 @@ class EventLoop {
   // Dispatches the earliest event. Returns false when the queue is empty,
   // otherwise stores the event time in *now.
   bool RunOne(SimTime* now) {
-    if (legacy_) {
-      return RunOneLegacy(now);
-    }
     if (calendar_.empty()) {
       return false;
     }
@@ -105,18 +94,10 @@ class EventLoop {
   }
 
   // Drains the queue; returns the time of the last dispatched event (0.0 if
-  // the queue was already empty). The calendar drain is specialized rather
-  // than looping over RunOne: it keeps `now` in a register and hoists the
-  // backend branch out of the million-iteration loop.
+  // the queue was already empty). Specialized rather than looping over
+  // RunOne: it keeps `now` in a register across the million-iteration loop.
   SimTime RunToCompletion() {
     SimTime last = 0.0;
-    if (legacy_) {
-      SimTime now = 0.0;
-      while (RunOneLegacy(&now)) {
-        last = now;
-      }
-      return last;
-    }
     while (!calendar_.empty()) {
       const CalendarEntry entry = calendar_.PopMin();
       floor_ = entry.time;
@@ -132,40 +113,17 @@ class EventLoop {
     return last;
   }
 
-  bool empty() const { return legacy_ ? heap_.empty() : calendar_.empty(); }
-  size_t size() const { return legacy_ ? heap_.size() : calendar_.size(); }
+  bool empty() const { return calendar_.empty(); }
+  size_t size() const { return calendar_.size(); }
 
   // Total events dispatched over the loop's lifetime.
   uint64_t dispatched() const { return dispatched_; }
-  bool legacy_heap() const { return legacy_; }
 
  private:
-  struct LegacyEntry {
-    SimTime time;
-    uint64_t order;
-    // Kept deliberately closure-shaped (captures record + loop pointer, so
-    // it heap-allocates like the old engine): this is the cost model the
-    // calendar backend is benchmarked against.
-    std::function<void(SimTime)> thunk;
-  };
-  struct LegacyLater {
-    bool operator()(const LegacyEntry& a, const LegacyEntry& b) const {
-      if (a.time != b.time) {
-        return a.time > b.time;
-      }
-      return a.order > b.order;
-    }
-  };
-
   uint64_t NextOrder(EventType type) {
     const uint64_t band = type == EventType::kArrival ? 0ull : 1ull;
     return (band << 63) | next_seq_++;
   }
-
-  // Out-of-line legacy-backend paths: deliberately closure-heavy (the old
-  // engine's cost model), kept off the inline fast path.
-  void PushLegacy(SimTime time, uint64_t order, const EventRecord& record);
-  bool RunOneLegacy(SimTime* now);
 
   // One registered dispatch target: a raw invoker over a boxed callable.
   struct HandlerSlot {
@@ -174,9 +132,7 @@ class EventLoop {
     std::shared_ptr<void> owner;  // keeps the boxed callable alive
   };
 
-  const bool legacy_;
   CalendarQueue calendar_;
-  std::vector<LegacyEntry> heap_;
   std::vector<HandlerSlot> handlers_;
   std::vector<std::function<void()>> calls_;  // PushCall slot pool
   std::vector<uint32_t> free_calls_;

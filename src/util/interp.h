@@ -26,7 +26,7 @@ class Curve {
 
   // Monotone-query fast path: `*hint` caches the segment index of the last
   // hit so a caller walking x in increasing order (the tuner's latency
-  // table precompute, the legacy evaluator's group sweep) resolves most
+  // table precompute, PredictOverlapLatency's group sweep) resolves most
   // queries with one or two comparisons instead of a binary search. The
   // caller owns the cursor (initialize to 0); results are bit-identical to
   // Eval for any cursor value — a stale hint only costs the fallback

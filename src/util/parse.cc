@@ -1,5 +1,7 @@
 #include "src/util/parse.h"
 
+#include <cmath>
+
 namespace flo {
 
 std::optional<int> TryParseInt(const std::string& text) {
@@ -53,7 +55,7 @@ std::optional<double> TryParseDouble(const std::string& text) {
   try {
     size_t consumed = 0;
     const double value = std::stod(text, &consumed);
-    if (consumed != text.size()) {
+    if (consumed != text.size() || !std::isfinite(value)) {
       return std::nullopt;
     }
     return value;

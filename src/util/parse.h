@@ -13,6 +13,8 @@ namespace flo {
 
 std::optional<int> TryParseInt(const std::string& text);
 std::optional<int64_t> TryParseInt64(const std::string& text);
+// Finite values only: std::stod also reads "nan" and "inf", which no
+// serializer writes and no simulated time, latency or size can hold.
 std::optional<double> TryParseDouble(const std::string& text);
 
 // Bare hex digits only (1..16 of them): no sign, no "0x", no whitespace —

@@ -177,25 +177,5 @@ TEST(ScenarioOptionsTest, ReservedSmsOverrideShrinksWaveWidth) {
   EXPECT_GT(engine.Execute(seq_constrained).total_us, engine.Execute(seq).total_us);
 }
 
-TEST(ScenarioOptionsTest, PersistentCommSmsParityWithLegacyApi) {
-  // persistent_comm_sms on/off must give identical results through the old
-  // and new APIs (fresh engines each, so no cross-path cache reuse).
-  const GemmShape shape{4096, 8192, 8192};
-  for (const bool persistent : {true, false}) {
-    EngineOptions options;
-    options.jitter = false;
-    options.persistent_comm_sms = persistent;
-    OverlapEngine legacy(Make4090Cluster(4), {}, options);
-    OverlapEngine fresh(Make4090Cluster(4), {}, options);
-    const OverlapRun old_run = legacy.RunOverlap(shape, CommPrimitive::kAllReduce);
-    const OverlapRun new_run =
-        fresh.Execute(ScenarioSpec::Overlap(shape, CommPrimitive::kAllReduce));
-    EXPECT_DOUBLE_EQ(new_run.total_us, old_run.total_us)
-        << "persistent_comm_sms=" << persistent;
-    EXPECT_DOUBLE_EQ(new_run.gemm_end_us, old_run.gemm_end_us)
-        << "persistent_comm_sms=" << persistent;
-  }
-}
-
 }  // namespace
 }  // namespace flo

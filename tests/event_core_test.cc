@@ -1,13 +1,14 @@
-// The discrete-event core and streaming ingestion, pinned against the
-// legacy implementations: FIFO stability, calendar-vs-heap agreement on
-// randomized schedules, streaming-vs-materialized serving equivalence,
-// and cross-backend bit identity of serve and fleet reports.
+// The discrete-event core and streaming ingestion: FIFO stability,
+// agreement with a reference binary heap on randomized schedules,
+// streaming-vs-materialized serving equivalence, and bit identity of serve
+// and fleet reports across reruns and run memoization.
 #include <cmath>
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -30,86 +31,77 @@ namespace {
 
 // --- Event-loop ordering ---------------------------------------------------
 
-TEST(EventLoopTest, EqualTimestampsDispatchInPushOrderOnBothBackends) {
-  for (const bool legacy : {false, true}) {
-    EventLoop loop(legacy);
-    std::vector<uint64_t> order;
-    const uint32_t handler = loop.RegisterHandler(
-        [&order](const EventRecord& record, SimTime) { order.push_back(record.key); });
-    for (uint64_t i = 0; i < 100; ++i) {
-      EventRecord record;
-      record.handler = handler;
-      record.key = i;
-      loop.Push(42.0, record);
-    }
-    loop.RunToCompletion();
-    ASSERT_EQ(order.size(), 100u) << "legacy=" << legacy;
-    for (uint64_t i = 0; i < order.size(); ++i) {
-      EXPECT_EQ(order[i], i) << "legacy=" << legacy;
-    }
+TEST(EventLoopTest, EqualTimestampsDispatchInPushOrder) {
+  EventLoop loop;
+  std::vector<uint64_t> order;
+  const uint32_t handler = loop.RegisterHandler(
+      [&order](const EventRecord& record, SimTime) { order.push_back(record.key); });
+  for (uint64_t i = 0; i < 100; ++i) {
+    EventRecord record;
+    record.handler = handler;
+    record.key = i;
+    loop.Push(42.0, record);
+  }
+  loop.RunToCompletion();
+  ASSERT_EQ(order.size(), 100u);
+  for (uint64_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i);
   }
 }
 
 TEST(EventLoopTest, ArrivalsWinEqualTimeTiesAgainstInternalEvents) {
-  // The legacy engine materialized all arrivals first, giving them the
-  // lowest sequence numbers; the band scheme must reproduce that even
-  // when the arrival is pushed *after* the internal event.
-  for (const bool legacy : {false, true}) {
-    EventLoop loop(legacy);
-    std::vector<std::string> order;
-    const uint32_t internal = loop.RegisterHandler(
-        [&order](const EventRecord&, SimTime) { order.push_back("internal"); });
-    const uint32_t arrival = loop.RegisterHandler(
-        [&order](const EventRecord&, SimTime) { order.push_back("arrival"); });
-    EventRecord internal_record;
-    internal_record.type = EventType::kBatchFinished;
-    internal_record.handler = internal;
-    loop.Push(10.0, internal_record);
-    EventRecord arrival_record;
-    arrival_record.type = EventType::kArrival;
-    arrival_record.handler = arrival;
-    loop.Push(10.0, arrival_record);
-    loop.RunToCompletion();
-    ASSERT_EQ(order.size(), 2u);
-    EXPECT_EQ(order[0], "arrival") << "legacy=" << legacy;
-    EXPECT_EQ(order[1], "internal") << "legacy=" << legacy;
-  }
+  // Arrivals sit in the low band, so they dispatch as if they had been
+  // scheduled up front, even when pushed *after* the internal event.
+  EventLoop loop;
+  std::vector<std::string> order;
+  const uint32_t internal = loop.RegisterHandler(
+      [&order](const EventRecord&, SimTime) { order.push_back("internal"); });
+  const uint32_t arrival = loop.RegisterHandler(
+      [&order](const EventRecord&, SimTime) { order.push_back("arrival"); });
+  EventRecord internal_record;
+  internal_record.type = EventType::kBatchFinished;
+  internal_record.handler = internal;
+  loop.Push(10.0, internal_record);
+  EventRecord arrival_record;
+  arrival_record.type = EventType::kArrival;
+  arrival_record.handler = arrival;
+  loop.Push(10.0, arrival_record);
+  loop.RunToCompletion();
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[0], "arrival");
+  EXPECT_EQ(order[1], "internal");
 }
 
 TEST(EventLoopTest, OutOfOrderPushesBeforeFirstDispatchAreLegal) {
   // The cluster schedules its first autoscale checkpoint after the pump
   // staged a later-timed arrival; both must dispatch, earliest first.
-  for (const bool legacy : {false, true}) {
-    EventLoop loop(legacy);
-    std::vector<double> times;
-    const uint32_t handler = loop.RegisterHandler(
-        [&times](const EventRecord&, SimTime now) { times.push_back(now); });
-    EventRecord record;
-    record.handler = handler;
-    loop.Push(30000.0, record);
-    loop.Push(20000.0, record);  // earlier than an already queued event
-    loop.RunToCompletion();
-    ASSERT_EQ(times.size(), 2u);
-    EXPECT_EQ(times[0], 20000.0) << "legacy=" << legacy;
-    EXPECT_EQ(times[1], 30000.0) << "legacy=" << legacy;
-  }
+  EventLoop loop;
+  std::vector<double> times;
+  const uint32_t handler = loop.RegisterHandler(
+      [&times](const EventRecord&, SimTime now) { times.push_back(now); });
+  EventRecord record;
+  record.handler = handler;
+  loop.Push(30000.0, record);
+  loop.Push(20000.0, record);  // earlier than an already queued event
+  loop.RunToCompletion();
+  ASSERT_EQ(times.size(), 2u);
+  EXPECT_EQ(times[0], 20000.0);
+  EXPECT_EQ(times[1], 30000.0);
 }
 
 TEST(EventLoopTest, DrainedLoopAcceptsEarlierTimesForTheNextRun) {
-  for (const bool legacy : {false, true}) {
-    EventLoop loop(legacy);
-    int fired = 0;
-    const uint32_t handler =
-        loop.RegisterHandler([&fired](const EventRecord&, SimTime) { ++fired; });
-    EventRecord record;
-    record.handler = handler;
-    loop.Push(1e9, record);
-    loop.RunToCompletion();
-    loop.Push(1.0, record);  // a fresh run starts earlier than the last one ended
-    loop.RunToCompletion();
-    EXPECT_EQ(fired, 2) << "legacy=" << legacy;
-    EXPECT_EQ(loop.dispatched(), 2u) << "legacy=" << legacy;
-  }
+  EventLoop loop;
+  int fired = 0;
+  const uint32_t handler =
+      loop.RegisterHandler([&fired](const EventRecord&, SimTime) { ++fired; });
+  EventRecord record;
+  record.handler = handler;
+  loop.Push(1e9, record);
+  loop.RunToCompletion();
+  loop.Push(1.0, record);  // a fresh run starts earlier than the last one ended
+  loop.RunToCompletion();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(loop.dispatched(), 2u);
 }
 
 TEST(EventLoopTest, PushCallPoolsAndRecyclesClosureSlots) {
@@ -160,33 +152,92 @@ TEST(CalendarQueueTest, RandomizedPushPopMatchesSortedReference) {
   EXPECT_TRUE(queue.empty());
 }
 
+// The ordering contract EventLoop documents, with none of the calendar
+// machinery: a binary heap on (time, band << 63 | push sequence), arrivals
+// in band 0. The differential reference for randomized schedules.
+class ReferenceHeapLoop {
+ public:
+  using Handler = std::function<void(const EventRecord&, SimTime)>;
+
+  uint32_t RegisterHandler(Handler handler) {
+    handlers_.push_back(std::move(handler));
+    return static_cast<uint32_t>(handlers_.size() - 1);
+  }
+
+  void Push(SimTime time, const EventRecord& record) {
+    const uint64_t band = record.type == EventType::kArrival ? 0 : 1;
+    heap_.push_back(Entry{time, (band << 63) | next_seq_++, record});
+    std::push_heap(heap_.begin(), heap_.end(), Later);
+  }
+
+  bool RunOne(SimTime* now) {
+    if (heap_.empty()) {
+      return false;
+    }
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    const Entry entry = heap_.back();
+    heap_.pop_back();
+    *now = entry.time;
+    handlers_[entry.record.handler](entry.record, entry.time);
+    return true;
+  }
+
+  void RunToCompletion() {
+    SimTime now = 0.0;
+    while (RunOne(&now)) {
+    }
+  }
+
+  bool empty() const { return heap_.empty(); }
+
+ private:
+  struct Entry {
+    SimTime time;
+    uint64_t order;
+    EventRecord record;
+  };
+  static bool Later(const Entry& a, const Entry& b) {
+    return a.time != b.time ? a.time > b.time : a.order > b.order;
+  }
+
+  std::vector<Handler> handlers_;
+  std::vector<Entry> heap_;
+  uint64_t next_seq_ = 0;
+};
+
+// Drives one seeded schedule of interleaved pushes (30% arrivals, coarse
+// times so ties occur) and dispatches; returns the (time, key) sequence.
+template <typename Loop>
+std::vector<std::pair<double, uint64_t>> DispatchRandomSchedule(uint64_t seed) {
+  Rng rng(seed);
+  Loop loop;
+  std::vector<std::pair<double, uint64_t>> sequence;
+  const uint32_t handler =
+      loop.RegisterHandler([&sequence](const EventRecord& record, SimTime now) {
+        sequence.emplace_back(now, record.key);
+      });
+  double now = 0.0;
+  uint64_t key = 0;
+  for (int step = 0; step < 5000; ++step) {
+    if (loop.empty() || rng.NextDouble() < 0.6) {
+      EventRecord record;
+      record.type = rng.NextDouble() < 0.3 ? EventType::kArrival : EventType::kGeneric;
+      record.handler = handler;
+      record.key = key++;
+      loop.Push(now + std::floor(rng.NextDouble() * 20.0), record);
+    } else {
+      loop.RunOne(&now);
+    }
+  }
+  loop.RunToCompletion();
+  return sequence;
+}
+
 TEST(EventLoopTest, BackendsDispatchIdenticalRandomSchedules) {
   for (const uint64_t seed : {1ull, 7ull, 99ull}) {
-    std::vector<std::pair<double, uint64_t>> sequences[2];
-    for (const bool legacy : {false, true}) {
-      Rng rng(seed);
-      EventLoop loop(legacy);
-      auto& sequence = sequences[legacy ? 1 : 0];
-      const uint32_t handler =
-          loop.RegisterHandler([&sequence](const EventRecord& record, SimTime now) {
-            sequence.emplace_back(now, record.key);
-          });
-      double now = 0.0;
-      uint64_t key = 0;
-      for (int step = 0; step < 5000; ++step) {
-        if (loop.empty() || rng.NextDouble() < 0.6) {
-          EventRecord record;
-          record.type = rng.NextDouble() < 0.3 ? EventType::kArrival : EventType::kGeneric;
-          record.handler = handler;
-          record.key = key++;
-          loop.Push(now + std::floor(rng.NextDouble() * 20.0), record);
-        } else {
-          loop.RunOne(&now);
-        }
-      }
-      loop.RunToCompletion();
-    }
-    EXPECT_EQ(sequences[0], sequences[1]) << "seed " << seed;
+    const auto sequence = DispatchRandomSchedule<EventLoop>(seed);
+    EXPECT_GT(sequence.size(), 2500u);
+    EXPECT_EQ(sequence, DispatchRandomSchedule<ReferenceHeapLoop>(seed)) << "seed " << seed;
   }
 }
 
@@ -295,7 +346,7 @@ TEST(RequestCursorTest, MissingTraceFileSetsOkFalse) {
   EXPECT_FALSE(cursor.ok());
 }
 
-// --- Serving equivalence and cross-backend bit identity --------------------
+// --- Serving equivalence and rerun bit identity ----------------------------
 
 std::vector<ServeRequest> SmallTrace(int per_tenant) {
   const std::vector<ScenarioSpec> specs = SmallSpecs();
@@ -324,22 +375,19 @@ bool SameServeReport(const ServeReport& a, const ServeReport& b) {
   return true;
 }
 
-ServeReport RunServe(const std::vector<ServeRequest>& trace, bool legacy_heap,
-                     bool memoize) {
+ServeReport RunServe(const std::vector<ServeRequest>& trace, bool memoize) {
   OverlapEngine engine(Make4090Cluster(2), {}, EngineOptions{.jitter = false});
   ServeConfig config;
-  config.legacy_event_heap = legacy_heap;
   config.memoize_runs = memoize;
   ServeLoop loop(&engine, config);
   return loop.Run(trace);
 }
 
-TEST(EventCoreIdentityTest, ServeReportsBitIdenticalAcrossBackendsAndMemoization) {
+TEST(EventCoreIdentityTest, ServeReportsBitIdenticalAcrossRerunsAndMemoization) {
   const auto trace = SmallTrace(40);
-  const ServeReport baseline = RunServe(trace, /*legacy_heap=*/true, /*memoize=*/false);
-  EXPECT_TRUE(SameServeReport(baseline, RunServe(trace, false, false)));
-  EXPECT_TRUE(SameServeReport(baseline, RunServe(trace, false, true)));
-  EXPECT_TRUE(SameServeReport(baseline, RunServe(trace, true, true)));
+  const ServeReport baseline = RunServe(trace, /*memoize=*/false);
+  EXPECT_TRUE(SameServeReport(baseline, RunServe(trace, false)));
+  EXPECT_TRUE(SameServeReport(baseline, RunServe(trace, true)));
   EXPECT_GT(baseline.events, 0u);
 }
 
@@ -381,11 +429,10 @@ bool SameFleetReport(const FleetReport& a, const FleetReport& b) {
   return true;
 }
 
-FleetReport RunFleet(const std::vector<ServeRequest>& trace, bool legacy_heap,
-                     bool autoscale) {
+FleetReport RunFleet(const std::vector<ServeRequest>& trace, bool memoize, bool autoscale) {
   ClusterConfig config;
   config.replicas = 2;
-  config.serve.legacy_event_heap = legacy_heap;
+  config.serve.memoize_runs = memoize;
   if (autoscale) {
     config.autoscale.enabled = true;
     config.autoscale.min_replicas = 1;
@@ -397,18 +444,20 @@ FleetReport RunFleet(const std::vector<ServeRequest>& trace, bool legacy_heap,
   return fleet.Run(trace);
 }
 
-TEST(EventCoreIdentityTest, FleetReportsBitIdenticalAcrossBackends) {
+TEST(EventCoreIdentityTest, FleetReportsBitIdenticalAcrossRerunsAndMemoization) {
   const auto trace = SmallTrace(40);
-  const FleetReport baseline = RunFleet(trace, /*legacy_heap=*/true, /*autoscale=*/false);
+  const FleetReport baseline = RunFleet(trace, /*memoize=*/false, /*autoscale=*/false);
   EXPECT_TRUE(SameFleetReport(baseline, RunFleet(trace, false, false)));
+  EXPECT_TRUE(SameFleetReport(baseline, RunFleet(trace, true, false)));
   EXPECT_GT(baseline.events, 0u);
 }
 
-TEST(EventCoreIdentityTest, AutoscalingFleetBitIdenticalAcrossBackends) {
+TEST(EventCoreIdentityTest, AutoscalingFleetBitIdenticalAcrossRerunsAndMemoization) {
   const auto trace = SmallTrace(60);
-  const FleetReport with_heap = RunFleet(trace, /*legacy_heap=*/true, /*autoscale=*/true);
-  const FleetReport with_calendar = RunFleet(trace, false, true);
-  EXPECT_TRUE(SameFleetReport(with_heap, with_calendar));
+  const FleetReport baseline = RunFleet(trace, /*memoize=*/false, /*autoscale=*/true);
+  EXPECT_TRUE(SameFleetReport(baseline, RunFleet(trace, false, true)));
+  EXPECT_TRUE(SameFleetReport(baseline, RunFleet(trace, true, true)));
+  EXPECT_GT(baseline.spawns, 0u);
 }
 
 // --- Stats satellite -------------------------------------------------------

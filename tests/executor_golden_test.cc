@@ -5,11 +5,12 @@
 // fails. The grid covers every execution path of the executor: balanced
 // and imbalanced plans, misconfigured waves, jitter on and off, the
 // stepwise ring transport, signal polling, reserved SMs, transient
-// collective SMs and a single-group plan. Without jitter, balanced ranks
-// tie: a wave starts at the very instant the last rank's arrival takes a
-// transient collective's SMs, so the replay's event order shows in the
-// result. On a mismatch the test prints the case's actual values in the
-// same literal form.
+// collective SMs, a single-group plan and forced imbalanced partitions
+// (coarsened to the lightest rank's waves, or fitting). Without jitter,
+// balanced ranks tie: a wave starts at the very instant the last rank's
+// arrival takes a transient collective's SMs, so the replay's event order
+// shows in the result. On a mismatch the test prints the case's actual
+// values in the same literal form.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -136,6 +137,12 @@ const std::vector<GemmShape> kMixtralShapes{
 std::vector<GoldenCase> Cases() {
   const EngineOptions no_jitter{.jitter = false};
   const WavePartition single = WavePartition::SingleGroup(8);
+  // Forced imbalanced partitions skip every search. 24 groups exceed the
+  // lightest Mixtral rank's 20 waves, so the planner coarsens them; 4
+  // groups over 8 waves fit and are only restated over the heaviest rank's
+  // 40 waves before each rank's tiles are split by the group fractions.
+  const WavePartition coarsened = WavePartition::EqualSized(48, 2);
+  const WavePartition fitting{{1, 2, 3, 2}};
   return {
       {"allreduce_jitter", [] { return MakeA800Cluster(4); },
        ScenarioSpec::Overlap(kLlamaShape, CommPrimitive::kAllReduce),
@@ -532,6 +539,86 @@ std::vector<GoldenCase> Cases() {
          {"comm_g2", 0x1.888p+10, 0x1.2e079096bb98cp+13},
          {"signal_g3", 0x1.2e079096bb98cp+13, 0x1.2e08p+13},
          {"comm_g3", 0x1.2e08p+13, 0x1.4e8d9b3d07c84p+13}}}},
+      {"mixtral_forced_coarsened", [] { return MakeA800Cluster(4); },
+       ScenarioSpec::Imbalanced(kMixtralShapes, CommPrimitive::kAllToAll, &coarsened),
+       {0x1.1932dd8142742p+11, 0x1.9cc9e4cb3dd67p+10,
+        {{0x1.5d286c06d793cp+6, 0x1.5d286c06d793cp+6, 0x1.83c5388318a37p+7},
+         {0x1.83c5388318a37p+7, 0x1.83c5388318a37p+7, 0x1.3005a00e6c738p+8},
+         {0x1.3005a00e6c738p+8, 0x1.3005a00e6c738p+8, 0x1.9f2f012ccbf27p+8},
+         {0x1.9f2f012ccbf27p+8, 0x1.9f2f012ccbf27p+8, 0x1.056289ec3e882p+9},
+         {0x1.056289ec3e882p+9, 0x1.056289ec3e882p+9, 0x1.3b2a41c3e8d71p+9},
+         {0x1.3b2a41c3e8d71p+9, 0x1.3b2a41c3e8d71p+9, 0x1.71a57cf090ca7p+9},
+         {0x1.71a57cf090ca7p+9, 0x1.71a57cf090ca7p+9, 0x1.a6c6f2354d085p+9},
+         {0x1.a6c6f2354d085p+9, 0x1.a6c6f2354d085p+9, 0x1.de6a4eff10f71p+9},
+         {0x1.de6a4eff10f71p+9, 0x1.de6a4eff10f71p+9, 0x1.0a9ce256c36abp+10},
+         {0x1.0a9ce256c36abp+10, 0x1.0a9ce256c36abp+10, 0x1.2536cde4993fap+10},
+         {0x1.2536cde4993fap+10, 0x1.2536cde4993fap+10, 0x1.410287905f546p+10},
+         {0x1.410287905f546p+10, 0x1.410287905f546p+10, 0x1.5c0f9cb1c3f97p+10},
+         {0x1.5c0f9cb1c3f97p+10, 0x1.5c0f9cb1c3f97p+10, 0x1.77ae17a822e5dp+10},
+         {0x1.77ae17a822e5dp+10, 0x1.77ae17a822e5dp+10, 0x1.9261e461801d3p+10},
+         {0x1.9261e461801d3p+10, 0x1.9261e461801d3p+10, 0x1.adbe036bc25bcp+10},
+         {0x1.adbe036bc25bcp+10, 0x1.adbe036bc25bcp+10, 0x1.c9194c7ea344bp+10},
+         {0x1.c9194c7ea344bp+10, 0x1.c9194c7ea344bp+10, 0x1.e4e987e49c48dp+10},
+         {0x1.e4e987e49c48dp+10, 0x1.e4e987e49c48dp+10, 0x1.ffd07c98b7537p+10},
+         {0x1.ffd07c98b7537p+10, 0x1.ffd07c98b7537p+10, 0x1.0d4e7516584f7p+11},
+         {0x1.0d4e7516584f7p+11, 0x1.0d4e7516584f7p+11, 0x1.1932dd8142742p+11}},
+        {{"gemm", 0x0p+0, 0x1.9d1e659b253b9p+9}},
+        {{"signal_g0", 0x0p+0, 0x1.6f63c47dd6dc5p+5},
+         {"comm_g0", 0x1.6f63c47dd6dc5p+5, 0x1.83c5388318a37p+7},
+         {"signal_g1", 0x1.83c5388318a37p+7, 0x1.83c5388318a37p+7},
+         {"comm_g1", 0x1.83c5388318a37p+7, 0x1.3005a00e6c738p+8},
+         {"signal_g2", 0x1.3005a00e6c738p+8, 0x1.3005a00e6c738p+8},
+         {"comm_g2", 0x1.3005a00e6c738p+8, 0x1.9f2f012ccbf27p+8},
+         {"signal_g3", 0x1.9f2f012ccbf27p+8, 0x1.9f2f012ccbf27p+8},
+         {"comm_g3", 0x1.9f2f012ccbf27p+8, 0x1.056289ec3e882p+9},
+         {"signal_g4", 0x1.056289ec3e882p+9, 0x1.056289ec3e882p+9},
+         {"comm_g4", 0x1.056289ec3e882p+9, 0x1.3b2a41c3e8d71p+9},
+         {"signal_g5", 0x1.3b2a41c3e8d71p+9, 0x1.3b2a41c3e8d71p+9},
+         {"comm_g5", 0x1.3b2a41c3e8d71p+9, 0x1.71a57cf090ca7p+9},
+         {"signal_g6", 0x1.71a57cf090ca7p+9, 0x1.71a57cf090ca7p+9},
+         {"comm_g6", 0x1.71a57cf090ca7p+9, 0x1.a6c6f2354d085p+9},
+         {"signal_g7", 0x1.a6c6f2354d085p+9, 0x1.a6c6f2354d085p+9},
+         {"comm_g7", 0x1.a6c6f2354d085p+9, 0x1.de6a4eff10f71p+9},
+         {"signal_g8", 0x1.de6a4eff10f71p+9, 0x1.de6a4eff10f71p+9},
+         {"comm_g8", 0x1.de6a4eff10f71p+9, 0x1.0a9ce256c36abp+10},
+         {"signal_g9", 0x1.0a9ce256c36abp+10, 0x1.0a9ce256c36abp+10},
+         {"comm_g9", 0x1.0a9ce256c36abp+10, 0x1.2536cde4993fap+10},
+         {"signal_g10", 0x1.2536cde4993fap+10, 0x1.2536cde4993fap+10},
+         {"comm_g10", 0x1.2536cde4993fap+10, 0x1.410287905f546p+10},
+         {"signal_g11", 0x1.410287905f546p+10, 0x1.410287905f546p+10},
+         {"comm_g11", 0x1.410287905f546p+10, 0x1.5c0f9cb1c3f97p+10},
+         {"signal_g12", 0x1.5c0f9cb1c3f97p+10, 0x1.5c0f9cb1c3f97p+10},
+         {"comm_g12", 0x1.5c0f9cb1c3f97p+10, 0x1.77ae17a822e5dp+10},
+         {"signal_g13", 0x1.77ae17a822e5dp+10, 0x1.77ae17a822e5dp+10},
+         {"comm_g13", 0x1.77ae17a822e5dp+10, 0x1.9261e461801d3p+10},
+         {"signal_g14", 0x1.9261e461801d3p+10, 0x1.9261e461801d3p+10},
+         {"comm_g14", 0x1.9261e461801d3p+10, 0x1.adbe036bc25bcp+10},
+         {"signal_g15", 0x1.adbe036bc25bcp+10, 0x1.adbe036bc25bcp+10},
+         {"comm_g15", 0x1.adbe036bc25bcp+10, 0x1.c9194c7ea344bp+10},
+         {"signal_g16", 0x1.c9194c7ea344bp+10, 0x1.c9194c7ea344bp+10},
+         {"comm_g16", 0x1.c9194c7ea344bp+10, 0x1.e4e987e49c48dp+10},
+         {"signal_g17", 0x1.e4e987e49c48dp+10, 0x1.e4e987e49c48dp+10},
+         {"comm_g17", 0x1.e4e987e49c48dp+10, 0x1.ffd07c98b7537p+10},
+         {"signal_g18", 0x1.ffd07c98b7537p+10, 0x1.ffd07c98b7537p+10},
+         {"comm_g18", 0x1.ffd07c98b7537p+10, 0x1.0d4e7516584f7p+11},
+         {"signal_g19", 0x1.0d4e7516584f7p+11, 0x1.0d4e7516584f7p+11},
+         {"comm_g19", 0x1.0d4e7516584f7p+11, 0x1.1932dd8142742p+11}}}},
+      {"mixtral_forced_fitting", [] { return MakeA800Cluster(4); },
+       ScenarioSpec::Imbalanced(kMixtralShapes, CommPrimitive::kAllToAll, &fitting),
+       {0x1.f7d8c042c3684p+10, 0x1.9cd3f9e5ce729p+10,
+        {{0x1.a53eafa937b9cp+7, 0x1.a53eafa937b9cp+7, 0x1.8ef0fd5e0771ep+8},
+         {0x1.36da9f16a7084p+9, 0x1.36da9f16a7084p+9, 0x1.d89351d77159fp+9},
+         {0x1.35cd70d37ad92p+10, 0x1.35cd70d37ad92p+10, 0x1.a9e79bb5e9d16p+10},
+         {0x1.a9e79bb5e9d16p+10, 0x1.a9e79bb5e9d16p+10, 0x1.f7d8c042c3684p+10}},
+        {{"gemm", 0x0p+0, 0x1.9d43d842db454p+9}},
+        {{"signal_g0", 0x0p+0, 0x1.ffb4b9fedf059p+6},
+         {"comm_g0", 0x1.ffb4b9fedf059p+6, 0x1.8ef0fd5e0771ep+8},
+         {"signal_g1", 0x1.8ef0fd5e0771ep+8, 0x1.8ef0fd5e0771ep+8},
+         {"comm_g1", 0x1.8ef0fd5e0771ep+8, 0x1.d89351d77159fp+9},
+         {"signal_g2", 0x1.d89351d77159fp+9, 0x1.d89351d77159fp+9},
+         {"comm_g2", 0x1.d89351d77159fp+9, 0x1.a9e79bb5e9d16p+10},
+         {"signal_g3", 0x1.a9e79bb5e9d16p+10, 0x1.a9e79bb5e9d16p+10},
+         {"comm_g3", 0x1.a9e79bb5e9d16p+10, 0x1.f7d8c042c3684p+10}}}},
   };
 }
 

@@ -1,8 +1,7 @@
 // Fault-injection plane tests: schedule generation/round-trips, zero-fault
-// bit-identity, seeded-chaos determinism across thread counts and event
-// backends, and the per-kind recovery paths (crash requeue + re-warm,
-// straggler windows, tuner-fail retry/degrade, shipping-loss pull
-// recovery).
+// bit-identity, seeded-chaos determinism across reruns and thread counts,
+// and the per-kind recovery paths (crash requeue + re-warm, straggler
+// windows, tuner-fail retry/degrade, shipping-loss pull recovery).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -64,6 +63,13 @@ TEST(FaultScheduleTest, CsvRoundTripsAndRejectsMalformed) {
   EXPECT_FALSE(FaultSchedule::ParseCsv("1000,not_a_kind,0,500,1.0").has_value());
   EXPECT_FALSE(FaultSchedule::ParseCsv("oops,crash,0,500,1.0").has_value());
   EXPECT_FALSE(FaultSchedule::ParseCsv("1000,crash,0").has_value());
+  // Non-finite times or magnitudes reject the whole script, good lines
+  // included: a NaN time would otherwise reach the event loop.
+  const std::string good = "1000,crash,0,500,1.0\n";
+  EXPECT_FALSE(FaultSchedule::ParseCsv(good + "nan,crash,0,500,1.0").has_value());
+  EXPECT_FALSE(FaultSchedule::ParseCsv(good + "2000,slowdown,1,500,nan").has_value());
+  EXPECT_FALSE(FaultSchedule::ParseCsv("inf,crash,0,500,1.0").has_value());
+  ASSERT_TRUE(FaultSchedule::ParseCsv(good).has_value());
   // Comments and blank lines are fine; an empty text is an empty schedule.
   const auto empty = FaultSchedule::ParseCsv("# nothing here\n\n");
   ASSERT_TRUE(empty.has_value());
@@ -141,7 +147,7 @@ TEST(FaultInjectionTest, ZeroFaultConfigInjectsNothingAndStaysDeterministic) {
   ExpectSameRecords(report, again);
 }
 
-TEST(FaultInjectionTest, SeededChaosIsBitIdenticalAcrossThreadsAndBackends) {
+TEST(FaultInjectionTest, SeededChaosIsBitIdenticalAcrossRerunsAndThreads) {
   const auto trace = MixedTrace(4, 40);
   ClusterConfig config;
   config.replicas = 4;
@@ -159,12 +165,10 @@ TEST(FaultInjectionTest, SeededChaosIsBitIdenticalAcrossThreadsAndBackends) {
   EXPECT_GT(base.fault.injected_total(), 0u);
   ASSERT_EQ(base.stats.count(), trace.size());
 
-  // Rerun, more tuning threads, legacy event heap: all bit-identical.
+  // Rerun and more tuning threads: both bit-identical.
   ClusterConfig threads = config;
   threads.serve.tune_threads = 8;
-  ClusterConfig heap = config;
-  heap.serve.legacy_event_heap = true;
-  for (const ClusterConfig& variant : {config, threads, heap}) {
+  for (const ClusterConfig& variant : {config, threads}) {
     const FleetReport report = RunFleet(variant, trace);
     EXPECT_DOUBLE_EQ(report.makespan_us, base.makespan_us);
     EXPECT_EQ(report.total_searches, base.total_searches);

@@ -222,20 +222,24 @@ TEST(PartitionSearchTest, BudgetExhaustionKeepsASeededValidPlan) {
 
 TEST(PartitionSearchTest, BoundedSearchNeverLosesToLegacyPrunedEnumeration) {
   // The B&B's bounded space is a superset of the (possibly truncated)
-  // legacy candidate set, so its best prediction can only be equal or
-  // better — on every primitive and across shapes.
+  // EnumeratePruned candidate set, so its best prediction can only be
+  // equal or better than scoring every candidate — on every primitive and
+  // across shapes.
   for (const CommPrimitive primitive : kAllPrimitives) {
     for (int64_t m : {1024, 4096, 16384}) {
       const GemmShape shape{m, 8192, 8192};
-      TunerConfig legacy_config;
-      legacy_config.use_legacy_enumeration = true;
-      Tuner legacy(Make4090Cluster(4), legacy_config);
-      Tuner modern(Make4090Cluster(4));
-      const TunedPlan& legacy_plan = legacy.Tune(shape, primitive);
-      const TunedPlan& modern_plan = modern.Tune(shape, primitive);
-      EXPECT_LE(modern_plan.predicted_us, legacy_plan.predicted_us)
+      Tuner tuner(Make4090Cluster(4));
+      const PredictorSetup setup = tuner.MakeSetup(shape, primitive);
+      const TunerConfig& config = tuner.config();
+      double enumerated = std::numeric_limits<double>::infinity();
+      for (const WavePartition& candidate :
+           EnumeratePruned(setup.EffectiveWaveCount(), config.s1, config.sp)) {
+        enumerated = std::min(enumerated, PredictOverlapLatency(setup, candidate).latency_us);
+      }
+      const TunedPlan& plan = tuner.Tune(shape, primitive);
+      EXPECT_LE(plan.predicted_us, enumerated)
           << shape.ToString() << " " << CommPrimitiveName(primitive);
-      EXPECT_TRUE(modern_plan.partition.Valid(modern_plan.effective_waves));
+      EXPECT_TRUE(plan.partition.Valid(plan.effective_waves));
     }
   }
 }

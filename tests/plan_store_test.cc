@@ -289,6 +289,25 @@ TEST(PlanStoreRecordTest, SnapshotTruncatedAtRecordBoundaryRejectedWhole) {
   EXPECT_EQ(parsed->size(), 3u);
 }
 
+// A NaN segment latency would abort the replay that executes the plan, so
+// the record is rejected and an import leaves the live store as it was.
+TEST(PlanStoreParseTest, NonFiniteSegmentLatencyRejectedWhole) {
+  PlanStore source;
+  source.Put(0xff, MarkedPlan(1));
+  source.Put(0x100, MarkedPlan(2));
+  std::string bad = source.Serialize();
+  const size_t seg = bad.find("seg 0 1024 10\n");
+  ASSERT_NE(seg, std::string::npos);
+  bad.replace(seg, 13, "seg 0 1024 nan");
+  EXPECT_FALSE(PlanStore::Parse(bad).has_value());
+
+  PlanStore target;
+  target.Put(999, MarkedPlan(9));
+  const std::string before = target.Serialize();
+  EXPECT_EQ(target.ImportRecords(bad), 0u);
+  EXPECT_EQ(target.Serialize(), before);
+}
+
 TEST(PlanStoreLruTest, ConcurrentPublishAndEvictionChurn) {
   // Multi-replica churn: publisher threads ship records into a bounded
   // store (plan shipping's ImportRecords path) while reader threads take
@@ -424,6 +443,32 @@ TEST(PlanShipperSnapshotTest, TwoTierSnapshotRoundTripsThroughImport) {
   PlanShipper reject;
   EXPECT_EQ(reject.ImportSnapshot(corrupt), 0u);
   EXPECT_EQ(reject.published_size(), 0u);
+}
+
+TEST(PlanShipperSnapshotTest, NonFiniteTunerTierPredictionRejectedWhole) {
+  PlanShipper source_shipper;
+  PlanStore source;
+  const auto keyed = KeyedSamplePlans();
+  source.Put(keyed[0].first, MarkedPlan(1));
+  ASSERT_TRUE(source_shipper.Publish(keyed[0].first, source, &keyed[0].second));
+  std::string bad = source_shipper.SerializeSnapshot();
+  const size_t predicted = bad.find(" 1234.5 ");
+  ASSERT_NE(predicted, std::string::npos);
+  bad.replace(predicted, 8, " inf ");
+  EXPECT_FALSE(ParseTunerTier(bad).has_value());
+
+  // Neither tier is applied: the subscribed store keeps its bytes and the
+  // tuner its cache.
+  PlanShipper target;
+  auto store = std::make_shared<PlanStore>();
+  store->Put(999, MarkedPlan(9));
+  const std::string before = store->Serialize();
+  Tuner tuner(MakeA800Cluster(4));
+  target.Subscribe(0, store, &tuner);
+  EXPECT_EQ(target.ImportSnapshot(bad), 0u);
+  EXPECT_EQ(target.published_size(), 0u);
+  EXPECT_EQ(store->Serialize(), before);
+  EXPECT_EQ(tuner.cache_size(), 0u);
 }
 
 TEST(PlanShipperSnapshotTest, ImportMatchesPerStoreImportAndRejectsWhole) {

@@ -145,6 +145,23 @@ TEST(PlanCacheKeyTest, DistinctScenariosGetDistinctKeys) {
   EXPECT_EQ(planner.CanonicalKey(overlap), planner.CanonicalKey(polled));
 }
 
+// Stored and shipped plans are looked up by these bytes, so a refactor of
+// the planner or the tuner config must keep every key value.
+TEST(PlanCacheKeyTest, KeyValuesArePinned) {
+  OverlapEngine engine(MakeA800Cluster(4), {}, NoJitter());
+  const OverlapPlanner& planner = engine.planner();
+  const GemmShape shape{4096, 8192, 4096};
+  const std::vector<GemmShape> imbalanced{
+      GemmShape{2048, 4096, 7168}, GemmShape{3072, 4096, 7168},
+      GemmShape{4096, 4096, 7168}, GemmShape{5120, 4096, 7168}};
+  EXPECT_EQ(planner.CanonicalKey(ScenarioSpec::Overlap(shape, CommPrimitive::kAllReduce)),
+            0xe4160c9e7df982cfull);
+  EXPECT_EQ(planner.CanonicalKey(ScenarioSpec::NonOverlap(shape, CommPrimitive::kAllReduce)),
+            0xc0587a8b9f7b1d74ull);
+  EXPECT_EQ(planner.CanonicalKey(ScenarioSpec::Imbalanced(imbalanced, CommPrimitive::kAllToAll)),
+            0xe548cbac6ae1ae9bull);
+}
+
 TEST(PlanCacheKeyTest, ClusterIdentityIsPartOfTheKey) {
   OverlapEngine a800(MakeA800Cluster(4), {}, NoJitter());
   OverlapEngine rtx(Make4090Cluster(4), {}, NoJitter());

@@ -1,8 +1,8 @@
 // Fleet-scheduler tests: fair-share priority math, backfill safety (the
 // head job is never delayed), fair-share convergence under an adversarial
 // tenant, preemptive requeue completeness, scheduler-off bit-identity
-// with the pre-sched dispatch, and sched-on bit-identity across host
-// thread counts and event-loop backends.
+// with the pre-sched dispatch, and sched-on bit-identity across reruns and
+// host thread counts.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -255,7 +255,7 @@ TEST(FleetSchedTest, PreemptedRequestsAllCompleteOnHealthyReplicas) {
   EXPECT_LE(report.makespan_us, stranded.makespan_us);
 }
 
-TEST(FleetSchedTest, SchedOnIsBitIdenticalAcrossThreadsAndBackends) {
+TEST(FleetSchedTest, SchedOnIsBitIdenticalAcrossRerunsAndThreads) {
   const auto trace = MixedTrace(4, 40);
   ClusterConfig config;
   config.replicas = 2;
@@ -267,9 +267,7 @@ TEST(FleetSchedTest, SchedOnIsBitIdenticalAcrossThreadsAndBackends) {
 
   ClusterConfig threads = config;
   threads.serve.tune_threads = 8;
-  ClusterConfig heap = config;
-  heap.serve.legacy_event_heap = true;
-  for (const ClusterConfig& variant : {config, threads, heap}) {
+  for (const ClusterConfig& variant : {config, threads}) {
     const FleetReport report = RunFleet(variant, trace);
     EXPECT_DOUBLE_EQ(report.makespan_us, base.makespan_us);
     EXPECT_EQ(report.total_searches, base.total_searches);

@@ -274,6 +274,13 @@ TEST(ParseTest, TryParseDoubleConsumesWholeField) {
   EXPECT_FALSE(TryParseDouble("").has_value());
 }
 
+TEST(ParseTest, TryParseDoubleRejectsNonFinite) {
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "infinity", "1e999"}) {
+    EXPECT_FALSE(TryParseDouble(text).has_value()) << text;
+  }
+  EXPECT_DOUBLE_EQ(*TryParseDouble("1e308"), 1e308);
+}
+
 TEST(ParseTest, TryParseHexU64IsStrict) {
   EXPECT_EQ(TryParseHexU64("ff"), 0xffull);
   EXPECT_EQ(TryParseHexU64("00000000000000FF"), 0xffull);
