@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 
 #include "src/cluster/replica_table.h"
 
@@ -44,7 +45,8 @@ class SnapshotView {
   int id(size_t i) const { return replicas_[i].id; }
   double load(size_t i) const { return replicas_[i].busy_us + replicas_[i].pending_cost_us; }
   // The differential oracle: scans every candidate.
-  bool zero_load_wins() const { return false; }
+  bool finds_zero_loads() const { return false; }
+  int LowestZeroLoad(size_t, uint64_t) const { return -1; }  // never called
   uint64_t Candidates(size_t w, FleetRouter::Tier tier) const {
     uint64_t mask = 0;
     for (size_t i = w * 64; i < std::min(replicas_.size(), w * 64 + 64); ++i) {
@@ -87,8 +89,15 @@ class TableView {
   int id(size_t i) const { return static_cast<int>(i); }
   double load(size_t i) const { return table_.Load(id(i), now_, cost_estimate_us_); }
   // Load() is never negative under a non-negative cost estimate, so under
-  // the scan's strict `<` no slot after a zero load can win.
-  bool zero_load_wins() const { return cost_estimate_us_ >= 0.0; }
+  // the scan's strict `<` no slot after a zero load can win. The table's
+  // zero-load test is exact for a finite estimate (an infinite one prices
+  // an empty queue at 0 x inf = NaN, not 0).
+  bool finds_zero_loads() const {
+    return cost_estimate_us_ >= 0.0 && std::isfinite(cost_estimate_us_);
+  }
+  int LowestZeroLoad(size_t w, uint64_t among) const {
+    return table_.LowestZeroLoad(w, among, now_, cost_estimate_us_);
+  }
   uint64_t Candidates(size_t w, FleetRouter::Tier tier) const {
     uint64_t eligible = table_.accepting_word(w);
     if (avoid_id_ >= 0 && static_cast<size_t>(avoid_id_) / 64 == w) {
@@ -131,6 +140,20 @@ class TableView {
 
 template <typename View>
 int FleetRouter::LeastLoaded(const View& view, Tier tier) {
+  // When any candidate has zero load, the scan below would pick the
+  // lowest-id one: find it with the table's branch-free zero-load test
+  // instead of computing and comparing the loads of the (typically busy,
+  // low-id) candidates before it. The pending tier keeps the plain scan,
+  // so its lazy probe runs exactly once per eligible slot.
+  if (tier != Tier::kPending && view.finds_zero_loads()) {
+    for (size_t w = 0; w < view.words(); ++w) {
+      const uint64_t in_tier = view.Candidates(w, tier);
+      const int zero = in_tier != 0 ? view.LowestZeroLoad(w, in_tier) : -1;
+      if (zero >= 0) {
+        return view.id(w * 64 + static_cast<size_t>(zero));
+      }
+    }
+  }
   int best = -1;
   double best_load = 0.0;
   for (size_t w = 0; w < view.words(); ++w) {
@@ -145,9 +168,6 @@ int FleetRouter::LeastLoaded(const View& view, Tier tier) {
       if (best == -1 || load < best_load) {
         best = view.id(i);
         best_load = load;
-        if (best_load == 0.0 && view.zero_load_wins()) {
-          return best;
-        }
       }
     }
   }

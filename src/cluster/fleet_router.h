@@ -90,8 +90,10 @@ class FleetRouter {
  private:
   // The one policy implementation, over a bitmask view of either form:
   // per 64-slot word, the eligible slots (accepting, not avoided) ANDed
-  // with a tier's bits, then a least-load scan over the set bits (the
-  // table form stops at the first zero load, which nothing can beat).
+  // with a tier's bits, then a least-load scan over the set bits. The
+  // table form first looks for the lowest-id candidate of zero load
+  // (ReplicaTable::LowestZeroLoad, outside the pending tier), which
+  // nothing can beat, and scans only when there is none.
   template <typename View>
   int PlaceTiered(const View& view);
   template <typename View>

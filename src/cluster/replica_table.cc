@@ -1,5 +1,7 @@
 #include "src/cluster/replica_table.h"
 
+#include <bit>
+
 #include "src/util/check.h"
 
 namespace flo {
@@ -8,13 +10,14 @@ int ReplicaTable::AddSlot() {
   const int id = size();
   busy_until_.push_back(0.0);
   queued_.push_back(0);
-  if (Index(id) / 64 == accepting_.size()) {
-    accepting_.push_back(0);
+  if (Index(id) / 64 == slot_words_.size()) {
+    slot_words_.emplace_back();
     for (auto& [key, bits] : keys_) {
       bits.resident.push_back(0);
       bits.tuning.push_back(0);
     }
   }
+  SetBit(&Word(id).queue_empty, id, true);
   return id;
 }
 
@@ -28,6 +31,7 @@ void ReplicaTable::ResetSession(int id) {
 void ReplicaTable::SetLoad(int id, SimTime busy_until, size_t queued) {
   busy_until_[Slot(id)] = busy_until;
   queued_[Slot(id)] = queued;
+  SetBit(&Word(id).queue_empty, id, queued == 0);
 }
 
 void ReplicaTable::SetResident(int id, uint64_t key, bool resident) {
@@ -36,6 +40,28 @@ void ReplicaTable::SetResident(int id, uint64_t key, bool resident) {
 
 void ReplicaTable::SetTuning(int id, uint64_t key, bool tuning) {
   SetBit(&RowFor(key).tuning, id, tuning);
+}
+
+int ReplicaTable::LowestZeroLoad(size_t w, uint64_t among, SimTime now,
+                                 double cost_estimate_us) const {
+  if (cost_estimate_us != 0.0) {
+    among &= slot_words_[w].queue_empty;
+  }
+  const size_t base = w * 64;
+  const size_t slots = std::min<size_t>(64, busy_until_.size() - base);
+  while (among != 0) {
+    const size_t chunk = static_cast<size_t>(std::countr_zero(among)) & ~size_t{7};
+    uint64_t zero = 0;
+    for (size_t j = chunk; j < std::min(chunk + 8, slots); ++j) {
+      zero |= static_cast<uint64_t>(busy_until_[base + j] <= now ? 1 : 0) << j;
+    }
+    zero &= among;
+    if (zero != 0) {
+      return std::countr_zero(zero);
+    }
+    among &= ~(uint64_t{0xff} << chunk);
+  }
+  return -1;
 }
 
 const ReplicaTable::KeyBits* ReplicaTable::Bits(uint64_t key) const {
@@ -58,10 +84,13 @@ size_t ReplicaTable::Slot(int id) const {
   return Index(id);
 }
 
-void ReplicaTable::SetBit(std::vector<uint64_t>* words, int id, bool on) {
+void ReplicaTable::SetBit(uint64_t* word, int id, bool on) {
   const uint64_t mask = uint64_t{1} << (Slot(id) % 64);
-  uint64_t& word = (*words)[Index(id) / 64];
-  word = on ? (word | mask) : (word & ~mask);
+  *word = on ? (*word | mask) : (*word & ~mask);
+}
+
+void ReplicaTable::SetBit(std::vector<uint64_t>* words, int id, bool on) {
+  SetBit(&(*words)[Slot(id) / 64], id, on);
 }
 
 ReplicaTable::KeyBits& ReplicaTable::RowFor(uint64_t key) {

@@ -226,7 +226,7 @@ int ServingCluster::Place(uint64_t key, SimTime now, int avoid_id) {
   return router_.Place(table_, key, now, CostEstimateUs(), pending, avoid_id);
 }
 
-void ServingCluster::PlaceRequest(ServeRequest request, SimTime now) {
+void ServingCluster::PlaceRequest(ServeRequest&& request, SimTime now) {
   const uint64_t key = catalog_.Key(request.spec);
   if (scheduler_ != nullptr) {
     // One arrival charge per admitted request (requeues and preemptive
@@ -463,7 +463,7 @@ FleetReport ServingCluster::Run(RequestCursor* cursor) {
 
   // Streamed admission: one arrival in flight; each firing places the
   // request and pulls the next from the cursor.
-  ArrivalPump pump(cursor, &events_, [this](ServeRequest request, SimTime now) {
+  ArrivalPump pump(cursor, &events_, [this](ServeRequest&& request, SimTime now) {
     ++total_requests_;
     PlaceRequest(std::move(request), now);
   });
@@ -762,7 +762,7 @@ void ServingCluster::RequeueFrom(Replica* replica, SimTime now) {
   evacuated_.clear();
 }
 
-void ServingCluster::PushRequeue(ServeRequest request, uint64_t key, SimTime at) {
+void ServingCluster::PushRequeue(ServeRequest&& request, uint64_t key, SimTime at) {
   uint32_t slot;
   if (!requeue_free_.empty()) {
     slot = requeue_free_.back();

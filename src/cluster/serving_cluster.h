@@ -172,7 +172,7 @@ class ServingCluster {
   int Place(uint64_t key, SimTime now, int avoid_id = -1);
   // Keys the request once, through the catalog; the key rides with it
   // through admission, requeues and preemption.
-  void PlaceRequest(ServeRequest request, SimTime now);
+  void PlaceRequest(ServeRequest&& request, SimTime now);
   void DispatchAll(SimTime now);
   void MaybeRetire(Replica* replica, SimTime now);
   void AutoscaleCheck(SimTime now);
@@ -195,7 +195,7 @@ class ServingCluster {
   void RequeueFrom(Replica* replica, SimTime now);
   // Parks one request (with its plan key) in the requeue pool and
   // schedules its kRequeue.
-  void PushRequeue(ServeRequest request, uint64_t key, SimTime at);
+  void PushRequeue(ServeRequest&& request, uint64_t key, SimTime at);
 
   ClusterSpec hardware_;
   ClusterConfig config_;

@@ -41,23 +41,43 @@ OverlapRun OverlapEngine::ExecuteMemoized(const ScenarioSpec& spec) {
 OverlapRun OverlapEngine::ExecuteMemoized(const ScenarioSpec& spec, uint64_t key) {
   // Per-scenario option overrides are not part of the plan key, so those
   // specs always take the plain path.
-  return ExecuteInternal(spec, key, /*memoize=*/!spec.options.has_value());
+  const bool memoize = !spec.options.has_value();
+  bool hit = false;
+  if (const OverlapRun* cached = memoize ? FindMemo(spec, key, &hit) : nullptr) {
+    OverlapRun run = *cached;
+    run.plan_cache_hit = hit;
+    return run;
+  }
+  return ExecuteInternal(spec, key, memoize);
+}
+
+OverlapEngine::RunTiming OverlapEngine::ExecuteMemoizedTiming(const ScenarioSpec& spec,
+                                                              uint64_t key) {
+  const bool memoize = !spec.options.has_value();
+  bool hit = false;
+  if (const OverlapRun* cached = memoize ? FindMemo(spec, key, &hit) : nullptr) {
+    return RunTiming{cached->total_us, hit};
+  }
+  const OverlapRun run = ExecuteInternal(spec, key, memoize);
+  return RunTiming{run.total_us, run.plan_cache_hit};
+}
+
+const OverlapRun* OverlapEngine::FindMemo(const ScenarioSpec& spec, uint64_t key,
+                                          bool* plan_cache_hit) {
+  const auto it = run_memo_.find(key);
+  if (it == run_memo_.end()) {
+    return nullptr;
+  }
+  // The memoized replay needs no plan, but the store lookup still happens
+  // (stats, recency, a rebuild after eviction): hit/miss is a property of
+  // this call's lookup, not of the memoized one.
+  *plan_cache_hit = planner_.TouchPlan(spec, key);
+  return &it->second;
 }
 
 OverlapRun OverlapEngine::ExecuteInternal(const ScenarioSpec& spec, uint64_t key,
                                           bool memoize) {
   const EngineOptions& effective = spec.options.has_value() ? *spec.options : options_;
-  if (memoize) {
-    const auto it = run_memo_.find(key);
-    if (it != run_memo_.end()) {
-      OverlapRun run = it->second;
-      // The memoized replay needs no plan, but the store lookup still
-      // happens (stats, recency, a rebuild after eviction): hit/miss is a
-      // property of this call's lookup, not of the memoized one.
-      run.plan_cache_hit = planner_.TouchPlan(spec, key);
-      return run;
-    }
-  }
   bool cache_hit = false;
   // Against a shared store another engine may evict concurrently, so take
   // the plan by value (copied under the store's lock) instead of holding a

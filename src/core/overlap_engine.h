@@ -74,6 +74,17 @@ class OverlapEngine {
   // re-hashing the spec per execution.
   OverlapRun ExecuteMemoized(const ScenarioSpec& spec, uint64_t key);
 
+  // What a serving batch reads of a run: the per-request time and whether
+  // this call's plan lookup hit the store.
+  struct RunTiming {
+    SimTime total_us = 0.0;
+    bool plan_cache_hit = false;
+  };
+  // ExecuteMemoized(spec, key) reduced to its timing. A memo hit copies
+  // nothing (no OverlapRun, no partition vector): the warm serving path's
+  // execute is one store lookup and one memo lookup.
+  RunTiming ExecuteMemoizedTiming(const ScenarioSpec& spec, uint64_t key);
+
   // Sweeps many scenarios through the shared executor. Plans are reused
   // across calls via the PlanStore, so repeating a sweep performs zero
   // tuner searches; planner().stats() exposes the hit/miss counts. With
@@ -104,6 +115,11 @@ class OverlapEngine {
   void ExportMetrics(MetricsRegistry* registry) const;
 
  private:
+  // The memoized run for `key` after this call's plan lookup (which sets
+  // *plan_cache_hit and still counts stats, refreshes recency and rebuilds
+  // an evicted plan); nullptr on a memo miss, with no lookup made.
+  const OverlapRun* FindMemo(const ScenarioSpec& spec, uint64_t key, bool* plan_cache_hit);
+  // Plans (cached) and simulates; with `memoize`, also stores the result.
   OverlapRun ExecuteInternal(const ScenarioSpec& spec, uint64_t key, bool memoize);
 
   // The persistent tuning pool, created lazily by the first parallel

@@ -105,7 +105,7 @@ class TraceFileCursor : public RequestCursor {
 // request's arrival time.
 class ArrivalPump {
  public:
-  using AdmitFn = std::function<void(ServeRequest request, SimTime now)>;
+  using AdmitFn = std::function<void(ServeRequest&& request, SimTime now)>;
 
   // `cursor` and `events` are borrowed and must outlive the pump; the
   // pump must outlive the drain of `events` (its handler lives here).

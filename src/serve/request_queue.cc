@@ -12,6 +12,22 @@ RequestQueue::RequestQueue(Keyer keyer) : keyer_(std::move(keyer)) {
   FLO_CHECK(keyer_ != nullptr);
 }
 
+void RequestQueue::Ring::push_back(ServeRequest&& request, uint64_t key) {
+  if (size_ == slots_.size()) {
+    // Full (or never used): double, unrolling the live window to slot 0.
+    std::vector<Pending> grown(std::max<size_t>(4, 2 * slots_.size()));
+    for (size_t i = 0; i < size_; ++i) {
+      grown[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    }
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+  Pending& slot = slots_[(head_ + size_) & (slots_.size() - 1)];
+  slot.request = std::move(request);
+  slot.key = key;
+  ++size_;
+}
+
 RequestQueue::Lane& RequestQueue::LaneFor(ServeRequest* request) {
   if (request->tenant_id == 0) {
     request->tenant_id = InternTenant(request->tenant);  // hand-built request
@@ -30,6 +46,12 @@ RequestQueue::Lane& RequestQueue::LaneFor(ServeRequest* request) {
       [](const std::unique_ptr<Lane>& a, const std::unique_ptr<Lane>& b) {
         return a->tenant < b->tenant;
       });
+  // A lane sorting at or before the previous pick lands before the
+  // rotation point (before any pick, only an empty name does).
+  if (static_cast<size_t>(pos - lanes_.begin()) < rotation_ ||
+      (rotation_ == 0 && raw->tenant.empty())) {
+    ++rotation_;
+  }
   lanes_.insert(pos, std::move(lane));
   lanes_by_id_.emplace(request->tenant_id, raw);
   return *raw;
@@ -40,9 +62,9 @@ void RequestQueue::Admit(ServeRequest request) {
   Admit(std::move(request), key);
 }
 
-void RequestQueue::Admit(ServeRequest request, uint64_t key) {
+void RequestQueue::Admit(ServeRequest&& request, uint64_t key) {
   Lane& lane = LaneFor(&request);
-  lane.queue.push_back(Pending{std::move(request), key});
+  lane.queue.push_back(std::move(request), key);
   ++key_depth_[key];
   ++size_;
 }
@@ -89,14 +111,10 @@ size_t RequestQueue::NextLaneIndex() const {
     return heads_scratch_[pick].lane_index;
   }
   // First non-empty lane strictly after the last choice, wrapping.
-  const auto start = std::upper_bound(
-      lanes_.begin(), lanes_.end(), last_tenant_,
-      [](const std::string& name, const std::unique_ptr<Lane>& lane) {
-        return name < lane->tenant;
-      });
-  const size_t first = static_cast<size_t>(start - lanes_.begin());
-  for (size_t step = 0; step < lanes_.size(); ++step) {
-    const size_t index = (first + step) % lanes_.size();
+  for (size_t step = 0, index = rotation_; step < lanes_.size(); ++step, ++index) {
+    if (index >= lanes_.size()) {
+      index -= lanes_.size();
+    }
     if (!lanes_[index]->queue.empty()) {
       return index;
     }
@@ -134,9 +152,10 @@ RequestQueue::BatchPreview RequestQueue::PreviewAt(size_t chosen, int max_batch)
   const size_t cap = static_cast<size_t>(max_batch);
   // Mirror PopBatchInto's gather — the chosen lane's same-key run, then
   // the other lanes' same-key head runs in rotation order — by walking
-  // the deques without popping.
-  auto scan = [&](const std::deque<Pending>& queue) {
-    for (const Pending& pending : queue) {
+  // the lanes without popping.
+  auto scan = [&](const Ring& queue) {
+    for (size_t i = 0; i < queue.size(); ++i) {
+      const Pending& pending = queue[i];
       if (pending.key != preview.key || preview.size >= cap) {
         break;
       }
@@ -169,7 +188,9 @@ size_t RequestQueue::DrainInto(std::vector<ServeRequest>* out, std::vector<uint6
       ++drained;
     }
   }
-  key_depth_.clear();
+  for (auto& [key, depth] : key_depth_) {
+    depth = 0;
+  }
   size_ = 0;
   return drained;
 }
@@ -208,18 +229,23 @@ uint64_t RequestQueue::PopLaneBatchInto(uint32_t tenant_id, int max_batch,
 }
 
 uint64_t RequestQueue::PopAt(size_t chosen, int max_batch, std::vector<ServeRequest>* out) {
-  last_tenant_ = lanes_[chosen]->tenant;
+  // Resume after the chosen lane's name, past any lane sharing it (two
+  // lanes share a name only when a hand-built request's tenant_id does
+  // not match its tenant).
+  rotation_ = chosen + 1;
+  while (rotation_ < lanes_.size() && lanes_[rotation_]->tenant == lanes_[chosen]->tenant) {
+    ++rotation_;
+  }
   const uint64_t key = lanes_[chosen]->queue.front().key;
+  size_t& depth = key_depth_.find(key)->second;
   // The chosen tenant's consecutive same-key run first, then the other
   // tenants' same-key head runs in rotation order.
-  auto drain = [&](std::deque<Pending>* queue) {
+  auto drain = [&](Ring* queue) {
     while (!queue->empty() && queue->front().key == key &&
            out->size() < static_cast<size_t>(max_batch)) {
       out->push_back(std::move(queue->front().request));
       queue->pop_front();
-      if (--key_depth_[key] == 0) {
-        key_depth_.erase(key);
-      }
+      --depth;
       --size_;
     }
   };

@@ -11,12 +11,14 @@
 // Admission is integer-keyed: lanes are found by interned tenant id (one
 // hash of a uint32 per request) while rotation order remains alphabetical
 // by tenant name — bit-identical to the historical std::map<std::string>
-// iteration, without its per-request string compares.
+// iteration, without its per-request string compares. The warm path does
+// not touch the heap: each lane is a ring that keeps its storage when it
+// drains, per-key depths keep their entries at zero, and the rotation
+// point is a lane index rather than a tenant name.
 #ifndef SRC_SERVE_REQUEST_QUEUE_H_
 #define SRC_SERVE_REQUEST_QUEUE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -60,8 +62,8 @@ class RequestQueue {
   void Admit(ServeRequest request);
   // Admits a request already keyed by the caller (`key` must be what the
   // Keyer would return for its spec): callers that route by key compute
-  // it once and carry it here.
-  void Admit(ServeRequest request, uint64_t key);
+  // it once and carry it here, moving the request in.
+  void Admit(ServeRequest&& request, uint64_t key);
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
@@ -125,10 +127,34 @@ class RequestQueue {
     ServeRequest request;
     uint64_t key = 0;
   };
+  // One lane's FIFO: a power-of-two ring that doubles when full and keeps
+  // its storage when it drains (a deque frees and reallocates a node as a
+  // lane swings between empty and one request). Popped slots keep their
+  // moved-from requests until overwritten.
+  class Ring {
+   public:
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+    // The i-th oldest entry; i < size().
+    const Pending& operator[](size_t i) const { return slots_[(head_ + i) & (slots_.size() - 1)]; }
+    Pending& front() { return slots_[head_]; }
+    const Pending& front() const { return slots_[head_]; }
+    // Moves the request into the next slot.
+    void push_back(ServeRequest&& request, uint64_t key);
+    void pop_front() {
+      head_ = (head_ + 1) & (slots_.size() - 1);
+      --size_;
+    }
+
+   private:
+    std::vector<Pending> slots_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
   struct Lane {
     std::string tenant;
     uint32_t tenant_id = 0;
-    std::deque<Pending> queue;
+    Ring queue;
   };
 
   // The lane for a request's tenant, interning and creating on demand.
@@ -149,9 +175,16 @@ class RequestQueue {
   std::vector<std::unique_ptr<Lane>> lanes_;
   // Interned tenant id -> lane: the per-request fast path.
   std::unordered_map<uint32_t, Lane*> lanes_by_id_;
-  // key -> queued request count, kept in sync by Admit/PopBatch.
+  // key -> queued request count, kept in sync by Admit/PopBatch. Counts
+  // stay at zero rather than being erased, so a key's entry is allocated
+  // once per queue, not once per request.
   std::unordered_map<uint64_t, size_t> key_depth_;
-  std::string last_tenant_;
+  // Rotation resumes at the first non-empty lane at or after this index
+  // (wrapping): the index just past every lane whose name sorts at or
+  // before the previous pick's name (before any pick, the empty name).
+  // The sorted insert of a lane that sorts at or before that name shifts
+  // it by one.
+  size_t rotation_ = 0;
   size_t size_ = 0;
 };
 

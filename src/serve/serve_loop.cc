@@ -41,7 +41,7 @@ ServeReport ServeLoop::Run(RequestCursor* cursor) {
   }
   ServeSession session(engine_, config_, &events);
   ArrivalPump pump(cursor, &events,
-                   [&session](ServeRequest request, SimTime now) {
+                   [&session](ServeRequest&& request, SimTime now) {
                      session.Admit(std::move(request), now);
                    });
   events.RunToCompletion();

@@ -95,6 +95,11 @@ struct ServeReport {
   // Peak cold-tuning lanes put to use — the chosen lane-pool size (under
   // ServeConfig::adaptive_tuner_lanes, the pool the pressure demanded).
   int tuner_lanes = 0;
+  // Dispatch rounds that started two or more cold batches together: the
+  // only rounds whose searches run on the parallel tuning pool
+  // (OverlapEngine::PretuneParallel). Single starts fill the lanes one
+  // round at a time, so tuner_lanes can reach 2 without any group.
+  size_t tuning_groups = 0;
   // Events dispatched by the run's event loop (arrivals + internal).
   uint64_t events = 0;
   // Fault recovery (src/fault): cold searches that were failed by an

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "src/obs/obs_plane.h"
@@ -70,12 +71,12 @@ ServeSession::ServeSession(OverlapEngine* engine, ServeConfig config, EventLoop*
   }
 }
 
-void ServeSession::Admit(ServeRequest request, SimTime now) {
+void ServeSession::Admit(ServeRequest&& request, SimTime now) {
   const uint64_t key = engine_->planner().CanonicalKey(request.spec);
   Admit(std::move(request), key, now);
 }
 
-void ServeSession::Admit(ServeRequest request, uint64_t key, SimTime now) {
+void ServeSession::Admit(ServeRequest&& request, uint64_t key, SimTime now) {
   ++pending_requests_;
   queue_.Admit(std::move(request), key);
   LoadChanged();
@@ -556,28 +557,41 @@ void ServeSession::ExecuteBatch(uint32_t batch_slot, SimTime now) {
   // Hit/miss is a property of the batch's plan at dispatch time: if the
   // plan was cold, every request of the batch waited on it — including
   // the ones whose Execute hits the entry the first request just built.
-  const bool warm_at_dispatch = !batch.tuned && engine_->plan_store().Contains(batch.key);
   const size_t searches_before = engine_->tuner().search_count();
   // A degraded batch (tuner retry budget exhausted) runs the search-free
   // single-group safety plan: forced partition, no extra tiles — slower,
   // but it needs no tuning. The forced spec has its own canonical
   // fingerprint, so the memo and plan store never confuse it with the
-  // real plan.
-  ScenarioSpec spec = batch.requests.front().spec;
+  // real plan; it is the only batch whose spec is copied here.
+  const ScenarioSpec& batch_spec = batch.requests.front().spec;
+  std::optional<ScenarioSpec> safety_spec;
   if (batch.degraded) {
-    spec.extra_tiles = 0;
-    spec.forced_partition = WavePartition::SingleGroup(1);
+    safety_spec = batch_spec;
+    safety_spec->extra_tiles = 0;
+    safety_spec->forced_partition = WavePartition::SingleGroup(1);
   }
+  const ScenarioSpec& spec = batch.degraded ? *safety_spec : batch_spec;
+  // The degraded run looks up the safety key, so whether the batch's own
+  // plan was warm needs its own peek. Every other batch runs under
+  // batch.key, and the run's lookup below answers exactly that on this
+  // thread with nothing in between.
+  const bool degraded_warm =
+      batch.degraded && !batch.tuned && engine_->plan_store().Contains(batch.key);
   // One canonical key means one spec, one seed, one deterministic
   // schedule: simulate once and charge the service per request. Fleet
   // runs replay the same spec thousands of times, so the deterministic
   // replay itself is memoized (the store lookup still happens per call).
   // The batch key is the spec's key, except for the degraded safety spec.
-  const OverlapRun run = !config_.memoize_runs ? engine_->Execute(spec)
-                         : batch.degraded      ? engine_->ExecuteMemoized(spec)
-                                               : engine_->ExecuteMemoized(spec, batch.key);
+  OverlapEngine::RunTiming run;
+  if (!config_.memoize_runs) {
+    const OverlapRun full = engine_->Execute(spec);
+    run = OverlapEngine::RunTiming{full.total_us, full.plan_cache_hit};
+  } else {
+    run = engine_->ExecuteMemoizedTiming(
+        spec, batch.degraded ? engine_->planner().CanonicalKey(spec) : batch.key);
+  }
+  const bool hit = (batch.degraded ? degraded_warm : !batch.tuned) && run.plan_cache_hit;
   double service_us = run.total_us * static_cast<double>(batch.requests.size());
-  const bool hit = warm_at_dispatch && run.plan_cache_hit;
   const bool cold = !hit;
   if (cold) {
     ++report_.cold_batches;
@@ -798,6 +812,7 @@ void ServeSession::Dispatch(SimTime now) {
   if (starting.size() == 1) {
     StartTuning(starting.front(), now);
   } else if (!starting.empty()) {
+    ++report_.tuning_groups;
     StartTuningGroup(std::move(starting), now);
   }
   if (sched_ != nullptr) {

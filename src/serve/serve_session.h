@@ -91,12 +91,13 @@ class ServeSession {
                Hooks hooks = {}, int replica_id = -1);
 
   // Admits one request and dispatches. `now` is the caller's simulated
-  // time (the request's arrival as seen by this session).
-  void Admit(ServeRequest request, SimTime now);
+  // time (the request's arrival as seen by this session). The request is
+  // moved through to its queue lane.
+  void Admit(ServeRequest&& request, SimTime now);
   // Keyed form: `key` must be the engine planner's CanonicalKey of the
   // request's spec. A fleet keys each request once, at placement, and
   // carries the key through batching and execution.
-  void Admit(ServeRequest request, uint64_t key, SimTime now);
+  void Admit(ServeRequest&& request, uint64_t key, SimTime now);
 
   // Re-evaluates every lane. Idempotent; owners call it after anything
   // that may unblock work (e.g. a peer shipped a plan into the store).

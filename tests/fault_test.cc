@@ -252,6 +252,57 @@ TEST(FaultInjectionTest, StragglerWindowSlowsServiceThenRecovers) {
   ExpectSameRecords(report, again);
 }
 
+TEST(FaultInjectionTest, HangRestoreStartsAParallelTuningGroup) {
+  // The parallel cold-tuning lane only runs when one dispatch round finds
+  // two or more startable cold batches, and arrivals dispatch one at a
+  // time. A hang is the fleet's way to such a round: keys 0 and 1 take
+  // both tuning lanes, keys 2 to 5 park behind them, the replica hangs
+  // (shorter than the detection deadline, so nothing is requeued) while
+  // both searches finish, and the restore's dispatch finds both lanes free
+  // and four parked cold keys. It starts two of them together, so with
+  // more than one tune thread their searches run on the engine's pool.
+  std::vector<ServeRequest> trace;
+  for (int64_t k = 0; k < 6; ++k) {
+    trace.push_back({k, "llm", static_cast<double>(k), SmallSpec(1024 + 512 * k)});
+  }
+  // Warm traffic after the restore, so the tuned keys also execute.
+  for (int64_t i = 6; i < 30; ++i) {
+    trace.push_back({i, i % 2 == 0 ? "llm" : "moe", 30000.0 + 500.0 * static_cast<double>(i),
+                     SmallSpec(1024 + 512 * (i % 6))});
+  }
+  ClusterConfig config;
+  config.replicas = 1;
+  config.serve.tuner_lanes = 2;
+  config.faults.hangs = 1;
+  config.faults.horizon_us = 60000.0;
+  config.faults.hang_detect_us = 50000.0;
+  FaultSchedule schedule;
+  schedule.Add(FaultEvent{10.0, FaultKind::kHang, 0, 25000.0, 0.0});
+
+  const FleetReport serial = RunFleet(config, trace, &schedule);
+  ASSERT_EQ(serial.stats.count(), trace.size());
+  EXPECT_EQ(serial.fault.injected_hangs, 1u);
+  EXPECT_EQ(serial.fault.requests_requeued, 0u);
+  EXPECT_EQ(serial.total_searches, 6u);
+  ASSERT_EQ(serial.replicas.size(), 1u);
+  EXPECT_GE(serial.replicas[0].serve.tuner_lanes, 2);
+  // The restore's round started a group (keys 0 and 1 started one round
+  // each, so the lane count alone does not show it).
+  EXPECT_GE(serial.replicas[0].serve.tuning_groups, 1u);
+
+  ClusterConfig pooled = config;
+  pooled.serve.tune_threads = 8;
+  for (int rerun = 0; rerun < 2; ++rerun) {
+    const FleetReport report = RunFleet(pooled, trace, &schedule);
+    EXPECT_DOUBLE_EQ(report.makespan_us, serial.makespan_us);
+    EXPECT_EQ(report.total_searches, serial.total_searches);
+    EXPECT_EQ(report.replicas[0].serve.tuner_lanes, serial.replicas[0].serve.tuner_lanes);
+    EXPECT_EQ(report.replicas[0].serve.tuning_groups, serial.replicas[0].serve.tuning_groups);
+    ExpectSameFaultReport(report.fault, serial.fault);
+    ExpectSameRecords(report, serial);
+  }
+}
+
 TEST(FaultInjectionTest, HangPastDeadlineRequeuesPendingWork) {
   const auto trace = MixedTrace(3, 30);
   ClusterConfig config;

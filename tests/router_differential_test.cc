@@ -11,17 +11,23 @@
 // small value sets, so equal-load ties are common. The second test walks
 // tables to 1,024 slots in an idle-heavy regime, a busy one (zero loads
 // rare, equal non-zero loads spread across many bitset words) and a fine
-// one (small non-zero loads among zero loads). The third
-// test wires one serving session and its plan store to a table slot
-// through the feeds the cluster uses and checks, after every event, that
-// the slot mirrors the session and store exactly.
+// one (small non-zero loads among zero loads). The third pins the edges
+// of the table form's zero-load search (a horizon exactly at the clock, a
+// zero or infinite cost estimate, avoided and non-accepting zero slots, a
+// zero slot only in the second word, and the pending tier's probe count).
+// The fourth test wires one serving session and its plan store to a table
+// slot through the feeds the cluster uses and checks, after every event,
+// that the slot mirrors the session and store exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/fleet_router.h"
@@ -297,6 +303,135 @@ TEST(RouterDifferentialTest, TableFormMatchesSnapshotFormUpTo1024Slots) {
   // form's zero-load exit unused on many picks, so it has to compare
   // non-zero loads across the whole table.
   EXPECT_GT(busy_picks, placements / 5) << "non-zero least loads should be common";
+}
+
+// One explicit table state placed through both router forms: asserts equal
+// picks and returns the table form's. Snapshots are built from the table
+// itself; `pending` lists the slots holding same-key requests, and
+// *probes counts the table form's pending-probe calls.
+int PickBoth(PlacementPolicy policy, const ReplicaTable& table, uint64_t key, SimTime now,
+             double cost, const std::vector<int>& pending, int avoid = -1,
+             size_t* probes = nullptr) {
+  std::vector<ReplicaSnapshot> snapshots;
+  for (int id = 0; id < table.size(); ++id) {
+    ReplicaSnapshot snapshot;
+    snapshot.id = id;
+    snapshot.accepting = table.accepting(id);
+    snapshot.queued_requests = table.queued(id);
+    snapshot.busy_us = std::max(0.0, table.busy_until(id) - now);
+    snapshot.pending_cost_us = static_cast<double>(table.queued(id)) * cost;
+    snapshot.plan_tuning = table.tuning(id, key);
+    snapshot.plan_warm = table.resident(id, key) && !snapshot.plan_tuning;
+    snapshot.plan_pending = std::find(pending.begin(), pending.end(), id) != pending.end();
+    snapshots.push_back(snapshot);
+  }
+  const std::function<bool(int)> probe = [&](int id) {
+    if (probes != nullptr) {
+      ++*probes;
+    }
+    return std::find(pending.begin(), pending.end(), id) != pending.end();
+  };
+  FleetRouter by_vector(policy);
+  FleetRouter by_table(policy);
+  const int expected = by_vector.Place(snapshots, avoid);
+  const int actual = by_table.Place(table, key, now, cost, probe, avoid);
+  EXPECT_EQ(actual, expected) << "now " << now << " cost " << cost << " avoid " << avoid;
+  return actual;
+}
+
+// One accepting slot per (busy_until, queued) pair, in id order.
+ReplicaTable TableOf(const std::vector<std::pair<SimTime, size_t>>& loads) {
+  ReplicaTable table;
+  for (const auto& [busy_until, queued] : loads) {
+    const int id = table.AddSlot();
+    table.SetAccepting(id, true);
+    table.SetLoad(id, busy_until, queued);
+  }
+  return table;
+}
+
+TEST(RouterDifferentialTest, ZeroLoadSetEdgeCases) {
+  constexpr PlacementPolicy kLeast = PlacementPolicy::kLeastLoaded;
+  constexpr PlacementPolicy kAffinity = PlacementPolicy::kPlanAffinity;
+  constexpr uint64_t kKey = 0x11;
+  {
+    // An executor horizon exactly at the clock, nothing queued: zero load.
+    const ReplicaTable table = TableOf({{150.0, 0}, {100.0, 0}, {50.0, 0}});
+    EXPECT_EQ(PickBoth(kLeast, table, kKey, 100.0, 50.0, {}), 1);
+    // Just past the clock: the lowest zero is the next slot.
+    EXPECT_EQ(PickBoth(kLeast, table, kKey, std::nextafter(100.0, 0.0), 50.0, {}), 2);
+  }
+  {
+    // A zero cost estimate prices queued work at 0: an idle executor with a
+    // backlog has zero load then, and only then.
+    ReplicaTable table = TableOf({{300.0, 0}, {0.0, 3}, {0.0, 0}});
+    EXPECT_EQ(PickBoth(kLeast, table, kKey, 100.0, 0.0, {}), 1);
+    EXPECT_EQ(PickBoth(kLeast, table, kKey, 100.0, 50.0, {}), 2);
+    // An infinite estimate makes an empty queue cost NaN, not 0: the
+    // zero-load search is not used and the scan decides.
+    EXPECT_EQ(PickBoth(kLeast, table, kKey, 100.0, std::numeric_limits<double>::infinity(), {}),
+              0);
+    // The backlog drains: slot 1 is a zero again; it refills: it is not.
+    table.SetLoad(1, 0.0, 0);
+    EXPECT_EQ(PickBoth(kLeast, table, kKey, 100.0, 50.0, {}), 1);
+    table.SetLoad(1, 0.0, 1);
+    EXPECT_EQ(PickBoth(kLeast, table, kKey, 100.0, 50.0, {}), 2);
+  }
+  {
+    // avoid_id on the lowest zero slot moves the pick to the next zero.
+    const ReplicaTable table = TableOf({{300.0, 1}, {0.0, 0}, {200.0, 0}, {0.0, 0}});
+    EXPECT_EQ(PickBoth(kLeast, table, kKey, 100.0, 50.0, {}, /*avoid=*/1), 3);
+    EXPECT_EQ(PickBoth(kLeast, table, kKey, 100.0, 50.0, {}, /*avoid=*/3), 1);
+  }
+  {
+    // A non-accepting zero slot below an accepting one.
+    ReplicaTable table = TableOf({{300.0, 0}, {0.0, 0}, {0.0, 0}});
+    table.SetAccepting(1, false);
+    EXPECT_EQ(PickBoth(kLeast, table, kKey, 100.0, 50.0, {}), 2);
+    table.SetAccepting(2, false);
+    EXPECT_EQ(PickBoth(kLeast, table, kKey, 100.0, 50.0, {}), 0);
+  }
+  {
+    // The only zero slot sits in the second bitset word, behind 64 busy
+    // slots whose least load is in the middle of the first word.
+    std::vector<std::pair<SimTime, size_t>> loads;
+    for (int i = 0; i < 70; ++i) {
+      loads.emplace_back(i == 30 ? 110.0 : 400.0, i == 30 ? 0 : 2);
+    }
+    loads[67] = {90.0, 0};
+    ReplicaTable table = TableOf(loads);
+    EXPECT_EQ(PickBoth(kLeast, table, kKey, 100.0, 50.0, {}), 67);
+    table.SetLoad(67, 120.0, 0);  // now busy too: the scan's least load wins
+    EXPECT_EQ(PickBoth(kLeast, table, kKey, 100.0, 50.0, {}), 30);
+    // Warm tier: the set is ANDed with the warm slots only.
+    table.SetLoad(67, 0.0, 0);
+    table.SetResident(5, kKey, true);
+    table.SetResident(64, kKey, true);
+    EXPECT_EQ(PickBoth(kAffinity, table, kKey, 100.0, 50.0, {}), 5);
+    table.SetResident(67, kKey, true);
+    EXPECT_EQ(PickBoth(kAffinity, table, kKey, 100.0, 50.0, {}), 67);
+    // A tuning zero slot is not warm; the tuning tier is used only when no
+    // slot is warm.
+    table.SetTuning(67, kKey, true);
+    EXPECT_EQ(PickBoth(kAffinity, table, kKey, 100.0, 50.0, {}), 5);
+  }
+  {
+    // Pending tier: no slot is warm or tuning for the key. The probe runs
+    // once per eligible slot (accepting, not avoided), zero load or not,
+    // and the least-loaded pending slot wins.
+    ReplicaTable table = TableOf({{300.0, 1}, {0.0, 0}, {250.0, 0}, {0.0, 0}, {0.0, 2}});
+    table.SetAccepting(4, false);
+    size_t probes = 0;
+    EXPECT_EQ(PickBoth(kAffinity, table, kKey, 100.0, 50.0, {0, 2, 4}, -1, &probes), 2);
+    EXPECT_EQ(probes, 4u);
+    probes = 0;
+    EXPECT_EQ(PickBoth(kAffinity, table, kKey, 100.0, 50.0, {0, 2, 3}, /*avoid=*/2, &probes), 3);
+    EXPECT_EQ(probes, 3u);
+    // Nothing pending: the any tier's lowest zero, after one probe each.
+    probes = 0;
+    EXPECT_EQ(PickBoth(kAffinity, table, kKey, 100.0, 50.0, {}, -1, &probes), 1);
+    EXPECT_EQ(probes, 4u);
+  }
 }
 
 ScenarioSpec SmallSpec(int64_t m) {

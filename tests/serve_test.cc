@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/core/overlap_engine.h"
 #include "src/models/workloads.h"
 #include "src/serve/request_queue.h"
 #include "src/serve/request_source.h"
 #include "src/serve/serve_loop.h"
+#include "src/serve/serve_session.h"
 #include "src/serve/serve_stats.h"
+#include "src/serve/tenant_registry.h"
+#include "src/sim/event_loop.h"
 #include "src/util/stats.h"
 
 namespace flo {
@@ -218,6 +224,168 @@ TEST(RequestQueueTest, MaxBatchCapsTheRun) {
   }
   EXPECT_EQ(queue.PopBatch(2).size(), 2u);
   EXPECT_EQ(queue.size(), 3u);
+}
+
+// One pop as "tenant:id,id,...", batch members in pop order.
+std::string PopOne(RequestQueue* queue, int max_batch) {
+  std::string out;
+  for (const ServeRequest& request : queue->PopBatch(max_batch)) {
+    out += out.empty() ? request.tenant + ":" : ",";
+    out += std::to_string(request.id);
+  }
+  return out;
+}
+
+// Pops `pops` batches (or until empty), joined by spaces.
+std::string PopSequence(RequestQueue* queue, int max_batch, int pops = 1 << 20) {
+  std::string out;
+  for (int i = 0; i < pops && !queue->empty(); ++i) {
+    out += (out.empty() ? "" : " ") + PopOne(queue, max_batch);
+  }
+  return out;
+}
+
+TEST(RequestQueueTest, NewTenantSortingBeforeTheRotationPointWaitsForTheWrap) {
+  RequestQueue queue(ShapeKeyer);
+  queue.Admit(MakeReq(0, "b", 0.0, 1));
+  queue.Admit(MakeReq(1, "d", 1.0, 2));
+  queue.Admit(MakeReq(2, "b", 2.0, 3));
+  queue.Admit(MakeReq(3, "d", 3.0, 4));
+  EXPECT_EQ(PopSequence(&queue, 1, 1), "b:0");
+  // "a" sorts before the last pick ("b"): rotation reaches it only after
+  // wrapping past "d".
+  queue.Admit(MakeReq(4, "a", 4.0, 5));
+  queue.Admit(MakeReq(5, "a", 5.0, 6));
+  EXPECT_EQ(PopSequence(&queue, 1), "d:1 a:4 b:2 d:3 a:5");
+}
+
+TEST(RequestQueueTest, NewTenantSortingAfterTheRotationPointIsNext) {
+  RequestQueue queue(ShapeKeyer);
+  queue.Admit(MakeReq(0, "b", 0.0, 1));
+  queue.Admit(MakeReq(1, "d", 1.0, 2));
+  queue.Admit(MakeReq(2, "b", 2.0, 3));
+  EXPECT_EQ(PopSequence(&queue, 1, 1), "b:0");
+  // "c" sorts between the last pick and "d": it is the next lane.
+  queue.Admit(MakeReq(3, "c", 3.0, 4));
+  queue.Admit(MakeReq(4, "e", 4.0, 5));
+  EXPECT_EQ(PopSequence(&queue, 1, 2), "c:3 d:1");
+  // And one sorting after every lane, added after the last lane was
+  // picked, is next too.
+  queue.Admit(MakeReq(5, "f", 5.0, 6));
+  EXPECT_EQ(PopSequence(&queue, 1), "e:4 f:5 b:2");
+}
+
+TEST(RequestQueueTest, EmptyTenantNameIsNotPickedFirst) {
+  // Rotation resumes strictly after the previous pick's name, and a fresh
+  // queue starts after the empty name, so a lane named "" waits for the
+  // first wrap. Interning rejects empty names; a request carrying an
+  // interned id with an empty name is the only way to such a lane.
+  const uint32_t unnamed = InternTenant("request-queue-test-unnamed");
+  auto unnamed_req = [unnamed](int64_t id, double arrival, int64_t m) {
+    ServeRequest request = MakeReq(id, "", arrival, m);
+    request.tenant_id = unnamed;
+    return request;
+  };
+  RequestQueue queue(ShapeKeyer);
+  queue.Admit(unnamed_req(0, 0.0, 1));
+  queue.Admit(MakeReq(1, "a", 1.0, 2));
+  queue.Admit(unnamed_req(2, 2.0, 3));
+  EXPECT_EQ(PopSequence(&queue, 1), "a:1 :0 :2");
+  // Created after the named lane, before any pick: same rule.
+  RequestQueue late(ShapeKeyer);
+  late.Admit(MakeReq(0, "a", 0.0, 1));
+  late.Admit(unnamed_req(1, 1.0, 2));
+  EXPECT_EQ(PopSequence(&late, 1), "a:0 :1");
+  // The only lane: picked on the wrap.
+  RequestQueue alone(ShapeKeyer);
+  alone.Admit(unnamed_req(0, 0.0, 1));
+  EXPECT_EQ(PopSequence(&alone, 1), ":0");
+}
+
+TEST(RequestQueueTest, DrainedLaneRefillsInRotation) {
+  RequestQueue queue(ShapeKeyer);
+  queue.Admit(MakeReq(0, "a", 0.0, 1));
+  queue.Admit(MakeReq(1, "b", 1.0, 2));
+  queue.Admit(MakeReq(2, "c", 2.0, 3));
+  EXPECT_EQ(PopSequence(&queue, 1, 2), "a:0 b:1");
+  EXPECT_EQ(queue.TenantDepth("a"), 0u);
+  // Lane "a" is empty but kept; refilled, it rejoins after "c".
+  queue.Admit(MakeReq(3, "a", 3.0, 4));
+  queue.Admit(MakeReq(4, "b", 4.0, 5));
+  EXPECT_EQ(queue.Tenants(), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(PopSequence(&queue, 1), "c:2 a:3 b:4");
+  // Drain to empty and refill every lane: rotation resumes after "b".
+  for (int64_t i = 5; i < 11; ++i) {
+    queue.Admit(MakeReq(i, i % 3 == 0 ? "a" : i % 3 == 1 ? "b" : "c", 5.0, 10 + i));
+  }
+  EXPECT_EQ(queue.KeyDepth(15), 1u);
+  EXPECT_EQ(PopSequence(&queue, 1), "c:5 a:6 b:7 c:8 a:9 b:10");
+  EXPECT_EQ(queue.KeyDepth(15), 0u);
+}
+
+TEST(RequestQueueTest, LaneGrowthPastWrapAroundKeepsFifoOrder) {
+  // Admits and pops interleave so a lane's live window wraps its storage
+  // while it grows; every view of the queue must still see FIFO order.
+  RequestQueue queue(ShapeKeyer);
+  int64_t next = 0;
+  std::string popped;
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 3 + 2 * round; ++i, ++next) {
+      // Runs of two equal keys so batches gather more than one request.
+      queue.Admit(MakeReq(next, next % 5 == 0 ? "b" : "a", static_cast<double>(next),
+                          100 + next / 2));
+    }
+    for (int i = 0; i < 2 + round; ++i) {
+      popped += (popped.empty() ? "" : " ") + PopOne(&queue, 2);
+    }
+  }
+  EXPECT_EQ(popped,
+            "a:1,0 a:2 b:5 a:3 a:4 b:10 a:6,7 a:8,9 a:11 b:15 a:12,13 b:20 a:14 a:16,17 b:25 "
+            "a:18,19 b:30 a:21 a:22,23 a:24 b:35 a:26,27 b:40 a:28,29 b:45 a:31 a:32,33");
+  ASSERT_EQ(queue.size(), 11u);
+  // Lane "a" holds ids 34..47 (ids 35, 40, 45 went to "b"); "b" gets two
+  // more of one key.
+  queue.Admit(MakeReq(48, "b", 48.0, 130));
+  queue.Admit(MakeReq(49, "b", 49.0, 130));
+  // The next pop, previewed: rotation moves on from "a" to "b".
+  const RequestQueue::BatchPreview preview = queue.PreviewBatch(4);
+  EXPECT_EQ(preview.key, 130u);
+  EXPECT_EQ(preview.size, 2u);
+  EXPECT_EQ(preview.oldest_arrival_us, 48.0);
+  std::vector<RequestQueue::BatchPreview> lanes;
+  queue.PreviewLanes(4, &lanes);
+  ASSERT_EQ(lanes.size(), 2u);
+  EXPECT_EQ(lanes[0].key, 117u);
+  EXPECT_EQ(lanes[0].size, 1u);
+  EXPECT_EQ(lanes[0].oldest_arrival_us, 34.0);
+  EXPECT_EQ(lanes[1].key, 130u);
+  EXPECT_EQ(lanes[1].size, 2u);
+  // A scheduler-ranked pick sees every non-empty lane's head and depth.
+  std::vector<std::string> seen;
+  queue.SetLanePicker([&seen](const std::vector<RequestQueue::LaneHead>& heads) {
+    std::string line;
+    for (const RequestQueue::LaneHead& head : heads) {
+      line += *head.tenant + "@" + std::to_string(static_cast<int>(head.arrival_us)) + "x" +
+              std::to_string(head.depth) + " ";
+    }
+    seen.push_back(line);
+    return heads.size() - 1;  // always the last lane
+  });
+  EXPECT_EQ(PopSequence(&queue, 4, 2), "b:48,49 a:34");
+  EXPECT_EQ(seen, (std::vector<std::string>{"a@34x11 b@48x2 ", "a@34x11 "}));
+  queue.SetLanePicker(nullptr);
+  std::vector<ServeRequest> drained;
+  std::vector<uint64_t> keys;
+  EXPECT_EQ(queue.DrainInto(&drained, &keys), 10u);
+  std::string order;
+  for (size_t i = 0; i < drained.size(); ++i) {
+    order += drained[i].tenant + ":" + std::to_string(drained[i].id) + "/" +
+             std::to_string(keys[i]) + " ";
+  }
+  EXPECT_EQ(order, "a:36/118 a:37/118 a:38/119 a:39/119 a:41/120 a:42/121 a:43/121 "
+                   "a:44/122 a:46/123 a:47/123 ");
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.KeyDepth(121), 0u);
 }
 
 // --- Percentile math (util/stats, consumed by serve_stats) ------------------
@@ -591,6 +759,105 @@ TEST(ServeLoopTest, MixedImbalancedTraceWarmsAndRerunsBitIdentically) {
     EXPECT_DOUBLE_EQ(b.stats.records()[i].finish_us, a.stats.records()[i].finish_us) << i;
     EXPECT_EQ(b.stats.records()[i].plan_cache_hit, a.stats.records()[i].plan_cache_hit) << i;
   }
+}
+
+// --- Plan-hit accounting ------------------------------------------------------
+
+// One session run reduced to its plan-hit ledger: per record (completion
+// order) id, 'H' for a plan-cache hit or 'm' for a miss, and 'd' when it
+// ran degraded; then the report's batch and cold-batch counts, the plan
+// store's hits, misses and evictions, and the keys that left the store
+// (LRU evictions and the erases of aborted tunes) in order, as indices
+// into `specs`.
+struct LedgerCase {
+  ServeConfig config;
+  size_t store_capacity = 0;
+  // Every tune in flight fails right after each admission, and the retry
+  // budget is zero: the first failure degrades the batch.
+  bool fail_tunes = false;
+};
+
+std::string PlanHitLedger(const LedgerCase& c) {
+  OverlapEngine engine(Make4090Cluster(4), {}, EngineOptions{.jitter = false});
+  auto store = std::make_shared<PlanStore>(c.store_capacity);
+  engine.UseSharedPlanStore(store);
+  std::vector<ScenarioSpec> specs;
+  std::vector<uint64_t> keys;
+  for (int k = 0; k < 4; ++k) {
+    specs.push_back(SmallSpec(1024 + 512 * k));
+    keys.push_back(engine.planner().CanonicalKey(specs.back()));
+  }
+  std::string removed;
+  store->SetChangeCallback([&](uint64_t key, bool resident) {
+    if (!resident) {
+      const auto it = std::find(keys.begin(), keys.end(), key);
+      removed += it == keys.end() ? "?" : std::to_string(it - keys.begin());
+    }
+  });
+  EventLoop events;
+  ServeSession session(&engine, c.config, &events);
+  if (c.fail_tunes) {
+    ServeSession::FaultPolicy policy;
+    policy.tuner_retry_budget = 0;
+    session.SetFaultPolicy(policy);
+  }
+  // Bursts over two tenants: cold keys arrive together (tuned, parked and
+  // coalesced), later bursts reuse warm or evicted keys.
+  const int pattern[] = {0, 1, 0, 0, 2, 1, 1, 3, 0, 2, 2, 3, 1, 0, 3, 3, 2, 0, 1, 1};
+  for (int i = 0; i < 20; ++i) {
+    const SimTime at = 30000.0 * static_cast<double>(i / 4) + static_cast<double>(i % 4);
+    ServeRequest request{i, i % 2 == 0 ? "a" : "b", at, specs[static_cast<size_t>(pattern[i])]};
+    events.PushCall(at, [&session, &c, request, at]() mutable {
+      session.Admit(std::move(request), at);
+      if (c.fail_tunes) {
+        session.FailInFlightTuning();
+      }
+    });
+  }
+  events.RunToCompletion();
+  const ServeReport& report = session.report();
+  std::string ledger;
+  for (const RequestRecord& record : report.stats.records()) {
+    ledger += std::to_string(record.id) + (record.plan_cache_hit ? "H" : "m") +
+              (record.degraded ? "d" : "") + " ";
+  }
+  const PlanStoreStats stats = store->stats();
+  return ledger + "| batches " + std::to_string(report.batches) + " cold " +
+         std::to_string(report.cold_batches) + " | store " + std::to_string(stats.hits) +
+         "/" + std::to_string(stats.misses) + "/" + std::to_string(stats.evictions) +
+         " removed " + removed;
+}
+
+TEST(PlanHitAccountingTest, LedgerIsPinnedAcrossWarmColdEvictedUnmemoizedAndDegradedBatches) {
+  // ExecuteBatch reads a batch's hit from its run's own plan lookup and
+  // peeks the store separately only for a degraded batch (whose run looks
+  // up the safety plan's key). These ledgers pin the hit flags, cold-batch
+  // counts, store counters and removal order that follow, on every path
+  // a batch can take to the executor.
+  LedgerCase warm;  // tuned, then warm; unbounded store
+  EXPECT_EQ(PlanHitLedger(warm),
+            "0m 2m 3m 1m 5m 6m 8H 4m 9H 10H 7m 11m 12H 13H 14H 15H 16H 17H 18H 19H "
+            "| batches 12 cold 4 | store 12/4/0 removed ");
+  LedgerCase bounded;  // two lanes, two-plan store: evicted and rebuilt
+  bounded.config.tuner_lanes = 2;
+  bounded.store_capacity = 2;
+  EXPECT_EQ(PlanHitLedger(bounded),
+            "0m 2m 3m 1m 5H 6H 4m 7m 8m 9m 11m 10m 12m 13m 14m 15m 16m 17m 18m 19m "
+            "| batches 16 cold 14 | store 7/23/21 removed 021230230321031032012");
+  LedgerCase inline_cold;  // no tuning lane: cold plans build on the executor
+  inline_cold.config.overlap_tuning = false;
+  inline_cold.store_capacity = 2;
+  EXPECT_EQ(PlanHitLedger(inline_cold),
+            "0m 1m 2H 3H 5H 4m 7m 6m 9m 8m 11m 10m 12m 13m 14m 15m 16m 17m 18m 19m "
+            "| batches 17 cold 15 | store 2/15/13 removed 0123120321032");
+  LedgerCase unmemoized = bounded;
+  unmemoized.config.memoize_runs = false;
+  EXPECT_EQ(PlanHitLedger(unmemoized), PlanHitLedger(bounded));
+  LedgerCase degraded;
+  degraded.fail_tunes = true;
+  EXPECT_EQ(PlanHitLedger(degraded),
+            "0md 1md 2m 3m 8H 4md 5m 6m 7m 11m 9m 10m 12H 13H 14H 15H 16H 17H 18H 19H "
+            "| batches 14 cold 7 | store 11/10/0 removed 012");
 }
 
 }  // namespace
