@@ -12,9 +12,12 @@
 // The grid covers all three placement policies with plan shipping on and
 // off, bounded stores that evict (over two runs on one fleet), reactive
 // plus predictive autoscaling with drains, scheduler preemption (the
-// router's avoid-id path), each of the five fault kinds, a full outage
-// (placement stalls), SLO shedding at the degrade point, and sparse
-// traces whose placements are all equal-load ties. On a mismatch the test
+// router's avoid-id path), the scheduler's executor branches (ready-batch
+// backfill, a pop that starts or is vetoed from a tune, a head delay, a
+// backfill window that skips a failed tune), each of the five fault
+// kinds, a full outage (placement stalls), full and partial SLO shedding
+// at the degrade point, and sparse traces whose placements are all
+// equal-load ties. On a mismatch the test
 // prints the case's actual line in literal form.
 #include <gtest/gtest.h>
 
@@ -74,6 +77,24 @@ std::vector<ServeRequest> SparseTrace(int keys, int count) {
   for (int i = 0; i < count; ++i) {
     trace.push_back(
         {i, i % 2 == 0 ? "llm" : "moe", 200000.0 * i, SmallSpec(1024 + 512 * (i % keys))});
+  }
+  return trace;
+}
+
+// `count` arrivals over the first `tenants` of a, b, c and `keys` specs,
+// with seeded gaps uniform in [0, 2 * mean_gap_us): small mixes whose
+// seeds were picked to steer the scheduler into one branch each.
+std::vector<ServeRequest> SeededMix(uint64_t seed, int tenants, int keys, int count,
+                                    double mean_gap_us) {
+  static const char* const kTenants[] = {"a", "b", "c"};
+  Rng rng(seed);
+  std::vector<ServeRequest> trace;
+  SimTime at = 0.0;
+  for (int i = 0; i < count; ++i) {
+    at += rng.NextDouble(0.0, 2.0 * mean_gap_us);
+    const int tenant = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(tenants)));
+    const int key = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(keys)));
+    trace.push_back({i, kTenants[tenant], at, SmallSpec(1024 + 512 * key)});
   }
   return trace;
 }
@@ -359,6 +380,75 @@ std::vector<GoldenCase> Cases() {
                      [](const FleetReport& r) { return r.fault.injected_total() > 0; }});
   }
 
+  {
+    ClusterConfig config = Policy(PlacementPolicy::kLeastLoaded, true, 1);
+    config.sched.enabled = true;
+    config.sched.preempt_requeue = false;
+    cases.push_back({"sched_backfill_ready", config, SeededMix(43, 2, 3, 8, 900.0), {}, 1,
+                     [](const FleetReport& r) { return r.sched.backfills > 0; }});
+  }
+  {
+    // The executor's pop finds a cold key behind a parked one and starts
+    // it on the second tuning lane.
+    ClusterConfig config = Policy(PlacementPolicy::kRoundRobin, false, 1);
+    config.serve.tuner_lanes = 2;
+    config.sched.enabled = true;
+    config.sched.preempt_requeue = false;
+    cases.push_back({"sched_two_lanes_pop_tunes", config, SeededMix(5368, 3, 3, 9, 900.0), {},
+                     1, always});
+  }
+  {
+    // A peer owns the key's search (fleet single-flight), so the
+    // executor's cold pop is vetoed and parks.
+    ClusterConfig config = Policy(PlacementPolicy::kLeastLoaded, true, 2);
+    config.serve.tuner_lanes = 2;
+    config.sched.enabled = true;
+    config.sched.preempt_requeue = false;
+    cases.push_back({"sched_pop_vetoed_ship", config, SeededMix(348, 2, 3, 10, 900.0), {}, 1,
+                     [](const FleetReport& r) { return r.shipping.duplicate_tunes_avoided > 0; }});
+  }
+  {
+    // A backfilled batch still runs when a higher-priority tune lands.
+    ClusterConfig config = Policy(PlacementPolicy::kPlanAffinity, true, 1);
+    config.serve.tuner_lanes = 2;
+    config.sched.enabled = true;
+    config.sched.preempt_requeue = false;
+    cases.push_back({"sched_head_delay", config, SeededMix(3062, 2, 3, 14, 1300.0), {}, 1,
+                     [](const FleetReport& r) { return r.sched.head_delays > 0; }});
+  }
+  {
+    // A blocked head's backfill window skips a tune an injected fault
+    // has already failed.
+    ClusterConfig config = Policy(PlacementPolicy::kRoundRobin, false, 1);
+    config.serve.tuner_lanes = 2;
+    config.sched.enabled = true;
+    config.sched.preempt_requeue = false;
+    config.faults.tuner_failures = 1;
+    config.faults.horizon_us = 80000.0;
+    config.faults.tuner_retry_budget = 0;
+    cases.push_back({"sched_window_skips_failed_tune", config, SeededMix(1570, 2, 3, 10, 100.0),
+                     {FaultEvent{32000.0, FaultKind::kTunerFail, 0, 0.0, 0.0}}, 1,
+                     [](const FleetReport& r) { return r.fault.requests_degraded > 0; }});
+  }
+  {
+    // The SLO shed drops some of a degraded batch's requests and serves
+    // the rest on the safety plan.
+    ClusterConfig config = Policy(PlacementPolicy::kRoundRobin, false, 1);
+    config.sched.enabled = true;
+    config.sched.slo_shed = true;
+    config.sched.slo_p99_us = 1000.0;
+    config.sched.preempt_requeue = false;
+    config.faults.tuner_failures = 2;
+    config.faults.horizon_us = 80000.0;
+    config.faults.tuner_retry_budget = 0;
+    cases.push_back({"fault_tuner_fail_partial_shed", config, SeededMix(19501, 3, 2, 9, 900.0),
+                     {FaultEvent{25000.0, FaultKind::kTunerFail, 0, 0.0, 0.0},
+                      FaultEvent{28000.0, FaultKind::kTunerFail, 0, 0.0, 0.0}},
+                     1, [](const FleetReport& r) {
+                       return r.fault.requests_shed > 0 && r.fault.requests_degraded > 0;
+                     }});
+  }
+
   cases.push_back({"ties_least_loaded_sparse", Policy(PlacementPolicy::kLeastLoaded, true),
                    SparseTrace(3, 24), {}, 1, always});
   cases.push_back({"ties_affinity_sparse", Policy(PlacementPolicy::kPlanAffinity, true),
@@ -498,6 +588,36 @@ const std::vector<std::pair<std::string, std::vector<std::string>>> kGolden = {
        " n=80 searches=5 keys=4 peak=4 scale=0/0/0 ship=4/15/15/0"
        " events=210 fault=1/1/1/1/1:13/13/0/0/0/0/3/1/0/0"
        " sched=1/5/0x1.588c92712e324p+16/0/39/4/0 store=63/5/0 planner=63/5"}},
+    {"sched_backfill_ready",
+     {"records=97473b54ebc2ab41 replicas=f3aa9c79375f0d18 makespan=0x1.ebba41ef69e6bp+15"
+       " n=8 searches=3 keys=3 peak=1 scale=0/0/0 ship=3/0/0/0"
+       " events=15 fault=0/0/0/0/0:0/0/0/0/0/0/0/0/0/0"
+       " sched=1/3/0x1.b5aeb423eeb98p+15/0/0/0/0 store=4/3/0 planner=4/3"}},
+    {"sched_two_lanes_pop_tunes",
+     {"records=af3b7419b7e73bdf replicas=747069f87680f5e7 makespan=0x1.599f0155cdd7dp+15"
+       " n=9 searches=3 keys=3 peak=1 scale=0/0/0 ship=0/0/0/0"
+       " events=17 fault=0/0/0/0/0:0/0/0/0/0/0/0/0/0/0"
+       " sched=1/2/0x1.19e8d1c83369bp+15/0/0/0/0 store=5/3/0 planner=5/3"}},
+    {"sched_pop_vetoed_ship",
+     {"records=af2788f803827e85 replicas=807b19f6f3e94975 makespan=0x1.96c9c3aacdfd9p+14"
+       " n=10 searches=3 keys=3 peak=2 scale=0/0/0 ship=3/3/1/0"
+       " events=19 fault=0/0/0/0/0:0/0/0/0/0/0/0/0/0/0"
+       " sched=0/4/0x1.43f4a0ba5547bp+15/0/0/0/0 store=6/3/0 planner=6/3"}},
+    {"sched_head_delay",
+     {"records=a98fbb50f39b707e replicas=0ed4ad0eb2d52b1a makespan=0x1.62ae7bb7a4f1dp+15"
+       " n=14 searches=3 keys=3 peak=1 scale=0/0/0 ship=3/0/0/0"
+       " events=25 fault=0/0/0/0/0:0/0/0/0/0/0/0/0/0/0"
+       " sched=4/2/0x1.0598cb4b96bfcp+15/1/0/0/0 store=8/3/0 planner=8/3"}},
+    {"sched_window_skips_failed_tune",
+     {"records=759f526ecf92be02 replicas=ca24e10d126770e8 makespan=0x1.6ea3ca42d6173p+15"
+       " n=10 searches=3 keys=3 peak=1 scale=0/0/0 ship=0/0/0/0"
+       " events=24 fault=0/0/0/1/0:0/0/0/0/2/0/0/0/0/0"
+       " sched=1/2/0x1.32a9052ca0b02p+15/0/0/0/0 store=6/7/0 planner=6/7"}},
+    {"fault_tuner_fail_partial_shed",
+     {"records=92b3ca588bee5cef replicas=18c560aad686e985 makespan=0x1.4ec10c1d94368p+15"
+       " n=8 searches=2 keys=2 peak=1 scale=0/0/0 ship=0/0/0/0"
+       " events=18 fault=0/0/0/2/0:0/0/0/0/2/0/0/0/0/1"
+       " sched=0/2/0x1.1c5df70e3e1p+15/0/0/0/1 store=3/4/0 planner=3/4"}},
     {"ties_least_loaded_sparse",
      {"records=c01d3f1b5b8a77f1 replicas=4f31e0c97af535be makespan=0x1.18d105f5a6beap+22"
        " n=24 searches=3 keys=3 peak=4 scale=0/0/0 ship=3/9/0/0"
