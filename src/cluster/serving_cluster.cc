@@ -32,20 +32,6 @@ void EmitFleetInstant(ObsPlane* obs, SpanKind kind, SimTime now, uint64_t id, ui
   obs->Emit(span);
 }
 
-// Requeue backoff: base * 2^(attempt-1) (capped at 10 doublings, no
-// std::pow — libm rounding is not a determinism bet) plus seeded jitter
-// in [0, jitter) that is a pure function of (seed, request id, attempt).
-double RequeueBackoffUs(const FaultConfig& faults, int64_t request_id, int attempt) {
-  double backoff = faults.retry_backoff_base_us;
-  const int doublings = std::min(attempt, 10) - 1;
-  for (int i = 0; i < doublings; ++i) {
-    backoff *= 2.0;
-  }
-  const double jitter =
-      Rng(StableHash().Mix(faults.seed).Mix(request_id).Mix(attempt).value()).NextDouble();
-  return backoff + faults.retry_backoff_jitter_us * jitter;
-}
-
 }  // namespace
 
 ServingCluster::ServingCluster(ClusterSpec hardware, ClusterConfig config,
@@ -124,10 +110,7 @@ Replica* ServingCluster::FindReplica(int id) {
 
 void ServingCluster::StartSession(Replica* replica) {
   replica->StartSession(config_.serve, &events_, HooksFor(replica));
-  replica->session()->SetFaultPolicy(
-      ServeSession::FaultPolicy{config_.faults.tuner_retry_budget,
-                                config_.faults.retry_backoff_base_us,
-                                config_.faults.retry_backoff_jitter_us, config_.faults.seed});
+  replica->session()->SetFaultConfig(config_.faults);
   table_.ResetSession(replica->id());
   SyncAccepting(*replica);
 }
@@ -680,45 +663,43 @@ void ServingCluster::OnHealthRestore(const EventRecord& record, SimTime now) {
   if (replica == nullptr || replica->retired() || replica->session() == nullptr) {
     return;  // crashed + draining replicas may retire before the restore
   }
+  Replica::Health faulted = Replica::Health::kHealthy;
   switch (kind) {
     case FaultKind::kCrash:
-      if (replica->health() != Replica::Health::kCrashed) {
-        return;
-      }
-      // Restart: re-subscribe re-warms the empty store (and tuner tier)
-      // from everything the fleet has published — the paper's "prepare
-      // once, serve many" contract doubling as crash recovery.
-      fault_report_.plans_rewarmed += shipper_.Subscribe(
-          replica->id(), replica->store(), &replica->engine().tuner());
-      ++fault_report_.replica_restarts;
-      replica->SetHealth(Replica::Health::kHealthy);
-      SyncAccepting(*replica);
-      replica->session()->SetStalled(false);
-      replica->session()->Dispatch(now);
+      faulted = Replica::Health::kCrashed;
       break;
     case FaultKind::kHang:
-      if (replica->health() != Replica::Health::kHung) {
-        return;
-      }
-      replica->SetHealth(Replica::Health::kHealthy);
-      SyncAccepting(*replica);
-      replica->session()->SetStalled(false);
-      replica->session()->Dispatch(now);
+      faulted = Replica::Health::kHung;
       break;
     case FaultKind::kSlowdown:
-      if (replica->health() != Replica::Health::kStraggling) {
-        return;
-      }
-      replica->SetHealth(Replica::Health::kHealthy);
-      SyncAccepting(*replica);
-      replica->session()->SetCostMultiplier(1.0);
-      replica->session()->Dispatch(now);
+      faulted = Replica::Health::kStraggling;
       break;
     case FaultKind::kTunerFail:
     case FaultKind::kShipLoss:
     case FaultKind::kCount:
       FLO_CHECK(false) << "unreachable restore kind";
   }
+  if (replica->health() != faulted) {
+    return;
+  }
+  if (kind == FaultKind::kCrash) {
+    // Restart: re-subscribe re-warms the empty store (and tuner tier)
+    // from everything the fleet has published — the paper's "prepare
+    // once, serve many" contract doubling as crash recovery.
+    fault_report_.plans_rewarmed += shipper_.Subscribe(
+        replica->id(), replica->store(), &replica->engine().tuner());
+    ++fault_report_.replica_restarts;
+  }
+  replica->SetHealth(Replica::Health::kHealthy);
+  SyncAccepting(*replica);
+  // Undo the fault: a straggler's cost returns to 1x; a crashed or hung
+  // session resumes dispatching.
+  if (kind == FaultKind::kSlowdown) {
+    replica->session()->SetCostMultiplier(1.0);
+  } else {
+    replica->session()->SetStalled(false);
+  }
+  replica->session()->Dispatch(now);
 }
 
 void ServingCluster::OnHangDetect(const EventRecord& record, SimTime now) {
@@ -756,7 +737,8 @@ void ServingCluster::RequeueFrom(Replica* replica, SimTime now) {
       }
       ++fault_report_.retry_budget_exhausted;
     }
-    const double backoff = RequeueBackoffUs(config_.faults, request.id, request.retries);
+    const double backoff =
+        RetryBackoffUs(config_.faults, static_cast<uint64_t>(request.id), request.retries);
     PushRequeue(std::move(request), evacuated_keys_[i], now + backoff);
   }
   evacuated_.clear();

@@ -69,9 +69,9 @@ struct FaultConfig {
   double ship_loss_window_us = 5000.0;    // drop-filter window
   double ship_loss_fraction = 0.5;        // per-(key, peer) drop probability
   // Recovery policy: requeued requests back off exponentially
-  // (base * 2^(retries-1) + seeded jitter) and are flagged once they
-  // exceed the budget (the run still completes them — the budget bounds
-  // the backoff growth and feeds the report, it does not shed load).
+  // (RetryBackoffUs below) and are flagged once they exceed the budget
+  // (the run still completes them — the budget bounds the backoff growth
+  // and feeds the report, it does not shed load).
   int retry_budget = 5;
   double retry_backoff_base_us = 200.0;
   double retry_backoff_jitter_us = 50.0;
@@ -84,6 +84,14 @@ struct FaultConfig {
            ship_loss_windows > 0;
   }
 };
+
+// Recovery backoff before retry `attempt` (1-based) of the work `id` — a
+// requeued request's id or an aborted tune's plan key:
+// retry_backoff_base_us * 2^(min(attempt, 10) - 1) (attempts past the
+// tenth wait as long as the tenth), plus seeded jitter in
+// [0, retry_backoff_jitter_us) that is a pure function of (seed, id,
+// attempt), so the timeline is bit-identical across reruns.
+double RetryBackoffUs(const FaultConfig& faults, uint64_t id, int attempt);
 
 // The fault section of a FleetReport: injections performed and the
 // recovery work they triggered. All counters are per run and

@@ -28,6 +28,18 @@ const char* FaultKindName(FaultKind kind) {
   return "?";
 }
 
+double RetryBackoffUs(const FaultConfig& faults, uint64_t id, int attempt) {
+  // No std::pow: libm rounding is not a determinism bet worth making.
+  double backoff = faults.retry_backoff_base_us;
+  const int doublings = std::min(attempt, 10) - 1;
+  for (int i = 0; i < doublings; ++i) {
+    backoff *= 2.0;
+  }
+  const double jitter =
+      Rng(StableHash().Mix(faults.seed).Mix(id).Mix(attempt).value()).NextDouble();
+  return backoff + faults.retry_backoff_jitter_us * jitter;
+}
+
 namespace {
 
 std::optional<FaultKind> TryFaultKindFromName(const std::string& name) {

@@ -1,7 +1,7 @@
 // Fleet scheduling knobs: the decision layer for *when* admitted work
 // runs (the FleetRouter decides *where*). Three cooperating policies,
-// all default-off so a default-constructed config is bit-identical to
-// the pre-sched FIFO dispatch:
+// all default-off, so a default-constructed config leaves the serving
+// dispatcher's pick FIFO:
 //
 //  - fair-share priority: per-tenant served-cost shares decayed with a
 //    half-life compose with request age into a deterministic priority
@@ -21,8 +21,9 @@
 namespace flo {
 
 struct SchedConfig {
-  // Master switch. Off = every dispatch decision is byte-identical to
-  // the pre-sched build, whatever the other knobs say.
+  // Master switch. Off = the session dispatcher's no-policy pick, FIFO
+  // (ready batches in order, then the queue's rotation head; no backfill,
+  // reservation, preemption or shed), whatever the other knobs say.
   bool enabled = false;
 
   // Fair share: served predicted-cost halves every this many sim-us.

@@ -78,9 +78,11 @@ struct ServeConfig {
   ObsPlane* obs = nullptr;
   // Fleet scheduler (src/sched): fair-share priority over the tenant
   // lanes, latency-predicted backfill into cold-tuning windows, and the
-  // SLO shed decision. Borrowed; must outlive the run. nullptr (the
-  // default) — and a scheduler whose SchedConfig::enabled is false —
-  // leave dispatch bit-identical to the pre-sched FIFO build.
+  // SLO shed decision. Borrowed; must outlive the run. The session has
+  // one dispatcher and the scheduler only changes which unit it picks:
+  // nullptr (the default) — and a scheduler whose SchedConfig::enabled is
+  // false — pick FIFO (the oldest ready batch, else the queue's rotation
+  // head).
   FleetScheduler* sched = nullptr;
 };
 

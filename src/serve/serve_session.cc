@@ -8,7 +8,6 @@
 #include "src/obs/obs_plane.h"
 #include "src/sched/fleet_scheduler.h"
 #include "src/util/check.h"
-#include "src/util/rng.h"
 
 namespace flo {
 
@@ -18,24 +17,6 @@ namespace {
 // one costs a single branch.
 inline bool Observing(const ServeConfig& config) {
   return config.obs != nullptr && config.obs->enabled();
-}
-
-// Seeded jitter in [0, 1) for retry backoff: a pure function of (seed,
-// key, attempt), so the timeline is bit-identical across reruns and
-// independent of evaluation order.
-double JitterFraction(uint64_t seed, uint64_t key, int attempt) {
-  return Rng(StableHash().Mix(seed).Mix(key).Mix(attempt).value()).NextDouble();
-}
-
-// base * 2^(attempt-1) without std::pow (whose libm rounding is not a
-// determinism bet worth making); attempts clamp at 10 doublings.
-double BackoffUs(double base, int attempt) {
-  double backoff = base;
-  const int doublings = std::min(attempt, 10) - 1;
-  for (int i = 0; i < doublings; ++i) {
-    backoff *= 2.0;
-  }
-  return backoff;
 }
 
 }  // namespace
@@ -150,22 +131,11 @@ bool ServeSession::IsWarm(uint64_t key) const {
   return engine_->plan_store().Contains(key) && tuning_keys_.count(key) == 0;
 }
 
-uint64_t ServeSession::PopQueueBatch(uint32_t batch_slot) {
+uint64_t ServeSession::PopQueueBatch(uint32_t batch_slot, uint32_t lane_tenant) {
   Batch& batch = batch_pool_[batch_slot];
-  batch.key = queue_.PopBatchInto(config_.max_batch, &batch.requests);
-  batch.tenant_id = batch.requests.front().tenant_id;
-  batch.oldest_arrival_us = batch.requests.front().arrival_us;
-  for (const ServeRequest& request : batch.requests) {
-    if (request.arrival_us < batch.oldest_arrival_us) {
-      batch.oldest_arrival_us = request.arrival_us;
-    }
-  }
-  return batch.key;
-}
-
-uint64_t ServeSession::PopQueueLaneBatch(uint32_t batch_slot, uint32_t tenant_id) {
-  Batch& batch = batch_pool_[batch_slot];
-  batch.key = queue_.PopLaneBatchInto(tenant_id, config_.max_batch, &batch.requests);
+  batch.key = lane_tenant == 0
+                  ? queue_.PopBatchInto(config_.max_batch, &batch.requests)
+                  : queue_.PopLaneBatchInto(lane_tenant, config_.max_batch, &batch.requests);
   batch.tenant_id = batch.requests.front().tenant_id;
   batch.oldest_arrival_us = batch.requests.front().arrival_us;
   for (const ServeRequest& request : batch.requests) {
@@ -324,7 +294,7 @@ void ServeSession::AbortTuning(uint32_t batch_slot, uint64_t key, SimTime now) {
   // own cache keeps its references valid, and charged_searches re-pays
   // the simulated cost on the retry.
   engine_->plan_store().Erase(key);
-  if (batch.tune_retries > fault_policy_.tuner_retry_budget) {
+  if (batch.tune_retries > faults_.tuner_retry_budget) {
     // Budget exhausted: the batch is bound for the single-group safety
     // plan. SLO-aware shed first (SchedConfig::slo_shed): requests of
     // tenants whose p99 is already blown are dropped rather than served
@@ -332,7 +302,8 @@ void ServeSession::AbortTuning(uint32_t batch_slot, uint64_t key, SimTime now) {
     // and only queues more delay behind it.
     if (sched_ != nullptr && sched_->config().slo_shed) {
       size_t kept = 0;
-      for (ServeRequest& request : batch.requests) {
+      for (size_t i = 0; i < batch.requests.size(); ++i) {
+        ServeRequest& request = batch.requests[i];
         if (sched_->TenantSloBlown(request.tenant_id)) {
           ++report_.shed_requests;
           FLO_CHECK_GT(pending_requests_, 0u);
@@ -352,7 +323,11 @@ void ServeSession::AbortTuning(uint32_t batch_slot, uint64_t key, SimTime now) {
             hooks_.request_shed(request, now);
           }
         } else {
-          batch.requests[kept++] = std::move(request);
+          // A self-move would empty the request: only compact across a gap.
+          if (kept != i) {
+            batch.requests[kept] = std::move(request);
+          }
+          ++kept;
         }
       }
       batch.requests.resize(kept);
@@ -380,11 +355,7 @@ void ServeSession::AbortTuning(uint32_t batch_slot, uint64_t key, SimTime now) {
     ready_.push_back(batch_slot);
   } else {
     ++report_.tuner_retries;
-    const double backoff =
-        BackoffUs(fault_policy_.retry_backoff_base_us, batch.tune_retries) +
-        fault_policy_.retry_backoff_jitter_us *
-            JitterFraction(fault_policy_.seed, key, batch.tune_retries);
-    batch.not_before_us = now + backoff;
+    batch.not_before_us = now + RetryBackoffUs(faults_, key, batch.tune_retries);
     // Plain park (merging into a same-key waiter would lose the retry
     // state); the kick re-runs Dispatch at expiry.
     tune_wait_.push_back(batch_slot);
@@ -465,12 +436,7 @@ size_t ServeSession::ExtractPending(std::vector<ServeRequest>* out,
     evacuate(s, /*counted_pending=*/true);
   }
   // Admission queue last: lane order, FIFO within a lane.
-  const size_t drained = queue_.DrainInto(out, keys);
-  FLO_CHECK_GE(pending_requests_, drained);
-  pending_requests_ -= drained;
-  extracted += drained;
-  LoadChanged();
-  return extracted;
+  return extracted + ExtractQueued(out, keys);
 }
 
 size_t ServeSession::ExtractQueued(std::vector<ServeRequest>* out,
@@ -481,18 +447,6 @@ size_t ServeSession::ExtractQueued(std::vector<ServeRequest>* out,
   pending_requests_ -= drained;
   LoadChanged();
   return drained;
-}
-
-SimTime ServeSession::TuningEtaFor(uint64_t key) const {
-  SimTime eta = -1.0;
-  for (const uint32_t s : tuning_slots_) {
-    const Batch& batch = batch_pool_[s];
-    if (batch.key == key && !batch.cancelled &&
-        (eta < 0.0 || batch.tune_eta_us < eta)) {
-      eta = batch.tune_eta_us;
-    }
-  }
-  return eta;
 }
 
 void ServeSession::StartTuning(uint32_t batch_slot, SimTime now) {
@@ -722,6 +676,14 @@ void ServeSession::OnBatchFinished(const EventRecord& record, SimTime now) {
   }
 }
 
+bool ServeSession::AcquireTuning(uint64_t key, std::set<uint64_t>* vetoed) {
+  if (!hooks_.acquire_tuning || hooks_.acquire_tuning(key)) {
+    return true;
+  }
+  vetoed->insert(key);
+  return false;
+}
+
 void ServeSession::Dispatch(SimTime now) {
   if (stalled_) {
     return;  // crashed or hung replica: nothing starts until restored
@@ -762,13 +724,6 @@ void ServeSession::Dispatch(SimTime now) {
     }
     return false;
   };
-  auto acquire = [&](uint64_t key) {
-    if (!hooks_.acquire_tuning || hooks_.acquire_tuning(key)) {
-      return true;
-    }
-    vetoed.insert(key);
-    return false;
-  };
   while (tuners_busy_ + static_cast<int>(starting.size()) < tuner_lanes) {
     bool picked = false;
     for (size_t i = 0; i < tune_wait_.size(); ++i) {
@@ -776,7 +731,7 @@ void ServeSession::Dispatch(SimTime now) {
       if (batch_pool_[tune_wait_[i]].not_before_us > now) {
         continue;  // retry backoff still running (src/fault)
       }
-      if (!key_busy(key) && vetoed.count(key) == 0 && acquire(key)) {
+      if (!key_busy(key) && vetoed.count(key) == 0 && AcquireTuning(key, &vetoed)) {
         starting.push_back(tune_wait_[i]);
         tune_wait_.erase(tune_wait_.begin() + static_cast<Lane::difference_type>(i));
         picked = true;
@@ -788,19 +743,17 @@ void ServeSession::Dispatch(SimTime now) {
     }
     if (config_.overlap_tuning && !queue_.empty() && !IsWarm(queue_.PeekKey()) &&
         !key_busy(queue_.PeekKey()) && vetoed.count(queue_.PeekKey()) == 0) {
-      if (acquire(queue_.PeekKey())) {
-        const uint32_t s = AcquireSlot();
-        PopQueueBatch(s);
-        batch_pool_[s].tuned = true;
-        starting.push_back(s);
-        continue;
-      }
-      // Vetoed head: move it off the queue so warm work behind it keeps
-      // flowing; it waits for the peer's plan like any parked cold batch.
+      const bool acquired = AcquireTuning(queue_.PeekKey(), &vetoed);
       const uint32_t s = AcquireSlot();
       PopQueueBatch(s);
       batch_pool_[s].tuned = true;
-      MergeOrPark(&tune_wait_, s);
+      if (acquired) {
+        starting.push_back(s);
+      } else {
+        // Vetoed head: move it off the queue so warm work behind it keeps
+        // flowing; it waits for the peer's plan like any parked cold batch.
+        MergeOrPark(&tune_wait_, s);
+      }
       continue;
     }
     break;
@@ -815,214 +768,169 @@ void ServeSession::Dispatch(SimTime now) {
     ++report_.tuning_groups;
     StartTuningGroup(std::move(starting), now);
   }
-  if (sched_ != nullptr) {
-    DispatchExecutorSched(now, tuner_lanes, &vetoed);
-    return;
-  }
+  // The executor stage: one unit per pass until the executor is busy or
+  // nothing can run. Only the pick depends on the scheduler.
   while (executor_free_) {
-    if (!ready_.empty()) {
-      const uint32_t s = ready_.front();
-      ready_.pop_front();
-      ExecuteBatch(s, now);
-      return;
-    }
-    if (queue_.empty()) {
-      return;
-    }
-    const uint32_t s = AcquireSlot();
-    PopQueueBatch(s);
-    if (config_.overlap_tuning && !IsWarm(batch_pool_[s].key)) {
-      batch_pool_[s].tuned = true;  // it will wait on the cold-plan path
-      if (tuners_busy_ < tuner_lanes && tuning_keys_.count(batch_pool_[s].key) == 0 &&
-          vetoed.count(batch_pool_[s].key) == 0 && acquire(batch_pool_[s].key)) {
-        StartTuning(s, now);
-      } else {
-        MergeOrPark(&tune_wait_, s);
+    Unit unit = Unit::kNone;
+    size_t index = 0;
+    if (sched_ == nullptr) {
+      if (!ready_.empty()) {
+        unit = Unit::kReady;
+      } else if (!queue_.empty()) {
+        unit = Unit::kQueue;
       }
-      continue;  // a warm batch may be waiting behind the cold one
+    } else {
+      unit = SchedPick(now, &index);
+    }
+    if (unit == Unit::kNone) {
+      return;
+    }
+    if (unit == Unit::kBlocked) {
+      BackfillOrReserve(tuning_slots_[index], now);
+      return;
+    }
+    uint32_t s;
+    if (unit == Unit::kReady) {
+      s = ready_[index];
+      ready_.erase(ready_.begin() + static_cast<Lane::difference_type>(index));
+    } else {
+      s = AcquireSlot();
+      const uint64_t key = PopQueueBatch(s);
+      if (config_.overlap_tuning && !IsWarm(key)) {
+        batch_pool_[s].tuned = true;  // it will wait on the cold-plan path
+        if (tuners_busy_ < tuner_lanes && tuning_keys_.count(key) == 0 &&
+            vetoed.count(key) == 0 && AcquireTuning(key, &vetoed)) {
+          StartTuning(s, now);
+        } else {
+          MergeOrPark(&tune_wait_, s);
+        }
+        continue;  // pick again: a warm batch may be waiting behind the cold one
+      }
     }
     ExecuteBatch(s, now);
   }
 }
 
-// The scheduler-ordered executor stage. Candidate units, each carrying a
-// priority key:
+// The scheduler's pick. Candidate units, each carrying a priority key:
 //   ready batches        — can run immediately;
 //   the queue's preview  — what the next pop would form (warm or cold);
 //   tuning-lane batches  — blocked until their tune's ETA.
 // The highest-priority unit wins (ties: ready, then queue, then tuning,
-// then scan order — all deterministic). A winning tuning batch cannot
-// run, so the window until its ETA is backfilled with the best
-// lower-priority warm batch that provably fits (predicted service x
-// slack, against the ETA of every tuning batch that outranks the
-// candidate — the head job is never delayed); when nothing fits, the
-// executor idles reserved.
-void ServeSession::DispatchExecutorSched(SimTime now, int tuner_lanes,
-                                         std::set<uint64_t>* vetoed) {
-  auto acquire = [&](uint64_t key) {
-    if (!hooks_.acquire_tuning || hooks_.acquire_tuning(key)) {
-      return true;
+// then scan order — all deterministic).
+ServeSession::Unit ServeSession::SchedPick(SimTime now, size_t* index) const {
+  Unit best = Unit::kNone;
+  FleetScheduler::Priority best_priority;
+  auto offer = [&](Unit unit, size_t i, const FleetScheduler::Priority& priority) {
+    if (best == Unit::kNone || FleetScheduler::Before(priority, best_priority)) {
+      best = unit;
+      *index = i;
+      best_priority = priority;
     }
-    vetoed->insert(key);
-    return false;
   };
-  while (executor_free_) {
-    // Class 0 = ready, 1 = queue preview, 2 = blocked on tuning.
-    int best_class = -1;
-    size_t best_index = 0;
-    FleetScheduler::Priority best_priority;
-    auto offer = [&](int cls, size_t index, const FleetScheduler::Priority& priority) {
-      if (best_class == -1 || FleetScheduler::Before(priority, best_priority)) {
-        best_class = cls;
-        best_index = index;
-        best_priority = priority;
+  for (size_t i = 0; i < ready_.size(); ++i) {
+    const Batch& batch = batch_pool_[ready_[i]];
+    offer(Unit::kReady, i, sched_->KeyFor(batch.tenant_id, batch.oldest_arrival_us, now));
+  }
+  if (!queue_.empty()) {
+    const RequestQueue::BatchPreview preview = queue_.PreviewBatch(config_.max_batch);
+    offer(Unit::kQueue, 0, sched_->KeyFor(preview.tenant_id, preview.oldest_arrival_us, now));
+  }
+  for (size_t i = 0; i < tuning_slots_.size(); ++i) {
+    const Batch& batch = batch_pool_[tuning_slots_[i]];
+    if (batch.cancelled || batch.tune_failed) {
+      continue;  // will never reach ready
+    }
+    offer(Unit::kBlocked, i, sched_->KeyFor(batch.tenant_id, batch.oldest_arrival_us, now));
+  }
+  return best;
+}
+
+// The head of the line is blocked on tuning: backfill its window or hold
+// the executor for it. A candidate fits only against the earliest ETA
+// among tuning batches that outrank it (predicted service x slack), so no
+// tuned batch — this one or a later-finishing higher-priority one — is
+// ever delayed by the backfill.
+void ServeSession::BackfillOrReserve(uint32_t blocked_slot, SimTime now) {
+  auto window_for = [&](const FleetScheduler::Priority& candidate) {
+    double window = std::numeric_limits<double>::infinity();
+    for (const uint32_t s : tuning_slots_) {
+      const Batch& tuning = batch_pool_[s];
+      if (tuning.cancelled || tuning.tune_failed) {
+        continue;
       }
-    };
+      const FleetScheduler::Priority priority =
+          sched_->KeyFor(tuning.tenant_id, tuning.oldest_arrival_us, now);
+      if (FleetScheduler::Before(priority, candidate) && tuning.tune_eta_us - now < window) {
+        window = tuning.tune_eta_us - now;
+      }
+    }
+    return window;
+  };
+  // The filler: a ready_ position, or a queue lane's tenant.
+  bool found = false;
+  std::optional<size_t> fill_ready;
+  uint32_t fill_tenant = 0;
+  FleetScheduler::Priority fill_priority;
+  if (sched_->config().backfill) {
     for (size_t i = 0; i < ready_.size(); ++i) {
       const Batch& batch = batch_pool_[ready_[i]];
-      offer(0, i, sched_->KeyFor(batch.tenant_id, batch.oldest_arrival_us, now));
-    }
-    RequestQueue::BatchPreview preview;
-    if (!queue_.empty()) {
-      preview = queue_.PreviewBatch(config_.max_batch);
-      offer(1, 0, sched_->KeyFor(preview.tenant_id, preview.oldest_arrival_us, now));
-    }
-    for (size_t i = 0; i < tuning_slots_.size(); ++i) {
-      const Batch& batch = batch_pool_[tuning_slots_[i]];
-      if (batch.cancelled || batch.tune_failed) {
-        continue;  // will never reach ready
-      }
-      offer(2, i, sched_->KeyFor(batch.tenant_id, batch.oldest_arrival_us, now));
-    }
-    if (best_class == -1) {
-      return;  // nothing runnable or pending a known ETA
-    }
-    if (best_class == 0) {
-      const uint32_t s = ready_[best_index];
-      ready_.erase(ready_.begin() + static_cast<Lane::difference_type>(best_index));
-      ExecuteBatch(s, now);
-      return;
-    }
-    if (best_class == 1) {
-      const uint32_t s = AcquireSlot();
-      PopQueueBatch(s);
-      if (config_.overlap_tuning && !IsWarm(batch_pool_[s].key)) {
-        batch_pool_[s].tuned = true;
-        if (tuners_busy_ < tuner_lanes && tuning_keys_.count(batch_pool_[s].key) == 0 &&
-            vetoed->count(batch_pool_[s].key) == 0 && acquire(batch_pool_[s].key)) {
-          StartTuning(s, now);
-        } else {
-          MergeOrPark(&tune_wait_, s);
-        }
-        continue;  // re-rank: the next-best unit may run meanwhile
-      }
-      ExecuteBatch(s, now);
-      return;
-    }
-    // The head of the line is blocked on tuning: backfill its window or
-    // hold the executor for it. A candidate fits only against the
-    // earliest ETA among tuning batches that outrank it, so no tuned
-    // batch — this one or a later-finishing higher-priority one — is
-    // ever delayed by the backfill.
-    const Batch& blocked = batch_pool_[tuning_slots_[best_index]];
-    auto window_for = [&](const FleetScheduler::Priority& candidate) {
-      double window = std::numeric_limits<double>::infinity();
-      for (const uint32_t s : tuning_slots_) {
-        const Batch& tuning = batch_pool_[s];
-        if (tuning.cancelled || tuning.tune_failed) {
-          continue;
-        }
-        const FleetScheduler::Priority priority =
-            sched_->KeyFor(tuning.tenant_id, tuning.oldest_arrival_us, now);
-        if (FleetScheduler::Before(priority, candidate) &&
-            tuning.tune_eta_us - now < window) {
-          window = tuning.tune_eta_us - now;
-        }
-      }
-      return window;
-    };
-    int fill_class = -1;
-    size_t fill_index = 0;
-    uint32_t fill_tenant = 0;
-    FleetScheduler::Priority fill_priority;
-    if (sched_->config().backfill) {
-      for (size_t i = 0; i < ready_.size(); ++i) {
-        const Batch& batch = batch_pool_[ready_[i]];
-        const FleetScheduler::Priority priority =
-            sched_->KeyFor(batch.tenant_id, batch.oldest_arrival_us, now);
-        if (!sched_->BackfillFits(PredictedServiceUs(batch), window_for(priority))) {
-          continue;
-        }
-        if (fill_class == -1 || FleetScheduler::Before(priority, fill_priority)) {
-          fill_class = 0;
-          fill_index = i;
-          fill_priority = priority;
-        }
-      }
-      // Every lane's head batch is a filler candidate, not just the
-      // ranked pick's: the top lane is often the blocked tenant's own
-      // (cold, unpoppable), while warm work waits in lanes it outranks.
-      queue_.PreviewLanes(config_.max_batch, &lane_previews_);
-      for (const RequestQueue::BatchPreview& lane : lane_previews_) {
-        if (lane.size == 0 || !IsWarm(lane.key)) {
-          continue;
-        }
-        const FleetScheduler::Priority priority =
-            sched_->KeyFor(lane.tenant_id, lane.oldest_arrival_us, now);
-        const auto predicted = engine_->plan_store().PeekPredictedUs(lane.key);
-        if (predicted.has_value() &&
-            sched_->BackfillFits(
-                *predicted * static_cast<double>(lane.size) * cost_multiplier_,
-                window_for(priority)) &&
-            (fill_class == -1 || FleetScheduler::Before(priority, fill_priority))) {
-          fill_class = 1;
-          fill_tenant = lane.tenant_id;
-          fill_priority = priority;
-        }
+      const FleetScheduler::Priority priority =
+          sched_->KeyFor(batch.tenant_id, batch.oldest_arrival_us, now);
+      if (sched_->BackfillFits(PredictedServiceUs(batch), window_for(priority)) &&
+          (!found || FleetScheduler::Before(priority, fill_priority))) {
+        found = true;
+        fill_ready = i;
+        fill_priority = priority;
       }
     }
-    if (fill_class == 0) {
-      const uint32_t s = ready_[fill_index];
-      ready_.erase(ready_.begin() + static_cast<Lane::difference_type>(fill_index));
-      batch_pool_[s].backfilled = true;
-      ++report_.backfills;
-      if (Observing(config_)) {
-        SpanRecord span;
-        span.kind = SpanKind::kSchedBackfill;
-        span.start_us = now;
-        span.end_us = now;
-        span.id = batch_pool_[s].key;
-        span.arg = batch_pool_[s].requests.size();
-        span.tenant = batch_pool_[s].tenant_id;
-        span.replica = replica_id_;
-        config_.obs->Emit(span);
+    // Every lane's head batch is a filler candidate, not just the
+    // ranked pick's: the top lane is often the blocked tenant's own
+    // (cold, unpoppable), while warm work waits in lanes it outranks.
+    queue_.PreviewLanes(config_.max_batch, &lane_previews_);
+    for (const RequestQueue::BatchPreview& lane : lane_previews_) {
+      if (lane.size == 0 || !IsWarm(lane.key)) {
+        continue;
       }
-      ExecuteBatch(s, now);
-      return;
-    }
-    if (fill_class == 1) {
-      const uint32_t s = AcquireSlot();
-      // Exactly the previewed lane batch: same key, same size.
-      PopQueueLaneBatch(s, fill_tenant);
-      batch_pool_[s].backfilled = true;
-      ++report_.backfills;
-      if (Observing(config_)) {
-        SpanRecord span;
-        span.kind = SpanKind::kSchedBackfill;
-        span.start_us = now;
-        span.end_us = now;
-        span.id = batch_pool_[s].key;
-        span.arg = batch_pool_[s].requests.size();
-        span.tenant = batch_pool_[s].tenant_id;
-        span.replica = replica_id_;
-        config_.obs->Emit(span);
+      const FleetScheduler::Priority priority =
+          sched_->KeyFor(lane.tenant_id, lane.oldest_arrival_us, now);
+      const auto predicted = engine_->plan_store().PeekPredictedUs(lane.key);
+      if (predicted.has_value() &&
+          sched_->BackfillFits(*predicted * static_cast<double>(lane.size) * cost_multiplier_,
+                               window_for(priority)) &&
+          (!found || FleetScheduler::Before(priority, fill_priority))) {
+        found = true;
+        fill_ready.reset();
+        fill_tenant = lane.tenant_id;
+        fill_priority = priority;
       }
-      ExecuteBatch(s, now);
-      return;
     }
-    BeginReservation(blocked.key, now);
+  }
+  if (!found) {
+    BeginReservation(batch_pool_[blocked_slot].key, now);
     return;
   }
+  uint32_t s;
+  if (fill_ready.has_value()) {
+    s = ready_[*fill_ready];
+    ready_.erase(ready_.begin() + static_cast<Lane::difference_type>(*fill_ready));
+  } else {
+    s = AcquireSlot();
+    PopQueueBatch(s, fill_tenant);  // exactly the previewed lane batch
+  }
+  batch_pool_[s].backfilled = true;
+  ++report_.backfills;
+  if (Observing(config_)) {
+    SpanRecord span;
+    span.kind = SpanKind::kSchedBackfill;
+    span.start_us = now;
+    span.end_us = now;
+    span.id = batch_pool_[s].key;
+    span.arg = batch_pool_[s].requests.size();
+    span.tenant = batch_pool_[s].tenant_id;
+    span.replica = replica_id_;
+    config_.obs->Emit(span);
+  }
+  ExecuteBatch(s, now);
 }
 
 void ServeSession::BeginReservation(uint64_t key, SimTime now) {

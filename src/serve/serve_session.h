@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "src/core/overlap_engine.h"
+#include "src/fault/fault_config.h"
 #include "src/serve/request_queue.h"
 #include "src/serve/request_source.h"
 #include "src/serve/serve_loop.h"
@@ -67,20 +68,6 @@ class ServeSession {
     // Called whenever IsTuningKey(key) flips: a tune starts, finishes,
     // aborts, or is cancelled by extraction.
     std::function<void(uint64_t key, bool tuning)> tuning_changed;
-  };
-
-  // Retry/backoff knobs for injected tuner-lane faults (src/fault). The
-  // defaults mirror FaultConfig; a fleet pushes its config through
-  // SetFaultPolicy before the run.
-  struct FaultPolicy {
-    // Aborted searches re-attempted per key before degrading to the
-    // single-group safety plan.
-    int tuner_retry_budget = 2;
-    // Deterministic exponential backoff between attempts: base doubles
-    // per retry, plus seeded jitter in [0, jitter).
-    double retry_backoff_base_us = 200.0;
-    double retry_backoff_jitter_us = 50.0;
-    uint64_t seed = 1;
   };
 
   // The engine and event loop are borrowed and must outlive the session;
@@ -126,11 +113,14 @@ class ServeSession {
   // nothing starts (crashed or hung replica). In-flight finish events
   // still fire; their batches are cancelled via ExtractPending first.
   void SetStalled(bool stalled) { stalled_ = stalled; }
-  bool stalled() const { return stalled_; }
   // Straggler injection: every executor service time is scaled by this
   // factor (1.0 = healthy). Applies to batches dispatched while set.
   void SetCostMultiplier(double multiplier) { cost_multiplier_ = multiplier; }
-  void SetFaultPolicy(FaultPolicy policy) { fault_policy_ = policy; }
+  // Recovery policy for injected tuner-lane faults: an aborted search
+  // retries after RetryBackoffUs (keyed by the plan key) up to
+  // tuner_retry_budget times, then degrades. A fleet passes its own
+  // config before the run; the default is FaultConfig{}'s.
+  void SetFaultConfig(const FaultConfig& faults) { faults_ = faults; }
   // Marks every in-flight cold tune failed: when its finish event fires
   // the plan is discarded and the key retries with backoff (or degrades
   // past the budget). Returns the number of searches failed.
@@ -152,10 +142,6 @@ class ServeSession {
   // ExtractPending: in-flight tuning and ready batches stay put. `keys`
   // as for ExtractPending.
   size_t ExtractQueued(std::vector<ServeRequest>* out, std::vector<uint64_t>* keys = nullptr);
-  // Expected completion of the in-flight tuning for `key` (the tuning
-  // lane's ETA); negative when the key is not tuning here. The backfill
-  // window every fit-check is measured against.
-  SimTime TuningEtaFor(uint64_t key) const;
 
  private:
   struct Batch {
@@ -197,24 +183,31 @@ class ServeSession {
 
   uint32_t AcquireSlot();
   void ReleaseSlot(uint32_t slot);
-  Batch& slot(uint32_t s) { return batch_pool_[s]; }
 
-  // Pops the queue's next batch into `batch_slot`, recording the
-  // priority metadata (tenant, oldest arrival) every pop site needs.
-  uint64_t PopQueueBatch(uint32_t batch_slot);
-  // Lane-targeted variant: pops the batch formed around `tenant_id`'s
-  // lane head (the backfill scan commits to a specific previewed lane,
-  // which may not be the ranked pick).
-  uint64_t PopQueueLaneBatch(uint32_t batch_slot, uint32_t tenant_id);
+  // Pops a queue batch into `batch_slot`, recording the priority metadata
+  // (tenant, oldest arrival) every pop site needs. `lane_tenant` 0 pops
+  // the queue's next batch (rotation, or the scheduler's lane pick); a
+  // tenant id pops the batch formed around that tenant's lane head (the
+  // backfill scan commits to a previewed lane that may not be the pick).
+  uint64_t PopQueueBatch(uint32_t batch_slot, uint32_t lane_tenant = 0);
   // Predicted executor service time for a warm batch, from the stored
   // plan's estimate (no store stats, no LRU touch); +inf when the plan
   // is missing or the batch is degraded — i.e. never backfillable.
   double PredictedServiceUs(const Batch& batch) const;
-  // The scheduler-ordered executor stage: picks the highest-priority
-  // unit among ready batches, the queue's next batch, and
-  // tuning-blocked batches; backfills or reserves when the winner is
-  // still tuning. Replaces the FIFO executor loop when sched_ is set.
-  void DispatchExecutorSched(SimTime now, int tuner_lanes, std::set<uint64_t>* vetoed);
+  // The fleet's single-flight gate for a cold key's tune. A veto is
+  // remembered in *vetoed for the rest of the dispatch round.
+  bool AcquireTuning(uint64_t key, std::set<uint64_t>* vetoed);
+  // The executor stage picks one unit per pass: a ready batch, the
+  // queue's next batch, or a batch blocked on tuning. With no scheduler
+  // the pick is FIFO (the oldest ready batch, else the rotation head,
+  // never a blocked one); SchedPick ranks all three by priority.
+  enum class Unit { kNone, kReady, kQueue, kBlocked };
+  // `*index` is the winner's position in ready_ or tuning_slots_.
+  Unit SchedPick(SimTime now, size_t* index) const;
+  // A blocked head's turn: backfill its tuning window with the best
+  // lower-priority warm batch that provably fits, or hold the executor
+  // reserved for it.
+  void BackfillOrReserve(uint32_t blocked_slot, SimTime now);
   void BeginReservation(uint64_t key, SimTime now);
   void EndReservation(SimTime now);
 
@@ -277,10 +270,10 @@ class ServeSession {
   int64_t executing_slot_ = -1;
   bool stalled_ = false;
   double cost_multiplier_ = 1.0;
-  FaultPolicy fault_policy_;
+  FaultConfig faults_;
   // Fleet scheduler (src/sched): non-null only when ServeConfig::sched
   // is set AND enabled, so every sched branch is one pointer test and a
-  // null scheduler is bit-identical to the pre-sched build.
+  // null scheduler leaves the executor's pick FIFO.
   FleetScheduler* sched_ = nullptr;
   // The dispatch round's sim time, visible to the queue's lane picker
   // (the queue itself is clockless).

@@ -76,6 +76,31 @@ TEST(FaultScheduleTest, CsvRoundTripsAndRejectsMalformed) {
   EXPECT_TRUE(empty->empty());
 }
 
+TEST(RetryBackoffTest, DoublesPerAttemptUpToTheTenthAndAddsBoundedJitter) {
+  FaultConfig steady;
+  steady.retry_backoff_jitter_us = 0.0;
+  double expected = steady.retry_backoff_base_us;
+  for (int attempt = 1; attempt <= 14; ++attempt) {
+    EXPECT_EQ(RetryBackoffUs(steady, 7, attempt), expected) << attempt;
+    if (attempt < 10) {
+      expected *= 2.0;
+    }
+  }
+  // Jitter lands in [0, retry_backoff_jitter_us) on top of the doubling,
+  // and is a pure function of (seed, id, attempt).
+  const FaultConfig jittered;
+  for (int attempt = 1; attempt <= 3; ++attempt) {
+    const double jitter = RetryBackoffUs(jittered, 7, attempt) - RetryBackoffUs(steady, 7, attempt);
+    EXPECT_GE(jitter, 0.0);
+    EXPECT_LT(jitter, jittered.retry_backoff_jitter_us);
+    EXPECT_EQ(RetryBackoffUs(jittered, 7, attempt), RetryBackoffUs(jittered, 7, attempt));
+  }
+  FaultConfig reseeded = jittered;
+  reseeded.seed = 2;
+  EXPECT_NE(RetryBackoffUs(jittered, 7, 1), RetryBackoffUs(reseeded, 7, 1));
+  EXPECT_NE(RetryBackoffUs(jittered, 7, 1), RetryBackoffUs(jittered, 8, 1));
+}
+
 // --- Fleet under injection --------------------------------------------------
 
 ScenarioSpec SmallSpec(int64_t m) {

@@ -448,6 +448,23 @@ std::vector<GoldenCase> Cases() {
                        return r.fault.requests_shed > 0 && r.fault.requests_degraded > 0;
                      }});
   }
+  {
+    // SLO shed on, but the degraded batch's tenants are within their SLO:
+    // every request is kept and served on the safety plan intact.
+    ClusterConfig config = Policy(PlacementPolicy::kPlanAffinity, true, 1);
+    config.sched.enabled = true;
+    config.sched.slo_shed = true;
+    config.sched.slo_p99_us = 1000.0;
+    config.sched.preempt_requeue = false;
+    config.faults.tuner_failures = 1;
+    config.faults.horizon_us = 80000.0;
+    config.faults.tuner_retry_budget = 0;
+    cases.push_back({"fault_tuner_fail_shed_keeps_all", config, SeededMix(159, 2, 4, 10, 1300.0),
+                     {FaultEvent{13000.0, FaultKind::kTunerFail, 0, 0.0, 0.0}}, 1,
+                     [](const FleetReport& r) {
+                       return r.fault.requests_shed == 0 && r.fault.requests_degraded > 0;
+                     }});
+  }
 
   cases.push_back({"ties_least_loaded_sparse", Policy(PlacementPolicy::kLeastLoaded, true),
                    SparseTrace(3, 24), {}, 1, always});
@@ -618,6 +635,11 @@ const std::vector<std::pair<std::string, std::vector<std::string>>> kGolden = {
        " n=8 searches=2 keys=2 peak=1 scale=0/0/0 ship=0/0/0/0"
        " events=18 fault=0/0/0/2/0:0/0/0/0/2/0/0/0/0/1"
        " sched=0/2/0x1.1c5df70e3e1p+15/0/0/0/1 store=3/4/0 planner=3/4"}},
+    {"fault_tuner_fail_shed_keeps_all",
+     {"records=cc7b81811b7e757d replicas=ded63aeff548b33e makespan=0x1.461fd4f47d366p+16"
+       " n=10 searches=4 keys=4 peak=1 scale=0/0/0 ship=4/0/0/0"
+       " events=21 fault=0/0/0/1/0:0/0/0/0/1/0/0/0/0/0"
+       " sched=0/4/0x1.23fe3b3320098p+16/0/0/0/0 store=4/6/0 planner=4/6"}},
     {"ties_least_loaded_sparse",
      {"records=c01d3f1b5b8a77f1 replicas=4f31e0c97af535be makespan=0x1.18d105f5a6beap+22"
        " n=24 searches=3 keys=3 peak=4 scale=0/0/0 ship=3/9/0/0"

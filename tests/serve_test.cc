@@ -797,9 +797,9 @@ std::string PlanHitLedger(const LedgerCase& c) {
   EventLoop events;
   ServeSession session(&engine, c.config, &events);
   if (c.fail_tunes) {
-    ServeSession::FaultPolicy policy;
-    policy.tuner_retry_budget = 0;
-    session.SetFaultPolicy(policy);
+    FaultConfig faults;
+    faults.tuner_retry_budget = 0;
+    session.SetFaultConfig(faults);
   }
   // Bursts over two tenants: cold keys arrive together (tuned, parked and
   // coalesced), later bursts reuse warm or evicted keys.
