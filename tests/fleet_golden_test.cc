@@ -16,9 +16,10 @@
 // backfill, a pop that starts or is vetoed from a tune, a head delay, a
 // backfill window that skips a failed tune), each of the five fault
 // kinds, a full outage (placement stalls), full and partial SLO shedding
-// at the degrade point, and sparse traces whose placements are all
-// equal-load ties. On a mismatch the test
-// prints the case's actual line in literal form.
+// at the degrade point, dispatch rounds that start several cold batches
+// at once (a hang restore, and four lanes against bounded stores), and
+// sparse traces whose placements are all equal-load ties. On a mismatch
+// the test prints the case's actual line in literal form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -379,6 +380,50 @@ std::vector<GoldenCase> Cases() {
     cases.push_back({"fault_seeded_all_kinds", config, MixedTrace(4, 40), {}, 1,
                      [](const FleetReport& r) { return r.fault.injected_total() > 0; }});
   }
+  {
+    // Two tuning lanes on one replica: keys 0 and 1 take both lanes, keys
+    // 2 to 5 park, and the replica hangs (shorter than the detection
+    // deadline) while both searches finish. The restore's dispatch round
+    // finds both lanes free and starts two parked cold batches at once.
+    std::vector<ServeRequest> trace;
+    for (int64_t k = 0; k < 6; ++k) {
+      trace.push_back({k, "llm", static_cast<double>(k), SmallSpec(1024 + 512 * k)});
+    }
+    for (int64_t i = 6; i < 30; ++i) {
+      trace.push_back({i, i % 2 == 0 ? "llm" : "moe", 30000.0 + 500.0 * static_cast<double>(i),
+                       SmallSpec(1024 + 512 * (i % 6))});
+    }
+    ClusterConfig config = Policy(PlacementPolicy::kPlanAffinity, true, 1);
+    config.serve.tuner_lanes = 2;
+    config.faults.hangs = 1;
+    config.faults.horizon_us = 60000.0;
+    config.faults.hang_detect_us = 50000.0;
+    cases.push_back({"fault_hang_restore_two_lanes", config, std::move(trace),
+                     {FaultEvent{10.0, FaultKind::kHang, 0, 25000.0, 0.0}}, 1,
+                     [](const FleetReport& r) {
+                       return r.fault.injected_hangs == 1 && r.fault.requests_requeued == 0 &&
+                              r.replicas[0].serve.tuner_lanes == 2;
+                     }});
+  }
+  {
+    // Four lanes against two-plan stores under seeded faults: many rounds
+    // start several cold batches, and each plan build can evict a plan a
+    // later batch of the same round is about to look up.
+    ClusterConfig config = Policy(PlacementPolicy::kPlanAffinity, true, 2);
+    config.serve.tuner_lanes = 4;
+    config.store_capacity = 2;
+    config.faults.seed = 42;
+    config.faults.horizon_us = 40000.0;
+    config.faults.crashes = 1;
+    config.faults.hangs = 1;
+    config.faults.slowdowns = 1;
+    config.faults.tuner_failures = 1;
+    config.faults.ship_loss_windows = 1;
+    cases.push_back({"fault_seeded_bounded_four_lanes", config, MixedTrace(6, 40), {}, 1,
+                     [evicts](const FleetReport& r) {
+                       return evicts(r) && r.fault.injected_total() == 5;
+                     }});
+  }
 
   {
     ClusterConfig config = Policy(PlacementPolicy::kLeastLoaded, true, 1);
@@ -605,6 +650,16 @@ const std::vector<std::pair<std::string, std::vector<std::string>>> kGolden = {
        " n=80 searches=5 keys=4 peak=4 scale=0/0/0 ship=4/15/15/0"
        " events=210 fault=1/1/1/1/1:13/13/0/0/0/0/3/1/0/0"
        " sched=1/5/0x1.588c92712e324p+16/0/39/4/0 store=63/5/0 planner=63/5"}},
+    {"fault_hang_restore_two_lanes",
+     {"records=14802e45a9cfc7cc replicas=149db4e5053f5cdc makespan=0x1.32b5a34bf6902p+16"
+       " n=30 searches=6 keys=6 peak=1 scale=0/0/0 ship=6/0/0/0"
+       " events=57 fault=0/1/0/0/0:0/0/0/0/0/0/0/0/0/0"
+       " sched=0/0/0x0p+0/0/0/0/0 store=18/6/0 planner=18/6"}},
+    {"fault_seeded_bounded_four_lanes",
+     {"records=8a4b9bc495d9809a replicas=5f773ab2e008e195 makespan=0x1.60f4a22eef43ap+16"
+       " n=80 searches=9 keys=6 peak=2 scale=0/0/0 ship=6/59/48/0"
+       " events=268 fault=1/1/1/1/1:34/34/0/0/0/0/5/1/0/0"
+       " sched=0/0/0x0p+0/0/0/0/0 store=56/88/141 planner=56/88"}},
     {"sched_backfill_ready",
      {"records=97473b54ebc2ab41 replicas=f3aa9c79375f0d18 makespan=0x1.ebba41ef69e6bp+15"
        " n=8 searches=3 keys=3 peak=1 scale=0/0/0 ship=3/0/0/0"
