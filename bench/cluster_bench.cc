@@ -12,8 +12,8 @@
 //    tuner searches (shipping off, 4 replicas);
 //  - with plan shipping, a 4-replica fleet performs <= N_keys searches
 //    (each distinct scenario tuned once fleet-wide);
-//  - bit-determinism: reruns identical; published plans identical at any
-//    replica count; reports identical at any host thread count.
+//  - bit-determinism: reruns identical (also with two tuning lanes);
+//    published plans identical at any replica count.
 //
 //  - chaos: under the default fault dose (1 crash + 1 straggler per 64
 //    replicas, seeded via --faults), every request still completes, the
@@ -24,8 +24,7 @@
 //    key mid-run, the fleet scheduler's fair share + backfill cut the
 //    victim tenant's p99 by >= 10% vs FIFO with zero head delays and
 //    at least one backfill; sched-off configs are bit-identical to the
-//    FIFO run, and sched-on runs are bit-identical across reruns, tune
-//    thread counts, and event backends.
+//    FIFO run, and sched-on runs are bit-identical across reruns.
 //
 //  - placement microbench (report only, no gate): ns per table-form
 //    FleetRouter::Place, each preceded by one ReplicaTable::SetLoad, at
@@ -37,8 +36,7 @@
 //    reactive-only autoscaler (>= 1 pre-spawn fired, zero drains during
 //    the burst); predictive-off configs with every predictive knob
 //    tweaked are bit-identical to the reactive run, and predictive-on
-//    runs are bit-identical across reruns, tune thread counts, and
-//    event backends.
+//    runs are bit-identical across reruns.
 //
 // Usage: bench_cluster_bench [--smoke] [--history <file>] [--requests N]
 //                            [--faults <seed>] [--sched 0|1]
@@ -163,7 +161,7 @@ std::vector<ServeRequest> MakeSchedTrace(bool smoke) {
 
 FleetReport RunSchedFleet(const ClusterSpec& hardware,
                           const std::vector<ServeRequest>& trace, bool sched_on,
-                          int tune_threads, ObsPlane* obs = nullptr) {
+                          ObsPlane* obs = nullptr) {
   ClusterConfig config;
   config.replicas = 1;
   config.sched.enabled = sched_on;
@@ -171,9 +169,6 @@ FleetReport RunSchedFleet(const ClusterSpec& hardware,
   // starvation backstop every queued request would age past it and the
   // ordering would degenerate to FIFO-by-age. Keep usage shares in force.
   config.sched.starvation_age_us = 1.0e6;
-  if (tune_threads > 0) {
-    config.serve.tune_threads = tune_threads;
-  }
   config.serve.obs = obs;
   ServingCluster fleet(hardware, config, {}, EngineOptions{.jitter = false});
   return fleet.Run(trace);
@@ -246,8 +241,7 @@ PrespawnSetup MakePrespawnTrace(const ClusterSpec& hardware, bool smoke) {
 }
 
 FleetReport RunPrespawnFleet(const ClusterSpec& hardware, const PrespawnSetup& setup,
-                             bool predictive, double headroom, int tune_threads,
-                             ObsPlane* obs = nullptr) {
+                             bool predictive, double headroom, ObsPlane* obs = nullptr) {
   ClusterConfig config;
   config.replicas = 1;
   config.autoscale.enabled = true;
@@ -276,9 +270,6 @@ FleetReport RunPrespawnFleet(const ClusterSpec& hardware, const PrespawnSetup& s
   // tuning, not scaling (the tuning regime is the sched section's job).
   config.serve.tune_base_us = 0.0;
   config.serve.tune_per_search_us = 0.0;
-  if (tune_threads > 0) {
-    config.serve.tune_threads = tune_threads;
-  }
   config.serve.obs = obs;
   ServingCluster fleet(hardware, config, {}, EngineOptions{.jitter = false});
   return fleet.Run(setup.trace);
@@ -458,15 +449,13 @@ bool Run(const BenchArgs& args) {
       plans_replica_invariant = false;
     }
   }
-  ClusterConfig threaded;
-  threaded.replicas = 4;
-  threaded.serve.tuner_lanes = 2;
-  threaded.serve.tune_threads = 1;
-  ServingCluster fleet_1t(setup.hardware, threaded, {}, EngineOptions{.jitter = false});
-  const FleetReport report_1t = fleet_1t.Run(setup.trace);
-  threaded.serve.tune_threads = 8;
-  ServingCluster fleet_8t(setup.hardware, threaded, {}, EngineOptions{.jitter = false});
-  const bool thread_invariant = SameTimeline(report_1t, fleet_8t.Run(setup.trace));
+  ClusterConfig two_lanes;
+  two_lanes.replicas = 4;
+  two_lanes.serve.tuner_lanes = 2;
+  ServingCluster two_lane_fleet(setup.hardware, two_lanes, {}, EngineOptions{.jitter = false});
+  ServingCluster two_lane_rerun(setup.hardware, two_lanes, {}, EngineOptions{.jitter = false});
+  const bool two_lane_rerun_identical =
+      SameTimeline(two_lane_fleet.Run(setup.trace), two_lane_rerun.Run(setup.trace));
 
   // --- Chaos gates ---
   // Default dose: 1 crash + 1 straggler per 64 replicas (at least one
@@ -517,8 +506,8 @@ bool Run(const BenchArgs& args) {
   if (args.sched) {
     const std::vector<ServeRequest> sched_trace = MakeSchedTrace(smoke);
     sched_trace_size = sched_trace.size();
-    sched_fifo = RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/false, 0);
-    sched_fair = RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/true, 0);
+    sched_fifo = RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/false);
+    sched_fair = RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/true);
     total_events += sched_fifo.events + sched_fair.events;
     sched_victim_p99_fifo = sched_fifo.stats.Summarize("victim").latency.p99;
     sched_victim_p99_fair = sched_fair.stats.Summarize("victim").latency.p99;
@@ -539,11 +528,9 @@ bool Run(const BenchArgs& args) {
       ServingCluster off_fleet(setup.hardware, off, {}, EngineOptions{.jitter = false});
       sched_off_identical = SameTimeline(sched_fifo, off_fleet.Run(sched_trace));
     }
-    // Sched-on timelines and counters must survive reruns and host tune
-    // threads byte-for-byte.
-    for (const int threads : {0, 8}) {
-      const FleetReport variant =
-          RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/true, threads);
+    // Sched-on timelines and counters must survive reruns byte-for-byte.
+    for (int rerun = 0; rerun < 2; ++rerun) {
+      const FleetReport variant = RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/true);
       if (!SameTimeline(sched_fair, variant) ||
           !SameSchedOutcomes(sched_fair.sched, variant.sched)) {
         sched_deterministic = false;
@@ -554,7 +541,7 @@ bool Run(const BenchArgs& args) {
       obs_config.enabled = true;
       obs_config.checkpoint_interval_us = 100000.0;
       ObsPlane obs(obs_config);
-      RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/true, 0, &obs);
+      RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/true, &obs);
       if (!obs.WriteTrace(args.trace)) {
         std::printf("FAILED to write Chrome trace to %s\n", args.trace.c_str());
         sched_complete = false;
@@ -578,9 +565,9 @@ bool Run(const BenchArgs& args) {
   if (args.prespawn) {
     const PrespawnSetup pre = MakePrespawnTrace(setup.hardware, smoke);
     prespawn_reactive =
-        RunPrespawnFleet(setup.hardware, pre, /*predictive=*/false, 1.0, 0);
+        RunPrespawnFleet(setup.hardware, pre, /*predictive=*/false, 1.0);
     prespawn_predictive =
-        RunPrespawnFleet(setup.hardware, pre, /*predictive=*/true, 1.0, 0);
+        RunPrespawnFleet(setup.hardware, pre, /*predictive=*/true, 1.0);
     total_events += prespawn_reactive.events + prespawn_predictive.events;
     prespawn_absorb_reactive_us = BurstAbsorbUs(prespawn_reactive, pre.burst_start_us);
     prespawn_absorb_us = BurstAbsorbUs(prespawn_predictive, pre.burst_start_us);
@@ -590,12 +577,10 @@ bool Run(const BenchArgs& args) {
     // bit-identical to the reactive run — off means off.
     prespawn_off_identical = SameTimeline(
         prespawn_reactive,
-        RunPrespawnFleet(setup.hardware, pre, /*predictive=*/false, 9.0, 0));
-    // Predictive-on timelines and the pre-spawn count must survive reruns
-    // and host tune threads.
-    for (const int threads : {0, 8}) {
-      const FleetReport variant =
-          RunPrespawnFleet(setup.hardware, pre, /*predictive=*/true, 1.0, threads);
+        RunPrespawnFleet(setup.hardware, pre, /*predictive=*/false, 9.0));
+    // Predictive-on timelines and the pre-spawn count must survive reruns.
+    for (int rerun = 0; rerun < 2; ++rerun) {
+      const FleetReport variant = RunPrespawnFleet(setup.hardware, pre, /*predictive=*/true, 1.0);
       if (!SameTimeline(prespawn_predictive, variant) ||
           variant.prespawns != prespawn_predictive.prespawns ||
           variant.spawns != prespawn_predictive.spawns ||
@@ -612,7 +597,7 @@ bool Run(const BenchArgs& args) {
       obs_config.enabled = true;
       obs_config.checkpoint_interval_us = pre.check_interval_us;
       ObsPlane obs(obs_config);
-      RunPrespawnFleet(setup.hardware, pre, /*predictive=*/true, 1.0, 0, &obs);
+      RunPrespawnFleet(setup.hardware, pre, /*predictive=*/true, 1.0, &obs);
       if (!obs.WriteTrace(prespawn_trace_path)) {
         std::printf("FAILED to write Chrome trace to %s\n", prespawn_trace_path.c_str());
         prespawn_complete = false;
@@ -632,7 +617,7 @@ bool Run(const BenchArgs& args) {
       "\"rr_searches\": %zu, \"affinity_searches\": %zu, "
       "\"shipped_searches_max\": %zu, \"shipped_plans\": %zu, "
       "\"duplicate_tunes_avoided\": %zu, \"p99_us_affinity_4\": %.1f, "
-      "\"rerun_identical\": %s, \"plans_replica_invariant\": %s, \"thread_invariant\": %s, "
+      "\"rerun_identical\": %s, \"plans_replica_invariant\": %s, \"two_lane_rerun_identical\": %s, "
       "\"fault_seed\": %llu, \"fault_injects\": %zu, \"fault_p99_us\": %.1f, "
       "\"fault_retry_rate\": %.4f, \"fault_makespan_overhead\": %.4f, "
       "\"fault_requeued\": %zu, \"fault_restarts\": %zu, \"fault_completed\": %s, "
@@ -656,7 +641,7 @@ bool Run(const BenchArgs& args) {
       round_robin_4.total_searches, affinity_4.total_searches, max_shipped_searches,
       shipped_4.shipping.shipped, shipped_4.shipping.duplicate_tunes_avoided,
       shipped_4.stats.LatencyPercentiles().p99, rerun_identical ? "true" : "false",
-      plans_replica_invariant ? "true" : "false", thread_invariant ? "true" : "false",
+      plans_replica_invariant ? "true" : "false", two_lane_rerun_identical ? "true" : "false",
       static_cast<unsigned long long>(args.fault_seed), chaos.fault.injected_total(),
       chaos_p99, chaos_retry_rate, chaos_makespan_overhead, chaos.fault.requests_requeued,
       chaos.fault.replica_restarts, chaos_complete ? "true" : "false",
@@ -703,10 +688,10 @@ bool Run(const BenchArgs& args) {
     std::printf("FAIL: a shipped fleet re-paid a tuner search\n");
     ok = false;
   }
-  if (!rerun_identical || !plans_replica_invariant || !thread_invariant) {
+  if (!rerun_identical || !plans_replica_invariant || !two_lane_rerun_identical) {
     std::printf("FAIL: determinism gate (rerun %d, replica-invariant plans %d, "
-                "thread-invariant %d)\n",
-                rerun_identical, plans_replica_invariant, thread_invariant);
+                "two-lane rerun %d)\n",
+                rerun_identical, plans_replica_invariant, two_lane_rerun_identical);
     ok = false;
   }
   Narrate(quiet,
@@ -761,8 +746,7 @@ bool Run(const BenchArgs& args) {
       ok = false;
     }
     if (!sched_deterministic) {
-      std::printf("FAIL: sched run is not bit-identical across reruns, tune threads, "
-                  "and event backends\n");
+      std::printf("FAIL: sched run is not bit-identical across reruns\n");
       ok = false;
     }
   }
@@ -799,8 +783,7 @@ bool Run(const BenchArgs& args) {
       ok = false;
     }
     if (!prespawn_deterministic) {
-      std::printf("FAIL: predictive run is not bit-identical across reruns, tune "
-                  "threads, and event backends\n");
+      std::printf("FAIL: predictive run is not bit-identical across reruns\n");
       ok = false;
     }
   }

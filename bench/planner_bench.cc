@@ -1,7 +1,7 @@
 // Planner performance benchmark: branch-and-bound tuner search vs a
 // bench-local enumerate-then-evaluate baseline (EnumeratePruned, then
 // PredictOverlapLatency per candidate), plus cold/warm RunBatch sweeps with
-// and without the parallel cold-tuning pool.
+// and without the RunBatch tuning pool.
 //
 // Shapes are chosen to land at 30+ effective waves on the 8x A800 cluster —
 // the regime where the baseline materializes the full 65536-candidate

@@ -11,7 +11,7 @@
 //  2. end to end: >= 1M requests (smoke: 50k) streamed via cursors over a
 //     128-replica fleet must complete within the wall budget;
 //  3. bit identity: at reduced scale, fleet reports are identical across
-//     replica counts, tune thread counts, and reruns.
+//     reruns, at 2 and at 5 replicas.
 //  4. observability: the same end-to-end run with the full tracing +
 //     metrics plane attached must produce a bit-identical fleet report
 //     and cost <= 5% events/s vs the untraced lane; --trace/--metrics
@@ -254,13 +254,11 @@ E2ERun RunEndToEnd(const ClusterSpec& hardware, const std::vector<ScenarioSpec>&
 }
 
 FleetReport RunIdentityFleet(const ClusterSpec& hardware,
-                             const std::vector<ServeRequest>& trace, int replicas,
-                             int tune_threads) {
+                             const std::vector<ServeRequest>& trace, int replicas) {
   ClusterConfig config;
   config.replicas = replicas;
   config.policy = PlacementPolicy::kPlanAffinity;
   config.serve.tuner_lanes = 2;
-  config.serve.tune_threads = tune_threads;
   ServingCluster fleet(hardware, config, {}, EngineOptions{.jitter = false});
   return fleet.Run(trace);
 }
@@ -340,14 +338,12 @@ bool Run(const BenchArgs& args) {
   }
   bool bit_identical = true;
   for (const int fleet_replicas : {2, 5}) {
-    for (const int tune_threads : {1, 8}) {
-      const FleetReport first =
-          RunIdentityFleet(hardware, identity_trace, fleet_replicas, tune_threads);
-      const FleetReport rerun =
-          RunIdentityFleet(hardware, identity_trace, fleet_replicas, tune_threads);
-      const bool same = ReportsIdentical(first, rerun);
-      Narrate(quiet, "bit identity @%d replicas, %d tune threads: %s\n", fleet_replicas,
-              tune_threads, same ? "ok" : "MISMATCH");
+    const FleetReport first = RunIdentityFleet(hardware, identity_trace, fleet_replicas);
+    for (int rerun = 1; rerun <= 2; ++rerun) {
+      const bool same =
+          ReportsIdentical(first, RunIdentityFleet(hardware, identity_trace, fleet_replicas));
+      Narrate(quiet, "bit identity @%d replicas, rerun %d: %s\n", fleet_replicas, rerun,
+              same ? "ok" : "MISMATCH");
       bit_identical = bit_identical && same;
     }
   }

@@ -15,8 +15,8 @@
 //     pressure at fixed sim-clock checkpoints, deterministically.
 //
 // Everything is deterministic: the same trace and config produce
-// bit-identical reports, plans are bit-identical at any replica count and
-// any host thread count, and replica counts only change the timeline.
+// bit-identical reports, plans are bit-identical at any replica count,
+// and replica counts only change the timeline.
 #ifndef SRC_CLUSTER_SERVING_CLUSTER_H_
 #define SRC_CLUSTER_SERVING_CLUSTER_H_
 

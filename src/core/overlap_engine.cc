@@ -121,7 +121,7 @@ OverlapRun OverlapEngine::ExecuteInternal(const ScenarioSpec& spec, uint64_t key
 
 std::vector<OverlapRun> OverlapEngine::RunBatch(std::span<const ScenarioSpec> specs) {
   if (options_.tune_threads > 1) {
-    PretuneParallel(specs, options_.tune_threads);
+    PretuneOnPool(specs);
   }
   std::vector<OverlapRun> runs;
   runs.reserve(specs.size());
@@ -131,48 +131,37 @@ std::vector<OverlapRun> OverlapEngine::RunBatch(std::span<const ScenarioSpec> sp
   return runs;
 }
 
-std::vector<PretuneRequest> OverlapEngine::PretuneParallel(
-    std::span<const ScenarioSpec> specs, int threads) {
-  const auto warm = [this](const PretuneRequest& request) {
-    return request.shapes.size() == 1
-               ? tuner_.Contains(request.shapes[0], request.primitive)
-               : tuner_.ContainsImbalanced(request.shapes, request.primitive);
-  };
-  const auto run = [this](const PretuneRequest& request) {
-    if (request.shapes.size() == 1) {
-      tuner_.Tune(request.shapes[0], request.primitive);
-    } else {
-      tuner_.TuneImbalanced(request.shapes, request.primitive);
-    }
-  };
+void OverlapEngine::PretuneOnPool(std::span<const ScenarioSpec> specs) {
   std::vector<PretuneRequest> requests;
   for (const ScenarioSpec& spec : specs) {
     if (store_->Contains(planner_.CanonicalKey(spec))) {
       continue;  // the plan itself is warm; no search will happen
     }
     std::optional<PretuneRequest> request = planner_.TuningRequest(spec);
-    if (!request.has_value() || warm(*request)) {
+    if (!request.has_value()) {
       continue;
     }
-    if (std::find(requests.begin(), requests.end(), *request) == requests.end()) {
+    const bool warm = request->shapes.size() == 1
+                          ? tuner_.Contains(request->shapes[0], request->primitive)
+                          : tuner_.ContainsImbalanced(request->shapes, request->primitive);
+    if (!warm && std::find(requests.begin(), requests.end(), *request) == requests.end()) {
       requests.push_back(*std::move(request));
     }
   }
-  if (requests.empty()) {
-    return requests;
+  if (requests.size() < 2) {
+    return;  // Execute runs a lone search inline
   }
-  if (threads > 1 && requests.size() > 1) {
-    ThreadPool& pool = TunePool(std::min(threads, static_cast<int>(requests.size())));
-    for (const PretuneRequest& request : requests) {
-      pool.Submit([&run, &request] { run(request); });
-    }
-    pool.WaitIdle();
-  } else {
-    for (const PretuneRequest& request : requests) {
-      run(request);
-    }
+  ThreadPool& pool = TunePool(std::min(options_.tune_threads, static_cast<int>(requests.size())));
+  for (const PretuneRequest& request : requests) {
+    pool.Submit([this, &request] {
+      if (request.shapes.size() == 1) {
+        tuner_.Tune(request.shapes[0], request.primitive);
+      } else {
+        tuner_.TuneImbalanced(request.shapes, request.primitive);
+      }
+    });
   }
-  return requests;
+  pool.WaitIdle();
 }
 
 ThreadPool& OverlapEngine::TunePool(int threads) {

@@ -88,23 +88,10 @@ class OverlapEngine {
   // Sweeps many scenarios through the shared executor. Plans are reused
   // across calls via the PlanStore, so repeating a sweep performs zero
   // tuner searches; planner().stats() exposes the hit/miss counts. With
-  // EngineOptions::tune_threads > 1 a cold sweep first runs every distinct
-  // predictive search on a worker pool (PretuneParallel), so tuning cost
-  // scales down with cores while results stay bit-identical.
+  // EngineOptions::tune_threads > 1 a cold sweep first runs its distinct
+  // predictive searches on a worker pool (PretuneOnPool); results stay
+  // bit-identical to a serial sweep.
   std::vector<OverlapRun> RunBatch(std::span<const ScenarioSpec> specs);
-
-  // Pre-warms the tuner cache for every spec whose plan is absent from the
-  // active store: collects the distinct tuner searches those specs would
-  // trigger (balanced Tune or imbalanced TuneImbalanced, see
-  // PretuneRequest) and runs them on `threads` workers (sequentially for
-  // threads <= 1 or a single request). Returns the claimed searches in
-  // spec order (first spec to need a search claims it) — callers charging
-  // tuning cost attribute from this list rather than re-deriving the
-  // decision. Safe against a shared PlanStore — the tuner single-flights
-  // concurrent searches per key, so plans are deterministic regardless of
-  // the thread count.
-  std::vector<PretuneRequest> PretuneParallel(std::span<const ScenarioSpec> specs,
-                                              int threads);
 
   // Perfect-overlap bound (Sec. 6.4).
   SimTime TheoreticalBest(const GemmShape& shape, CommPrimitive primitive);
@@ -122,7 +109,13 @@ class OverlapEngine {
   // Plans (cached) and simulates; with `memoize`, also stores the result.
   OverlapRun ExecuteInternal(const ScenarioSpec& spec, uint64_t key, bool memoize);
 
-  // The persistent tuning pool, created lazily by the first parallel
+  // RunBatch's pre-warm: collects the distinct tuner searches the specs
+  // with no stored plan would trigger (balanced Tune or imbalanced
+  // TuneImbalanced, see PretuneRequest) and, when there are two or more,
+  // runs them on options_.tune_threads workers. The tuner single-flights
+  // each key, so plans do not depend on the thread count.
+  void PretuneOnPool(std::span<const ScenarioSpec> specs);
+  // The persistent tuning pool, created lazily by the first pooled
   // pretune and reused afterwards (grown if a later call asks for more
   // workers) — per-call pool construction would cost more than the
   // searches it parallelizes now that a B&B search is microseconds.

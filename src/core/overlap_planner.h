@@ -31,7 +31,7 @@ struct PlannerStats {
 // canonical sorted rank-shape multiset (imbalanced TuneImbalanced). Keying
 // imbalanced requests by the full multiset — not the heaviest rank — keeps
 // two specs that share a heaviest rank but differ in light ranks from
-// colliding in the pre-tune lane.
+// colliding in a pooled pre-warm.
 struct PretuneRequest {
   std::vector<GemmShape> shapes;
   CommPrimitive primitive = CommPrimitive::kAllReduce;
@@ -51,9 +51,10 @@ class OverlapPlanner {
   // The tuner search a Build for `spec` would perform — a single-shape
   // Tune or an imbalanced multiset TuneImbalanced — or std::nullopt when
   // building the plan performs no predictive search (non-overlap
-  // scenarios, forced partitions). Batch sweeps and serving loops use this
-  // to pre-warm the tuner's cache in parallel — the expensive part of a
-  // cold plan — before building plans serially.
+  // scenarios, forced partitions). RunBatch uses this to pre-warm the
+  // tuner's cache on a worker pool — the expensive part of a cold plan —
+  // before building plans serially; a fleet uses it to publish a plan's
+  // tuner-tier artifact.
   std::optional<PretuneRequest> TuningRequest(const ScenarioSpec& spec) const;
 
   // Returns the memoized plan, building (and caching) it on first use.

@@ -6,9 +6,8 @@
 // injection and recovery action runs on the shared EventLoop's sim clock,
 // and all jitter is derived from stable hashes — so a given seed yields
 // bit-identical FleetReports (including the FaultReport below) across
-// reruns, host thread counts, and event-loop backends. A zero-fault
-// config schedules nothing and leaves every run bit-identical to a build
-// that never had the plane.
+// reruns. A zero-fault config schedules nothing and leaves every run
+// bit-identical to a build that never had the plane.
 #ifndef SRC_FAULT_FAULT_CONFIG_H_
 #define SRC_FAULT_FAULT_CONFIG_H_
 

@@ -6,8 +6,7 @@
 // — registering an existing name returns the existing id, so every replica
 // of a fleet aggregates into one fleet-wide series — and exports order
 // columns by name. The same simulation therefore produces byte-identical
-// CSV/JSON regardless of replica count, host thread count, or event-loop
-// backend.
+// CSV/JSON regardless of replica count.
 //
 // The Histogram doubles as the repo's single percentile engine: bucket
 // counts give O(1) streaming observation with approximate percentiles,

@@ -36,6 +36,12 @@ RequestQueue::Lane& RequestQueue::LaneFor(ServeRequest* request) {
   if (it != lanes_by_id_.end()) {
     return *it->second;
   }
+  // A caller-set id must name the request's tenant: lanes are ordered by
+  // name and found by id, so a mismatch would split one tenant into two
+  // lanes or merge two into one.
+  FLO_CHECK(TenantNameOf(request->tenant_id) == request->tenant)
+      << "tenant id " << request->tenant_id << " names \"" << TenantNameOf(request->tenant_id)
+      << "\", not \"" << request->tenant << "\"";
   auto lane = std::make_unique<Lane>();
   lane->tenant = request->tenant;
   lane->tenant_id = request->tenant_id;
@@ -47,9 +53,8 @@ RequestQueue::Lane& RequestQueue::LaneFor(ServeRequest* request) {
         return a->tenant < b->tenant;
       });
   // A lane sorting at or before the previous pick lands before the
-  // rotation point (before any pick, only an empty name does).
-  if (static_cast<size_t>(pos - lanes_.begin()) < rotation_ ||
-      (rotation_ == 0 && raw->tenant.empty())) {
+  // rotation point (names are never empty, so before any pick none does).
+  if (static_cast<size_t>(pos - lanes_.begin()) < rotation_) {
     ++rotation_;
   }
   lanes_.insert(pos, std::move(lane));
@@ -229,13 +234,8 @@ uint64_t RequestQueue::PopLaneBatchInto(uint32_t tenant_id, int max_batch,
 }
 
 uint64_t RequestQueue::PopAt(size_t chosen, int max_batch, std::vector<ServeRequest>* out) {
-  // Resume after the chosen lane's name, past any lane sharing it (two
-  // lanes share a name only when a hand-built request's tenant_id does
-  // not match its tenant).
+  // Resume after the chosen lane's name (lane names are distinct).
   rotation_ = chosen + 1;
-  while (rotation_ < lanes_.size() && lanes_[rotation_]->tenant == lanes_[chosen]->tenant) {
-    ++rotation_;
-  }
   const uint64_t key = lanes_[chosen]->queue.front().key;
   size_t& depth = key_depth_.find(key)->second;
   // The chosen tenant's consecutive same-key run first, then the other

@@ -181,7 +181,7 @@ class RequestQueue {
   std::unordered_map<uint64_t, size_t> key_depth_;
   // Rotation resumes at the first non-empty lane at or after this index
   // (wrapping): the index just past every lane whose name sorts at or
-  // before the previous pick's name (before any pick, the empty name).
+  // before the previous pick's name (before any pick, 0).
   // The sorted insert of a lane that sorts at or before that name shifts
   // it by one.
   size_t rotation_ = 0;

@@ -45,12 +45,12 @@ struct ServeConfig {
   // Tune cold plans on the side lane while warm batches keep executing.
   bool overlap_tuning = true;
   // Concurrent cold-tuning lanes. With > 1 lanes, distinct cold plan keys
-  // tune in parallel: on the simulated clock each lane is busy for its own
-  // batch's cost, and when several lanes start in the same dispatch round
-  // the underlying predictive searches run on a real worker pool
-  // (OverlapEngine::PretuneParallel) against the engine's — possibly
-  // shared — PlanStore. Plans are deterministic regardless of the lane
-  // count; only the timeline changes.
+  // tune in parallel on the simulated clock: each lane is busy for its own
+  // batch's cost (tune_per_search_us per search). The searches themselves
+  // run on the host one after another, in the order their batches started;
+  // tuning cost is simulated, so host threads could change only wall time.
+  // Plans are deterministic regardless of the lane count; only the
+  // timeline changes.
   int tuner_lanes = 1;
   // Adaptive lane sizing: ignore the static tuner_lanes and size the pool
   // each dispatch round from the observed cold-key pressure — the number
@@ -61,11 +61,6 @@ struct ServeConfig {
   // ServeReport::tuner_lanes exposes the chosen pool size.
   bool adaptive_tuner_lanes = false;
   int max_tuner_lanes = 8;
-  // Worker threads for the parallel cold-tuning pool backing a multi-lane
-  // round (OverlapEngine::PretuneParallel). 0 = one worker per lane
-  // starting in the round. Never affects the simulated timeline: each
-  // lane's charge is decided before the pool runs.
-  int tune_threads = 0;
   // Memoize deterministic schedule replays per spec fingerprint
   // (OverlapEngine::ExecuteMemoized). Plan-store lookups, hit/miss stats,
   // and reports are unchanged; repeat specs skip the simulation itself.
@@ -97,11 +92,6 @@ struct ServeReport {
   // Peak cold-tuning lanes put to use — the chosen lane-pool size (under
   // ServeConfig::adaptive_tuner_lanes, the pool the pressure demanded).
   int tuner_lanes = 0;
-  // Dispatch rounds that started two or more cold batches together: the
-  // only rounds whose searches run on the parallel tuning pool
-  // (OverlapEngine::PretuneParallel). Single starts fill the lanes one
-  // round at a time, so tuner_lanes can reach 2 without any group.
-  size_t tuning_groups = 0;
   // Events dispatched by the run's event loop (arrivals + internal).
   uint64_t events = 0;
   // Fault recovery (src/fault): cold searches that were failed by an

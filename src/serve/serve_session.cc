@@ -464,41 +464,6 @@ void ServeSession::StartTuning(uint32_t batch_slot, SimTime now) {
   FinishTuningAt(batch_slot, TuneCostUs(searches), searches, now);
 }
 
-// Multi-lane start: the distinct predictive searches behind `group` run
-// together on a real worker pool (the parallel cold-tuning lane); each
-// simulated lane is then charged the searches its own batch was missing.
-// The charge is decided before the pool runs, so the timeline is
-// deterministic regardless of worker scheduling.
-void ServeSession::StartTuningGroup(std::vector<uint32_t> group, SimTime now) {
-  std::vector<ScenarioSpec> specs;
-  specs.reserve(group.size());
-  for (const uint32_t s : group) {
-    specs.push_back(batch_pool_[s].requests.front().spec);
-  }
-  // PretuneParallel reports which searches it claimed (first spec to
-  // need one wins); each lane is charged exactly its batch's claim.
-  const int threads = config_.tune_threads > 0 ? config_.tune_threads
-                                               : static_cast<int>(group.size());
-  auto claimed = engine_->PretuneParallel(specs, threads);
-  for (size_t i = 0; i < group.size(); ++i) {
-    size_t searches = 0;
-    const auto request = engine_->planner().TuningRequest(specs[i]);
-    if (request.has_value()) {
-      const auto it = std::find(claimed.begin(), claimed.end(), *request);
-      if (it != claimed.end()) {
-        claimed.erase(it);
-        searches = 1;
-      }
-    }
-    searches = std::max(searches, batch_pool_[group[i]].charged_searches);
-    ++tuners_busy_;
-    SetTuningKey(batch_pool_[group[i]].key, true);
-    // The searches are warm now; this builds and caches the plan.
-    engine_->planner().PlanByValue(specs[i], batch_pool_[group[i]].key, nullptr);
-    FinishTuningAt(group[i], TuneCostUs(searches), searches, now);
-  }
-}
-
 void ServeSession::ExecuteBatch(uint32_t batch_slot, SimTime now) {
   Batch& batch = batch_pool_[batch_slot];
   if (sched_ != nullptr) {
@@ -706,8 +671,10 @@ void ServeSession::Dispatch(SimTime now) {
   // waiting room first, then straight from the queue (a cold batch at
   // the rotation head must start tuning even while the executor is busy
   // with a warm batch; that concurrency is the point of the side lane).
-  // Batches gathered in one round start together so their searches share
-  // the worker pool.
+  // The whole round is gathered before any batch starts: a start builds a
+  // plan, and under a bounded store that build can evict the plan of the
+  // next queue head before IsWarm looks at it, which would change the
+  // round's picks.
   const int tuner_lanes = TunerLaneTarget();
   std::vector<uint32_t> starting;
   // Keys the fleet vetoed this round (a peer owns the in-flight search);
@@ -762,11 +729,8 @@ void ServeSession::Dispatch(SimTime now) {
   // to use (adaptive mode grows it with cold-key pressure).
   report_.tuner_lanes =
       std::max(report_.tuner_lanes, tuners_busy_ + static_cast<int>(starting.size()));
-  if (starting.size() == 1) {
-    StartTuning(starting.front(), now);
-  } else if (!starting.empty()) {
-    ++report_.tuning_groups;
-    StartTuningGroup(std::move(starting), now);
+  for (const uint32_t s : starting) {
+    StartTuning(s, now);
   }
   // The executor stage: one unit per pass until the executor is busy or
   // nothing can run. Only the pick depends on the scheduler.

@@ -226,7 +226,6 @@ class ServeSession {
   double TuneCostUs(size_t searches) const;
   void FinishTuningAt(uint32_t batch_slot, double cost, size_t searches, SimTime now);
   void StartTuning(uint32_t batch_slot, SimTime now);
-  void StartTuningGroup(std::vector<uint32_t> group, SimTime now);
   void ExecuteBatch(uint32_t batch_slot, SimTime now);
   // Typed-event handlers (EventType::kTuningFinished / kBatchFinished /
   // kRetryKick — the latter just re-runs Dispatch when a retrying

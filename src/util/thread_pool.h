@@ -1,8 +1,8 @@
 // A small fixed-size worker pool for cold-path parallelism.
 //
 // The tuner's predictive searches are embarrassingly parallel across
-// distinct (shape, primitive) keys: batch cold sweeps and the serving
-// loop's cold-tuning lane submit one search per key and wait for the set.
+// distinct (shape, primitive) keys: a pooled RunBatch cold sweep submits
+// one search per key and waits for the set.
 // This pool is deliberately minimal — fixed thread count, FIFO queue,
 // blocking WaitIdle — because tuning parallelism is coarse (milliseconds
 // per task) and determinism matters more than scheduling cleverness.

@@ -384,24 +384,6 @@ TEST(ServingClusterTest, ReportsAreDeterministicAndPlansReplicaCountInvariant) {
   }
 }
 
-TEST(ServingClusterTest, HostThreadCountNeverChangesTheRun) {
-  const auto trace = MixedTrace(4, 40);
-  ClusterConfig config;
-  config.replicas = 2;
-  config.serve.tuner_lanes = 2;  // multi-lane rounds exercise the pool
-  config.serve.tune_threads = 1;
-  const FleetReport sequential = RunFleet(config, trace);
-  config.serve.tune_threads = 8;
-  const FleetReport pooled = RunFleet(config, trace);
-  EXPECT_DOUBLE_EQ(sequential.makespan_us, pooled.makespan_us);
-  EXPECT_EQ(sequential.total_searches, pooled.total_searches);
-  ASSERT_EQ(sequential.stats.count(), pooled.stats.count());
-  for (size_t i = 0; i < sequential.stats.count(); ++i) {
-    EXPECT_DOUBLE_EQ(sequential.stats.records()[i].finish_us,
-                     pooled.stats.records()[i].finish_us);
-  }
-}
-
 TEST(ServingClusterTest, AutoscalerSpawnsUnderBurstAndDrainsInTheCalm) {
   // A hard burst at t=0 followed by a long sparse tail: the fleet must
   // widen for the burst and give the capacity back during the tail.

@@ -1,7 +1,7 @@
 // Fault-injection plane tests: schedule generation/round-trips, zero-fault
-// bit-identity, seeded-chaos determinism across reruns and thread counts,
-// and the per-kind recovery paths (crash requeue + re-warm, straggler
-// windows, tuner-fail retry/degrade, shipping-loss pull recovery).
+// bit-identity, seeded-chaos determinism across reruns, and the per-kind
+// recovery paths (crash requeue + re-warm, straggler windows, tuner-fail
+// retry/degrade, shipping-loss pull recovery).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -172,7 +172,7 @@ TEST(FaultInjectionTest, ZeroFaultConfigInjectsNothingAndStaysDeterministic) {
   ExpectSameRecords(report, again);
 }
 
-TEST(FaultInjectionTest, SeededChaosIsBitIdenticalAcrossRerunsAndThreads) {
+TEST(FaultInjectionTest, SeededChaosIsBitIdenticalAcrossReruns) {
   const auto trace = MixedTrace(4, 40);
   ClusterConfig config;
   config.replicas = 4;
@@ -190,11 +190,8 @@ TEST(FaultInjectionTest, SeededChaosIsBitIdenticalAcrossRerunsAndThreads) {
   EXPECT_GT(base.fault.injected_total(), 0u);
   ASSERT_EQ(base.stats.count(), trace.size());
 
-  // Rerun and more tuning threads: both bit-identical.
-  ClusterConfig threads = config;
-  threads.serve.tune_threads = 8;
-  for (const ClusterConfig& variant : {config, threads}) {
-    const FleetReport report = RunFleet(variant, trace);
+  for (int rerun = 0; rerun < 2; ++rerun) {
+    const FleetReport report = RunFleet(config, trace);
     EXPECT_DOUBLE_EQ(report.makespan_us, base.makespan_us);
     EXPECT_EQ(report.total_searches, base.total_searches);
     ExpectSameFaultReport(report.fault, base.fault);
@@ -277,15 +274,14 @@ TEST(FaultInjectionTest, StragglerWindowSlowsServiceThenRecovers) {
   ExpectSameRecords(report, again);
 }
 
-TEST(FaultInjectionTest, HangRestoreStartsAParallelTuningGroup) {
-  // The parallel cold-tuning lane only runs when one dispatch round finds
-  // two or more startable cold batches, and arrivals dispatch one at a
-  // time. A hang is the fleet's way to such a round: keys 0 and 1 take
-  // both tuning lanes, keys 2 to 5 park behind them, the replica hangs
-  // (shorter than the detection deadline, so nothing is requeued) while
-  // both searches finish, and the restore's dispatch finds both lanes free
-  // and four parked cold keys. It starts two of them together, so with
-  // more than one tune thread their searches run on the engine's pool.
+TEST(FaultInjectionTest, HangRestoreStartsTwoParkedColdBatches) {
+  // A dispatch round starts several cold batches only when it finds two
+  // or more startable ones, and arrivals dispatch one at a time. A hang
+  // is the fleet's way to such a round: keys 0 and 1 take both tuning
+  // lanes, keys 2 to 5 park behind them, the replica hangs (shorter than
+  // the detection deadline, so nothing is requeued) while both searches
+  // finish, and the restore's dispatch finds both lanes free and four
+  // parked cold keys. It starts two of them in the same round.
   std::vector<ServeRequest> trace;
   for (int64_t k = 0; k < 6; ++k) {
     trace.push_back({k, "llm", static_cast<double>(k), SmallSpec(1024 + 512 * k)});
@@ -304,27 +300,33 @@ TEST(FaultInjectionTest, HangRestoreStartsAParallelTuningGroup) {
   FaultSchedule schedule;
   schedule.Add(FaultEvent{10.0, FaultKind::kHang, 0, 25000.0, 0.0});
 
-  const FleetReport serial = RunFleet(config, trace, &schedule);
-  ASSERT_EQ(serial.stats.count(), trace.size());
-  EXPECT_EQ(serial.fault.injected_hangs, 1u);
-  EXPECT_EQ(serial.fault.requests_requeued, 0u);
-  EXPECT_EQ(serial.total_searches, 6u);
-  ASSERT_EQ(serial.replicas.size(), 1u);
-  EXPECT_GE(serial.replicas[0].serve.tuner_lanes, 2);
-  // The restore's round started a group (keys 0 and 1 started one round
-  // each, so the lane count alone does not show it).
-  EXPECT_GE(serial.replicas[0].serve.tuning_groups, 1u);
+  const FleetReport base = RunFleet(config, trace, &schedule);
+  ASSERT_EQ(base.stats.count(), trace.size());
+  EXPECT_EQ(base.fault.injected_hangs, 1u);
+  EXPECT_EQ(base.fault.requests_requeued, 0u);
+  EXPECT_EQ(base.total_searches, 6u);
+  ASSERT_EQ(base.replicas.size(), 1u);
+  EXPECT_EQ(base.replicas[0].serve.tuner_lanes, 2);
+  // Keys 2 and 3 tune side by side after the restore, so key 3's first
+  // request executes less than one search after key 2's; on one lane
+  // they would have tuned back to back.
+  std::vector<SimTime> start(6, -1.0);
+  for (const RequestRecord& record : base.stats.records()) {
+    if (record.id < 6) {
+      start[static_cast<size_t>(record.id)] = record.start_us;
+    }
+  }
+  EXPECT_GT(start[2], 25000.0);
+  EXPECT_GT(start[3], start[2]);
+  EXPECT_LT(start[3] - start[2], config.serve.tune_per_search_us);
 
-  ClusterConfig pooled = config;
-  pooled.serve.tune_threads = 8;
   for (int rerun = 0; rerun < 2; ++rerun) {
-    const FleetReport report = RunFleet(pooled, trace, &schedule);
-    EXPECT_DOUBLE_EQ(report.makespan_us, serial.makespan_us);
-    EXPECT_EQ(report.total_searches, serial.total_searches);
-    EXPECT_EQ(report.replicas[0].serve.tuner_lanes, serial.replicas[0].serve.tuner_lanes);
-    EXPECT_EQ(report.replicas[0].serve.tuning_groups, serial.replicas[0].serve.tuning_groups);
-    ExpectSameFaultReport(report.fault, serial.fault);
-    ExpectSameRecords(report, serial);
+    const FleetReport report = RunFleet(config, trace, &schedule);
+    EXPECT_DOUBLE_EQ(report.makespan_us, base.makespan_us);
+    EXPECT_EQ(report.total_searches, base.total_searches);
+    EXPECT_EQ(report.replicas[0].serve.tuner_lanes, base.replicas[0].serve.tuner_lanes);
+    ExpectSameFaultReport(report.fault, base.fault);
+    ExpectSameRecords(report, base);
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include "src/cluster/serving_cluster.h"
 #include "src/core/overlap_engine.h"
+#include "src/fault/fault_schedule.h"
 #include "src/hw/cluster.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
@@ -19,6 +20,7 @@
 #include "src/serve/request_source.h"
 #include "src/serve/serve_loop.h"
 #include "src/serve/serve_stats.h"
+#include "src/util/rng.h"
 #include "src/util/stats.h"
 
 namespace flo {
@@ -48,12 +50,11 @@ ObsConfig TracedConfig() {
 }
 
 FleetReport RunTracedFleet(const std::vector<ServeRequest>& trace, int replicas,
-                           int tune_threads, ObsPlane* obs) {
+                           ObsPlane* obs) {
   ClusterConfig config;
   config.replicas = replicas;
   config.policy = PlacementPolicy::kPlanAffinity;
   config.serve.tuner_lanes = 2;
-  config.serve.tune_threads = tune_threads;
   config.serve.obs = obs;
   ServingCluster fleet(Make4090Cluster(4), config, {}, EngineOptions{.jitter = false});
   return fleet.Run(trace);
@@ -72,7 +73,7 @@ void ExpectReportsIdentical(const FleetReport& a, const FleetReport& b) {
 
 // --- Determinism: exports are byte streams of the simulated run ----------
 
-TEST(ObsExportTest, ByteIdenticalAcrossRerunsAndTuneThreadCounts) {
+TEST(ObsExportTest, ByteIdenticalAcrossReruns) {
   if (!kObsCompiledIn) {
     GTEST_SKIP() << "observability compiled out";
   }
@@ -81,31 +82,26 @@ TEST(ObsExportTest, ByteIdenticalAcrossRerunsAndTuneThreadCounts) {
     std::string reference_trace;
     std::string reference_csv;
     std::string reference_json;
-    bool have_reference = false;
-    // Host tune-thread count and rerun index must not leak into any
-    // export byte: spans carry sim-clock times only.
-    for (const int tune_threads : {1, 8}) {
-      for (int rerun = 0; rerun < 2; ++rerun) {
-        ObsPlane obs(TracedConfig());
-        RunTracedFleet(trace, replicas, tune_threads, &obs);
-        EXPECT_GT(obs.tracer().emitted(), 0u);
-        EXPECT_GT(obs.metrics().checkpoint_count(), 1u);
-        const std::string trace_json = obs.TraceJson();
-        const std::string metrics_csv = obs.MetricsCsv();
-        const std::string metrics_json = obs.MetricsJson();
-        if (!have_reference) {
-          reference_trace = trace_json;
-          reference_csv = metrics_csv;
-          reference_json = metrics_json;
-          have_reference = true;
-          continue;
-        }
-        EXPECT_EQ(trace_json, reference_trace)
-            << "trace export varies (replicas=" << replicas
-            << " tune_threads=" << tune_threads << " rerun=" << rerun << ")";
-        EXPECT_EQ(metrics_csv, reference_csv);
-        EXPECT_EQ(metrics_json, reference_json);
+    // The rerun index must not leak into any export byte: spans carry
+    // sim-clock times only.
+    for (int rerun = 0; rerun < 3; ++rerun) {
+      ObsPlane obs(TracedConfig());
+      RunTracedFleet(trace, replicas, &obs);
+      EXPECT_GT(obs.tracer().emitted(), 0u);
+      EXPECT_GT(obs.metrics().checkpoint_count(), 1u);
+      const std::string trace_json = obs.TraceJson();
+      const std::string metrics_csv = obs.MetricsCsv();
+      const std::string metrics_json = obs.MetricsJson();
+      if (rerun == 0) {
+        reference_trace = trace_json;
+        reference_csv = metrics_csv;
+        reference_json = metrics_json;
+        continue;
       }
+      EXPECT_EQ(trace_json, reference_trace)
+          << "trace export varies (replicas=" << replicas << " rerun=" << rerun << ")";
+      EXPECT_EQ(metrics_csv, reference_csv);
+      EXPECT_EQ(metrics_json, reference_json);
     }
   }
 }
@@ -116,11 +112,11 @@ TEST(ObsExportTest, BeginRunResetsStateForBackToBackRuns) {
   }
   const auto trace = MixedTrace(2, 20);
   ObsPlane obs(TracedConfig());
-  RunTracedFleet(trace, 2, 1, &obs);
+  RunTracedFleet(trace, 2, &obs);
   const std::string first = obs.TraceJson() + obs.MetricsCsv() + obs.MetricsJson();
   // Reusing one plane across runs must not accumulate state: BeginRun
   // (called inside Run) clears spans, values, and checkpoint rows.
-  RunTracedFleet(trace, 2, 1, &obs);
+  RunTracedFleet(trace, 2, &obs);
   EXPECT_EQ(obs.TraceJson() + obs.MetricsCsv() + obs.MetricsJson(), first);
 }
 
@@ -128,10 +124,10 @@ TEST(ObsExportTest, BeginRunResetsStateForBackToBackRuns) {
 
 TEST(ObsGatingTest, DisabledPlaneRecordsNothingAndLeavesRunIdentical) {
   const auto trace = MixedTrace(3, 30);
-  const FleetReport bare = RunTracedFleet(trace, 2, 1, nullptr);
+  const FleetReport bare = RunTracedFleet(trace, 2, nullptr);
 
   ObsPlane disabled;  // ObsConfig::enabled defaults to false
-  const FleetReport with_disabled = RunTracedFleet(trace, 2, 1, &disabled);
+  const FleetReport with_disabled = RunTracedFleet(trace, 2, &disabled);
   EXPECT_FALSE(disabled.enabled());
   EXPECT_EQ(disabled.tracer().emitted(), 0u);
   EXPECT_EQ(disabled.recorder().events_seen(), 0u);
@@ -141,7 +137,7 @@ TEST(ObsGatingTest, DisabledPlaneRecordsNothingAndLeavesRunIdentical) {
   // The enabled plane observes from the tap and the handlers only — the
   // simulated timeline and every report byte stay identical.
   ObsPlane enabled(TracedConfig());
-  const FleetReport with_enabled = RunTracedFleet(trace, 2, 1, &enabled);
+  const FleetReport with_enabled = RunTracedFleet(trace, 2, &enabled);
   ExpectReportsIdentical(with_enabled, bare);
   if (kObsCompiledIn) {
     EXPECT_EQ(enabled.metrics().CounterValue(enabled.ids().events), with_enabled.events);
@@ -159,7 +155,7 @@ TEST(ObsSpanTest, SpansNestAndHaveNonNegativeDurations) {
   ObsConfig config = TracedConfig();
   config.span_ring_capacity = 1 << 16;  // retain everything: nesting checks need both ends
   ObsPlane obs(config);
-  const FleetReport report = RunTracedFleet(trace, 3, 1, &obs);
+  const FleetReport report = RunTracedFleet(trace, 3, &obs);
   ASSERT_EQ(obs.tracer().dropped(), 0u);
 
   size_t request_spans = 0;
@@ -229,7 +225,7 @@ TEST(ObsSpanTest, TraceJsonIsChromeTraceShaped) {
   }
   const auto trace = MixedTrace(2, 15);
   ObsPlane obs(TracedConfig());
-  RunTracedFleet(trace, 2, 1, &obs);
+  RunTracedFleet(trace, 2, &obs);
   const std::string json = obs.TraceJson();
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_EQ(json.substr(json.size() - 2), "]}");
@@ -240,6 +236,119 @@ TEST(ObsSpanTest, TraceJsonIsChromeTraceShaped) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
+}
+
+// --- Scheduler and tuner-fault spans ------------------------------------
+
+// `count` arrivals over the first `tenants` of a, b, c and `keys` specs,
+// with seeded gaps uniform in [0, 2 * mean_gap_us) (fleet_golden_test's
+// seeded scheduler mixes).
+std::vector<ServeRequest> SeededMix(uint64_t seed, int tenants, int keys, int count,
+                                    double mean_gap_us) {
+  static const char* const kTenants[] = {"a", "b", "c"};
+  Rng rng(seed);
+  std::vector<ServeRequest> trace;
+  SimTime at = 0.0;
+  for (int i = 0; i < count; ++i) {
+    at += rng.NextDouble(0.0, 2.0 * mean_gap_us);
+    const int tenant = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(tenants)));
+    const int key = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(keys)));
+    trace.push_back({i, kTenants[tenant], at, SmallSpec(1024 + 512 * key)});
+  }
+  return trace;
+}
+
+TEST(ObsSpanTest, SchedulerAndTunerFaultPathsEmitSpans) {
+  if (!kObsCompiledIn) {
+    GTEST_SKIP() << "observability compiled out";
+  }
+  // fleet_golden_test's seeded one-replica cases for a ready-batch
+  // backfill, a head delay, a partial SLO shed and a degraded batch kept
+  // whole, each run with the plane off and on.
+  struct Case {
+    const char* name;
+    ClusterConfig config;
+    std::vector<ServeRequest> trace;
+    std::vector<FaultEvent> script;
+  };
+  ClusterConfig sched;
+  sched.replicas = 1;
+  sched.sched.enabled = true;
+  sched.sched.preempt_requeue = false;
+  ClusterConfig shed = sched;
+  shed.sched.slo_shed = true;
+  shed.sched.slo_p99_us = 1000.0;
+  shed.faults.horizon_us = 80000.0;
+  shed.faults.tuner_retry_budget = 0;
+  std::vector<Case> cases;
+  {
+    ClusterConfig config = sched;
+    config.policy = PlacementPolicy::kLeastLoaded;
+    cases.push_back({"backfill_ready", config, SeededMix(43, 2, 3, 8, 900.0), {}});
+  }
+  {
+    ClusterConfig config = sched;
+    config.policy = PlacementPolicy::kPlanAffinity;
+    config.serve.tuner_lanes = 2;
+    cases.push_back({"head_delay", config, SeededMix(3062, 2, 3, 14, 1300.0), {}});
+  }
+  {
+    ClusterConfig config = shed;
+    config.policy = PlacementPolicy::kRoundRobin;
+    config.ship_plans = false;
+    config.faults.tuner_failures = 2;
+    cases.push_back({"partial_shed", config, SeededMix(19501, 3, 2, 9, 900.0),
+                     {FaultEvent{25000.0, FaultKind::kTunerFail, 0, 0.0, 0.0},
+                      FaultEvent{28000.0, FaultKind::kTunerFail, 0, 0.0, 0.0}}});
+  }
+  {
+    ClusterConfig config = shed;
+    config.policy = PlacementPolicy::kPlanAffinity;
+    config.faults.tuner_failures = 1;
+    cases.push_back({"degraded_kept", config, SeededMix(159, 2, 4, 10, 1300.0),
+                     {FaultEvent{13000.0, FaultKind::kTunerFail, 0, 0.0, 0.0}}});
+  }
+
+  std::map<SpanKind, size_t> by_kind;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    FaultSchedule schedule;
+    for (const FaultEvent& event : c.script) {
+      schedule.Add(event);
+    }
+    const auto run = [&](ObsPlane* obs) {
+      ClusterConfig config = c.config;
+      config.serve.obs = obs;
+      ServingCluster fleet(Make4090Cluster(4), config, {}, EngineOptions{.jitter = false});
+      if (!c.script.empty()) {
+        fleet.SetFaultSchedule(schedule);
+      }
+      return fleet.Run(c.trace);
+    };
+    const FleetReport bare = run(nullptr);
+    ObsConfig obs_config = TracedConfig();
+    obs_config.span_ring_capacity = 1 << 12;  // retain every span of these small runs
+    ObsPlane obs(obs_config);
+    const FleetReport traced = run(&obs);
+    ASSERT_EQ(obs.tracer().dropped(), 0u);
+    ExpectReportsIdentical(traced, bare);
+    EXPECT_EQ(traced.sched.backfills, bare.sched.backfills);
+    EXPECT_EQ(traced.sched.reserves, bare.sched.reserves);
+    EXPECT_EQ(traced.sched.reserve_idle_us, bare.sched.reserve_idle_us);
+    EXPECT_EQ(traced.sched.head_delays, bare.sched.head_delays);
+    EXPECT_EQ(traced.sched.shed_requests, bare.sched.shed_requests);
+    EXPECT_EQ(traced.fault.requests_degraded, bare.fault.requests_degraded);
+    EXPECT_EQ(traced.fault.tuner_retries, bare.fault.tuner_retries);
+    for (size_t track = 0; track < obs.tracer().track_count(); ++track) {
+      for (const SpanRecord& span : obs.tracer().TrackSpans(track)) {
+        ++by_kind[span.kind];
+      }
+    }
+  }
+  EXPECT_GE(by_kind[SpanKind::kSchedBackfill], 1u);
+  EXPECT_GE(by_kind[SpanKind::kSchedReserve], 1u);
+  EXPECT_GE(by_kind[SpanKind::kSchedShed], 1u);
+  EXPECT_GE(by_kind[SpanKind::kFaultDegraded], 1u);
 }
 
 // --- Metrics registry ----------------------------------------------------
@@ -427,7 +536,7 @@ TEST(ObsArtifactTest, WritesSampleTraceAndMetricsForValidation) {
   }
   const auto trace = MixedTrace(3, 25);
   ObsPlane obs(TracedConfig());
-  RunTracedFleet(trace, 3, 1, &obs);
+  RunTracedFleet(trace, 3, &obs);
   // CI validates these against the Chrome trace-event schema
   // (tools/validate_trace.py); written into the test's cwd (build dir).
   EXPECT_TRUE(obs.WriteTrace("obs_sample_trace.json"));

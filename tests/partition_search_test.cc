@@ -566,18 +566,16 @@ TEST(ParallelTuningTest, RunBatchPlansAreIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.tuner().ExportPlans(), pooled.tuner().ExportPlans());
 }
 
-TEST(ParallelTuningTest, PretuneParallelMakesTheBatchSearchFree) {
+TEST(ParallelTuningTest, PooledRunBatchSearchesEachColdSpecOnce) {
   const std::vector<ScenarioSpec> specs = DeterminismSpecs();
-  OverlapEngine engine(MakeA800Cluster(4), {}, EngineOptions{.jitter = false});
-  const auto claimed = engine.PretuneParallel(specs, 4);
-  EXPECT_EQ(claimed.size(), specs.size());  // all distinct, all cold
-  const size_t after_pretune = engine.tuner().search_count();
-  EXPECT_EQ(after_pretune, claimed.size());
+  EngineOptions options{.jitter = false};
+  options.tune_threads = 4;
+  OverlapEngine engine(MakeA800Cluster(4), {}, options);
   engine.RunBatch(specs);
-  EXPECT_EQ(engine.tuner().search_count(), after_pretune)
-      << "the sweep itself must not search after a pretune";
-  // A second pretune finds everything warm.
-  EXPECT_TRUE(engine.PretuneParallel(specs, 4).empty());
+  EXPECT_EQ(engine.tuner().search_count(), specs.size());  // all distinct, all cold
+  // A second sweep finds every plan warm and pretunes nothing.
+  engine.RunBatch(specs);
+  EXPECT_EQ(engine.tuner().search_count(), specs.size());
 }
 
 TEST(ParallelTuningTest, ServeLoopPlansAreIdenticalAcrossTunerLanes) {

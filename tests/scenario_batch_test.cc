@@ -94,33 +94,35 @@ TEST(RunBatchTest, MixedScenarioKindsShareOneBatch) {
 
 TEST(PretuneImbalancedTest, SpecsSharingAHeaviestRankDoNotCollide) {
   // Regression: TuningRequest used to reduce an imbalanced spec to its
-  // heaviest rank, so these two specs collided in the pre-tune lane and
+  // heaviest rank, so these two specs collided in the pooled pre-warm and
   // the second was mis-warmed (its plan still searched in-band). Keyed by
   // the canonical rank-shape multiset they are distinct searches.
-  OverlapEngine engine(MakeA800Cluster(4), {}, NoJitter());
+  EngineOptions options = NoJitter();
+  options.tune_threads = 2;
+  OverlapEngine engine(MakeA800Cluster(4), {}, options);
   const GemmShape heavy{16384, 8192, 1024};
+  const GemmShape light{2048, 8192, 1024};
   const std::vector<ScenarioSpec> specs{
-      ScenarioSpec::Imbalanced({heavy, GemmShape{2048, 8192, 1024},
-                                GemmShape{2048, 8192, 1024}, GemmShape{2048, 8192, 1024}},
-                               CommPrimitive::kAllToAll),
+      ScenarioSpec::Imbalanced({heavy, light, light, light}, CommPrimitive::kAllToAll),
       ScenarioSpec::Imbalanced({heavy, GemmShape{8192, 8192, 1024},
                                 GemmShape{8192, 8192, 1024}, GemmShape{8192, 8192, 1024}},
                                CommPrimitive::kAllToAll),
   };
-  const auto claimed = engine.PretuneParallel(specs, 2);
-  EXPECT_EQ(claimed.size(), 2u) << "distinct light ranks must claim distinct searches";
-  const size_t after_pretune = engine.tuner().search_count();
-  EXPECT_EQ(after_pretune, 2u);
+  const auto first = engine.planner().TuningRequest(specs[0]);
+  const auto second = engine.planner().TuningRequest(specs[1]);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_NE(*first, *second) << "distinct light ranks must be distinct searches";
+  // Rank order never splits the key.
+  const ScenarioSpec reordered =
+      ScenarioSpec::Imbalanced({light, heavy, light, light}, CommPrimitive::kAllToAll);
+  EXPECT_EQ(engine.planner().TuningRequest(reordered), first);
+
+  // A pooled sweep runs each multiset's search once.
   engine.RunBatch(specs);
-  EXPECT_EQ(engine.tuner().search_count(), after_pretune)
-      << "both plans must build from the pre-warmed searches";
-  // Re-pretuning finds everything warm; rank order never splits the key.
-  EXPECT_TRUE(engine.PretuneParallel(specs, 2).empty());
-  const ScenarioSpec reordered = ScenarioSpec::Imbalanced(
-      {GemmShape{2048, 8192, 1024}, heavy, GemmShape{2048, 8192, 1024},
-       GemmShape{2048, 8192, 1024}},
-      CommPrimitive::kAllToAll);
-  EXPECT_TRUE(engine.PretuneParallel({&reordered, 1}, 1).empty());
+  EXPECT_EQ(engine.tuner().search_count(), 2u);
+  engine.RunBatch({&reordered, 1});
+  EXPECT_EQ(engine.tuner().search_count(), 2u);
 }
 
 TEST(PlanCacheKeyTest, DistinctScenariosGetDistinctKeys) {

@@ -1,8 +1,7 @@
 // Fleet-scheduler tests: fair-share priority math, backfill safety (the
 // head job is never delayed), fair-share convergence under an adversarial
 // tenant, preemptive requeue completeness, scheduler-off bit-identity
-// with the pre-sched dispatch, and sched-on bit-identity across reruns and
-// host thread counts.
+// with the pre-sched dispatch, and sched-on bit-identity across reruns.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -255,7 +254,7 @@ TEST(FleetSchedTest, PreemptedRequestsAllCompleteOnHealthyReplicas) {
   EXPECT_LE(report.makespan_us, stranded.makespan_us);
 }
 
-TEST(FleetSchedTest, SchedOnIsBitIdenticalAcrossRerunsAndThreads) {
+TEST(FleetSchedTest, SchedOnIsBitIdenticalAcrossReruns) {
   const auto trace = MixedTrace(4, 40);
   ClusterConfig config;
   config.replicas = 2;
@@ -265,10 +264,8 @@ TEST(FleetSchedTest, SchedOnIsBitIdenticalAcrossRerunsAndThreads) {
   ASSERT_EQ(base.stats.count(), trace.size());
   EXPECT_TRUE(base.sched.enabled);
 
-  ClusterConfig threads = config;
-  threads.serve.tune_threads = 8;
-  for (const ClusterConfig& variant : {config, threads}) {
-    const FleetReport report = RunFleet(variant, trace);
+  for (int rerun = 0; rerun < 2; ++rerun) {
+    const FleetReport report = RunFleet(config, trace);
     EXPECT_DOUBLE_EQ(report.makespan_us, base.makespan_us);
     EXPECT_EQ(report.total_searches, base.total_searches);
     ExpectSameSchedReport(report.sched, base.sched);

@@ -275,31 +275,23 @@ TEST(RequestQueueTest, NewTenantSortingAfterTheRotationPointIsNext) {
   EXPECT_EQ(PopSequence(&queue, 1), "e:4 f:5 b:2");
 }
 
-TEST(RequestQueueTest, EmptyTenantNameIsNotPickedFirst) {
-  // Rotation resumes strictly after the previous pick's name, and a fresh
-  // queue starts after the empty name, so a lane named "" waits for the
-  // first wrap. Interning rejects empty names; a request carrying an
-  // interned id with an empty name is the only way to such a lane.
-  const uint32_t unnamed = InternTenant("request-queue-test-unnamed");
-  auto unnamed_req = [unnamed](int64_t id, double arrival, int64_t m) {
-    ServeRequest request = MakeReq(id, "", arrival, m);
-    request.tenant_id = unnamed;
-    return request;
-  };
+TEST(RequestQueueDeathTest, TenantIdNamingAnotherTenantAborts) {
+  // Lanes are ordered by name and found by id, so a caller-set id must
+  // name the request's tenant. An empty name can then never reach a
+  // lane either: interning rejects it.
+  const uint32_t other = InternTenant("request-queue-test-other");
   RequestQueue queue(ShapeKeyer);
-  queue.Admit(unnamed_req(0, 0.0, 1));
-  queue.Admit(MakeReq(1, "a", 1.0, 2));
-  queue.Admit(unnamed_req(2, 2.0, 3));
-  EXPECT_EQ(PopSequence(&queue, 1), "a:1 :0 :2");
-  // Created after the named lane, before any pick: same rule.
-  RequestQueue late(ShapeKeyer);
-  late.Admit(MakeReq(0, "a", 0.0, 1));
-  late.Admit(unnamed_req(1, 1.0, 2));
-  EXPECT_EQ(PopSequence(&late, 1), "a:0 :1");
-  // The only lane: picked on the wrap.
-  RequestQueue alone(ShapeKeyer);
-  alone.Admit(unnamed_req(0, 0.0, 1));
-  EXPECT_EQ(PopSequence(&alone, 1), ":0");
+  ServeRequest mislabeled = MakeReq(0, "a", 0.0, 1);
+  mislabeled.tenant_id = other;
+  EXPECT_DEATH(queue.Admit(mislabeled), "names \"request-queue-test-other\", not \"a\"");
+  ServeRequest unnamed = MakeReq(1, "", 1.0, 2);
+  unnamed.tenant_id = other;
+  EXPECT_DEATH(queue.Admit(unnamed), "not \"\"");
+  // A matching id is accepted.
+  ServeRequest labeled = MakeReq(2, "request-queue-test-other", 2.0, 3);
+  labeled.tenant_id = other;
+  queue.Admit(labeled);
+  EXPECT_EQ(PopSequence(&queue, 1), "request-queue-test-other:2");
 }
 
 TEST(RequestQueueTest, DrainedLaneRefillsInRotation) {
