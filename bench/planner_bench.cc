@@ -1,7 +1,6 @@
 // Planner performance benchmark: branch-and-bound tuner search vs a
 // bench-local enumerate-then-evaluate baseline (EnumeratePruned, then
-// PredictOverlapLatency per candidate), plus cold/warm RunBatch sweeps with
-// and without the RunBatch tuning pool.
+// PredictOverlapLatency per candidate), plus cold/warm RunBatch sweeps.
 //
 // Shapes are chosen to land at 30+ effective waves on the 8x A800 cluster —
 // the regime where the baseline materializes the full 65536-candidate
@@ -305,20 +304,14 @@ bool Run(bool smoke, const std::string& history_path) {
 
   // Cold vs warm batch sweeps through the full planner pipeline.
   const std::vector<ScenarioSpec> specs = SweepSpecs(shapes);
-  EngineOptions serial_options{.jitter = false};
-  OverlapEngine cold_engine(cluster, bnb_config, serial_options);
+  OverlapEngine cold_engine(cluster, bnb_config, EngineOptions{.jitter = false});
   const double cold_us = TimeRunBatch(&cold_engine, specs) * 1e6;
   const size_t searches_after_cold = cold_engine.tuner().search_count();
   const double warm_us = TimeRunBatch(&cold_engine, specs) * 1e6;
-  EngineOptions pooled_options{.jitter = false};
-  pooled_options.tune_threads = 4;
-  OverlapEngine pooled_engine(cluster, bnb_config, pooled_options);
-  const double pooled_cold_us = TimeRunBatch(&pooled_engine, specs) * 1e6;
   // A warm sweep must not search at all; the JSON records the proof.
   const size_t warm_searches = cold_engine.tuner().search_count() - searches_after_cold;
-  std::printf("RunBatch over %zu specs: cold %.0f us, cold+pool(4) %.0f us, warm %.0f us "
-              "(%zu warm searches)\n",
-              specs.size(), cold_us, pooled_cold_us, warm_us, warm_searches);
+  std::printf("RunBatch over %zu specs: cold %.0f us, warm %.0f us (%zu warm searches)\n",
+              specs.size(), cold_us, warm_us, warm_searches);
 
   char line[2048];
   std::snprintf(
@@ -328,8 +321,8 @@ bool Run(bool smoke, const std::string& history_path) {
       "\"legacy_candidates_per_sec\": %.0f, \"legacy_allocs_per_candidate\": %.4f, "
       "\"bnb_search_us\": %.3f, \"bnb_searches_per_sec\": %.1f, \"bnb_nodes_per_sec\": %.0f, "
       "\"bnb_allocs_per_node\": %.6f, \"speedup_vs_legacy\": %.2f, "
-      "\"runbatch_cold_us\": %.1f, \"runbatch_cold_pooled_us\": %.1f, "
-      "\"runbatch_warm_us\": %.1f, \"runbatch_specs\": %zu, \"warm_sweep_searches\": %zu, "
+      "\"runbatch_cold_us\": %.1f, \"runbatch_warm_us\": %.1f, \"runbatch_specs\": %zu, "
+      "\"warm_sweep_searches\": %zu, "
       "\"mr_ranks\": %zu, \"mr_base_waves\": %d, \"mr_replay_search_us\": %.3f, "
       "\"mr_fused_search_us\": %.3f, \"mr_speedup\": %.2f, "
       "\"mr_replays_per_search\": %zu, \"mr_fused_replays\": 0, "
@@ -339,7 +332,7 @@ bool Run(bool smoke, const std::string& history_path) {
       baseline_per_search_us, baseline.work_units / baseline.seconds,
       static_cast<double>(baseline.allocations) / baseline.work_units, bnb_per_search_us,
       bnb.searches / bnb.seconds, bnb.work_units / bnb.seconds, bnb_allocs_per_node, speedup,
-      cold_us, pooled_cold_us, warm_us, specs.size(), warm_searches,
+      cold_us, warm_us, specs.size(), warm_searches,
       imbalanced_shapes.size(), fused.base_waves, replay_search_us, fused_search_us,
       mr_speedup, replay_replays_per_search, fused.work_units / fused.searches,
       replay.best_us, fused.best_us);

@@ -30,16 +30,6 @@ struct EngineOptions {
   // Alg. 1 line 3 assumption. Disable to model channels that release
   // between groups.
   bool persistent_comm_sms = true;
-  // Host-side worker threads for cold-plan tuning in RunBatch, the one
-  // place a tuning pool runs: RunBatch pre-warms the tuner for every cold
-  // spec in parallel before executing; <= 1 tunes sequentially. The pool
-  // pays only for offline batches of expensive searches. Measured on 4
-  // vCPUs (Release -O2, N distinct A800x8 specs, millisecond searches):
-  // 0.31-0.39x serial speed at N = 8, 0.71-0.84x at N = 32, 3.35-3.55x
-  // at N = 256. Never affects which plan is chosen (the tuner
-  // single-flights each key and searches deterministically), so it stays
-  // out of the plan-cache key like every other execution knob.
-  int tune_threads = 0;
 
   bool operator==(const EngineOptions&) const = default;
 };

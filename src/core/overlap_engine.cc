@@ -1,13 +1,10 @@
 #include "src/core/overlap_engine.h"
 
-#include <algorithm>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "src/core/predictor.h"
 #include "src/util/check.h"
-#include "src/util/thread_pool.h"
 
 namespace flo {
 
@@ -120,55 +117,12 @@ OverlapRun OverlapEngine::ExecuteInternal(const ScenarioSpec& spec, uint64_t key
 }
 
 std::vector<OverlapRun> OverlapEngine::RunBatch(std::span<const ScenarioSpec> specs) {
-  if (options_.tune_threads > 1) {
-    PretuneOnPool(specs);
-  }
   std::vector<OverlapRun> runs;
   runs.reserve(specs.size());
   for (const ScenarioSpec& spec : specs) {
     runs.push_back(Execute(spec));
   }
   return runs;
-}
-
-void OverlapEngine::PretuneOnPool(std::span<const ScenarioSpec> specs) {
-  std::vector<PretuneRequest> requests;
-  for (const ScenarioSpec& spec : specs) {
-    if (store_->Contains(planner_.CanonicalKey(spec))) {
-      continue;  // the plan itself is warm; no search will happen
-    }
-    std::optional<PretuneRequest> request = planner_.TuningRequest(spec);
-    if (!request.has_value()) {
-      continue;
-    }
-    const bool warm = request->shapes.size() == 1
-                          ? tuner_.Contains(request->shapes[0], request->primitive)
-                          : tuner_.ContainsImbalanced(request->shapes, request->primitive);
-    if (!warm && std::find(requests.begin(), requests.end(), *request) == requests.end()) {
-      requests.push_back(*std::move(request));
-    }
-  }
-  if (requests.size() < 2) {
-    return;  // Execute runs a lone search inline
-  }
-  ThreadPool& pool = TunePool(std::min(options_.tune_threads, static_cast<int>(requests.size())));
-  for (const PretuneRequest& request : requests) {
-    pool.Submit([this, &request] {
-      if (request.shapes.size() == 1) {
-        tuner_.Tune(request.shapes[0], request.primitive);
-      } else {
-        tuner_.TuneImbalanced(request.shapes, request.primitive);
-      }
-    });
-  }
-  pool.WaitIdle();
-}
-
-ThreadPool& OverlapEngine::TunePool(int threads) {
-  if (tune_pool_ == nullptr || tune_pool_->thread_count() < threads) {
-    tune_pool_ = std::make_unique<ThreadPool>(threads);
-  }
-  return *tune_pool_;
 }
 
 SimTime OverlapEngine::TheoreticalBest(const GemmShape& shape, CommPrimitive primitive) {

@@ -26,7 +26,6 @@
 #include "src/hw/cluster.h"
 #include "src/sim/event_record.h"
 #include "src/sim/timeline.h"
-#include "src/util/thread_pool.h"
 
 namespace flo {
 
@@ -87,10 +86,7 @@ class OverlapEngine {
 
   // Sweeps many scenarios through the shared executor. Plans are reused
   // across calls via the PlanStore, so repeating a sweep performs zero
-  // tuner searches; planner().stats() exposes the hit/miss counts. With
-  // EngineOptions::tune_threads > 1 a cold sweep first runs its distinct
-  // predictive searches on a worker pool (PretuneOnPool); results stay
-  // bit-identical to a serial sweep.
+  // tuner searches; planner().stats() exposes the hit/miss counts.
   std::vector<OverlapRun> RunBatch(std::span<const ScenarioSpec> specs);
 
   // Perfect-overlap bound (Sec. 6.4).
@@ -109,18 +105,6 @@ class OverlapEngine {
   // Plans (cached) and simulates; with `memoize`, also stores the result.
   OverlapRun ExecuteInternal(const ScenarioSpec& spec, uint64_t key, bool memoize);
 
-  // RunBatch's pre-warm: collects the distinct tuner searches the specs
-  // with no stored plan would trigger (balanced Tune or imbalanced
-  // TuneImbalanced, see PretuneRequest) and, when there are two or more,
-  // runs them on options_.tune_threads workers. The tuner single-flights
-  // each key, so plans do not depend on the thread count.
-  void PretuneOnPool(std::span<const ScenarioSpec> specs);
-  // The persistent tuning pool, created lazily by the first pooled
-  // pretune and reused afterwards (grown if a later call asks for more
-  // workers) — per-call pool construction would cost more than the
-  // searches it parallelizes now that a B&B search is microseconds.
-  ThreadPool& TunePool(int threads);
-
   ClusterSpec cluster_;
   EngineOptions options_;
   Tuner tuner_;
@@ -129,7 +113,6 @@ class OverlapEngine {
   PlanStore* store_ = &plan_store_;          // the store planner_ memoizes into
   OverlapPlanner planner_;
   ScheduleExecutor executor_;
-  std::unique_ptr<ThreadPool> tune_pool_;
   // ExecuteMemoized results keyed by the spec's plan key. Within one
   // engine the key is the spec's FNV-1a fingerprint (ScenarioSpec::MixInto)
   // carried on through constant cluster and tuner bytes, and every FNV

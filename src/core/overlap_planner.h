@@ -27,11 +27,11 @@ struct PlannerStats {
   size_t cache_misses = 0;
 };
 
-// One pre-warmable tuner search: a single shape (balanced Tune) or the
-// canonical sorted rank-shape multiset (imbalanced TuneImbalanced). Keying
-// imbalanced requests by the full multiset — not the heaviest rank — keeps
-// two specs that share a heaviest rank but differ in light ranks from
-// colliding in a pooled pre-warm.
+// One tuner search: a single shape (balanced Tune) or the canonical sorted
+// rank-shape multiset (imbalanced TuneImbalanced). Keying imbalanced
+// requests by the full multiset — not the heaviest rank — keeps two specs
+// that share a heaviest rank but differ in light ranks from naming the
+// same search.
 struct PretuneRequest {
   std::vector<GemmShape> shapes;
   CommPrimitive primitive = CommPrimitive::kAllReduce;
@@ -51,9 +51,7 @@ class OverlapPlanner {
   // The tuner search a Build for `spec` would perform — a single-shape
   // Tune or an imbalanced multiset TuneImbalanced — or std::nullopt when
   // building the plan performs no predictive search (non-overlap
-  // scenarios, forced partitions). RunBatch uses this to pre-warm the
-  // tuner's cache on a worker pool — the expensive part of a cold plan —
-  // before building plans serially; a fleet uses it to publish a plan's
+  // scenarios, forced partitions). A fleet uses it to publish a plan's
   // tuner-tier artifact.
   std::optional<PretuneRequest> TuningRequest(const ScenarioSpec& spec) const;
 

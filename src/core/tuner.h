@@ -12,7 +12,7 @@
 // Concurrency: every public method is thread-safe. Cache lookups take a
 // short critical section; a cache-missing Tune releases the lock for the
 // search itself and single-flights concurrent requests for the same key,
-// so a thread pool can drive many cold searches for distinct keys in
+// so several threads can drive cold searches for distinct keys in
 // parallel (each key is searched exactly once, keeping search_count and
 // the cached plans deterministic regardless of thread count). One
 // exception: ImportPlans overwrites already-cached plans in place, so it
@@ -121,9 +121,9 @@ class Tuner {
                           CommPrimitive primitive) const;
 
   // Canonical sorted order of a rank-shape multiset — the single ordering
-  // home shared by the TuneImbalanced cache key and the planner's
-  // pre-tune requests (OverlapPlanner::TuningRequest), so the two can
-  // never drift apart and recreate the pre-tune mis-warm collision.
+  // home shared by the TuneImbalanced cache key and the planner's tuning
+  // requests (OverlapPlanner::TuningRequest), so the two can never drift
+  // apart and name one search by two keys.
   static std::vector<GemmShape> CanonicalShapeMultiset(std::vector<GemmShape> shapes);
 
   size_t imbalanced_cache_size() const;

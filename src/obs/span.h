@@ -3,8 +3,7 @@
 // Spans are emitted only from the single-threaded event-dispatch path (a
 // session handler, the cluster's autoscale checkpoint, ...), with
 // sim-clock times, so a run's span stream is a pure function of the
-// simulated execution — bit-deterministic across reruns, host thread
-// counts, and event-loop backends.
+// simulated execution — bit-deterministic across reruns.
 #ifndef SRC_OBS_SPAN_H_
 #define SRC_OBS_SPAN_H_
 

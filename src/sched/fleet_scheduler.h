@@ -6,8 +6,7 @@
 // executor time on replica 3 loses priority on replica 0 too. All
 // state lives in a live MetricsRegistry — per-tenant usage gauges and
 // latency histograms — updated at event-dispatch time on the sim
-// clock, so decisions are bit-deterministic across reruns, host tune
-// threads, and event-loop backends.
+// clock, so decisions are bit-deterministic across reruns.
 //
 // Priority is Slurm-shaped: usage-decayed fair share first (lowest
 // served cost wins), request age as the tie-break, and a starvation

@@ -32,13 +32,17 @@ RequestQueue::Lane& RequestQueue::LaneFor(ServeRequest* request) {
   if (request->tenant_id == 0) {
     request->tenant_id = InternTenant(request->tenant);  // hand-built request
   }
+  // A caller-set id must name the request's tenant: lanes are ordered by
+  // name and found by id, so a mismatch would merge two tenants into one
+  // lane (checked against the found lane) or split one into two (checked
+  // against the registry when the lane is created).
   const auto it = lanes_by_id_.find(request->tenant_id);
   if (it != lanes_by_id_.end()) {
+    FLO_CHECK(it->second->tenant == request->tenant)
+        << "tenant id " << request->tenant_id << " names \"" << it->second->tenant
+        << "\", not \"" << request->tenant << "\"";
     return *it->second;
   }
-  // A caller-set id must name the request's tenant: lanes are ordered by
-  // name and found by id, so a mismatch would split one tenant into two
-  // lanes or merge two into one.
   FLO_CHECK(TenantNameOf(request->tenant_id) == request->tenant)
       << "tenant id " << request->tenant_id << " names \"" << TenantNameOf(request->tenant_id)
       << "\", not \"" << request->tenant << "\"";

@@ -19,13 +19,16 @@
 // at the degrade point, dispatch rounds that start several cold batches
 // at once (a hang restore, and four lanes against bounded stores), and
 // sparse traces whose placements are all equal-load ties. On a mismatch
-// the test prints the case's actual line in literal form.
+// the test prints the case's actual line in literal form. A second pass
+// reruns every case with an enabled ObsPlane: it must reproduce the same
+// lines and, across the grid, emit the scheduler and degrade spans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -37,6 +40,7 @@
 #include "src/core/plan_store.h"
 #include "src/core/tuner.h"
 #include "src/fault/fault_schedule.h"
+#include "src/obs/obs_plane.h"
 #include "src/serve/request_source.h"
 #include "src/util/rng.h"
 
@@ -746,6 +750,48 @@ TEST(FleetGoldenTest, ReportsMatchPinnedDigests) {
       }
       ADD_FAILURE() << "fleet report drifted; actual:\n" << literal << "}},";
     }
+  }
+}
+
+TEST(FleetGoldenTest, EnabledObsPlaneKeepsEveryDigestAndTracesSchedulerPaths) {
+  // Every golden case again, traced: an enabled plane only observes, so
+  // each case reproduces its pinned line, and across the grid the
+  // scheduler and tuner-fault paths emit their spans.
+  std::map<SpanKind, size_t> by_kind;
+  for (const GoldenCase& golden : Cases()) {
+    SCOPED_TRACE(golden.name);
+    ObsConfig obs_config;
+    obs_config.enabled = true;
+    obs_config.span_ring_capacity = 1 << 16;  // grown on demand, per track
+    ObsPlane obs(obs_config);
+    ClusterConfig config = golden.config;
+    config.serve.obs = &obs;
+    ServingCluster fleet(Make4090Cluster(4), config, {}, EngineOptions{.jitter = false});
+    if (!golden.script.empty()) {
+      FaultSchedule schedule;
+      for (const FaultEvent& event : golden.script) {
+        schedule.Add(event);
+      }
+      fleet.SetFaultSchedule(schedule);
+    }
+    std::vector<std::string> actual;
+    for (int run = 0; run < golden.runs; ++run) {
+      actual.push_back(Fingerprint(fleet, fleet.Run(golden.trace)));
+      for (size_t track = 0; track < obs.tracer().track_count(); ++track) {
+        for (const SpanRecord& span : obs.tracer().TrackSpans(track)) {
+          ++by_kind[span.kind];
+        }
+      }
+    }
+    const std::vector<std::string>* expected = ExpectedFor(golden.name);
+    ASSERT_NE(expected, nullptr);
+    EXPECT_EQ(actual, *expected) << "an enabled ObsPlane changed the run";
+  }
+  if (kObsCompiledIn) {
+    EXPECT_GE(by_kind[SpanKind::kSchedBackfill], 1u);
+    EXPECT_GE(by_kind[SpanKind::kSchedReserve], 1u);
+    EXPECT_GE(by_kind[SpanKind::kSchedShed], 1u);
+    EXPECT_GE(by_kind[SpanKind::kFaultDegraded], 1u);
   }
 }
 

@@ -10,7 +10,6 @@
 
 #include "src/cluster/serving_cluster.h"
 #include "src/core/overlap_engine.h"
-#include "src/fault/fault_schedule.h"
 #include "src/hw/cluster.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
@@ -20,7 +19,6 @@
 #include "src/serve/request_source.h"
 #include "src/serve/serve_loop.h"
 #include "src/serve/serve_stats.h"
-#include "src/util/rng.h"
 #include "src/util/stats.h"
 
 namespace flo {
@@ -236,119 +234,6 @@ TEST(ObsSpanTest, TraceJsonIsChromeTraceShaped) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
-}
-
-// --- Scheduler and tuner-fault spans ------------------------------------
-
-// `count` arrivals over the first `tenants` of a, b, c and `keys` specs,
-// with seeded gaps uniform in [0, 2 * mean_gap_us) (fleet_golden_test's
-// seeded scheduler mixes).
-std::vector<ServeRequest> SeededMix(uint64_t seed, int tenants, int keys, int count,
-                                    double mean_gap_us) {
-  static const char* const kTenants[] = {"a", "b", "c"};
-  Rng rng(seed);
-  std::vector<ServeRequest> trace;
-  SimTime at = 0.0;
-  for (int i = 0; i < count; ++i) {
-    at += rng.NextDouble(0.0, 2.0 * mean_gap_us);
-    const int tenant = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(tenants)));
-    const int key = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(keys)));
-    trace.push_back({i, kTenants[tenant], at, SmallSpec(1024 + 512 * key)});
-  }
-  return trace;
-}
-
-TEST(ObsSpanTest, SchedulerAndTunerFaultPathsEmitSpans) {
-  if (!kObsCompiledIn) {
-    GTEST_SKIP() << "observability compiled out";
-  }
-  // fleet_golden_test's seeded one-replica cases for a ready-batch
-  // backfill, a head delay, a partial SLO shed and a degraded batch kept
-  // whole, each run with the plane off and on.
-  struct Case {
-    const char* name;
-    ClusterConfig config;
-    std::vector<ServeRequest> trace;
-    std::vector<FaultEvent> script;
-  };
-  ClusterConfig sched;
-  sched.replicas = 1;
-  sched.sched.enabled = true;
-  sched.sched.preempt_requeue = false;
-  ClusterConfig shed = sched;
-  shed.sched.slo_shed = true;
-  shed.sched.slo_p99_us = 1000.0;
-  shed.faults.horizon_us = 80000.0;
-  shed.faults.tuner_retry_budget = 0;
-  std::vector<Case> cases;
-  {
-    ClusterConfig config = sched;
-    config.policy = PlacementPolicy::kLeastLoaded;
-    cases.push_back({"backfill_ready", config, SeededMix(43, 2, 3, 8, 900.0), {}});
-  }
-  {
-    ClusterConfig config = sched;
-    config.policy = PlacementPolicy::kPlanAffinity;
-    config.serve.tuner_lanes = 2;
-    cases.push_back({"head_delay", config, SeededMix(3062, 2, 3, 14, 1300.0), {}});
-  }
-  {
-    ClusterConfig config = shed;
-    config.policy = PlacementPolicy::kRoundRobin;
-    config.ship_plans = false;
-    config.faults.tuner_failures = 2;
-    cases.push_back({"partial_shed", config, SeededMix(19501, 3, 2, 9, 900.0),
-                     {FaultEvent{25000.0, FaultKind::kTunerFail, 0, 0.0, 0.0},
-                      FaultEvent{28000.0, FaultKind::kTunerFail, 0, 0.0, 0.0}}});
-  }
-  {
-    ClusterConfig config = shed;
-    config.policy = PlacementPolicy::kPlanAffinity;
-    config.faults.tuner_failures = 1;
-    cases.push_back({"degraded_kept", config, SeededMix(159, 2, 4, 10, 1300.0),
-                     {FaultEvent{13000.0, FaultKind::kTunerFail, 0, 0.0, 0.0}}});
-  }
-
-  std::map<SpanKind, size_t> by_kind;
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    FaultSchedule schedule;
-    for (const FaultEvent& event : c.script) {
-      schedule.Add(event);
-    }
-    const auto run = [&](ObsPlane* obs) {
-      ClusterConfig config = c.config;
-      config.serve.obs = obs;
-      ServingCluster fleet(Make4090Cluster(4), config, {}, EngineOptions{.jitter = false});
-      if (!c.script.empty()) {
-        fleet.SetFaultSchedule(schedule);
-      }
-      return fleet.Run(c.trace);
-    };
-    const FleetReport bare = run(nullptr);
-    ObsConfig obs_config = TracedConfig();
-    obs_config.span_ring_capacity = 1 << 12;  // retain every span of these small runs
-    ObsPlane obs(obs_config);
-    const FleetReport traced = run(&obs);
-    ASSERT_EQ(obs.tracer().dropped(), 0u);
-    ExpectReportsIdentical(traced, bare);
-    EXPECT_EQ(traced.sched.backfills, bare.sched.backfills);
-    EXPECT_EQ(traced.sched.reserves, bare.sched.reserves);
-    EXPECT_EQ(traced.sched.reserve_idle_us, bare.sched.reserve_idle_us);
-    EXPECT_EQ(traced.sched.head_delays, bare.sched.head_delays);
-    EXPECT_EQ(traced.sched.shed_requests, bare.sched.shed_requests);
-    EXPECT_EQ(traced.fault.requests_degraded, bare.fault.requests_degraded);
-    EXPECT_EQ(traced.fault.tuner_retries, bare.fault.tuner_retries);
-    for (size_t track = 0; track < obs.tracer().track_count(); ++track) {
-      for (const SpanRecord& span : obs.tracer().TrackSpans(track)) {
-        ++by_kind[span.kind];
-      }
-    }
-  }
-  EXPECT_GE(by_kind[SpanKind::kSchedBackfill], 1u);
-  EXPECT_GE(by_kind[SpanKind::kSchedReserve], 1u);
-  EXPECT_GE(by_kind[SpanKind::kSchedShed], 1u);
-  EXPECT_GE(by_kind[SpanKind::kFaultDegraded], 1u);
 }
 
 // --- Metrics registry ----------------------------------------------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -14,7 +15,6 @@
 #include "src/serve/request_source.h"
 #include "src/serve/serve_loop.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace flo {
 namespace {
@@ -513,25 +513,27 @@ TEST(MultiRankTuningTest, TuneImbalancedIsSingleFlightedAndDeterministic) {
   EXPECT_EQ(serial.search_count(), 1u);
   EXPECT_TRUE(serial.ContainsImbalanced(shapes, CommPrimitive::kAllToAll));
 
-  Tuner pooled(MakeA800Cluster(4));
-  ThreadPool pool(4);
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&pooled, &shapes] {
-      pooled.TuneImbalanced(shapes, CommPrimitive::kAllToAll);
+  Tuner shared(MakeA800Cluster(4));
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 4; ++i) {
+    threads.emplace_back([&shared, &shapes] {
+      shared.TuneImbalanced(shapes, CommPrimitive::kAllToAll);
     });
   }
-  pool.WaitIdle();
-  EXPECT_EQ(pooled.search_count(), 1u) << "concurrent same-key tunes must single-flight";
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(shared.search_count(), 1u) << "concurrent same-key tunes must single-flight";
   const TunedMultiRankPlan& concurrent =
-      pooled.TuneImbalanced(shapes, CommPrimitive::kAllToAll);
+      shared.TuneImbalanced(shapes, CommPrimitive::kAllToAll);
   EXPECT_EQ(concurrent.base.group_sizes, plan.base.group_sizes);
   EXPECT_EQ(concurrent.predicted_us, plan.predicted_us);
 
   // Rank order is execution detail: a permuted multiset is the same key.
   std::vector<GemmShape> permuted{shapes[2], shapes[0], shapes[3], shapes[1]};
-  EXPECT_TRUE(pooled.ContainsImbalanced(permuted, CommPrimitive::kAllToAll));
-  pooled.TuneImbalanced(permuted, CommPrimitive::kAllToAll);
-  EXPECT_EQ(pooled.search_count(), 1u);
+  EXPECT_TRUE(shared.ContainsImbalanced(permuted, CommPrimitive::kAllToAll));
+  shared.TuneImbalanced(permuted, CommPrimitive::kAllToAll);
+  EXPECT_EQ(shared.search_count(), 1u);
 }
 
 std::vector<ScenarioSpec> DeterminismSpecs() {
@@ -545,37 +547,32 @@ std::vector<ScenarioSpec> DeterminismSpecs() {
   return specs;
 }
 
-TEST(ParallelTuningTest, RunBatchPlansAreIdenticalAcrossThreadCounts) {
+TEST(ParallelTuningTest, ConcurrentTunesMatchSerialAndSearchEachKeyOnce) {
   const std::vector<ScenarioSpec> specs = DeterminismSpecs();
-  EngineOptions serial_options{.jitter = false};
-  EngineOptions pooled_options{.jitter = false};
-  pooled_options.tune_threads = 4;
-  OverlapEngine serial(MakeA800Cluster(4), {}, serial_options);
-  OverlapEngine pooled(MakeA800Cluster(4), {}, pooled_options);
-  const std::vector<OverlapRun> serial_runs = serial.RunBatch(specs);
-  const std::vector<OverlapRun> pooled_runs = pooled.RunBatch(specs);
-  ASSERT_EQ(serial_runs.size(), pooled_runs.size());
-  for (size_t i = 0; i < serial_runs.size(); ++i) {
-    EXPECT_EQ(serial_runs[i].partition.group_sizes, pooled_runs[i].partition.group_sizes) << i;
-    EXPECT_EQ(serial_runs[i].predicted_us, pooled_runs[i].predicted_us) << i;
-    EXPECT_EQ(serial_runs[i].total_us, pooled_runs[i].total_us) << i;
+  Tuner serial(MakeA800Cluster(4));
+  for (const ScenarioSpec& spec : specs) {
+    serial.Tune(spec.shapes[0], spec.primitive);
+  }
+  // Four threads walk the same keys from different starting points, so
+  // most keys are requested by two threads at once.
+  Tuner shared(MakeA800Cluster(4));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&shared, &specs, t] {
+      for (size_t i = 0; i < specs.size(); ++i) {
+        const ScenarioSpec& spec = specs[(i + 3 * t) % specs.size()];
+        shared.Tune(spec.shapes[0], spec.primitive);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
   }
   // Single-flight keeps the search count exact — one search per distinct
-  // (shape, primitive) — no duplicated work under the pool.
-  EXPECT_EQ(serial.tuner().search_count(), pooled.tuner().search_count());
-  EXPECT_EQ(serial.tuner().ExportPlans(), pooled.tuner().ExportPlans());
-}
-
-TEST(ParallelTuningTest, PooledRunBatchSearchesEachColdSpecOnce) {
-  const std::vector<ScenarioSpec> specs = DeterminismSpecs();
-  EngineOptions options{.jitter = false};
-  options.tune_threads = 4;
-  OverlapEngine engine(MakeA800Cluster(4), {}, options);
-  engine.RunBatch(specs);
-  EXPECT_EQ(engine.tuner().search_count(), specs.size());  // all distinct, all cold
-  // A second sweep finds every plan warm and pretunes nothing.
-  engine.RunBatch(specs);
-  EXPECT_EQ(engine.tuner().search_count(), specs.size());
+  // (shape, primitive) — and the cached plans equal the serial ones.
+  EXPECT_EQ(shared.search_count(), specs.size());
+  EXPECT_EQ(serial.search_count(), specs.size());
+  EXPECT_EQ(shared.ExportPlans(), serial.ExportPlans());
 }
 
 TEST(ParallelTuningTest, ServeLoopPlansAreIdenticalAcrossTunerLanes) {

@@ -94,12 +94,10 @@ TEST(RunBatchTest, MixedScenarioKindsShareOneBatch) {
 
 TEST(PretuneImbalancedTest, SpecsSharingAHeaviestRankDoNotCollide) {
   // Regression: TuningRequest used to reduce an imbalanced spec to its
-  // heaviest rank, so these two specs collided in the pooled pre-warm and
-  // the second was mis-warmed (its plan still searched in-band). Keyed by
-  // the canonical rank-shape multiset they are distinct searches.
-  EngineOptions options = NoJitter();
-  options.tune_threads = 2;
-  OverlapEngine engine(MakeA800Cluster(4), {}, options);
+  // heaviest rank, so these two specs named one search and the second was
+  // mis-warmed (its plan still searched in-band). Keyed by the canonical
+  // rank-shape multiset they are distinct searches.
+  OverlapEngine engine(MakeA800Cluster(4), {}, NoJitter());
   const GemmShape heavy{16384, 8192, 1024};
   const GemmShape light{2048, 8192, 1024};
   const std::vector<ScenarioSpec> specs{
@@ -118,7 +116,7 @@ TEST(PretuneImbalancedTest, SpecsSharingAHeaviestRankDoNotCollide) {
       ScenarioSpec::Imbalanced({light, heavy, light, light}, CommPrimitive::kAllToAll);
   EXPECT_EQ(engine.planner().TuningRequest(reordered), first);
 
-  // A pooled sweep runs each multiset's search once.
+  // A sweep runs each multiset's search once.
   engine.RunBatch(specs);
   EXPECT_EQ(engine.tuner().search_count(), 2u);
   engine.RunBatch({&reordered, 1});

@@ -291,6 +291,8 @@ TEST(RequestQueueDeathTest, TenantIdNamingAnotherTenantAborts) {
   ServeRequest labeled = MakeReq(2, "request-queue-test-other", 2.0, 3);
   labeled.tenant_id = other;
   queue.Admit(labeled);
+  // With that lane in place, the mismatch must not merge into it.
+  EXPECT_DEATH(queue.Admit(mislabeled), "names \"request-queue-test-other\", not \"a\"");
   EXPECT_EQ(PopSequence(&queue, 1), "request-queue-test-other:2");
 }
 
