@@ -460,6 +460,162 @@ TEST(EventCoreIdentityTest, AutoscalingFleetBitIdenticalAcrossRerunsAndMemoizati
   EXPECT_GT(baseline.spawns, 0u);
 }
 
+std::string HexDouble(double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%a", value);
+  return buffer;
+}
+
+// Every field of the report, every record, and the fleet's summed store,
+// planner and tuner counters, as one string: two runs agree on it only if
+// they agree on every byte a caller can read.
+std::string ReportBytes(const ServingCluster& fleet, const FleetReport& r) {
+  std::string out;
+  auto put = [&out](size_t value) { out += std::to_string(value) + ","; };
+  auto put_double = [&out](double value) { out += HexDouble(value) + ","; };
+  for (const ReplicaReport& replica : r.replicas) {
+    const ServeReport& s = replica.serve;
+    out += "replica ";
+    put(static_cast<size_t>(replica.id));
+    put_double(replica.spawned_us);
+    put_double(replica.retired_us);
+    put(replica.tuner_searches);
+    put(replica.plans_resident);
+    put_double(s.makespan_us);
+    put(s.batches);
+    put(s.cold_batches);
+    put_double(s.executor_busy_us);
+    put_double(s.tuner_busy_us);
+    put(static_cast<size_t>(s.tuner_lanes));
+    put(s.events);
+    put(s.tuner_retries);
+    put(s.degraded_requests);
+    put(s.backfills);
+    put(s.sched_reserves);
+    put_double(s.reserve_idle_us);
+    put(s.head_delays);
+    put(s.shed_requests);
+    for (const RequestRecord& record : s.stats.records()) {
+      out += "\n  " + std::to_string(record.id) + "," + record.tenant + ",";
+      put_double(record.arrival_us);
+      put_double(record.start_us);
+      put_double(record.finish_us);
+      put(record.plan_cache_hit ? 1 : 0);
+      put(static_cast<size_t>(record.batch_size));
+      put(record.tenant_id);
+      put(static_cast<size_t>(record.retries));
+      put(record.degraded ? 1 : 0);
+    }
+    out += "\n";
+  }
+  out += "fleet ";
+  put(r.stats.count());
+  put_double(r.makespan_us);
+  put(r.total_searches);
+  put(r.distinct_keys);
+  put(static_cast<size_t>(r.peak_replicas));
+  put(r.spawns);
+  put(r.drains);
+  put(r.prespawns);
+  put(r.shipping.published);
+  put(r.shipping.shipped);
+  put(r.shipping.duplicate_tunes_avoided);
+  put(r.shipping.ship_drops);
+  put(r.events);
+  const FaultReport& f = r.fault;
+  for (const size_t value :
+       {f.injected_crashes, f.injected_hangs, f.injected_slowdowns, f.injected_tuner_failures,
+        f.injected_ship_loss_windows, f.requests_requeued, f.requests_retried,
+        f.retry_budget_exhausted, f.placement_stalls, f.requests_degraded, f.tuner_retries,
+        f.plans_rewarmed, f.replica_restarts, f.ship_drops, f.requests_shed}) {
+    put(value);
+  }
+  const SchedReport& sched = r.sched;
+  for (const size_t value : {sched.backfills, sched.reserves, sched.head_delays,
+                             sched.preempt_scans, sched.preempted_requests, sched.shed_requests}) {
+    put(value);
+  }
+  put_double(sched.reserve_idle_us);
+  out += "\nstores ";
+  for (const auto& replica : fleet.replicas()) {
+    const PlanStoreStats stats = replica->store()->stats();
+    put(stats.hits);
+    put(stats.misses);
+    put(stats.evictions);
+    put(replica->engine().planner().stats().cache_hits);
+    put(replica->engine().planner().stats().cache_misses);
+    put(replica->engine().tuner().search_count());
+  }
+  return out;
+}
+
+// A fleet whose replicas serve the same keys, so they can reuse each
+// other's memoized runs: four replicas (autoscaled up to six) behind
+// least-loaded placement, two-plan stores that evict, all five fault
+// kinds from a seed, and the scheduler on.
+struct ReuseFleetRun {
+  std::string bytes;
+  FleetReport report;
+  size_t evictions = 0;
+};
+
+ReuseFleetRun RunReuseFleet(bool memoize) {
+  std::vector<ScenarioSpec> specs;
+  for (int k = 0; k < 6; ++k) {
+    specs.push_back(
+        ScenarioSpec::Overlap(GemmShape{1024 + 512 * k, 1024, 512}, CommPrimitive::kAllReduce));
+  }
+  const auto trace = MergeStreams(
+      {MakeRequestStream("llm", specs, PoissonArrivals(1500.0, 60, 7), 0),
+       MakeRequestStream("moe", specs, BurstyArrivals(2500.0, 4.0, 6, 60, 8), 100000)});
+  ClusterConfig config;
+  config.replicas = 4;
+  config.policy = PlacementPolicy::kLeastLoaded;
+  config.store_capacity = 2;
+  config.serve.memoize_runs = memoize;
+  config.autoscale.enabled = true;
+  config.autoscale.min_replicas = 4;
+  config.autoscale.max_replicas = 6;
+  config.autoscale.check_interval_us = 5000.0;
+  config.autoscale.spawn_queue_per_replica = 2.0;
+  config.faults.seed = 11;
+  config.faults.horizon_us = 40000.0;
+  config.faults.crashes = 1;
+  config.faults.hangs = 1;
+  config.faults.slowdowns = 1;
+  config.faults.tuner_failures = 1;
+  config.faults.ship_loss_windows = 1;
+  config.sched.enabled = true;
+  ServingCluster fleet(Make4090Cluster(2), config, {}, EngineOptions{.jitter = false});
+  ReuseFleetRun run;
+  run.report = fleet.Run(trace);
+  run.bytes = ReportBytes(fleet, run.report);
+  for (const auto& replica : fleet.replicas()) {
+    run.evictions += replica->store()->stats().evictions;
+  }
+  return run;
+}
+
+TEST(EventCoreIdentityTest, ReplicasReusingRunsGiveByteIdenticalReportsWithAndWithoutMemo) {
+  const ReuseFleetRun unmemoized = RunReuseFleet(/*memoize=*/false);
+  const ReuseFleetRun memoized = RunReuseFleet(/*memoize=*/true);
+  EXPECT_EQ(unmemoized.bytes, memoized.bytes);
+  // The run still exercises what the name promises.
+  const FleetReport& r = memoized.report;
+  EXPECT_EQ(r.fault.injected_total(), 5u);
+  EXPECT_EQ(r.fault.injected_crashes, 1u);
+  EXPECT_EQ(r.fault.injected_tuner_failures, 1u);
+  EXPECT_TRUE(r.sched.enabled);
+  EXPECT_GT(r.spawns, 0u);
+  EXPECT_GT(r.distinct_keys, 2u);
+  EXPECT_GT(memoized.evictions, 0u);
+  int serving = 0;
+  for (const ReplicaReport& replica : r.replicas) {
+    serving += replica.serve.stats.count() > 0 ? 1 : 0;
+  }
+  EXPECT_GE(serving, 4);
+}
+
 // --- Stats satellite -------------------------------------------------------
 
 TEST(StatsTest, SummarizeMedianMatchesPercentile) {
