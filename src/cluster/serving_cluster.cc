@@ -83,6 +83,7 @@ Replica* ServingCluster::SpawnReplica(SimTime now) {
   replicas_.push_back(std::make_unique<Replica>(id, hardware_, tuner_config_, options_,
                                                 config_.store_capacity, now));
   Replica* replica = replicas_.back().get();
+  replica->engine().UseSharedRunMemo(run_memo_);
   // The store feeds its slot's resident bits from here on — attached
   // before the bootstrap below so the shipped plans register too. Replica
   // stores are only mutated on the simulation thread.

@@ -224,6 +224,12 @@ class ServingCluster {
   uint32_t autoscale_handler_ = 0;
   uint32_t fault_handler_ = 0;
   uint32_t sched_handler_ = 0;
+  // The fleet's run memo, shared by every replica's engine: each key's
+  // schedule is replayed once per fleet and every other replica's run of
+  // it is a memo hit. Replicas meet OverlapEngine::UseSharedRunMemo's
+  // contract: all are built from hardware_, tuner_config_ and options_,
+  // and the event loop drives them all from one thread.
+  std::shared_ptr<RunMemo> run_memo_ = std::make_shared<RunMemo>();
   // Indexed by replica id; never erased.
   std::vector<std::unique_ptr<Replica>> replicas_;
   // Placement state, one slot per entry of replicas_.

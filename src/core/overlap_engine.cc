@@ -23,8 +23,14 @@ void OverlapEngine::UseSharedPlanStore(std::shared_ptr<PlanStore> store) {
   planner_ = OverlapPlanner(&tuner_, store_);
   // Conservative: memoized runs stay valid across stores (plans for a key
   // are deterministic), but a store swap is a deployment boundary — start
-  // clean.
-  run_memo_.clear();
+  // clean. Dropping the handle (not clearing the map) leaves a memo other
+  // engines share intact; the next memoized miss allocates a private one.
+  run_memo_.reset();
+}
+
+void OverlapEngine::UseSharedRunMemo(std::shared_ptr<RunMemo> memo) {
+  FLO_CHECK(memo != nullptr);
+  run_memo_ = std::move(memo);
 }
 
 OverlapRun OverlapEngine::Execute(const ScenarioSpec& spec) {
@@ -61,8 +67,11 @@ OverlapEngine::RunTiming OverlapEngine::ExecuteMemoizedTiming(const ScenarioSpec
 
 const OverlapRun* OverlapEngine::FindMemo(const ScenarioSpec& spec, uint64_t key,
                                           bool* plan_cache_hit) {
-  const auto it = run_memo_.find(key);
-  if (it == run_memo_.end()) {
+  if (run_memo_ == nullptr) {
+    return nullptr;
+  }
+  const auto it = run_memo_->find(key);
+  if (it == run_memo_->end()) {
     return nullptr;
   }
   // The memoized replay needs no plan, but the store lookup still happens
@@ -111,7 +120,10 @@ OverlapRun OverlapEngine::ExecuteInternal(const ScenarioSpec& spec, uint64_t key
     cached.groups.clear();
     cached.gemm_timeline = Timeline();
     cached.comm_timeline = Timeline();
-    run_memo_.emplace(key, std::move(cached));
+    if (run_memo_ == nullptr) {
+      run_memo_ = std::make_shared<RunMemo>();
+    }
+    run_memo_->emplace(key, std::move(cached));
   }
   return run;
 }

@@ -29,6 +29,11 @@
 
 namespace flo {
 
+// ExecuteMemoized results keyed by the spec's plan key. Entries store runs
+// with `groups` and timelines cleared. One memo may serve several engines
+// (OverlapEngine::UseSharedRunMemo).
+using RunMemo = std::unordered_map<uint64_t, OverlapRun>;
+
 class OverlapEngine {
  public:
   explicit OverlapEngine(ClusterSpec cluster, TunerConfig tuner_config = {},
@@ -48,8 +53,23 @@ class OverlapEngine {
   // capacity-bounded PlanStore so several engines/serving loops reuse each
   // other's plans. Cross-engine reuse only happens between identical
   // deployments — the canonical key covers cluster and tuner config.
-  // Resets planner stats (they described the old store).
+  // Resets planner stats (they described the old store) and detaches the
+  // engine from any shared run memo onto a fresh private one, so a store
+  // swap never wipes runs that other engines share.
   void UseSharedPlanStore(std::shared_ptr<PlanStore> store);
+
+  // Shared-memo mode ("prepare once, serve many"): repoints
+  // ExecuteMemoized at an external RunMemo, so a key replayed by any
+  // engine on the memo is a memo hit on all the others. Contract: engines
+  // sharing a memo have equal ClusterSpec, TunerConfig and EngineOptions
+  // (an entry is a pure function of the plan, those configs and the case
+  // seed, and equal configs give a key the same plan on every engine),
+  // and are driven from one thread: the memo has no lock. Store lookups
+  // stay per engine: a memo hit still looks the plan up in this engine's
+  // own store, so hit/miss counts and LRU order are unchanged.
+  void UseSharedRunMemo(std::shared_ptr<RunMemo> memo);
+  // Entries in the active run memo (0 before the first memoized miss).
+  size_t run_memo_size() const { return run_memo_ == nullptr ? 0 : run_memo_->size(); }
 
   // Executes one scenario end to end: plan (cached) then schedule. For
   // ScenarioKind::kNonOverlap only `total_us`, `predicted_us` and
@@ -113,17 +133,20 @@ class OverlapEngine {
   PlanStore* store_ = &plan_store_;          // the store planner_ memoizes into
   OverlapPlanner planner_;
   ScheduleExecutor executor_;
-  // ExecuteMemoized results keyed by the spec's plan key. Within one
-  // engine the key is the spec's FNV-1a fingerprint (ScenarioSpec::MixInto)
-  // carried on through constant cluster and tuner bytes, and every FNV
-  // step (xor a byte, multiply by an odd prime) is a bijection on 64-bit
-  // states, so distinct fingerprints give distinct keys; only a balanced
-  // and an imbalanced spec (whose key gains a version suffix) could meet,
-  // by a 2^-64 coincidence the plan store already keys on. Entries store
-  // runs with `groups` and timelines cleared; timings are exact because
-  // the schedule replay is a pure function of (plan, configs, options,
-  // case seed), all derived deterministically from the spec.
-  std::unordered_map<uint64_t, OverlapRun> run_memo_;
+  // The active run memo: private, allocated on the first memoized miss,
+  // or shared after UseSharedRunMemo. In a ServingCluster every replica
+  // uses the fleet's memo, so each key is replayed once per fleet, not
+  // once per replica. Keys are the specs' plan keys: for one cluster and
+  // tuner config the key is the spec's FNV-1a fingerprint
+  // (ScenarioSpec::MixInto) carried on through constant cluster and tuner
+  // bytes, and every FNV step (xor a byte, multiply by an odd prime) is a
+  // bijection on 64-bit states, so distinct fingerprints give distinct
+  // keys; only a balanced and an imbalanced spec (whose key gains a
+  // version suffix) could meet, by a 2^-64 coincidence the plan store
+  // already keys on. Timings are exact because the schedule replay is a
+  // pure function of (plan, configs, options, case seed), all derived
+  // deterministically from the spec.
+  std::shared_ptr<RunMemo> run_memo_;
 };
 
 }  // namespace flo

@@ -68,6 +68,9 @@ class ScheduleExecutor {
   ScheduleExecutor& operator=(const ScheduleExecutor&) = delete;
 
   const ClusterSpec& cluster() const { return spec_; }
+  // Events every replay so far has dispatched; 0 until one runs (the
+  // closed-form sequential path dispatches none).
+  uint64_t replay_events() const { return loop_.dispatched(); }
 
   // Stable per-case seed so every binary prints identical numbers on
   // re-run (jitter is derived from it).

@@ -61,9 +61,12 @@ struct ServeConfig {
   // ServeReport::tuner_lanes exposes the chosen pool size.
   bool adaptive_tuner_lanes = false;
   int max_tuner_lanes = 8;
-  // Memoize deterministic schedule replays per spec fingerprint
-  // (OverlapEngine::ExecuteMemoized). Plan-store lookups, hit/miss stats,
-  // and reports are unchanged; repeat specs skip the simulation itself.
+  // Memoize deterministic schedule replays per plan key
+  // (OverlapEngine::ExecuteMemoized) in the engine's run memo: the
+  // engine's own for a single session, the fleet's for a ServingCluster
+  // replica, so a cluster replays each key once per fleet. Plan-store
+  // lookups, hit/miss stats, and reports are unchanged; repeat specs skip
+  // the simulation itself.
   bool memoize_runs = true;
   // Observability plane (src/obs): request-lifecycle span tracing, metrics
   // checkpoints, and the flight recorder. Borrowed; must outlive the run.

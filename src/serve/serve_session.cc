@@ -691,6 +691,11 @@ void ServeSession::Dispatch(SimTime now) {
     }
     return false;
   };
+  // The queue head this loop last found warm. If no tune starts this
+  // round, the executor stage's first pass reuses the answer when it pops
+  // that key: nothing before it executes or changes tuning_keys_, so the
+  // store still holds the plan.
+  std::optional<uint64_t> warm_head;
   while (tuners_busy_ + static_cast<int>(starting.size()) < tuner_lanes) {
     bool picked = false;
     for (size_t i = 0; i < tune_wait_.size(); ++i) {
@@ -708,9 +713,16 @@ void ServeSession::Dispatch(SimTime now) {
     if (picked) {
       continue;
     }
-    if (config_.overlap_tuning && !queue_.empty() && !IsWarm(queue_.PeekKey()) &&
-        !key_busy(queue_.PeekKey()) && vetoed.count(queue_.PeekKey()) == 0) {
-      const bool acquired = AcquireTuning(queue_.PeekKey(), &vetoed);
+    if (config_.overlap_tuning && !queue_.empty()) {
+      const uint64_t head = queue_.PeekKey();
+      if (IsWarm(head)) {
+        warm_head = head;
+        break;
+      }
+      if (key_busy(head) || vetoed.count(head) != 0) {
+        break;
+      }
+      const bool acquired = AcquireTuning(head, &vetoed);
       const uint32_t s = AcquireSlot();
       PopQueueBatch(s);
       batch_pool_[s].tuned = true;
@@ -729,6 +741,9 @@ void ServeSession::Dispatch(SimTime now) {
   // to use (adaptive mode grows it with cold-key pressure).
   report_.tuner_lanes =
       std::max(report_.tuner_lanes, tuners_busy_ + static_cast<int>(starting.size()));
+  if (!starting.empty()) {
+    warm_head.reset();
+  }
   for (const uint32_t s : starting) {
     StartTuning(s, now);
   }
@@ -753,6 +768,9 @@ void ServeSession::Dispatch(SimTime now) {
       BackfillOrReserve(tuning_slots_[index], now);
       return;
     }
+    // Only this pass may reuse the loop's answer: it executes or starts a
+    // tune before the next pass.
+    const std::optional<uint64_t> known_warm = std::exchange(warm_head, std::nullopt);
     uint32_t s;
     if (unit == Unit::kReady) {
       s = ready_[index];
@@ -760,7 +778,7 @@ void ServeSession::Dispatch(SimTime now) {
     } else {
       s = AcquireSlot();
       const uint64_t key = PopQueueBatch(s);
-      if (config_.overlap_tuning && !IsWarm(key)) {
+      if (config_.overlap_tuning && known_warm != key && !IsWarm(key)) {
         batch_pool_[s].tuned = true;  // it will wait on the cold-plan path
         if (tuners_busy_ < tuner_lanes && tuning_keys_.count(key) == 0 &&
             vetoed.count(key) == 0 && AcquireTuning(key, &vetoed)) {

@@ -356,6 +356,32 @@ TEST(ServingClusterTest, PlanShippingCapsFleetSearchesAtDistinctKeys) {
   }
 }
 
+TEST(ServingClusterTest, FleetReplaysEachKeyOncePerFleet) {
+  const auto trace = MixedTrace(4, 60);
+  ClusterConfig config;
+  config.replicas = 4;
+  config.policy = PlacementPolicy::kRoundRobin;  // spreads each key over replicas
+  ServingCluster fleet(Make4090Cluster(4), config, {}, EngineOptions{.jitter = false});
+  const FleetReport report = fleet.Run(trace);
+  ASSERT_EQ(report.stats.count(), trace.size());
+  ASSERT_EQ(report.distinct_keys, 4u);
+  // The events of replaying each distinct spec exactly once.
+  OverlapEngine reference(Make4090Cluster(4), {}, EngineOptions{.jitter = false});
+  for (int k = 0; k < 4; ++k) {
+    reference.ExecuteMemoized(SmallSpec(1024 + 512 * k));
+  }
+  ASSERT_GT(reference.executor().replay_events(), 0u);
+  uint64_t fleet_events = 0;
+  for (const auto& replica : fleet.replicas()) {
+    EXPECT_GT(replica->session()->report().batches, 0u) << "replica " << replica->id();
+    EXPECT_EQ(replica->engine().run_memo_size(), 4u) << "replica " << replica->id();
+    fleet_events += replica->engine().executor().replay_events();
+  }
+  // Every key was replayed once fleet-wide: each other replica's first
+  // batch of it was a memo hit.
+  EXPECT_EQ(fleet_events, reference.executor().replay_events());
+}
+
 TEST(ServingClusterTest, ReportsAreDeterministicAndPlansReplicaCountInvariant) {
   const auto trace = MixedTrace(3, 40);
   ClusterConfig config;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/core/overlap_engine.h"
 
 namespace flo {
@@ -136,6 +138,36 @@ TEST(OverlapEngineTest, MemoHitKeepsTimingsButDropsTracesAndTimelines) {
   EXPECT_TRUE(hit.groups.empty());
   EXPECT_TRUE(hit.gemm_timeline.empty());
   EXPECT_TRUE(hit.comm_timeline.empty());
+}
+
+TEST(OverlapEngineTest, SharedRunMemoReplaysAKeyOnceAcrossEngines) {
+  const ScenarioSpec spec =
+      ScenarioSpec::Overlap(GemmShape{4096, 8192, 8192}, CommPrimitive::kAllReduce);
+  const auto memo = std::make_shared<RunMemo>();
+  OverlapEngine first(MakeA800Cluster(4), {}, NoJitter());
+  OverlapEngine second(MakeA800Cluster(4), {}, NoJitter());
+  first.UseSharedRunMemo(memo);
+  second.UseSharedRunMemo(memo);
+  const OverlapRun replayed = first.ExecuteMemoized(spec);
+  EXPECT_GT(first.executor().replay_events(), 0u);
+  EXPECT_EQ(memo->size(), 1u);
+  // The second engine's first run of the key is a memo hit: no replay, the
+  // same timings, and its own store's lookup (a miss, built inline).
+  const OverlapRun reused = second.ExecuteMemoized(spec);
+  EXPECT_EQ(second.executor().replay_events(), 0u);
+  EXPECT_TRUE(reused.groups.empty());
+  EXPECT_EQ(reused.total_us, replayed.total_us);
+  EXPECT_FALSE(reused.plan_cache_hit);
+  EXPECT_EQ(second.planner().stats().cache_misses, 1u);
+  EXPECT_EQ(second.run_memo_size(), 1u);
+  // A store swap detaches the engine from the shared memo, not wipes it.
+  second.UseSharedPlanStore(std::make_shared<PlanStore>());
+  EXPECT_EQ(second.run_memo_size(), 0u);
+  EXPECT_EQ(first.run_memo_size(), 1u);
+  second.ExecuteMemoized(spec);
+  EXPECT_GT(second.executor().replay_events(), 0u);
+  EXPECT_EQ(second.run_memo_size(), 1u);
+  EXPECT_EQ(memo->size(), 1u);
 }
 
 TEST(OverlapEngineTest, ImbalancedForcedSingleGroupCoversEveryTile) {
