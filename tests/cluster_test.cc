@@ -4,6 +4,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/autoscaler.h"
@@ -230,6 +231,186 @@ TEST(PlanShipperTest, SnapshotRoundTripsThroughImport) {
   EXPECT_TRUE(b->Contains(5));
   EXPECT_EQ(other.SerializeSnapshot(), snapshot);
   EXPECT_EQ(other.ImportSnapshot("plan garbage\n"), 0u);
+}
+
+// What a subscriber saw of shipping: its store (bytes, counters, and the
+// order keys entered and left) and its tuner cache.
+struct Peer {
+  std::shared_ptr<PlanStore> store;
+  std::unique_ptr<Tuner> tuner;
+  std::vector<std::pair<uint64_t, bool>> log;
+};
+
+std::unique_ptr<Peer> BoundedPeer(size_t capacity) {
+  auto peer = std::make_unique<Peer>();
+  peer->store = std::make_shared<PlanStore>(capacity);
+  peer->tuner = std::make_unique<Tuner>(MakeA800Cluster(4));
+  peer->store->SetChangeCallback(
+      [log = &peer->log](uint64_t key, bool resident) { log->emplace_back(key, resident); });
+  return peer;
+}
+
+// The bytes of a store holding MarkedPlan(key) for each key.
+std::string MarkedStoreBytes(const std::vector<uint64_t>& keys) {
+  PlanStore store;
+  for (const uint64_t key : keys) {
+    store.Put(key, MarkedPlan(static_cast<int>(key)));
+  }
+  return store.Serialize();
+}
+
+StoredPlan MarkedArtifact(int marker) {
+  return StoredPlan{GemmShape{1024 * marker, 4096, 4096}, CommPrimitive::kAllReduce,
+                    WavePartition{{1}}, 0.0, 0.0};
+}
+
+void ExpectStoreStats(const PlanStore& store, size_t hits, size_t misses, size_t evictions) {
+  const PlanStoreStats stats = store.stats();
+  EXPECT_EQ(stats.hits, hits);
+  EXPECT_EQ(stats.misses, misses);
+  EXPECT_EQ(stats.evictions, evictions);
+}
+
+void ExpectShipperStats(const PlanShipper& shipper, size_t published, size_t shipped,
+                        size_t duplicates, size_t drops) {
+  const PlanShipperStats stats = shipper.stats();
+  EXPECT_EQ(stats.published, published);
+  EXPECT_EQ(stats.shipped, shipped);
+  EXPECT_EQ(stats.duplicate_tunes_avoided, duplicates);
+  EXPECT_EQ(stats.ship_drops, drops);
+}
+
+// Shrinks the store to one plan; the evictions this appends to the log
+// spell out the LRU order shipping left behind.
+void RevealLruOrder(Peer* peer) { peer->store->set_capacity(1); }
+
+using Log = std::vector<std::pair<uint64_t, bool>>;
+
+// Pins the publish fan-out and re-ship paths into bounded stores: which
+// keys each peer receives, in which order, what that evicts, and what the
+// shipper counts — including a dropped delivery recovered by a re-ship.
+TEST(PlanShipperTest, FanOutAndReshipIntoBoundedStoresArePinned) {
+  PlanShipper shipper;
+  auto owner = std::make_shared<PlanStore>();
+  Tuner owner_tuner(MakeA800Cluster(4));
+  shipper.Subscribe(0, owner, &owner_tuner);
+  std::vector<std::unique_ptr<Peer>> peers;
+  for (int id = 1; id <= 3; ++id) {
+    peers.push_back(BoundedPeer(/*capacity=*/2));
+    EXPECT_EQ(shipper.Subscribe(id, peers.back()->store, peers.back()->tuner.get()), 0u);
+  }
+  PlanStore& p1 = *peers[0]->store;
+  PlanStore& p2 = *peers[1]->store;
+  PlanStore& p3 = *peers[2]->store;
+
+  for (int key : {10, 11}) {
+    const StoredPlan artifact = MarkedArtifact(key);
+    owner->Put(key, MarkedPlan(key));
+    ASSERT_TRUE(shipper.Publish(key, *owner, &artifact));
+  }
+  EXPECT_NE(p1.Find(10), nullptr);  // p1's LRU victim is now 11
+
+  // Replica 2 loses key 12's delivery; the others evict to make room.
+  shipper.SetDropFilter([](uint64_t key, int id) { return key == 12 && id == 2; });
+  owner->Put(12, MarkedPlan(12));
+  ASSERT_TRUE(shipper.Publish(12, *owner));
+  shipper.SetDropFilter(nullptr);
+  // A re-publish refreshes the published set and ships nothing.
+  ASSERT_TRUE(shipper.Publish(12, *owner));
+  ExpectShipperStats(shipper, 3, 8, 0, 1);
+
+  // The victim pulls the plan it never got; replica 3 re-fetches the
+  // copy its bounded store evicted.
+  EXPECT_EQ(p2.Find(12), nullptr);
+  EXPECT_TRUE(shipper.BeginTuning(12, 2));
+  EXPECT_TRUE(shipper.BeginTuning(10, 3));
+
+  // Replica 1 tunes key 13 itself (replica 3 loses the race) and
+  // publishes it to everyone but itself, the unbounded owner included.
+  EXPECT_TRUE(shipper.BeginTuning(13, 1));
+  EXPECT_FALSE(shipper.BeginTuning(13, 3));
+  p1.Put(13, MarkedPlan(13));
+  const StoredPlan artifact13 = MarkedArtifact(13);
+  ASSERT_TRUE(shipper.Publish(13, p1, &artifact13));
+  EXPECT_NE(p3.Find(10), nullptr);
+  EXPECT_EQ(p3.Find(11), nullptr);
+
+  ExpectShipperStats(shipper, 4, 13, 1, 1);
+  EXPECT_EQ(owner->Serialize(), MarkedStoreBytes({10, 11, 12, 13}));
+  EXPECT_EQ(p1.Serialize(), MarkedStoreBytes({12, 13}));
+  EXPECT_EQ(p2.Serialize(), MarkedStoreBytes({12, 13}));
+  EXPECT_EQ(p3.Serialize(), MarkedStoreBytes({10, 13}));
+  ExpectStoreStats(p1, 1, 0, 2);
+  ExpectStoreStats(p2, 0, 1, 2);
+  ExpectStoreStats(p3, 1, 1, 3);
+  EXPECT_EQ(owner_tuner.cache_size(), 1u);
+  EXPECT_EQ(peers[0]->tuner->cache_size(), 2u);
+  EXPECT_EQ(peers[1]->tuner->cache_size(), 3u);
+  EXPECT_EQ(peers[2]->tuner->cache_size(), 3u);
+  for (const auto& peer : peers) {
+    EXPECT_EQ(peer->tuner->search_count(), 0u);
+    RevealLruOrder(peer.get());
+  }
+  EXPECT_EQ(peers[0]->log, (Log{{10, true}, {11, true}, {12, true}, {11, false},
+                                {13, true}, {10, false}, {12, false}}));
+  EXPECT_EQ(peers[1]->log, (Log{{10, true}, {11, true}, {12, true}, {10, false},
+                                {13, true}, {11, false}, {12, false}}));
+  EXPECT_EQ(peers[2]->log, (Log{{10, true}, {11, true}, {12, true}, {10, false}, {10, true},
+                                {11, false}, {13, true}, {12, false}, {13, false}}));
+
+  // The published set is what the owner tuned, with the artifacts that
+  // came with it.
+  std::vector<std::pair<uint64_t, StoredPlan>> artifacts;
+  for (int key : {10, 11, 13}) {
+    artifacts.emplace_back(key, MarkedArtifact(key));
+  }
+  EXPECT_EQ(shipper.SerializeSnapshot(),
+            MarkedStoreBytes({10, 11, 12, 13}) + SerializeTunerTier(artifacts));
+}
+
+// Pins the bulk delivery paths into a bounded store: a late subscriber's
+// bootstrap and a snapshot import that overwrites one key and adds two,
+// then a re-ship of a plan the import evicted.
+TEST(PlanShipperTest, BootstrapAndSnapshotImportIntoBoundedStoresArePinned) {
+  PlanShipper shipper;
+  auto owner = std::make_shared<PlanStore>();
+  shipper.Subscribe(0, owner);
+  for (int key : {20, 21, 22}) {
+    const StoredPlan artifact = MarkedArtifact(key);
+    owner->Put(key, MarkedPlan(key));
+    ASSERT_TRUE(shipper.Publish(key, *owner, &artifact));
+  }
+  const std::unique_ptr<Peer> late = BoundedPeer(/*capacity=*/2);
+  EXPECT_EQ(shipper.Subscribe(5, late->store, late->tuner.get()), 3u);
+  EXPECT_EQ(late->tuner->cache_size(), 3u);
+  ExpectShipperStats(shipper, 3, 3, 0, 0);
+
+  PlanShipper other;
+  PlanStore source;
+  for (int key : {21, 30, 31}) {
+    source.Put(key, MarkedPlan(key));
+  }
+  const StoredPlan artifact30 = MarkedArtifact(30);
+  ASSERT_TRUE(other.Publish(21, source));
+  ASSERT_TRUE(other.Publish(30, source, &artifact30));
+  ASSERT_TRUE(other.Publish(31, source));
+  EXPECT_EQ(shipper.ImportSnapshot(other.SerializeSnapshot()), 3u);
+  EXPECT_EQ(shipper.published_size(), 5u);
+  EXPECT_EQ(late->tuner->cache_size(), 4u);
+  ExpectShipperStats(shipper, 3, 9, 0, 0);
+
+  EXPECT_EQ(late->store->Find(21), nullptr);
+  EXPECT_TRUE(shipper.BeginTuning(21, 5));
+  ExpectShipperStats(shipper, 3, 10, 0, 0);
+
+  EXPECT_EQ(owner->Serialize(), MarkedStoreBytes({20, 21, 22, 30, 31}));
+  EXPECT_EQ(late->store->Serialize(), MarkedStoreBytes({21, 31}));
+  ExpectStoreStats(*late->store, 0, 1, 4);
+  EXPECT_EQ(late->tuner->search_count(), 0u);
+  RevealLruOrder(late.get());
+  EXPECT_EQ(late->log, (Log{{20, true}, {21, true}, {22, true}, {20, false}, {30, true},
+                            {22, false}, {31, true}, {21, false}, {21, true}, {30, false},
+                            {31, false}}));
 }
 
 // --- Autoscaler -------------------------------------------------------------
