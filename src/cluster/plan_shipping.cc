@@ -1,6 +1,7 @@
 #include "src/cluster/plan_shipping.h"
 
 #include <fstream>
+#include <iterator>
 #include <utility>
 
 #include "src/util/check.h"
@@ -8,28 +9,27 @@
 
 namespace flo {
 
-namespace {
-
-// Puts every plan of `from` into `into`, in key order: the order in which
-// ImportRecords of from.Serialize() would put them. Returns the count.
-size_t PutAll(const PlanStore& from, PlanStore* into) {
-  for (const auto& [key, plan] : from.plans()) {
-    into->Put(key, plan);
+size_t PlanShipper::DeliverLocked(PlanIterator first, PlanIterator last,
+                                  const std::vector<StoredPlan>& artifacts,
+                                  Subscriber* subscriber) {
+  size_t delivered = 0;
+  for (; first != last; ++first) {
+    subscriber->store->Put(first->first, first->second);
+    ++delivered;
   }
-  return from.size();
+  stats_.shipped += delivered;
+  if (subscriber->tuner != nullptr && !artifacts.empty()) {
+    subscriber->tuner->ImportPlans(artifacts);
+  }
+  return delivered;
 }
 
-}  // namespace
-
-void PlanShipper::ShipToLocked(uint64_t key, const std::string& record,
-                               Subscriber* subscriber) {
-  stats_.shipped += subscriber->store->ImportRecords(record);
-  if (subscriber->tuner != nullptr) {
-    const auto artifact = artifacts_.find(key);
-    if (artifact != artifacts_.end()) {
-      subscriber->tuner->ImportPlans({artifact->second});
-    }
+std::vector<StoredPlan> PlanShipper::ArtifactsForLocked(uint64_t key) const {
+  const auto artifact = artifacts_.find(key);
+  if (artifact == artifacts_.end()) {
+    return {};
   }
+  return {artifact->second};
 }
 
 size_t PlanShipper::Subscribe(int replica_id, std::shared_ptr<PlanStore> store,
@@ -37,20 +37,19 @@ size_t PlanShipper::Subscribe(int replica_id, std::shared_ptr<PlanStore> store,
   FLO_CHECK(store != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
   // Bootstrap: a late subscriber (autoscaler spawn) starts warm — both
-  // tiers — with every plan the fleet has already paid for. The published
-  // set holds parsed records already (and only changes under mu_), so its
-  // plans are put directly instead of re-serialized and re-parsed.
-  const size_t bootstrapped = PutAll(published_, store.get());
-  stats_.shipped += bootstrapped;
-  if (tuner != nullptr && !artifacts_.empty()) {
-    std::vector<StoredPlan> artifacts;
+  // tiers — with every plan the fleet has already paid for.
+  Subscriber subscriber{std::move(store), tuner};
+  std::vector<StoredPlan> artifacts;
+  if (tuner != nullptr) {
     artifacts.reserve(artifacts_.size());
     for (const auto& [key, artifact] : artifacts_) {
       artifacts.push_back(artifact);
     }
-    tuner->ImportPlans(artifacts);
   }
-  subscribers_[replica_id] = Subscriber{std::move(store), tuner};
+  const auto& published = published_.plans();
+  const size_t bootstrapped =
+      DeliverLocked(published.begin(), published.end(), artifacts, &subscriber);
+  subscribers_[replica_id] = std::move(subscriber);
   return bootstrapped;
 }
 
@@ -88,12 +87,13 @@ void PlanShipper::SetDropFilter(DropFilter filter) {
 
 bool PlanShipper::BeginTuning(uint64_t key, int replica_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (const std::optional<std::string> record = published_.ExportRecord(key)) {
+  const auto& published = published_.plans();
+  if (const auto plan = published.find(key); plan != published.end()) {
     // Already tuned fleet-wide: re-ship into the caller (its bounded
     // store evicted the copy) instead of letting it re-search.
     const auto it = subscribers_.find(replica_id);
     if (it != subscribers_.end()) {
-      ShipToLocked(key, *record, &it->second);
+      DeliverLocked(plan, std::next(plan), ArtifactsForLocked(key), &it->second);
     }
     return true;
   }
@@ -129,6 +129,10 @@ bool PlanShipper::Publish(uint64_t key, const PlanStore& source, const StoredPla
     artifacts_[key] = *artifact;
   }
   ++stats_.published;
+  // The record was parsed once, into the published set; peers receive
+  // copies of that plan.
+  const auto plan = published_.plans().find(key);
+  const std::vector<StoredPlan> artifacts = ArtifactsForLocked(key);
   for (auto& [id, subscriber] : subscribers_) {
     if (subscriber.store.get() == &source) {
       continue;  // the owner already holds what it just tuned
@@ -140,7 +144,7 @@ bool PlanShipper::Publish(uint64_t key, const PlanStore& source, const StoredPla
       ++stats_.ship_drops;
       continue;
     }
-    ShipToLocked(key, *record, &subscriber);
+    DeliverLocked(plan, std::next(plan), artifacts, &subscriber);
   }
   return true;
 }
@@ -182,9 +186,12 @@ size_t PlanShipper::ImportSnapshot(const std::string& text) {
                     << text.size() << " bytes); nothing applied";
     return 0;
   }
-  const size_t imported = PutAll(*parsed, &published_);
-  if (imported == 0) {
+  const auto& plans = parsed->plans();
+  if (plans.empty()) {
     return 0;
+  }
+  for (const auto& [key, plan] : plans) {
+    published_.Put(key, plan);
   }
   std::vector<StoredPlan> artifacts;
   artifacts.reserve(tuner_tier->size());
@@ -197,12 +204,9 @@ size_t PlanShipper::ImportSnapshot(const std::string& text) {
   // Ship only the records just imported — re-shipping the whole
   // published set would churn the LRU order of bounded subscriber stores.
   for (auto& [id, subscriber] : subscribers_) {
-    stats_.shipped += PutAll(*parsed, subscriber.store.get());
-    if (subscriber.tuner != nullptr && !artifacts.empty()) {
-      subscriber.tuner->ImportPlans(artifacts);
-    }
+    DeliverLocked(plans.begin(), plans.end(), artifacts, &subscriber);
   }
-  return imported;
+  return plans.size();
 }
 
 size_t PlanShipper::published_size() const {

@@ -1,11 +1,12 @@
 // Plan shipping: the fleet pays each tuner search once.
 //
 // Replicas subscribe their PlanStores; when one replica finishes a cold
-// tune it publishes the plan and the shipper copies it into every peer
-// store — through PlanStore's record serialization, so what crosses a
-// replica boundary is exactly the bytes that would cross a process
-// boundary (shipping and on-disk warm starts share one layer; see
-// PlanStore::ExportRecord / ImportRecords).
+// tune it publishes the plan. Each publish makes one record round trip:
+// the owner's plan is exported as record text and parsed into the
+// published set (PlanStore::ExportRecord / ImportRecords), so the
+// published plan is exactly what an on-disk warm start of the same bytes
+// would load. Peer stores then receive copies of that parsed plan — the
+// record is parsed once per publish, not once per peer.
 //
 // The shipper also single-flights searches fleet-wide: BeginTuning grants
 // each key to the first replica that asks; peers that lose the race park
@@ -113,13 +114,22 @@ class PlanShipper {
     Tuner* tuner = nullptr;
   };
 
-  // Delivers `key`'s record (and tuner artifact, if kept) to one
-  // subscriber. Requires mu_.
-  void ShipToLocked(uint64_t key, const std::string& record, Subscriber* subscriber);
+  using PlanIterator = std::map<uint64_t, ExecutionPlan>::const_iterator;
+
+  // The one delivery path (bootstrap, snapshot import, publish fan-out,
+  // re-ship): puts copies of the plans in [first, last) into the
+  // subscriber's store in key order, hands `artifacts` to its tuner, and
+  // returns the number of plans delivered. Requires mu_.
+  size_t DeliverLocked(PlanIterator first, PlanIterator last,
+                       const std::vector<StoredPlan>& artifacts, Subscriber* subscriber);
+  // The tuner-tier artifact kept for `key`, as a delivery list (empty
+  // when none is kept). Requires mu_.
+  std::vector<StoredPlan> ArtifactsForLocked(uint64_t key) const;
 
   mutable std::mutex mu_;
   // The authoritative published set (unbounded: one entry per distinct
-  // key the fleet ever tuned).
+  // key the fleet ever tuned). Written only under mu_, so reading its
+  // plans() map under mu_ is safe.
   PlanStore published_;
   // The tuner-tier artifact behind each published key's search. Persisted
   // alongside the plan tier by SerializeSnapshot, so a warm-started fleet

@@ -26,21 +26,44 @@ std::string PartitionToCsv(const WavePartition& partition) {
   return out;
 }
 
-std::optional<WavePartition> PartitionFromCsv(const std::string& text) {
-  WavePartition partition;
-  std::stringstream stream(text);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    const auto value = TryParseInt(token);
-    if (!value || *value <= 0) {
+// Splits "a,b,c" into ints. Every field must be a whole int, so an empty
+// field (",1", "1,,2", a trailing "1,") is rejected: no serializer writes
+// one, and accepting it would re-export different bytes.
+std::optional<std::vector<int>> IntsFromCsv(const std::string& text) {
+  std::vector<int> values;
+  size_t start = 0;
+  while (true) {
+    const size_t comma = text.find(',', start);
+    const auto value = TryParseInt(text.substr(start, comma - start));
+    if (!value) {
       return std::nullopt;
     }
-    partition.group_sizes.push_back(*value);
+    values.push_back(*value);
+    if (comma == std::string::npos) {
+      return values;
+    }
+    start = comma + 1;
   }
-  if (partition.group_sizes.empty()) {
+}
+
+std::optional<WavePartition> PartitionFromCsv(const std::string& text) {
+  auto sizes = IntsFromCsv(text);
+  if (!sizes) {
     return std::nullopt;
   }
-  return partition;
+  for (const int size : *sizes) {
+    if (size <= 0) {
+      return std::nullopt;
+    }
+  }
+  return WavePartition{std::move(*sizes)};
+}
+
+// True when a record line has no token left after its fields. A line
+// with extra tokens is malformed, not truncated to the fields read.
+bool NoMoreFields(std::istream& fields) {
+  std::string extra;
+  return !(fields >> extra);
 }
 
 }  // namespace
@@ -74,7 +97,8 @@ std::optional<std::vector<StoredPlan>> ParsePlans(const std::string& text) {
     std::string primitive;
     std::string partition;
     if (!(fields >> plan.shape.m >> plan.shape.n >> plan.shape.k >> primitive >> partition >>
-          plan.predicted_us >> plan.predicted_non_overlap_us)) {
+          plan.predicted_us >> plan.predicted_non_overlap_us) ||
+        !NoMoreFields(fields)) {
       return std::nullopt;
     }
     if (plan.shape.m <= 0 || plan.shape.n <= 0 || plan.shape.k <= 0) {
@@ -289,23 +313,6 @@ void PlanStore::ExportMetrics(MetricsRegistry* registry) const {
 
 namespace {
 
-std::optional<std::vector<int>> IntsFromCsv(const std::string& text) {
-  std::vector<int> values;
-  std::stringstream stream(text);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    const auto value = TryParseInt(token);
-    if (!value) {
-      return std::nullopt;
-    }
-    values.push_back(*value);
-  }
-  if (values.empty()) {
-    return std::nullopt;
-  }
-  return values;
-}
-
 std::string KeyToken(uint64_t key) {
   char buffer[24];
   std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(key));
@@ -444,7 +451,8 @@ std::optional<PlanStore> PlanStore::Parse(const std::string& text) {
       std::string partition;
       std::string predicted;
       std::string non_overlap;
-      if (!(fields >> key_hex >> kind >> primitive >> partition >> predicted >> non_overlap)) {
+      if (!(fields >> key_hex >> kind >> primitive >> partition >> predicted >> non_overlap) ||
+          !NoMoreFields(fields)) {
         return std::nullopt;
       }
       const auto parsed_key = TryParseHexU64(key_hex);
@@ -471,7 +479,7 @@ std::optional<PlanStore> PlanStore::Parse(const std::string& text) {
       in_record = true;
     } else if (tag == "tiles") {
       std::string csv;
-      if (!in_record || !(fields >> csv)) {
+      if (!in_record || !(fields >> csv) || !NoMoreFields(fields)) {
         return std::nullopt;
       }
       auto tiles = IntsFromCsv(csv);
@@ -483,7 +491,7 @@ std::optional<PlanStore> PlanStore::Parse(const std::string& text) {
       std::string group;
       std::string max_bytes;
       std::string latency;
-      if (!in_record || !(fields >> group >> max_bytes >> latency)) {
+      if (!in_record || !(fields >> group >> max_bytes >> latency) || !NoMoreFields(fields)) {
         return std::nullopt;
       }
       const auto parsed_group = TryParseInt(group);
@@ -498,7 +506,7 @@ std::optional<PlanStore> PlanStore::Parse(const std::string& text) {
       segment.latency_us = *parsed_latency;
       plan.segments.push_back(segment);
     } else if (tag == "end") {
-      if (!in_record || !StructurallyValid(plan)) {
+      if (!in_record || !NoMoreFields(fields) || !StructurallyValid(plan)) {
         return std::nullopt;
       }
       store.Put(key, std::move(plan));
@@ -594,7 +602,8 @@ std::optional<std::vector<std::pair<uint64_t, StoredPlan>>> ParseTunerTier(
     std::string predicted;
     std::string non_overlap;
     if (!(fields >> key_hex >> plan.shape.m >> plan.shape.n >> plan.shape.k >> primitive >>
-          partition >> predicted >> non_overlap)) {
+          partition >> predicted >> non_overlap) ||
+        !NoMoreFields(fields)) {
       return std::nullopt;
     }
     const auto parsed_key = TryParseHexU64(key_hex);

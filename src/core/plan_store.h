@@ -174,9 +174,9 @@ class PlanStore {
   bool SaveToFile(const std::string& path) const;
   static std::optional<PlanStore> LoadFromFile(const std::string& path);
 
-  // Per-record wire format for plan shipping (src/cluster): a shipped
-  // plan crosses replica boundaries as exactly the bytes a save/load
-  // round-trip would write, so shipping and on-disk warm starts share one
+  // Per-record wire format for plan shipping (src/cluster): a published
+  // plan makes one round trip through exactly the bytes a save/load
+  // would write, so shipping and on-disk warm starts share one
   // serialization layer. ExportRecord returns the entry's record text
   // (std::nullopt when absent; a peek — no stats, no recency update).
   // ImportRecords parses record text and Puts every plan, returning the

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -309,9 +310,10 @@ TEST(PlanStoreParseTest, NonFiniteSegmentLatencyRejectedWhole) {
 }
 
 TEST(PlanStoreLruTest, ConcurrentPublishAndEvictionChurn) {
-  // Multi-replica churn: publisher threads ship records into a bounded
-  // store (plan shipping's ImportRecords path) while reader threads take
-  // copies — racing publishes against LRU evictions.
+  // Multi-replica churn: publisher threads import records into a bounded
+  // store (the path a published record takes into the published set)
+  // while reader threads take copies — racing imports against LRU
+  // evictions.
   PlanStore store(/*capacity=*/4);
   std::vector<std::string> records;
   for (int i = 0; i < 16; ++i) {
@@ -410,6 +412,54 @@ TEST(TunerTierTest, MalformedTierOrCountMismatchRejectedWhole) {
   const size_t second = good.find("\n#tuner ");
   ASSERT_NE(second, std::string::npos);
   EXPECT_FALSE(ParseTunerTier(good.substr(second + 1)).has_value());
+}
+
+// Appends `suffix` to the first line of `text`, past the first, that
+// starts with `tag`.
+std::string AppendToLine(std::string text, const std::string& tag, const std::string& suffix) {
+  const size_t line = text.find('\n' + tag);
+  EXPECT_NE(line, std::string::npos) << "no line starts with " << tag;
+  text.insert(text.find('\n', line + 1), suffix);
+  return text;
+}
+
+// Text no serializer writes is rejected, not imported as a plan that
+// would re-export as different bytes: an extra token after any record
+// line's fields, or a trailing comma in a CSV field. Each rejection
+// leaves an importing store untouched.
+TEST(PlanStoreParseTest, TextThatCannotReExportIdenticallyRejectedWhole) {
+  PlanStore source;
+  source.Put(0xff, MarkedPlan(1));
+  const std::string good = source.Serialize();
+  ASSERT_EQ(PlanStore::Parse(good)->Serialize(), good);
+  const std::string partition = " 1,2 ";
+  ASSERT_NE(good.find(partition), std::string::npos);
+  std::string partition_comma = good;
+  partition_comma.replace(good.find(partition), partition.size(), " 1,2, ");
+  const std::string bad_texts[] = {
+      AppendToLine(good, "plan ", " extra"), AppendToLine(good, "tiles ", " 7"),
+      AppendToLine(good, "seg ", " 0"),      AppendToLine(good, "end", " end"),
+      AppendToLine(good, "tiles ", ","),     partition_comma,
+  };
+  PlanStore target;
+  target.Put(999, MarkedPlan(9));
+  const std::string before = target.Serialize();
+  for (const std::string& bad : bad_texts) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(PlanStore::Parse(bad).has_value());
+    EXPECT_EQ(target.ImportRecords(bad), 0u);
+    EXPECT_EQ(target.Serialize(), before);
+  }
+
+  const std::string tier = SerializeTunerTier(KeyedSamplePlans());
+  ASSERT_TRUE(ParseTunerTier(tier).has_value());
+  std::string tier_comma = tier;
+  tier_comma.replace(tier.find(" 1,2,4 "), 7, " 1,2,4, ");
+  EXPECT_FALSE(ParseTunerTier(AppendToLine(tier, "#tuner ", " extra")).has_value());
+  EXPECT_FALSE(ParseTunerTier(tier_comma).has_value());
+
+  EXPECT_FALSE(ParsePlans("4096 8192 7168 AllReduce 1,2 10 20 extra\n").has_value());
+  EXPECT_FALSE(ParsePlans("4096 8192 7168 AllReduce 1,2, 10 20\n").has_value());
 }
 
 TEST(PlanShipperSnapshotTest, TwoTierSnapshotRoundTripsThroughImport) {
@@ -546,6 +596,97 @@ TEST(PlanShipperSnapshotTest, ImportMatchesPerStoreImportAndRejectsWhole) {
     EXPECT_EQ(shipped[i]->Serialize(), reference[i]->Serialize());
     EXPECT_EQ(eviction_order(shipped[i].get()), eviction_order(reference[i].get()));
   }
+}
+
+// The shipper from several threads at once: publishers tune and publish
+// distinct keys into shared bounded subscriber stores (publish fan-out
+// reads the published set under the shipper's lock), re-shippers pull
+// published keys back into those stores, a reader takes copies, and a
+// late replica subscribes mid-run (bootstrap). Run under TSan in CI.
+TEST(PlanShipperConcurrencyTest, PublishReshipAndLateSubscribeRaceCleanly) {
+  constexpr int kPublishers = 2;
+  constexpr int kKeysPerPublisher = 48;
+  constexpr int kKeys = kPublishers * kKeysPerPublisher;
+  constexpr size_t kCapacity = 4;
+  PlanShipper shipper;
+  std::vector<std::shared_ptr<PlanStore>> stores;
+  for (int id = 0; id < 3; ++id) {
+    stores.push_back(std::make_shared<PlanStore>(kCapacity));
+    shipper.Subscribe(id, stores.back());
+  }
+  auto late = std::make_shared<PlanStore>(kCapacity);
+  Tuner late_tuner(MakeA800Cluster(4));
+  const auto artifact = [](int key) {
+    return StoredPlan{GemmShape{1024 * (key + 1), 4096, 4096}, CommPrimitive::kAllReduce,
+                      WavePartition{{1}}, 0.0, 0.0};
+  };
+
+  std::atomic<int> published{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kPublishers; ++t) {
+    threads.emplace_back([&, t] {
+      // The owner tunes into a private store, as a replica whose plan is
+      // not (yet) in any shared store.
+      PlanStore owner;
+      for (int i = 0; i < kKeysPerPublisher; ++i) {
+        const int key = t * kKeysPerPublisher + i;
+        EXPECT_TRUE(shipper.BeginTuning(key, 100 + t));
+        owner.Put(key, MarkedPlan(key));
+        const StoredPlan tuned = artifact(key);
+        EXPECT_TRUE(shipper.Publish(key, owner, &tuned));
+        published.fetch_add(1);
+      }
+    });
+  }
+  for (int id = 0; id < 2; ++id) {
+    threads.emplace_back([&, id] {
+      for (int round = 0; round < 4 * kKeys; ++round) {
+        const int key = round % kKeys;
+        // Only published keys: an unpublished one would be acquired, and
+        // its publisher's BeginTuning would then lose the race.
+        if (shipper.Published(key)) {
+          EXPECT_TRUE(shipper.BeginTuning(key, id));
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int round = 0; round < 4 * kKeys; ++round) {
+      const int key = round % kKeys;
+      if (const auto plan = stores[2]->FindCopy(key)) {
+        EXPECT_EQ(*plan, MarkedPlan(key));
+      }
+    }
+  });
+  threads.emplace_back([&] {
+    while (published.load() < kKeys / 4) {
+      std::this_thread::yield();
+    }
+    EXPECT_GT(shipper.Subscribe(3, late, &late_tuner), 0u);
+  });
+  for (auto& thread : threads) {
+    thread.join();
+  }
+
+  const PlanShipperStats stats = shipper.stats();
+  EXPECT_EQ(stats.published, static_cast<size_t>(kKeys));
+  EXPECT_EQ(stats.duplicate_tunes_avoided, 0u);
+  EXPECT_GE(stats.shipped, 3u * kKeys);
+  EXPECT_EQ(shipper.published_size(), static_cast<size_t>(kKeys));
+  // Every artifact reached the late tuner: by bootstrap or by fan-out.
+  EXPECT_EQ(late_tuner.cache_size(), static_cast<size_t>(kKeys));
+  stores.push_back(late);
+  for (const auto& store : stores) {
+    EXPECT_EQ(store->size(), kCapacity);
+    const auto parsed = PlanStore::Parse(store->Serialize());
+    ASSERT_TRUE(parsed.has_value());
+    for (const auto& [key, plan] : parsed->plans()) {
+      EXPECT_EQ(plan, MarkedPlan(static_cast<int>(key)));
+    }
+  }
+  const auto snapshot = PlanStore::Parse(shipper.SerializeSnapshot());
+  ASSERT_TRUE(snapshot.has_value());
+  EXPECT_EQ(snapshot->size(), static_cast<size_t>(kKeys));
 }
 
 TEST(TunerPersistenceTest, ExportImportRestoresCache) {
