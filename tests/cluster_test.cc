@@ -413,6 +413,28 @@ TEST(PlanShipperTest, BootstrapAndSnapshotImportIntoBoundedStoresArePinned) {
                             {31, false}}));
 }
 
+// A replica whose publish delivery was dropped gets both tiers back from
+// the re-ship pull: the plan and the tuner artifact behind it.
+TEST(PlanShipperTest, ReshipRestoresBothTiersOfADroppedDelivery) {
+  PlanShipper shipper;
+  const std::unique_ptr<Peer> owner = BoundedPeer(/*capacity=*/0);
+  const std::unique_ptr<Peer> victim = BoundedPeer(/*capacity=*/0);
+  shipper.Subscribe(0, owner->store, owner->tuner.get());
+  shipper.Subscribe(1, victim->store, victim->tuner.get());
+  shipper.SetDropFilter([](uint64_t, int id) { return id == 1; });
+  const StoredPlan artifact = MarkedArtifact(5);
+  owner->store->Put(5, MarkedPlan(5));
+  ASSERT_TRUE(shipper.Publish(5, *owner->store, &artifact));
+  EXPECT_EQ(victim->store->size(), 0u);
+  EXPECT_EQ(victim->tuner->cache_size(), 0u);
+
+  EXPECT_TRUE(shipper.BeginTuning(5, 1));
+  EXPECT_EQ(victim->store->Serialize(), MarkedStoreBytes({5}));
+  EXPECT_TRUE(victim->tuner->Contains(artifact.shape, artifact.primitive));
+  EXPECT_EQ(victim->tuner->search_count(), 0u);
+  ExpectShipperStats(shipper, 1, 1, 0, 1);
+}
+
 // --- Autoscaler -------------------------------------------------------------
 
 TEST(AutoscalerTest, SpawnsOnQueuePressure) {
