@@ -437,10 +437,10 @@ bool Run(const BenchArgs& args) {
   std::string snapshot;
   bool plans_replica_invariant = true;
   for (const int replicas : {1, 2, 4}) {
-    ServingCluster fleet(setup.hardware,
-                         ClusterConfig{.replicas = replicas,
-                                       .policy = PlacementPolicy::kPlanAffinity},
-                         {}, EngineOptions{.jitter = false});
+    ClusterConfig config;
+    config.replicas = replicas;
+    config.policy = PlacementPolicy::kPlanAffinity;
+    ServingCluster fleet(setup.hardware, config, {}, EngineOptions{.jitter = false});
     fleet.Run(setup.trace);
     const std::string serialized = fleet.shipper().SerializeSnapshot();
     if (snapshot.empty()) {

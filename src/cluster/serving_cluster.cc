@@ -16,6 +16,10 @@ namespace flo {
 
 namespace {
 
+// Per-request service-cost estimate used for load balancing until
+// completed requests calibrate the running mean.
+constexpr double kDefaultCostEstimateUs = 1000.0;
+
 // Fleet-scope instant (autoscaler decisions, replica lifecycle): one
 // branch when the plane is absent or disabled.
 void EmitFleetInstant(ObsPlane* obs, SpanKind kind, SimTime now, uint64_t id, uint64_t arg) {
@@ -45,7 +49,6 @@ ServingCluster::ServingCluster(ClusterSpec hardware, ClusterConfig config,
       catalog_(&keyer_),
       router_(config.policy) {
   FLO_CHECK_GE(config_.replicas, 1);
-  FLO_CHECK_GT(config_.default_cost_estimate_us, 0.0);
   if (config_.autoscale.enabled) {
     FLO_CHECK_LE(config_.autoscale.min_replicas, config_.replicas);
     FLO_CHECK_LE(config_.replicas, config_.autoscale.max_replicas);
@@ -197,7 +200,7 @@ ServeSession::Hooks ServingCluster::HooksFor(Replica* replica) {
 
 double ServingCluster::CostEstimateUs() const {
   return cost_samples_ > 0 ? cost_sum_us_ / static_cast<double>(cost_samples_)
-                           : config_.default_cost_estimate_us;
+                           : kDefaultCostEstimateUs;
 }
 
 int ServingCluster::Place(uint64_t key, SimTime now, int avoid_id) {

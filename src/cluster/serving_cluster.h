@@ -58,9 +58,6 @@ struct ClusterConfig {
   // Per-replica PlanStore capacity (0 = unbounded).
   size_t store_capacity = 0;
   AutoscaleConfig autoscale;
-  // Per-request service-cost estimate used for load balancing until
-  // completed requests calibrate the running mean.
-  double default_cost_estimate_us = 1000.0;
   // Deterministic fault injection (src/fault): the seed expands into a
   // FaultSchedule at Run time. Disabled (the default) injects nothing
   // and leaves runs bit-identical to a fault-free build. An explicit

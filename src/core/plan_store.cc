@@ -1,6 +1,5 @@
 #include "src/core/plan_store.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -14,6 +13,42 @@
 
 namespace flo {
 namespace {
+
+// 16 lower-case hex digits, as "%016llx" writes them.
+std::string KeyToken(uint64_t key) {
+  std::string token(16, '0');
+  for (size_t i = token.size(); i-- > 0; key >>= 4) {
+    token[i] = "0123456789abcdef"[key & 0xf];
+  }
+  return token;
+}
+
+// Each value parses only when spelled exactly as the serializers write it
+// (no sign or leading zeros on an integer, a 16-digit lower-case key, a
+// %.17g double), so every record that parses re-exports as the same bytes.
+template <typename T, typename Format>
+std::optional<T> IfCanonical(const std::string& text, std::optional<T> value, Format format) {
+  if (!value || format(*value) != text) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<int> CanonicalInt(const std::string& text) {
+  return IfCanonical(text, TryParseInt(text), [](int v) { return std::to_string(v); });
+}
+
+std::optional<int64_t> CanonicalInt64(const std::string& text) {
+  return IfCanonical(text, TryParseInt64(text), [](int64_t v) { return std::to_string(v); });
+}
+
+std::optional<uint64_t> CanonicalKey(const std::string& text) {
+  return IfCanonical(text, TryParseHexU64(text), KeyToken);
+}
+
+std::optional<double> CanonicalDouble(const std::string& text) {
+  return IfCanonical(text, TryParseDouble(text), FormatDoubleExact);
+}
 
 std::string PartitionToCsv(const WavePartition& partition) {
   std::string out;
@@ -34,7 +69,7 @@ std::optional<std::vector<int>> IntsFromCsv(const std::string& text) {
   size_t start = 0;
   while (true) {
     const size_t comma = text.find(',', start);
-    const auto value = TryParseInt(text.substr(start, comma - start));
+    const auto value = CanonicalInt(text.substr(start, comma - start));
     if (!value) {
       return std::nullopt;
     }
@@ -67,57 +102,6 @@ bool NoMoreFields(std::istream& fields) {
 }
 
 }  // namespace
-
-std::string SerializePlans(const std::vector<StoredPlan>& plans) {
-  std::ostringstream out;
-  out << "# FlashOverlap tuned plans: m n k primitive partition predicted_us"
-         " non_overlap_us\n";
-  for (const auto& plan : plans) {
-    char line[256];
-    std::snprintf(line, sizeof(line), "%lld %lld %lld %s %s %.6f %.6f\n",
-                  static_cast<long long>(plan.shape.m), static_cast<long long>(plan.shape.n),
-                  static_cast<long long>(plan.shape.k), CommPrimitiveName(plan.primitive),
-                  PartitionToCsv(plan.partition).c_str(), plan.predicted_us,
-                  plan.predicted_non_overlap_us);
-    out << line;
-  }
-  return out.str();
-}
-
-std::optional<std::vector<StoredPlan>> ParsePlans(const std::string& text) {
-  std::vector<StoredPlan> plans;
-  std::stringstream stream(text);
-  std::string line;
-  while (std::getline(stream, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    std::stringstream fields(line);
-    StoredPlan plan;
-    std::string primitive;
-    std::string partition;
-    if (!(fields >> plan.shape.m >> plan.shape.n >> plan.shape.k >> primitive >> partition >>
-          plan.predicted_us >> plan.predicted_non_overlap_us) ||
-        !NoMoreFields(fields)) {
-      return std::nullopt;
-    }
-    if (plan.shape.m <= 0 || plan.shape.n <= 0 || plan.shape.k <= 0) {
-      return std::nullopt;
-    }
-    const auto parsed_primitive = TryCommPrimitiveFromName(primitive);
-    if (!parsed_primitive.has_value()) {
-      return std::nullopt;
-    }
-    plan.primitive = *parsed_primitive;
-    auto parsed = PartitionFromCsv(partition);
-    if (!parsed.has_value()) {
-      return std::nullopt;
-    }
-    plan.partition = std::move(*parsed);
-    plans.push_back(std::move(plan));
-  }
-  return plans;
-}
 
 PlanStore::PlanStore(const PlanStore& other) {
   std::lock_guard<std::mutex> lock(other.mu_);
@@ -313,12 +297,6 @@ void PlanStore::ExportMetrics(MetricsRegistry* registry) const {
 
 namespace {
 
-std::string KeyToken(uint64_t key) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(key));
-  return buffer;
-}
-
 // A loadable plan must be internally consistent, not just syntactically
 // valid: the executor FLO_CHECKs would otherwise abort the process on the
 // first Execute against a hand-edited or bit-rotted record.
@@ -430,7 +408,7 @@ std::optional<PlanStore> PlanStore::Parse(const std::string& text) {
     if (line.empty() || line[0] == '#') {
       constexpr const char kCountTag[] = "# count ";
       if (line.rfind(kCountTag, 0) == 0) {
-        const auto parsed = TryParseInt(line.substr(sizeof(kCountTag) - 1));
+        const auto parsed = CanonicalInt(line.substr(sizeof(kCountTag) - 1));
         if (!parsed || *parsed < 0) {
           return std::nullopt;
         }
@@ -455,13 +433,13 @@ std::optional<PlanStore> PlanStore::Parse(const std::string& text) {
           !NoMoreFields(fields)) {
         return std::nullopt;
       }
-      const auto parsed_key = TryParseHexU64(key_hex);
+      const auto parsed_key = CanonicalKey(key_hex);
       if (!parsed_key) {
         return std::nullopt;
       }
       key = *parsed_key;
-      const auto parsed_predicted = TryParseDouble(predicted);
-      const auto parsed_non_overlap = TryParseDouble(non_overlap);
+      const auto parsed_predicted = CanonicalDouble(predicted);
+      const auto parsed_non_overlap = CanonicalDouble(non_overlap);
       if (!parsed_predicted || !parsed_non_overlap) {
         return std::nullopt;
       }
@@ -494,9 +472,9 @@ std::optional<PlanStore> PlanStore::Parse(const std::string& text) {
       if (!in_record || !(fields >> group >> max_bytes >> latency) || !NoMoreFields(fields)) {
         return std::nullopt;
       }
-      const auto parsed_group = TryParseInt(group);
-      const auto parsed_bytes = TryParseDouble(max_bytes);
-      const auto parsed_latency = TryParseDouble(latency);
+      const auto parsed_group = CanonicalInt(group);
+      const auto parsed_bytes = CanonicalDouble(max_bytes);
+      const auto parsed_latency = CanonicalDouble(latency);
       if (!parsed_group || !parsed_bytes || !parsed_latency) {
         return std::nullopt;
       }
@@ -545,23 +523,6 @@ std::optional<PlanStore> PlanStore::LoadFromFile(const std::string& path) {
   return Parse(*text);
 }
 
-bool SavePlansToFile(const std::vector<StoredPlan>& plans, const std::string& path) {
-  std::ofstream file(path);
-  if (!file) {
-    return false;
-  }
-  file << SerializePlans(plans);
-  return static_cast<bool>(file);
-}
-
-std::optional<std::vector<StoredPlan>> LoadPlansFromFile(const std::string& path) {
-  const std::optional<std::string> text = ReadFileToString(path);
-  if (!text.has_value()) {
-    return std::nullopt;
-  }
-  return ParsePlans(*text);
-}
-
 std::string SerializeTunerTier(const std::vector<std::pair<uint64_t, StoredPlan>>& plans) {
   std::ostringstream out;
   for (const auto& [key, plan] : plans) {
@@ -584,7 +545,7 @@ std::optional<std::vector<std::pair<uint64_t, StoredPlan>>> ParseTunerTier(
   constexpr const char kCountTag[] = "#tuner-count ";
   while (std::getline(stream, line)) {
     if (line.rfind(kCountTag, 0) == 0) {
-      const auto parsed = TryParseInt(line.substr(sizeof(kCountTag) - 1));
+      const auto parsed = CanonicalInt(line.substr(sizeof(kCountTag) - 1));
       if (!parsed || *parsed < 0) {
         return std::nullopt;
       }
@@ -596,24 +557,32 @@ std::optional<std::vector<std::pair<uint64_t, StoredPlan>>> ParseTunerTier(
     }
     std::stringstream fields(line.substr(sizeof(kRecordTag) - 1));
     std::string key_hex;
-    StoredPlan plan;
+    std::string m;
+    std::string n;
+    std::string k;
     std::string primitive;
     std::string partition;
     std::string predicted;
     std::string non_overlap;
-    if (!(fields >> key_hex >> plan.shape.m >> plan.shape.n >> plan.shape.k >> primitive >>
-          partition >> predicted >> non_overlap) ||
+    if (!(fields >> key_hex >> m >> n >> k >> primitive >> partition >> predicted >>
+          non_overlap) ||
         !NoMoreFields(fields)) {
       return std::nullopt;
     }
-    const auto parsed_key = TryParseHexU64(key_hex);
-    if (!parsed_key || plan.shape.m <= 0 || plan.shape.n <= 0 || plan.shape.k <= 0) {
+    const auto parsed_key = CanonicalKey(key_hex);
+    const auto parsed_m = CanonicalInt64(m);
+    const auto parsed_n = CanonicalInt64(n);
+    const auto parsed_k = CanonicalInt64(k);
+    if (!parsed_key || !parsed_m || !parsed_n || !parsed_k || *parsed_m <= 0 || *parsed_n <= 0 ||
+        *parsed_k <= 0) {
       return std::nullopt;
     }
+    StoredPlan plan;
+    plan.shape = GemmShape{*parsed_m, *parsed_n, *parsed_k};
     const auto parsed_primitive = TryCommPrimitiveFromName(primitive);
     auto parsed_partition = PartitionFromCsv(partition);
-    const auto parsed_predicted = TryParseDouble(predicted);
-    const auto parsed_non_overlap = TryParseDouble(non_overlap);
+    const auto parsed_predicted = CanonicalDouble(predicted);
+    const auto parsed_non_overlap = CanonicalDouble(non_overlap);
     if (!parsed_primitive || !parsed_partition || !parsed_predicted || !parsed_non_overlap) {
       return std::nullopt;
     }

@@ -2,18 +2,12 @@
 //
 // The paper's deployment flow runs the tuning "before runtime" and reuses
 // the results (Sec. 4.2.2); the artifact ships a preparation script that
-// materializes configurations on disk. This header is that artifact, in
-// two tiers:
-//
-//  1. StoredPlan + free functions: the legacy line-oriented text format for
-//     the tuner's (shape, primitive) -> partition cache.
-//     Format (one record per line, '#' comments allowed):
-//       m n k primitive partition predicted_us non_overlap_us
-//       4096 8192 7168 AllReduce 1,2,4,4 1234.5 1670.2
-//
-//  2. PlanStore: the OverlapPlanner's memo of full ExecutionPlans keyed by
-//     the canonical scenario hash, with its own multi-line text format so a
-//     serving process can start with every scenario pre-planned.
+// materializes configurations on disk. This header is that artifact:
+// PlanStore, the OverlapPlanner's memo of full ExecutionPlans keyed by the
+// canonical scenario hash, with a multi-line text format so a serving
+// process can start with every scenario pre-planned, and the tuner tier,
+// the tuner's (shape, primitive) -> partition cache as keyed StoredPlans
+// carried in the same snapshot file.
 #ifndef SRC_CORE_PLAN_STORE_H_
 #define SRC_CORE_PLAN_STORE_H_
 
@@ -35,6 +29,7 @@ namespace flo {
 
 class MetricsRegistry;
 
+// One entry of the tuner's cache (Tuner::ExportPlans / ImportPlans).
 struct StoredPlan {
   GemmShape shape;
   CommPrimitive primitive = CommPrimitive::kAllReduce;
@@ -44,16 +39,6 @@ struct StoredPlan {
 
   bool operator==(const StoredPlan&) const = default;
 };
-
-// Serializes records to the text format above.
-std::string SerializePlans(const std::vector<StoredPlan>& plans);
-
-// Parses the text format; returns std::nullopt on any malformed line.
-std::optional<std::vector<StoredPlan>> ParsePlans(const std::string& text);
-
-// File helpers; return false on I/O failure.
-bool SavePlansToFile(const std::vector<StoredPlan>& plans, const std::string& path);
-std::optional<std::vector<StoredPlan>> LoadPlansFromFile(const std::string& path);
 
 // The tuner-tier section of a two-tier snapshot: keyed StoredPlans
 // carried in the same file as a PlanStore's ExecutionPlan records.
@@ -65,8 +50,8 @@ std::optional<std::vector<StoredPlan>> LoadPlansFromFile(const std::string& path
 // The count footer rejects truncated files whole, like "# count".
 std::string SerializeTunerTier(const std::vector<std::pair<uint64_t, StoredPlan>>& plans);
 // Extracts the tuner tier from snapshot text: empty vector when the
-// text carries none, std::nullopt on a malformed line or count-footer
-// mismatch.
+// text carries none, std::nullopt on a malformed line (including a
+// non-canonical value, as for PlanStore::Parse) or count-footer mismatch.
 std::optional<std::vector<std::pair<uint64_t, StoredPlan>>> ParseTunerTier(
     const std::string& text);
 
@@ -169,7 +154,9 @@ class PlanStore {
   const std::map<uint64_t, ExecutionPlan>& plans() const { return plans_; }
 
   std::string Serialize() const;
-  // Returns std::nullopt on any malformed record.
+  // Returns std::nullopt on any malformed record, including a value not
+  // spelled exactly as Serialize writes it ("02", "1.0", an upper-case or
+  // short key), so a record that parses re-exports as the same bytes.
   static std::optional<PlanStore> Parse(const std::string& text);
   bool SaveToFile(const std::string& path) const;
   static std::optional<PlanStore> LoadFromFile(const std::string& path);

@@ -89,10 +89,9 @@ GpuSpec GpuSpecByName(const std::string& name) {
   if (lower == "rtx3090" || lower == "3090") {
     return MakeRtx3090();
   }
-  if (lower == "ascend910b" || lower == "910b" || lower == "ascend") {
-    return MakeAscend910B();
-  }
-  FLO_CHECK(false) << "unknown GPU preset: " << name;
+  FLO_CHECK(lower == "ascend910b" || lower == "910b" || lower == "ascend")
+      << "unknown GPU preset: " << name;
+  return MakeAscend910B();
 }
 
 }  // namespace flo

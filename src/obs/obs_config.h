@@ -1,11 +1,13 @@
 // Configuration for the observability plane (src/obs).
 //
-// Everything here is off by default and the entire plane can be compiled
-// out with -DFLO_DISABLE_OBS (CMake option FLO_DISABLE_OBS): every
-// emission site guards on ObsPlane::enabled(), which folds to a constant
-// false in that build, so the simulator's hot paths carry at most one
-// predictable branch per event — and a disabled run is bit-identical to a
-// build without the plane at all.
+// The plane is off by default. Enabled, it records all three sinks: span
+// tracing (the Perfetto export), the metrics registry with sim-clock
+// checkpoints, and the flight recorder dumped on FLO_CHECK failure. The
+// entire plane can be compiled out with -DFLO_DISABLE_OBS (CMake option
+// FLO_DISABLE_OBS): every emission site guards on ObsPlane::enabled(),
+// which folds to a constant false in that build, so the simulator's hot
+// paths carry at most one predictable branch per event — and a disabled
+// run is bit-identical to a build without the plane at all.
 #ifndef SRC_OBS_OBS_CONFIG_H_
 #define SRC_OBS_OBS_CONFIG_H_
 
@@ -22,12 +24,6 @@ inline constexpr bool kObsCompiledIn = true;
 struct ObsConfig {
   // Master switch; with it off an attached ObsPlane records nothing.
   bool enabled = false;
-  // Request-lifecycle / planner span tracing (the Perfetto export).
-  bool tracing = true;
-  // Counter/gauge/histogram registry with sim-clock checkpoints.
-  bool metrics = true;
-  // Last-N event/span ring dumped on FLO_CHECK failure.
-  bool flight_recorder = true;
   // Sim-clock spacing of metrics time-series rows; 0 = final snapshot
   // only. Checkpoints are taken from the event-loop tap when dispatched
   // time crosses a boundary — never by scheduling events, so enabling
@@ -39,8 +35,6 @@ struct ObsConfig {
   // 128-replica fleet's rings ~6MB total — deep rings (8192+) push the
   // working set past the cache and triple the traced run's overhead.
   size_t span_ring_capacity = 1024;
-  // Flight-recorder ring capacities (events / spans).
-  size_t flight_ring_capacity = 256;
 };
 
 }  // namespace flo

@@ -9,10 +9,16 @@
 
 namespace flo {
 
+namespace {
+
+// Flight-recorder ring capacity (events / spans): the last N of each are
+// dumped on a FLO_CHECK failure.
+constexpr size_t kFlightRingCapacity = 256;
+
+}  // namespace
+
 ObsPlane::ObsPlane(ObsConfig config)
-    : config_(config),
-      tracer_(config.span_ring_capacity),
-      recorder_(config.flight_ring_capacity) {
+    : config_(config), tracer_(config.span_ring_capacity), recorder_(kFlightRingCapacity) {
   ids_.requests = registry_.Counter("serve.requests");
   ids_.batches = registry_.Counter("serve.batches");
   ids_.tunes = registry_.Counter("serve.tunes");
@@ -45,7 +51,7 @@ ObsPlane::ObsPlane(ObsConfig config)
   ids_.store_evictions = registry_.Gauge("plan_store.evictions");
   ids_.plans_resident = registry_.Gauge("plan_store.resident");
   ids_.replicas_accepting = registry_.Gauge("fleet.replicas_accepting");
-  if (enabled() && config_.flight_recorder) {
+  if (enabled()) {
     recorder_.InstallCheckHook();
   }
 }
@@ -55,12 +61,12 @@ void ObsPlane::BeginRun() {
   registry_.ResetValues();
   recorder_.Clear();
   pollers_.clear();
-  checkpoints_armed_ = metrics_on() && config_.checkpoint_interval_us > 0.0;
+  checkpoints_armed_ = enabled() && config_.checkpoint_interval_us > 0.0;
   next_checkpoint_us_ = config_.checkpoint_interval_us;
 }
 
 void ObsPlane::FinishRun(SimTime makespan_us) {
-  if (!metrics_on()) {
+  if (!enabled()) {
     return;
   }
   RunPollers();
@@ -90,13 +96,9 @@ void ObsPlane::Tap(void* ctx, const EventRecord& record, SimTime now) {
   static_cast<ObsPlane*>(ctx)->OnEvent(record, now);
 }
 
+// Installed as the tap only while enabled().
 void ObsPlane::OnEvent(const EventRecord& record, SimTime now) {
-  if (config_.flight_recorder) {
-    recorder_.OnEvent(record, now);
-  }
-  if (!metrics_on()) {
-    return;
-  }
+  recorder_.OnEvent(record, now);
   registry_.Add(ids_.events);
   // Checkpoint rows are cut when dispatched time crosses an interval
   // boundary — values reflect every event strictly before the boundary,
@@ -113,15 +115,8 @@ void ObsPlane::Emit(const SpanRecord& span) {
     return;
   }
   FLO_CHECK_GE(span.end_us, span.start_us);
-  if (config_.flight_recorder) {
-    recorder_.OnSpan(span);
-  }
-  if (tracing()) {
-    tracer_.Emit(span);
-  }
-  if (!metrics_on()) {
-    return;
-  }
+  recorder_.OnSpan(span);
+  tracer_.Emit(span);
   switch (span.kind) {
     case SpanKind::kRequest:
       registry_.Add(ids_.requests);

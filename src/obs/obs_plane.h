@@ -48,8 +48,6 @@ class ObsPlane {
   ObsPlane& operator=(const ObsPlane&) = delete;
 
   bool enabled() const { return kObsCompiledIn && config_.enabled; }
-  bool tracing() const { return enabled() && config_.tracing; }
-  bool metrics_on() const { return enabled() && config_.metrics; }
 
   const ObsConfig& config() const { return config_; }
   SpanTracer& tracer() { return tracer_; }

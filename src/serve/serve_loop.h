@@ -7,9 +7,7 @@
 // batches of plan-compatible requests are dispatched to the executor.
 // A batch whose plan is cold is routed to the tuning lane first, so
 // cold-plan tuning overlaps warm-plan execution instead of stalling it —
-// the serving-side payoff of the paper's reusable-plan design. With
-// overlap_tuning off, tuning happens inline on the executor lane (the
-// naive baseline).
+// the serving-side payoff of the paper's reusable-plan design.
 //
 // Cold-plan cost on the sim clock is a plan-build base charge plus a per
 // tuner search charge (measured via Tuner::search_count). Note the two
@@ -42,8 +40,6 @@ struct ServeConfig {
   // (paper Sec. 4.2.2), so it costs milliseconds, not microseconds.
   double tune_base_us = 50.0;
   double tune_per_search_us = 20000.0;
-  // Tune cold plans on the side lane while warm batches keep executing.
-  bool overlap_tuning = true;
   // Concurrent cold-tuning lanes. With > 1 lanes, distinct cold plan keys
   // tune in parallel on the simulated clock: each lane is busy for its own
   // batch's cost (tune_per_search_us per search). The searches themselves
@@ -52,15 +48,6 @@ struct ServeConfig {
   // Plans are deterministic regardless of the lane count; only the
   // timeline changes.
   int tuner_lanes = 1;
-  // Adaptive lane sizing: ignore the static tuner_lanes and size the pool
-  // each dispatch round from the observed cold-key pressure — the number
-  // of distinct cold plan keys in flight, parked, or at the rotation head
-  // — clamped to [1, max_tuner_lanes]. A cold burst widens the pool, a
-  // warm steady state collapses it back to one lane. Plans stay
-  // deterministic (the lane count only moves tuning cost between lanes);
-  // ServeReport::tuner_lanes exposes the chosen pool size.
-  bool adaptive_tuner_lanes = false;
-  int max_tuner_lanes = 8;
   // Memoize deterministic schedule replays per plan key
   // (OverlapEngine::ExecuteMemoized) in the engine's run memo: the
   // engine's own for a single session, the fleet's for a ServingCluster
@@ -92,8 +79,7 @@ struct ServeReport {
   size_t cold_batches = 0;
   double executor_busy_us = 0.0;
   double tuner_busy_us = 0.0;
-  // Peak cold-tuning lanes put to use — the chosen lane-pool size (under
-  // ServeConfig::adaptive_tuner_lanes, the pool the pressure demanded).
+  // Peak cold-tuning lanes put to use.
   int tuner_lanes = 0;
   // Events dispatched by the run's event loop (arrivals + internal).
   uint64_t events = 0;

@@ -34,7 +34,6 @@ ServeSession::ServeSession(OverlapEngine* engine, ServeConfig config, EventLoop*
   FLO_CHECK_GT(config_.max_batch, 0);
   FLO_CHECK_GE(config_.tune_base_us, 0.0);
   FLO_CHECK_GE(config_.tune_per_search_us, 0.0);
-  FLO_CHECK_GE(config_.max_tuner_lanes, 1);
   tuning_handler_ = events_->RegisterHandler(
       [this](const EventRecord& record, SimTime now) { OnTuningFinished(record, now); });
   finish_handler_ = events_->RegisterHandler(
@@ -156,23 +155,6 @@ double ServeSession::PredictedServiceUs(const Batch& batch) const {
     return std::numeric_limits<double>::infinity();
   }
   return *predicted * static_cast<double>(batch.requests.size()) * cost_multiplier_;
-}
-
-int ServeSession::TunerLaneTarget() const {
-  if (!config_.adaptive_tuner_lanes) {
-    return std::max(1, config_.tuner_lanes);
-  }
-  std::set<uint64_t> demand(tuning_keys_.begin(), tuning_keys_.end());
-  for (const uint32_t s : tune_wait_) {
-    demand.insert(batch_pool_[s].key);
-  }
-  if (!queue_.empty()) {
-    const uint64_t head = queue_.PeekKey();
-    if (!IsWarm(head)) {
-      demand.insert(head);
-    }
-  }
-  return std::clamp(static_cast<int>(demand.size()), 1, config_.max_tuner_lanes);
 }
 
 // Batches parked in a lane are not frozen: a same-key batch joining the
@@ -516,9 +498,9 @@ void ServeSession::ExecuteBatch(uint32_t batch_slot, SimTime now) {
     ++report_.cold_batches;
   }
   // A plan-cache miss inside Execute means the plan was rebuilt inline
-  // on the executor's critical path (overlap_tuning off, or evicted
-  // after tuning/dispatch): charge the plan-build base plus any
-  // searches the tuner's own cache no longer covered.
+  // on the executor's critical path (evicted after tuning/dispatch):
+  // charge the plan-build base plus any searches the tuner's own cache no
+  // longer covered.
   const size_t inline_searches = engine_->tuner().search_count() - searches_before;
   if (!run.plan_cache_hit) {
     service_us += TuneCostUs(inline_searches);
@@ -675,7 +657,7 @@ void ServeSession::Dispatch(SimTime now) {
   // plan, and under a bounded store that build can evict the plan of the
   // next queue head before IsWarm looks at it, which would change the
   // round's picks.
-  const int tuner_lanes = TunerLaneTarget();
+  const int tuner_lanes = std::max(1, config_.tuner_lanes);
   std::vector<uint32_t> starting;
   // Keys the fleet vetoed this round (a peer owns the in-flight search);
   // their batches park until the shipped plan turns the key warm.
@@ -713,7 +695,7 @@ void ServeSession::Dispatch(SimTime now) {
     if (picked) {
       continue;
     }
-    if (config_.overlap_tuning && !queue_.empty()) {
+    if (!queue_.empty()) {
       const uint64_t head = queue_.PeekKey();
       if (IsWarm(head)) {
         warm_head = head;
@@ -737,8 +719,7 @@ void ServeSession::Dispatch(SimTime now) {
     }
     break;
   }
-  // The chosen lane-pool size, for ServeReport: the lanes this round put
-  // to use (adaptive mode grows it with cold-key pressure).
+  // Peak lanes put to use, for ServeReport.
   report_.tuner_lanes =
       std::max(report_.tuner_lanes, tuners_busy_ + static_cast<int>(starting.size()));
   if (!starting.empty()) {
@@ -778,7 +759,7 @@ void ServeSession::Dispatch(SimTime now) {
     } else {
       s = AcquireSlot();
       const uint64_t key = PopQueueBatch(s);
-      if (config_.overlap_tuning && known_warm != key && !IsWarm(key)) {
+      if (known_warm != key && !IsWarm(key)) {
         batch_pool_[s].tuned = true;  // it will wait on the cold-plan path
         if (tuners_busy_ < tuner_lanes && tuning_keys_.count(key) == 0 &&
             vetoed.count(key) == 0 && AcquireTuning(key, &vetoed)) {

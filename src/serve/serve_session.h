@@ -217,11 +217,6 @@ class ServeSession {
   // every write of pending_requests_ or busy_until_.
   void SetTuningKey(uint64_t key, bool tuning);
   void LoadChanged();
-  // The cold-tuning lane-pool size for this dispatch round: the static
-  // config, or — adaptive mode — the observed cold-key pressure (distinct
-  // cold keys in flight, parked, or at the rotation head), clamped to
-  // [1, max_tuner_lanes].
-  int TunerLaneTarget() const;
   void MergeOrPark(Lane* lane, uint32_t batch_slot);
   double TuneCostUs(size_t searches) const;
   void FinishTuningAt(uint32_t batch_slot, double cost, size_t searches, SimTime now);

@@ -1,6 +1,7 @@
 #include "src/util/table.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 
@@ -55,9 +56,13 @@ std::string FormatDouble(double value, int decimals) {
 }
 
 std::string FormatDoubleExact(double value) {
+  // std::to_chars with a precision writes what printf("%.17g") writes,
+  // without the stdio and locale overhead; the plan-record parsers format
+  // every double they read to check its spelling.
   char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+  const auto result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value, std::chars_format::general, 17);
+  return std::string(buffer, result.ptr);
 }
 
 std::string FormatBytes(double bytes) {

@@ -275,9 +275,8 @@ TEST(AutoscalerClusterTest, StalledIntervalCarriesP99ForwardInsteadOfCalm) {
   config.autoscale.slo_p99_us = 500.0;
   config.autoscale.drain_queue_per_replica = 5.0;
   config.autoscale.drain_after_calm_checks = 2;
-  // Inline tuning with a fixed 30ms cost: a cold key parks its requests
-  // behind a long executor stall with no completions for many checkpoints.
-  config.serve.overlap_tuning = false;
+  // Side-lane tuning with a fixed 30ms cost: a cold key parks its
+  // requests behind a long tune with no completions for many checkpoints.
   config.serve.tune_base_us = 30000.0;
   config.serve.tune_per_search_us = 0.0;
   std::vector<ServeRequest> trace;
@@ -287,8 +286,8 @@ TEST(AutoscalerClusterTest, StalledIntervalCarriesP99ForwardInsteadOfCalm) {
     trace.push_back(At(i, 10.0 * i, SmallSpec(1024)));
   }
   // Phase B: two requests of a second cold key arrive as phase A drains;
-  // their 30ms inline tune spans several checkpoints that complete
-  // nothing while the pair stays pending.
+  // their 30ms tune spans several checkpoints that complete nothing
+  // while the pair stays pending.
   trace.push_back(At(12, 31000.0, SmallSpec(1536)));
   trace.push_back(At(13, 31001.0, SmallSpec(1536)));
   const FleetReport report = RunFleet(config, trace);

@@ -246,7 +246,6 @@ TEST(FunctionalAllToAllTest, ExchangesSegmentsBySendCounts) {
 }
 
 TEST(FunctionalAllToAllTest, ZeroCountsAreLegal) {
-  const int ranks = 2;
   std::vector<std::vector<int64_t>> counts{{0, 2}, {1, 0}};
   std::vector<std::vector<float>> in_storage{{1.0f, 2.0f}, {3.0f}};
   std::vector<std::span<const float>> in{in_storage[0], in_storage[1]};

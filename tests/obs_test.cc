@@ -359,6 +359,37 @@ std::string DumpToString(const FlightRecorder& recorder) {
   return dump;
 }
 
+// A default enabled plane records all three sinks: every dispatched event
+// and every span reach the flight recorder, every span reaches the tracer,
+// and the metrics count every request.
+TEST(ObsFlightRecorderTest, DefaultEnabledPlaneRecordsEverySink) {
+  if (!kObsCompiledIn) {
+    GTEST_SKIP() << "observability compiled out";
+  }
+  const auto trace = MixedTrace(3, 30);
+  ObsPlane obs(ObsConfig{.enabled = true});
+  OverlapEngine engine(Make4090Cluster(4), {}, EngineOptions{.jitter = false});
+  ServeConfig config;
+  config.obs = &obs;
+  const ServeReport report = ServeLoop(&engine, config).Run(trace);
+  ASSERT_EQ(report.stats.count(), trace.size());
+  EXPECT_GT(report.events, 0u);
+  EXPECT_EQ(obs.recorder().events_seen(), report.events);
+  // The span header is the dump's last "--- flight recorder" line.
+  const std::string dump = DumpToString(obs.recorder());
+  const size_t header = dump.rfind("--- flight recorder: last ");
+  ASSERT_NE(header, std::string::npos) << dump;
+  unsigned long long retained = 0;
+  unsigned long long spans = 0;
+  ASSERT_EQ(std::sscanf(dump.c_str() + header, "--- flight recorder: last %llu of %llu spans",
+                        &retained, &spans),
+            2)
+      << dump.substr(header);
+  EXPECT_GT(obs.tracer().emitted(), 0u);
+  EXPECT_EQ(spans, obs.tracer().emitted());
+  EXPECT_EQ(obs.metrics().CounterValue(obs.ids().requests), trace.size());
+}
+
 TEST(ObsFlightRecorderTest, DumpNamesEveryEventType) {
   const int last = static_cast<int>(EventType::kSchedCheck);
   FlightRecorder recorder(static_cast<size_t>(last) + 1);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,45 +23,8 @@ std::vector<StoredPlan> SamplePlans() {
   };
 }
 
-TEST(PlanStoreTest, SerializeParseRoundTrip) {
-  const auto plans = SamplePlans();
-  const std::string text = SerializePlans(plans);
-  const auto parsed = ParsePlans(text);
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->size(), plans.size());
-  for (size_t i = 0; i < plans.size(); ++i) {
-    EXPECT_EQ((*parsed)[i].shape, plans[i].shape);
-    EXPECT_EQ((*parsed)[i].primitive, plans[i].primitive);
-    EXPECT_EQ((*parsed)[i].partition, plans[i].partition);
-    EXPECT_NEAR((*parsed)[i].predicted_us, plans[i].predicted_us, 1e-6);
-  }
-}
-
-TEST(PlanStoreTest, CommentsAndBlankLinesIgnored) {
-  const auto parsed = ParsePlans("# header\n\n4096 8192 7168 AllReduce 1,2 10.0 20.0\n");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->size(), 1u);
-}
-
-TEST(PlanStoreTest, MalformedLinesRejected) {
-  EXPECT_FALSE(ParsePlans("4096 8192 AllReduce 1,2 10 20\n").has_value());
-  EXPECT_FALSE(ParsePlans("4096 8192 7168 Broadcast 1,2 10 20\n").has_value());
-  EXPECT_FALSE(ParsePlans("4096 8192 7168 AllReduce 1,0 10 20\n").has_value());
-  EXPECT_FALSE(ParsePlans("4096 8192 7168 AllReduce abc 10 20\n").has_value());
-  EXPECT_FALSE(ParsePlans("-1 8192 7168 AllReduce 1 10 20\n").has_value());
-}
-
-TEST(PlanStoreTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/plans.txt";
-  ASSERT_TRUE(SavePlansToFile(SamplePlans(), path));
-  const auto loaded = LoadPlansFromFile(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->size(), 2u);
-  std::remove(path.c_str());
-}
-
 TEST(PlanStoreTest, LoadFromMissingFileFails) {
-  EXPECT_FALSE(LoadPlansFromFile("/nonexistent/flo_plans.txt").has_value());
+  EXPECT_FALSE(PlanStore::LoadFromFile("/nonexistent/flo_plans.txt").has_value());
 }
 
 // A minimal structurally valid ExecutionPlan (1 rank, 2 groups), keyed by
@@ -414,6 +376,16 @@ TEST(TunerTierTest, MalformedTierOrCountMismatchRejectedWhole) {
   EXPECT_FALSE(ParseTunerTier(good.substr(second + 1)).has_value());
 }
 
+// The field checks of the tuner tier, one malformed line at a time.
+TEST(TunerTierTest, MalformedFieldsRejected) {
+  const std::string key = "#tuner 0000000000000001 ";
+  ASSERT_TRUE(ParseTunerTier(key + "4096 8192 7168 AllReduce 1,2 10 20\n").has_value());
+  EXPECT_FALSE(ParseTunerTier(key + "4096 8192 AllReduce 1,2 10 20\n").has_value());
+  EXPECT_FALSE(ParseTunerTier(key + "4096 8192 7168 AllReduce 1,0 10 20\n").has_value());
+  EXPECT_FALSE(ParseTunerTier(key + "4096 8192 7168 AllReduce abc 10 20\n").has_value());
+  EXPECT_FALSE(ParseTunerTier(key + "-1 8192 7168 AllReduce 1 10 20\n").has_value());
+}
+
 // Appends `suffix` to the first line of `text`, past the first, that
 // starts with `tag`.
 std::string AppendToLine(std::string text, const std::string& tag, const std::string& suffix) {
@@ -457,9 +429,89 @@ TEST(PlanStoreParseTest, TextThatCannotReExportIdenticallyRejectedWhole) {
   tier_comma.replace(tier.find(" 1,2,4 "), 7, " 1,2,4, ");
   EXPECT_FALSE(ParseTunerTier(AppendToLine(tier, "#tuner ", " extra")).has_value());
   EXPECT_FALSE(ParseTunerTier(tier_comma).has_value());
+}
 
-  EXPECT_FALSE(ParsePlans("4096 8192 7168 AllReduce 1,2 10 20 extra\n").has_value());
-  EXPECT_FALSE(ParsePlans("4096 8192 7168 AllReduce 1,2, 10 20\n").has_value());
+// Replaces the first `from` in `text` with `to`.
+std::string Respell(std::string text, const std::string& from, const std::string& to) {
+  const size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << "no " << from;
+  return at == std::string::npos ? text : text.replace(at, from.size(), to);
+}
+
+// A value spelled other than as the serializer writes it (a sign or a
+// leading zero on an integer, an upper-case or short key, a double not in
+// %.17g form) is rejected by both tier parsers, so whatever parses
+// re-exports as the same bytes. A rejected import leaves the store and
+// the tuner cache as they were.
+TEST(PlanStoreParseTest, NonCanonicalSpellingsRejectedWhole) {
+  PlanStore source;
+  source.Put(0xff, MarkedPlan(1));
+  const std::string plans = source.Serialize();
+  ASSERT_NE(plans.find("plan 00000000000000ff Overlap AllReduce 1,2 1 0\n"), std::string::npos);
+  ASSERT_EQ(PlanStore::Parse(plans)->Serialize(), plans);
+  const std::string plan_probes[] = {
+      Respell(plans, "tiles 2,3", "tiles +2,3"),
+      Respell(plans, "tiles 2,3", "tiles 02,3"),
+      Respell(plans, "00000000000000ff", "00000000000000FF"),
+      Respell(plans, "00000000000000ff", "ff"),
+      Respell(plans, "1,2 1 0", "1,2 1.0 0"),
+      Respell(plans, "1,2 1 0", "1,2 1e0 0"),
+      Respell(plans, "seg 0 1024 10", "seg 0 1024.0 10"),
+      Respell(plans, "seg 0 1024 10", "seg +0 1024 10"),
+      Respell(plans, "AllReduce 1,2 ", "AllReduce 01,2 "),
+      Respell(plans, "# count 1", "# count 01"),
+  };
+  PlanStore target;
+  target.Put(999, MarkedPlan(9));
+  const std::string before = target.Serialize();
+  for (const std::string& bad : plan_probes) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(PlanStore::Parse(bad).has_value());
+    EXPECT_EQ(target.ImportRecords(bad), 0u);
+    EXPECT_EQ(target.Serialize(), before);
+  }
+
+  const std::vector<std::pair<uint64_t, StoredPlan>> keyed = {
+      {0xff, StoredPlan{GemmShape{4096, 8192, 7168}, CommPrimitive::kAllReduce,
+                        WavePartition{{2, 3}}, 1.0, 1024.0}}};
+  const std::string tier = SerializeTunerTier(keyed);
+  ASSERT_EQ(tier, "#tuner 00000000000000ff 4096 8192 7168 AllReduce 2,3 1 1024\n"
+                  "#tuner-count 1\n");
+  ASSERT_EQ(ParseTunerTier(tier), keyed);
+  const std::string tier_probes[] = {
+      Respell(tier, " 2,3 ", " +2,3 "),
+      Respell(tier, " 2,3 ", " 02,3 "),
+      Respell(tier, "00000000000000ff", "00000000000000FF"),
+      Respell(tier, "00000000000000ff", "ff"),
+      Respell(tier, " 2,3 1 ", " 2,3 1.0 "),
+      Respell(tier, " 2,3 1 ", " 2,3 1e0 "),
+      Respell(tier, " 1024\n", " 1024.0\n"),
+      Respell(tier, " 4096 ", " 04096 "),
+      Respell(tier, "#tuner-count 1", "#tuner-count +1"),
+  };
+  // The good snapshot imports both tiers, so each rejection below is the
+  // probe's doing.
+  {
+    PlanShipper shipper;
+    auto store = std::make_shared<PlanStore>();
+    Tuner tuner(MakeA800Cluster(4));
+    shipper.Subscribe(0, store, &tuner);
+    ASSERT_EQ(shipper.ImportSnapshot(plans + tier), 1u);
+    ASSERT_EQ(tuner.cache_size(), 1u);
+  }
+  PlanShipper shipper;
+  auto store = std::make_shared<PlanStore>();
+  store->Put(999, MarkedPlan(9));
+  Tuner tuner(MakeA800Cluster(4));
+  shipper.Subscribe(0, store, &tuner);
+  for (const std::string& bad : tier_probes) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(ParseTunerTier(bad).has_value());
+    EXPECT_EQ(shipper.ImportSnapshot(plans + bad), 0u);
+    EXPECT_EQ(store->Serialize(), before);
+    EXPECT_EQ(tuner.cache_size(), 0u);
+  }
+  EXPECT_EQ(shipper.published_size(), 0u);
 }
 
 TEST(PlanShipperSnapshotTest, TwoTierSnapshotRoundTripsThroughImport) {
@@ -724,11 +776,21 @@ TEST(TunerPersistenceTest, ImportRescalesAcrossHardware) {
 TEST(TunerPersistenceTest, SerializedCacheSurvivesTheTextFormat) {
   Tuner source(Make4090Cluster(4));
   source.Tune(GemmShape{2048, 8192, 8192}, CommPrimitive::kAllReduce);
-  const std::string text = SerializePlans(source.ExportPlans());
-  const auto parsed = ParsePlans(text);
+  const std::vector<StoredPlan> exported = source.ExportPlans();
+  std::vector<std::pair<uint64_t, StoredPlan>> keyed;
+  for (size_t i = 0; i < exported.size(); ++i) {
+    keyed.emplace_back(i, exported[i]);
+  }
+  const auto parsed = ParseTunerTier(SerializeTunerTier(keyed));
   ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(*parsed, keyed);
+  std::vector<StoredPlan> plans;
+  for (const auto& [key, plan] : *parsed) {
+    plans.push_back(plan);
+  }
   Tuner target(Make4090Cluster(4));
-  EXPECT_EQ(target.ImportPlans(*parsed), 1);
+  EXPECT_EQ(target.ImportPlans(plans), 1);
+  EXPECT_EQ(target.ExportPlans(), exported);
 }
 
 }  // namespace

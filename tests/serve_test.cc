@@ -463,9 +463,11 @@ ScenarioSpec SmallSpec(int64_t m) {
 
 TEST(ServeLoopTest, QueueingDelaySeparatesSimultaneousArrivals) {
   OverlapEngine engine(Make4090Cluster(4), {}, EngineOptions{.jitter = false});
+  // Both plans warm, so neither request waits on a tune.
+  engine.Execute(SmallSpec(1024));
+  engine.Execute(SmallSpec(2048));
   ServeConfig config;
   config.max_batch = 1;
-  config.overlap_tuning = false;
   ServeLoop loop(&engine, config);
   // Two distinct specs arriving together: one executor lane serializes them.
   const ServeReport report = loop.Run({{0, "t", 0.0, SmallSpec(1024)},
@@ -498,22 +500,6 @@ TEST(ServeLoopTest, SameKeyBatchesWaitForTheTuningThatProducesTheirPlan) {
   EXPECT_FALSE(first.plan_cache_hit);
   EXPECT_FALSE(second.plan_cache_hit);
   EXPECT_EQ(report.cold_batches, 2u);
-}
-
-TEST(ServeLoopTest, InlineColdBatchCountsEveryRequestAsMiss) {
-  OverlapEngine engine(Make4090Cluster(4), {}, EngineOptions{.jitter = false});
-  ServeConfig config;
-  config.overlap_tuning = false;
-  ServeLoop loop(&engine, config);
-  // r1 and r2 arrive while r0's batch occupies the executor, so they form
-  // one two-request cold batch; the second must not count as a hit just
-  // because the first request's Execute built the plan moments earlier.
-  const ServeReport report = loop.Run({{0, "t", 0.0, SmallSpec(4096)},
-                                       {1, "t", 1.0, SmallSpec(1024)},
-                                       {2, "t", 1.0, SmallSpec(1024)}});
-  ASSERT_EQ(report.stats.count(), 3u);
-  EXPECT_EQ(report.stats.records()[1].batch_size, 2);
-  EXPECT_DOUBLE_EQ(report.stats.CacheHitRate(), 0.0);
 }
 
 TEST(ServeLoopTest, ColdRequestsArrivingDuringTuningStillBatch) {
@@ -595,79 +581,6 @@ TEST(ServeLoopTest, RunsAreDeterministic) {
   for (size_t i = 0; i < x.stats.count(); ++i) {
     EXPECT_DOUBLE_EQ(x.stats.records()[i].finish_us, y.stats.records()[i].finish_us);
   }
-}
-
-TEST(ServeLoopTest, OverlapTuningMovesColdCostOffTheExecutor) {
-  const std::vector<ServeRequest> trace = {{0, "t", 0.0, SmallSpec(1024)}};
-  ServeConfig inline_config;
-  inline_config.overlap_tuning = false;
-  OverlapEngine inline_engine(Make4090Cluster(4), {}, EngineOptions{.jitter = false});
-  const ServeReport inline_report = ServeLoop(&inline_engine, inline_config).Run(trace);
-  // Inline: the one tuner search lands on the executor's critical path.
-  ASSERT_EQ(inline_report.stats.count(), 1u);
-  EXPECT_GE(inline_report.stats.records()[0].ExecUs(), inline_config.tune_per_search_us);
-  EXPECT_DOUBLE_EQ(inline_report.tuner_busy_us, 0.0);
-
-  OverlapEngine overlap_engine(Make4090Cluster(4), {}, EngineOptions{.jitter = false});
-  const ServeReport overlap_report = ServeLoop(&overlap_engine, ServeConfig{}).Run(trace);
-  // Overlapped: the request waits on the tuning lane (queueing delay), but
-  // its executor service time excludes the search.
-  ASSERT_EQ(overlap_report.stats.count(), 1u);
-  const auto& record = overlap_report.stats.records()[0];
-  EXPECT_LT(record.ExecUs(), ServeConfig{}.tune_per_search_us);
-  EXPECT_GE(record.QueueUs(), ServeConfig{}.tune_per_search_us);
-  EXPECT_GT(overlap_report.tuner_busy_us, 0.0);
-  EXPECT_FALSE(record.plan_cache_hit);
-}
-
-TEST(ServeLoopTest, AdaptiveTunerLanesWidenUnderColdBursts) {
-  // Four distinct cold keys arrive together: with one static lane they
-  // tune serially; adaptive sizing widens the pool to the observed
-  // cold-key pressure and collapses back afterwards.
-  std::vector<ServeRequest> trace;
-  for (int64_t i = 0; i < 4; ++i) {
-    trace.push_back({i, "t", 0.0, SmallSpec(1024 + 512 * i)});
-  }
-  ServeConfig narrow;
-  narrow.tuner_lanes = 1;
-  OverlapEngine narrow_engine(Make4090Cluster(4), {}, EngineOptions{.jitter = false});
-  const ServeReport serial = ServeLoop(&narrow_engine, narrow).Run(trace);
-
-  ServeConfig adaptive;
-  adaptive.adaptive_tuner_lanes = true;
-  adaptive.max_tuner_lanes = 4;
-  OverlapEngine adaptive_engine(Make4090Cluster(4), {}, EngineOptions{.jitter = false});
-  const ServeReport widened = ServeLoop(&adaptive_engine, adaptive).Run(trace);
-
-  ASSERT_EQ(widened.stats.count(), trace.size());
-  EXPECT_EQ(serial.tuner_lanes, 1);
-  EXPECT_EQ(widened.tuner_lanes, 4);  // the burst demanded the full pool
-  // Four tuning windows overlap instead of queueing.
-  EXPECT_LT(widened.makespan_us, serial.makespan_us);
-  // Lane sizing never changes what gets tuned, only when.
-  EXPECT_EQ(adaptive_engine.tuner().search_count(), narrow_engine.tuner().search_count());
-  EXPECT_EQ(adaptive_engine.plan_store().size(), narrow_engine.plan_store().size());
-  // The clamp is respected under wider bursts.
-  ServeConfig clamped;
-  clamped.adaptive_tuner_lanes = true;
-  clamped.max_tuner_lanes = 2;
-  OverlapEngine clamped_engine(Make4090Cluster(4), {}, EngineOptions{.jitter = false});
-  EXPECT_EQ(ServeLoop(&clamped_engine, clamped).Run(trace).tuner_lanes, 2);
-}
-
-TEST(ServeLoopTest, AdaptiveTunerLanesStayNarrowWithoutPressure) {
-  // One cold key at a time: pressure never exceeds a single lane.
-  std::vector<ServeRequest> trace;
-  for (int64_t i = 0; i < 6; ++i) {
-    trace.push_back({i, "t", 200000.0 * static_cast<double>(i), SmallSpec(1024 + 512 * (i % 2))});
-  }
-  ServeConfig adaptive;
-  adaptive.adaptive_tuner_lanes = true;
-  adaptive.max_tuner_lanes = 8;
-  OverlapEngine engine(Make4090Cluster(4), {}, EngineOptions{.jitter = false});
-  const ServeReport report = ServeLoop(&engine, adaptive).Run(trace);
-  ASSERT_EQ(report.stats.count(), trace.size());
-  EXPECT_EQ(report.tuner_lanes, 1);
 }
 
 TEST(ServeLoopTest, SharedWarmStoreServesWithoutSearches) {
@@ -838,12 +751,6 @@ TEST(PlanHitAccountingTest, LedgerIsPinnedAcrossWarmColdEvictedUnmemoizedAndDegr
   EXPECT_EQ(PlanHitLedger(bounded),
             "0m 2m 3m 1m 5H 6H 4m 7m 8m 9m 11m 10m 12m 13m 14m 15m 16m 17m 18m 19m "
             "| batches 16 cold 14 | store 7/23/21 removed 021230230321031032012");
-  LedgerCase inline_cold;  // no tuning lane: cold plans build on the executor
-  inline_cold.config.overlap_tuning = false;
-  inline_cold.store_capacity = 2;
-  EXPECT_EQ(PlanHitLedger(inline_cold),
-            "0m 1m 2H 3H 5H 4m 7m 6m 9m 8m 11m 10m 12m 13m 14m 15m 16m 17m 18m 19m "
-            "| batches 17 cold 15 | store 2/15/13 removed 0123120321032");
   LedgerCase unmemoized = bounded;
   unmemoized.config.memoize_runs = false;
   EXPECT_EQ(PlanHitLedger(unmemoized), PlanHitLedger(bounded));
