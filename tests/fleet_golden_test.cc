@@ -15,7 +15,9 @@
 // router's avoid-id path), the scheduler's executor branches (ready-batch
 // backfill, a pop that starts or is vetoed from a tune, a head delay, a
 // backfill window that skips a failed tune), each of the five fault
-// kinds, a full outage (placement stalls), full and partial SLO shedding
+// kinds, faults skipped on an unhealthy or never-spawned replica, a crash
+// past the retry budget, a crash restore that finds its drained replica
+// retired, a full outage (placement stalls), full and partial SLO shedding
 // at the degrade point, dispatch rounds that start several cold batches
 // at once (a hang restore, and four lanes against bounded stores), and
 // sparse traces whose placements are all equal-load ties. On a mismatch
@@ -311,6 +313,48 @@ std::vector<GoldenCase> Cases() {
                      {FaultEvent{5000.0, FaultKind::kCrash, 0, 4000.0, 0.0},
                       FaultEvent{5000.0, FaultKind::kCrash, 1, 4000.0, 0.0}},
                      1, [](const FleetReport& r) { return r.fault.placement_stalls > 0; }});
+  }
+  {
+    // A zero retry budget: every request the crash requeues exceeds it.
+    // The later faults on the crashed replica, and one aimed at a replica
+    // that was never spawned, are skipped.
+    ClusterConfig config = Policy(PlacementPolicy::kPlanAffinity, true, 2);
+    config.faults.crashes = 1;
+    config.faults.horizon_us = 40000.0;
+    config.faults.retry_budget = 0;
+    cases.push_back({"fault_crash_retry_budget_skips", config, MixedTrace(4, 40),
+                     {FaultEvent{30000.0, FaultKind::kCrash, 0, 8000.0, 0.0},
+                      FaultEvent{31000.0, FaultKind::kCrash, 0, 1000.0, 0.0},
+                      FaultEvent{32000.0, FaultKind::kHang, 0, 1000.0, 0.0},
+                      FaultEvent{33000.0, FaultKind::kSlowdown, 0, 1000.0, 4.0},
+                      FaultEvent{34000.0, FaultKind::kTunerFail, 7, 0.0, 0.0}},
+                     1, [](const FleetReport& r) {
+                       const FaultReport& f = r.fault;
+                       return f.injected_total() == 1 && f.injected_crashes == 1 &&
+                              f.retry_budget_exhausted > 0 &&
+                              f.retry_budget_exhausted == f.requests_requeued;
+                     }});
+  }
+  {
+    // The autoscaler drains replica 1 while its only request tunes; a
+    // crash then empties it, it retires, and the crash's restore finds it
+    // gone: no restart.
+    std::vector<ServeRequest> trace = {{0, "llm", 0.0, SmallSpec(1024)},
+                                       {1, "llm", 30000.0, SmallSpec(1536)}};
+    ClusterConfig config = Policy(PlacementPolicy::kRoundRobin, true, 2);
+    config.autoscale.enabled = true;
+    config.autoscale.min_replicas = 1;
+    config.autoscale.max_replicas = 2;
+    config.autoscale.check_interval_us = 5000.0;
+    config.autoscale.drain_after_calm_checks = 7;
+    config.faults.crashes = 1;
+    config.faults.horizon_us = 40000.0;
+    cases.push_back({"fault_crash_draining_retires", config, std::move(trace),
+                     {FaultEvent{36000.0, FaultKind::kCrash, 1, 50000.0, 0.0}}, 1,
+                     [](const FleetReport& r) {
+                       return r.drains > 0 && r.fault.injected_crashes == 1 &&
+                              r.fault.requests_requeued > 0 && r.fault.replica_restarts == 0;
+                     }});
   }
   {
     ClusterConfig config = Policy(PlacementPolicy::kPlanAffinity, true, 2);
@@ -624,6 +668,16 @@ const std::vector<std::pair<std::string, std::vector<std::string>>> kGolden = {
        " n=60 searches=4 keys=2 peak=2 scale=0/0/0 ship=2/2/0/0"
        " events=412 fault=2/0/0/0/0:14/17/0/300/0/0/0/2/0/0"
        " sched=0/0/0x0p+0/0/0/0/0 store=30/4/0 planner=30/4"}},
+    {"fault_crash_retry_budget_skips",
+     {"records=3610599d06db166c replicas=a01e198f861efbf4 makespan=0x1.2e672bfcb7ep+16"
+       " n=80 searches=5 keys=4 peak=2 scale=0/0/0 ship=4/6/0/0"
+       " events=151 fault=1/0/0/0/0:12/12/12/0/0/0/2/1/0/0"
+       " sched=0/0/0x0p+0/0/0/0/0 store=48/5/0 planner=48/5"}},
+    {"fault_crash_draining_retires",
+     {"records=535084c2d6d99159 replicas=324cb1a38dc485ca makespan=0x1.bd95b3ad19c02p+15"
+       " n=2 searches=3 keys=2 peak=2 scale=0/1/0 ship=2/1/0/0"
+       " events=22 fault=1/0/0/0/0:1/1/0/0/0/0/0/0/0/0"
+       " sched=0/0/0x0p+0/0/0/0/0 store=2/3/0 planner=2/3"}},
     {"fault_hang",
      {"records=ca70eafd45666425 replicas=957e66763e16f8d5 makespan=0x1.04d31f5b3e071p+16"
        " n=60 searches=4 keys=3 peak=2 scale=0/0/0 ship=3/3/0/0"
