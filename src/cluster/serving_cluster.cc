@@ -1,6 +1,7 @@
 #include "src/cluster/serving_cluster.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "src/obs/obs_plane.h"
@@ -35,6 +36,19 @@ void EmitFleetInstant(ObsPlane* obs, SpanKind kind, SimTime now, uint64_t id, ui
   span.replica = -1;
   obs->Emit(span);
 }
+
+// Per FaultKind: the report counter an applied injection bumps, and the
+// health it leaves its replica in until the restore (kHealthy: the kind
+// leaves health alone).
+constexpr size_t FaultReport::*kInjected[] = {
+    &FaultReport::injected_crashes, &FaultReport::injected_hangs,
+    &FaultReport::injected_slowdowns, &FaultReport::injected_tuner_failures,
+    &FaultReport::injected_ship_loss_windows};
+constexpr Replica::Health kFaultedHealth[] = {
+    Replica::Health::kCrashed, Replica::Health::kHung, Replica::Health::kStraggling,
+    Replica::Health::kHealthy, Replica::Health::kHealthy};
+static_assert(std::size(kInjected) == static_cast<size_t>(FaultKind::kCount) &&
+              std::size(kFaultedHealth) == static_cast<size_t>(FaultKind::kCount));
 
 }  // namespace
 
@@ -225,16 +239,25 @@ void ServingCluster::PlaceRequest(ServeRequest&& request, SimTime now) {
     }
     scheduler_->ChargeArrival(request.tenant_id, now);
   }
+  Route(std::move(request), key, now, /*retry=*/false);
+}
+
+void ServingCluster::Route(ServeRequest&& request, uint64_t key, SimTime now, bool retry) {
   const int id = Place(key, now);
   if (id == -1) {
     // Every replica is down or draining. Under fault injection that is a
-    // transient (health restores are already scheduled): park the arrival
-    // in the requeue pool and try again after the base backoff. Without
-    // faults it is a configuration error, as before.
+    // transient (health restores are already scheduled): park the request
+    // in the requeue pool and try again after the base backoff, without
+    // charging a retry. Without faults it is a configuration error.
     FLO_CHECK(faults_active_) << "no accepting replica (autoscaler drained below min?)";
     ++fault_report_.placement_stalls;
     PushRequeue(std::move(request), key, now + config_.faults.retry_backoff_base_us);
     return;
+  }
+  if (retry) {
+    ++fault_report_.requests_retried;
+    EmitFleetInstant(config_.serve.obs, SpanKind::kFaultRetry, now,
+                     static_cast<uint64_t>(request.id), static_cast<uint64_t>(request.retries));
   }
   replicas_[static_cast<size_t>(id)]->session()->Admit(std::move(request), key, now);
 }
@@ -551,74 +574,38 @@ void ServingCluster::OnFaultEvent(const EventRecord& record, SimTime now) {
 }
 
 void ServingCluster::ApplyFault(const FaultEvent& event, SimTime now) {
-  ObsPlane* obs = config_.serve.obs;
-  auto push_restore = [&](FaultKind kind, int replica_id, double delay) {
-    EventRecord restore;
-    restore.type = EventType::kHealthRestore;
-    restore.key = static_cast<uint64_t>(kind);
-    restore.handler = fault_handler_;
-    restore.replica = replica_id;
-    events_.Push(now + delay, restore);
-  };
-  if (event.kind == FaultKind::kShipLoss) {
-    ++fault_report_.injected_ship_loss_windows;
-    EmitFleetInstant(obs, SpanKind::kFaultInject, now, static_cast<uint64_t>(event.replica),
-                     static_cast<uint64_t>(event.kind));
-    // Per-(key, peer) drop decisions are a pure hash of (seed, window
-    // index, key, peer): deterministic, and independent of delivery
-    // order. Overlapping windows share the filter slot — the last one
-    // to open wins, the first to close clears.
-    const uint64_t salt =
-        StableHash()
-            .Mix(config_.faults.seed)
-            .Mix(static_cast<uint64_t>(fault_report_.injected_ship_loss_windows))
-            .value();
-    const double fraction = event.magnitude;
-    shipper_.SetDropFilter([salt, fraction](uint64_t key, int replica_id) {
-      return Rng(StableHash().Mix(salt).Mix(key).Mix(replica_id).value()).NextDouble() <
-             fraction;
-    });
-    push_restore(FaultKind::kShipLoss, -1, event.duration_us);
-    return;
-  }
-  Replica* replica = FindReplica(event.replica);
-  if (replica == nullptr || replica->retired() || replica->session() == nullptr) {
-    return;  // deterministic skip: the target is gone
-  }
-  ServeSession* session = replica->session();
-  const uint64_t id = static_cast<uint64_t>(replica->id());
-  switch (event.kind) {
-    case FaultKind::kCrash: {
-      if (replica->health() != Replica::Health::kHealthy) {
-        return;  // already failing: one fault at a time per replica
-      }
-      ++fault_report_.injected_crashes;
-      EmitFleetInstant(obs, SpanKind::kFaultCrash, now, id,
-                       static_cast<uint64_t>(event.duration_us));
-      replica->SetHealth(Replica::Health::kCrashed);
-      SyncAccepting(*replica);
-      session->SetStalled(true);
-      // Teardown: evacuate the backlog, lose the store, release every
-      // in-flight search the dead replica owned, and leave the shipper's
-      // subscriber list (the restart re-subscribes, which re-warms).
-      RequeueFrom(replica, now);
-      replica->store()->Clear();
-      shipper_.ReleaseReplica(replica->id());
-      shipper_.Unsubscribe(replica->id());
-      DispatchAll(now);  // peers may acquire the released keys now
-      push_restore(FaultKind::kCrash, replica->id(), event.duration_us);
-      break;
+  const size_t kind = static_cast<size_t>(event.kind);
+  const Replica::Health faulted = kFaultedHealth[kind];
+  Replica* replica = nullptr;
+  if (event.kind != FaultKind::kShipLoss) {
+    replica = FindReplica(event.replica);
+    if (replica == nullptr || replica->retired() || replica->session() == nullptr) {
+      return;  // deterministic skip: the target is gone
     }
+    if (faulted != Replica::Health::kHealthy && replica->health() != Replica::Health::kHealthy) {
+      return;  // already failing: one health fault at a time per replica
+    }
+  }
+  ++(fault_report_.*kInjected[kind]);
+  const bool crash = event.kind == FaultKind::kCrash;
+  EmitFleetInstant(config_.serve.obs, crash ? SpanKind::kFaultCrash : SpanKind::kFaultInject, now,
+                   static_cast<uint64_t>(event.replica),
+                   crash ? static_cast<uint64_t>(event.duration_us) : kind);
+  if (faulted != Replica::Health::kHealthy) {
+    replica->SetHealth(faulted);
+    SyncAccepting(*replica);
+  }
+  switch (event.kind) {
+    case FaultKind::kCrash:
+      // Teardown: stall, lose the store and leave the shipper's subscriber
+      // list (the restart re-subscribes, which re-warms), then evacuate.
+      replica->session()->SetStalled(true);
+      replica->store()->Clear();
+      shipper_.Unsubscribe(replica->id());
+      Evacuate(replica, now);
+      break;
     case FaultKind::kHang: {
-      if (replica->health() != Replica::Health::kHealthy) {
-        return;
-      }
-      ++fault_report_.injected_hangs;
-      EmitFleetInstant(obs, SpanKind::kFaultInject, now, id,
-                       static_cast<uint64_t>(event.kind));
-      replica->SetHealth(Replica::Health::kHung);
-      SyncAccepting(*replica);
-      session->SetStalled(true);
+      replica->session()->SetStalled(true);
       // The detection deadline comes from the recovery policy, not the
       // event: a hang shorter than the deadline resolves invisibly.
       EventRecord detect;
@@ -626,35 +613,42 @@ void ServingCluster::ApplyFault(const FaultEvent& event, SimTime now) {
       detect.handler = fault_handler_;
       detect.replica = replica->id();
       events_.Push(now + config_.faults.hang_detect_us, detect);
-      push_restore(FaultKind::kHang, replica->id(), event.duration_us);
       break;
     }
-    case FaultKind::kSlowdown: {
-      if (replica->health() != Replica::Health::kHealthy) {
-        return;
-      }
-      ++fault_report_.injected_slowdowns;
-      EmitFleetInstant(obs, SpanKind::kFaultInject, now, id,
-                       static_cast<uint64_t>(event.kind));
+    case FaultKind::kSlowdown:
       // The straggler keeps executing (slowly) but is unroutable until
       // the window closes.
-      replica->SetHealth(Replica::Health::kStraggling);
-      SyncAccepting(*replica);
-      session->SetCostMultiplier(event.magnitude);
-      push_restore(FaultKind::kSlowdown, replica->id(), event.duration_us);
+      replica->session()->SetCostMultiplier(event.magnitude);
+      break;
+    case FaultKind::kTunerFail:
+      replica->session()->FailInFlightTuning();
+      return;  // nothing to restore
+    case FaultKind::kShipLoss: {
+      // Per-(key, peer) drop decisions are a pure hash of (seed, window
+      // index, key, peer): deterministic, and independent of delivery
+      // order. Overlapping windows share the filter slot — the last one
+      // to open wins, the first to close clears.
+      const uint64_t salt =
+          StableHash()
+              .Mix(config_.faults.seed)
+              .Mix(static_cast<uint64_t>(fault_report_.injected_ship_loss_windows))
+              .value();
+      const double fraction = event.magnitude;
+      shipper_.SetDropFilter([salt, fraction](uint64_t key, int replica_id) {
+        return Rng(StableHash().Mix(salt).Mix(key).Mix(replica_id).value()).NextDouble() <
+               fraction;
+      });
       break;
     }
-    case FaultKind::kTunerFail: {
-      ++fault_report_.injected_tuner_failures;
-      EmitFleetInstant(obs, SpanKind::kFaultInject, now, id,
-                       static_cast<uint64_t>(event.kind));
-      session->FailInFlightTuning();
-      break;
-    }
-    case FaultKind::kShipLoss:
     case FaultKind::kCount:
       FLO_CHECK(false) << "unreachable fault kind";
   }
+  EventRecord restore;
+  restore.type = EventType::kHealthRestore;
+  restore.key = kind;
+  restore.handler = fault_handler_;
+  restore.replica = replica != nullptr ? replica->id() : -1;
+  events_.Push(now + event.duration_us, restore);
 }
 
 void ServingCluster::OnHealthRestore(const EventRecord& record, SimTime now) {
@@ -667,22 +661,8 @@ void ServingCluster::OnHealthRestore(const EventRecord& record, SimTime now) {
   if (replica == nullptr || replica->retired() || replica->session() == nullptr) {
     return;  // crashed + draining replicas may retire before the restore
   }
-  Replica::Health faulted = Replica::Health::kHealthy;
-  switch (kind) {
-    case FaultKind::kCrash:
-      faulted = Replica::Health::kCrashed;
-      break;
-    case FaultKind::kHang:
-      faulted = Replica::Health::kHung;
-      break;
-    case FaultKind::kSlowdown:
-      faulted = Replica::Health::kStraggling;
-      break;
-    case FaultKind::kTunerFail:
-    case FaultKind::kShipLoss:
-    case FaultKind::kCount:
-      FLO_CHECK(false) << "unreachable restore kind";
-  }
+  const Replica::Health faulted = kFaultedHealth[record.key];
+  FLO_CHECK(faulted != Replica::Health::kHealthy) << "unreachable restore kind";
   if (replica->health() != faulted) {
     return;
   }
@@ -712,25 +692,20 @@ void ServingCluster::OnHangDetect(const EventRecord& record, SimTime now) {
       replica->health() != Replica::Health::kHung) {
     return;  // the hang resolved before the deadline
   }
-  // Deadline missed: pull the backlog (and cancel its in-flight
-  // searches, which will never publish) and reschedule it elsewhere.
-  RequeueFrom(replica, now);
-  shipper_.ReleaseReplica(replica->id());
-  DispatchAll(now);
+  // Deadline missed: reschedule the backlog elsewhere.
+  Evacuate(replica, now);
 }
 
-void ServingCluster::RequeueFrom(Replica* replica, SimTime now) {
+void ServingCluster::Evacuate(Replica* replica, SimTime now) {
   evacuated_.clear();
-  evacuated_keys_.clear();
-  const size_t evacuated = replica->session()->ExtractPending(&evacuated_, &evacuated_keys_);
-  if (evacuated == 0) {
-    return;
+  const size_t evacuated = replica->session()->ExtractPending(&evacuated_);
+  if (evacuated > 0) {
+    fault_report_.requests_requeued += evacuated;
+    EmitFleetInstant(config_.serve.obs, SpanKind::kFaultRequeue, now,
+                     static_cast<uint64_t>(replica->id()), evacuated);
   }
-  fault_report_.requests_requeued += evacuated;
-  EmitFleetInstant(config_.serve.obs, SpanKind::kFaultRequeue, now,
-                   static_cast<uint64_t>(replica->id()), evacuated);
-  for (size_t i = 0; i < evacuated_.size(); ++i) {
-    ServeRequest& request = evacuated_[i];
+  for (KeyedRequest& moved : evacuated_) {
+    ServeRequest& request = moved.request;
     ++request.retries;
     if (request.retries > config_.faults.retry_budget) {
       // The budget bounds backoff growth and flags the report; it never
@@ -743,9 +718,12 @@ void ServingCluster::RequeueFrom(Replica* replica, SimTime now) {
     }
     const double backoff =
         RetryBackoffUs(config_.faults, static_cast<uint64_t>(request.id), request.retries);
-    PushRequeue(std::move(request), evacuated_keys_[i], now + backoff);
+    PushRequeue(std::move(request), moved.key, now + backoff);
   }
-  evacuated_.clear();
+  // The replica's in-flight searches will never publish: release them so
+  // peers may acquire the keys, and let every session dispatch.
+  shipper_.ReleaseReplica(replica->id());
+  DispatchAll(now);
 }
 
 void ServingCluster::PushRequeue(ServeRequest&& request, uint64_t key, SimTime at) {
@@ -767,22 +745,11 @@ void ServingCluster::PushRequeue(ServeRequest&& request, uint64_t key, SimTime a
 }
 
 void ServingCluster::OnRequeue(const EventRecord& record, SimTime now) {
-  ServeRequest request = std::move(requeue_pool_[record.slot].request);
-  const uint64_t key = requeue_pool_[record.slot].key;
+  // Out of the pool first: a stall re-parks the request, possibly in
+  // this very slot.
+  KeyedRequest parked = std::move(requeue_pool_[record.slot]);
   requeue_free_.push_back(record.slot);
-  const int id = Place(key, now);
-  if (id == -1) {
-    // Nothing routable right now (every replica down or draining).
-    // Health restores are already on the clock, so back off at the base
-    // interval without charging another retry.
-    ++fault_report_.placement_stalls;
-    PushRequeue(std::move(request), key, now + config_.faults.retry_backoff_base_us);
-    return;
-  }
-  ++fault_report_.requests_retried;
-  EmitFleetInstant(config_.serve.obs, SpanKind::kFaultRetry, now,
-                   static_cast<uint64_t>(request.id), static_cast<uint64_t>(request.retries));
-  replicas_[static_cast<size_t>(id)]->session()->Admit(std::move(request), key, now);
+  Route(std::move(parked.request), parked.key, now, /*retry=*/true);
 }
 
 void ServingCluster::SchedCheck(SimTime now) {
@@ -825,8 +792,7 @@ void ServingCluster::SchedCheck(SimTime now) {
       continue;
     }
     evacuated_.clear();
-    evacuated_keys_.clear();
-    const size_t pulled = replica->session()->ExtractQueued(&evacuated_, &evacuated_keys_);
+    const size_t pulled = replica->session()->ExtractQueued(&evacuated_);
     if (pulled == 0) {
       MaybeRetire(replica.get(), now);
       continue;
@@ -834,15 +800,13 @@ void ServingCluster::SchedCheck(SimTime now) {
     sched_preempted_ += pulled;
     EmitFleetInstant(config_.serve.obs, SpanKind::kSchedPreempt, now,
                      static_cast<uint64_t>(replica->id()), pulled);
-    for (size_t i = 0; i < evacuated_.size(); ++i) {
-      const uint64_t key = evacuated_keys_[i];
-      const int id = Place(key, now, replica->id());
+    for (KeyedRequest& moved : evacuated_) {
+      const int id = Place(moved.key, now, replica->id());
       // Nowhere better: hand the request straight back. Not a retry —
       // preemption is a placement revision, not a failure.
       Replica* target = id != -1 ? replicas_[static_cast<size_t>(id)].get() : replica.get();
-      target->session()->Admit(std::move(evacuated_[i]), key, now);
+      target->session()->Admit(std::move(moved.request), moved.key, now);
     }
-    evacuated_.clear();
     MaybeRetire(replica.get(), now);
   }
   // Re-arm while served work remains, like the autoscale checkpoint.

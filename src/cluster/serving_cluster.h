@@ -167,9 +167,14 @@ class ServingCluster {
   void SyncAccepting(const Replica& replica);
   // The router's pick for a request keyed `key` (-1 when none accepts).
   int Place(uint64_t key, SimTime now, int avoid_id = -1);
-  // Keys the request once, through the catalog; the key rides with it
-  // through admission, requeues and preemption.
+  // Keys an arrival once, through the catalog, and routes it; the key
+  // rides with the request through admission, requeues and preemption.
   void PlaceRequest(ServeRequest&& request, SimTime now);
+  // The routing tail of arrivals and requeue firings: admits the request
+  // where the router places it, or, with nothing accepting, counts a
+  // placement stall and parks it for the base backoff. `retry` marks a
+  // requeue firing, counted as a retry (with its span) once admitted.
+  void Route(ServeRequest&& request, uint64_t key, SimTime now, bool retry);
   void DispatchAll(SimTime now);
   void MaybeRetire(Replica* replica, SimTime now);
   void AutoscaleCheck(SimTime now);
@@ -187,9 +192,11 @@ class ServingCluster {
   void OnRequeue(const EventRecord& record, SimTime now);
   void OnHealthRestore(const EventRecord& record, SimTime now);
   void OnHangDetect(const EventRecord& record, SimTime now);
-  // Evacuates every pending request off `replica` and schedules each for
-  // re-placement after its deterministic backoff.
-  void RequeueFrom(Replica* replica, SimTime now);
+  // Recovery shared by a crash and a missed hang deadline: requeues every
+  // pending request off `replica` for re-placement after its
+  // deterministic backoff, releases the searches it owned, and dispatches
+  // every session.
+  void Evacuate(Replica* replica, SimTime now);
   // Parks one request (with its plan key) in the requeue pool and
   // schedules its kRequeue.
   void PushRequeue(ServeRequest&& request, uint64_t key, SimTime at);
@@ -260,16 +267,11 @@ class ServingCluster {
   FaultReport fault_report_;
   // Requests awaiting their kRequeue firing, with their plan keys, pooled
   // so the 24-byte event record can carry a slot index instead.
-  struct KeyedRequest {
-    ServeRequest request;
-    uint64_t key = 0;
-  };
   std::vector<KeyedRequest> requeue_pool_;
   std::vector<uint32_t> requeue_free_;
-  // Scratch for RequeueFrom's and SchedCheck's evacuations (requests and
-  // their keys in step); reused across events.
-  std::vector<ServeRequest> evacuated_;
-  std::vector<uint64_t> evacuated_keys_;
+  // Scratch for Evacuate's and SchedCheck's extractions; reused across
+  // events.
+  std::vector<KeyedRequest> evacuated_;
   // shipper_ stats are cumulative across runs; this run's ship_drops are
   // reported as a delta from the Run-start baseline.
   size_t ship_drops_baseline_ = 0;

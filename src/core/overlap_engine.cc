@@ -38,10 +38,7 @@ OverlapRun OverlapEngine::Execute(const ScenarioSpec& spec) {
 }
 
 OverlapRun OverlapEngine::ExecuteMemoized(const ScenarioSpec& spec) {
-  return ExecuteMemoized(spec, planner_.CanonicalKey(spec));
-}
-
-OverlapRun OverlapEngine::ExecuteMemoized(const ScenarioSpec& spec, uint64_t key) {
+  const uint64_t key = planner_.CanonicalKey(spec);
   // Per-scenario option overrides are not part of the plan key, so those
   // specs always take the plain path.
   const bool memoize = !spec.options.has_value();

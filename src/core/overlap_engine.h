@@ -88,10 +88,6 @@ class OverlapEngine {
   // carrying per-scenario options bypass the memo entirely (their engine
   // options are not part of the plan key).
   OverlapRun ExecuteMemoized(const ScenarioSpec& spec);
-  // Keyed form: `key` must equal planner().CanonicalKey(spec) — serving
-  // sessions pass the key their batch was formed around instead of
-  // re-hashing the spec per execution.
-  OverlapRun ExecuteMemoized(const ScenarioSpec& spec, uint64_t key);
 
   // What a serving batch reads of a run: the per-request time and whether
   // this call's plan lookup hit the store.
@@ -99,9 +95,11 @@ class OverlapEngine {
     SimTime total_us = 0.0;
     bool plan_cache_hit = false;
   };
-  // ExecuteMemoized(spec, key) reduced to its timing. A memo hit copies
-  // nothing (no OverlapRun, no partition vector): the warm serving path's
-  // execute is one store lookup and one memo lookup.
+  // ExecuteMemoized reduced to its timing, keyed by the caller: `key` must
+  // equal planner().CanonicalKey(spec) (serving sessions pass the key
+  // their batch was formed around instead of re-hashing the spec). A memo
+  // hit copies nothing (no OverlapRun, no partition vector): the warm
+  // serving path's execute is one store lookup and one memo lookup.
   RunTiming ExecuteMemoizedTiming(const ScenarioSpec& spec, uint64_t key);
 
   // Sweeps many scenarios through the shared executor. Plans are reused

@@ -61,24 +61,41 @@ std::string PartitionToCsv(const WavePartition& partition) {
   return out;
 }
 
-// Splits "a,b,c" into ints. Every field must be a whole int, so an empty
-// field (",1", "1,,2", a trailing "1,") is rejected: no serializer writes
-// one, and accepting it would re-export different bytes.
-std::optional<std::vector<int>> IntsFromCsv(const std::string& text) {
-  std::vector<int> values;
+// Splits `text` at every `separator`: a record line at single spaces, a
+// CSV field at commas. Empty when any field is empty (a doubled separator,
+// or one at either end): no serializer writes one, and accepting it would
+// re-export different bytes. Only the separator splits, so a tab or a
+// trailing '\r' stays inside a field and fails that field's parse.
+std::vector<std::string> SplitFields(const std::string& text, char separator) {
+  std::vector<std::string> fields;
   size_t start = 0;
   while (true) {
-    const size_t comma = text.find(',', start);
-    const auto value = CanonicalInt(text.substr(start, comma - start));
+    const size_t end = text.find(separator, start);
+    fields.push_back(text.substr(start, end - start));
+    if (fields.back().empty()) {
+      return {};
+    }
+    if (end == std::string::npos) {
+      return fields;
+    }
+    start = end + 1;
+  }
+}
+
+// Splits "a,b,c" into ints, each spelled canonically.
+std::optional<std::vector<int>> IntsFromCsv(const std::string& text) {
+  std::vector<int> values;
+  for (const std::string& field : SplitFields(text, ',')) {
+    const auto value = CanonicalInt(field);
     if (!value) {
       return std::nullopt;
     }
     values.push_back(*value);
-    if (comma == std::string::npos) {
-      return values;
-    }
-    start = comma + 1;
   }
+  if (values.empty()) {
+    return std::nullopt;
+  }
+  return values;
 }
 
 std::optional<WavePartition> PartitionFromCsv(const std::string& text) {
@@ -92,13 +109,6 @@ std::optional<WavePartition> PartitionFromCsv(const std::string& text) {
     }
   }
   return WavePartition{std::move(*sizes)};
-}
-
-// True when a record line has no token left after its fields. A line
-// with extra tokens is malformed, not truncated to the fields read.
-bool NoMoreFields(std::istream& fields) {
-  std::string extra;
-  return !(fields >> extra);
 }
 
 }  // namespace
@@ -416,38 +426,31 @@ std::optional<PlanStore> PlanStore::Parse(const std::string& text) {
       }
       continue;
     }
-    std::stringstream fields(line);
-    std::string tag;
-    fields >> tag;
+    // A record line is its tag and exactly its fields, one space apart.
+    const std::vector<std::string> fields = SplitFields(line, ' ');
+    if (fields.empty()) {
+      return std::nullopt;
+    }
+    const std::string& tag = fields[0];
     if (tag == "plan") {
-      if (in_record) {
-        return std::nullopt;  // previous record never closed
+      if (in_record || fields.size() != 7) {
+        return std::nullopt;  // previous record never closed, or malformed
       }
-      std::string key_hex;
-      std::string kind;
-      std::string primitive;
-      std::string partition;
-      std::string predicted;
-      std::string non_overlap;
-      if (!(fields >> key_hex >> kind >> primitive >> partition >> predicted >> non_overlap) ||
-          !NoMoreFields(fields)) {
-        return std::nullopt;
-      }
-      const auto parsed_key = CanonicalKey(key_hex);
+      const auto parsed_key = CanonicalKey(fields[1]);
       if (!parsed_key) {
         return std::nullopt;
       }
       key = *parsed_key;
-      const auto parsed_predicted = CanonicalDouble(predicted);
-      const auto parsed_non_overlap = CanonicalDouble(non_overlap);
+      const auto parsed_predicted = CanonicalDouble(fields[5]);
+      const auto parsed_non_overlap = CanonicalDouble(fields[6]);
       if (!parsed_predicted || !parsed_non_overlap) {
         return std::nullopt;
       }
       plan.predicted_us = *parsed_predicted;
       plan.predicted_non_overlap_us = *parsed_non_overlap;
-      const auto parsed_kind = TryScenarioKindFromName(kind);
-      const auto parsed_primitive = TryCommPrimitiveFromName(primitive);
-      const auto parsed_partition = PartitionFromCsv(partition);
+      const auto parsed_kind = TryScenarioKindFromName(fields[2]);
+      const auto parsed_primitive = TryCommPrimitiveFromName(fields[3]);
+      const auto parsed_partition = PartitionFromCsv(fields[4]);
       if (!parsed_kind || !parsed_primitive || !parsed_partition) {
         return std::nullopt;
       }
@@ -456,25 +459,21 @@ std::optional<PlanStore> PlanStore::Parse(const std::string& text) {
       plan.partition = std::move(*parsed_partition);
       in_record = true;
     } else if (tag == "tiles") {
-      std::string csv;
-      if (!in_record || !(fields >> csv) || !NoMoreFields(fields)) {
+      if (!in_record || fields.size() != 2) {
         return std::nullopt;
       }
-      auto tiles = IntsFromCsv(csv);
+      auto tiles = IntsFromCsv(fields[1]);
       if (!tiles) {
         return std::nullopt;
       }
       plan.group_tiles.push_back(std::move(*tiles));
     } else if (tag == "seg") {
-      std::string group;
-      std::string max_bytes;
-      std::string latency;
-      if (!in_record || !(fields >> group >> max_bytes >> latency) || !NoMoreFields(fields)) {
+      if (!in_record || fields.size() != 4) {
         return std::nullopt;
       }
-      const auto parsed_group = CanonicalInt(group);
-      const auto parsed_bytes = CanonicalDouble(max_bytes);
-      const auto parsed_latency = CanonicalDouble(latency);
+      const auto parsed_group = CanonicalInt(fields[1]);
+      const auto parsed_bytes = CanonicalDouble(fields[2]);
+      const auto parsed_latency = CanonicalDouble(fields[3]);
       if (!parsed_group || !parsed_bytes || !parsed_latency) {
         return std::nullopt;
       }
@@ -484,7 +483,7 @@ std::optional<PlanStore> PlanStore::Parse(const std::string& text) {
       segment.latency_us = *parsed_latency;
       plan.segments.push_back(segment);
     } else if (tag == "end") {
-      if (!in_record || !NoMoreFields(fields) || !StructurallyValid(plan)) {
+      if (!in_record || fields.size() != 1 || !StructurallyValid(plan)) {
         return std::nullopt;
       }
       store.Put(key, std::move(plan));
@@ -555,34 +554,25 @@ std::optional<std::vector<std::pair<uint64_t, StoredPlan>>> ParseTunerTier(
     if (line.rfind(kRecordTag, 0) != 0) {
       continue;  // plan-tier record or ordinary comment
     }
-    std::stringstream fields(line.substr(sizeof(kRecordTag) - 1));
-    std::string key_hex;
-    std::string m;
-    std::string n;
-    std::string k;
-    std::string primitive;
-    std::string partition;
-    std::string predicted;
-    std::string non_overlap;
-    if (!(fields >> key_hex >> m >> n >> k >> primitive >> partition >> predicted >>
-          non_overlap) ||
-        !NoMoreFields(fields)) {
+    const std::vector<std::string> fields =
+        SplitFields(line.substr(sizeof(kRecordTag) - 1), ' ');
+    if (fields.size() != 8) {
       return std::nullopt;
     }
-    const auto parsed_key = CanonicalKey(key_hex);
-    const auto parsed_m = CanonicalInt64(m);
-    const auto parsed_n = CanonicalInt64(n);
-    const auto parsed_k = CanonicalInt64(k);
+    const auto parsed_key = CanonicalKey(fields[0]);
+    const auto parsed_m = CanonicalInt64(fields[1]);
+    const auto parsed_n = CanonicalInt64(fields[2]);
+    const auto parsed_k = CanonicalInt64(fields[3]);
     if (!parsed_key || !parsed_m || !parsed_n || !parsed_k || *parsed_m <= 0 || *parsed_n <= 0 ||
         *parsed_k <= 0) {
       return std::nullopt;
     }
     StoredPlan plan;
     plan.shape = GemmShape{*parsed_m, *parsed_n, *parsed_k};
-    const auto parsed_primitive = TryCommPrimitiveFromName(primitive);
-    auto parsed_partition = PartitionFromCsv(partition);
-    const auto parsed_predicted = CanonicalDouble(predicted);
-    const auto parsed_non_overlap = CanonicalDouble(non_overlap);
+    const auto parsed_primitive = TryCommPrimitiveFromName(fields[4]);
+    auto parsed_partition = PartitionFromCsv(fields[5]);
+    const auto parsed_predicted = CanonicalDouble(fields[6]);
+    const auto parsed_non_overlap = CanonicalDouble(fields[7]);
     if (!parsed_primitive || !parsed_partition || !parsed_predicted || !parsed_non_overlap) {
       return std::nullopt;
     }

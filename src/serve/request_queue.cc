@@ -15,14 +15,14 @@ RequestQueue::RequestQueue(Keyer keyer) : keyer_(std::move(keyer)) {
 void RequestQueue::Ring::push_back(ServeRequest&& request, uint64_t key) {
   if (size_ == slots_.size()) {
     // Full (or never used): double, unrolling the live window to slot 0.
-    std::vector<Pending> grown(std::max<size_t>(4, 2 * slots_.size()));
+    std::vector<KeyedRequest> grown(std::max<size_t>(4, 2 * slots_.size()));
     for (size_t i = 0; i < size_; ++i) {
       grown[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
     }
     slots_ = std::move(grown);
     head_ = 0;
   }
-  Pending& slot = slots_[(head_ + size_) & (slots_.size() - 1)];
+  KeyedRequest& slot = slots_[(head_ + size_) & (slots_.size() - 1)];
   slot.request = std::move(request);
   slot.key = key;
   ++size_;
@@ -164,7 +164,7 @@ RequestQueue::BatchPreview RequestQueue::PreviewAt(size_t chosen, int max_batch)
   // the lanes without popping.
   auto scan = [&](const Ring& queue) {
     for (size_t i = 0; i < queue.size(); ++i) {
-      const Pending& pending = queue[i];
+      const KeyedRequest& pending = queue[i];
       if (pending.key != preview.key || preview.size >= cap) {
         break;
       }
@@ -184,15 +184,12 @@ RequestQueue::BatchPreview RequestQueue::PreviewAt(size_t chosen, int max_batch)
   return preview;
 }
 
-size_t RequestQueue::DrainInto(std::vector<ServeRequest>* out, std::vector<uint64_t>* keys) {
+size_t RequestQueue::DrainInto(std::vector<KeyedRequest>* out) {
   FLO_CHECK(out != nullptr);
   size_t drained = 0;
   for (const std::unique_ptr<Lane>& lane : lanes_) {
     while (!lane->queue.empty()) {
-      if (keys != nullptr) {
-        keys->push_back(lane->queue.front().key);
-      }
-      out->push_back(std::move(lane->queue.front().request));
+      out->push_back(std::move(lane->queue.front()));
       lane->queue.pop_front();
       ++drained;
     }

@@ -115,18 +115,14 @@ class RequestQueue {
   uint64_t PopLaneBatchInto(uint32_t tenant_id, int max_batch,
                             std::vector<ServeRequest>* out);
 
-  // Moves every queued request into *out (appended in lane order, FIFO
-  // within a lane) and empties the queue. Deterministic: lane order is
-  // alphabetical by tenant. Fault recovery uses this to evacuate a failed
-  // replica's backlog for re-placement. Returns the number drained. With
-  // `keys` non-null, each request's plan key is appended there in step.
-  size_t DrainInto(std::vector<ServeRequest>* out, std::vector<uint64_t>* keys = nullptr);
+  // Moves every queued request, with its plan key, into *out (appended in
+  // lane order, FIFO within a lane) and empties the queue. Deterministic:
+  // lane order is alphabetical by tenant. Fault recovery and preemption
+  // use this to evacuate a replica's backlog for re-placement. Returns the
+  // number drained.
+  size_t DrainInto(std::vector<KeyedRequest>* out);
 
  private:
-  struct Pending {
-    ServeRequest request;
-    uint64_t key = 0;
-  };
   // One lane's FIFO: a power-of-two ring that doubles when full and keeps
   // its storage when it drains (a deque frees and reallocates a node as a
   // lane swings between empty and one request). Popped slots keep their
@@ -136,9 +132,11 @@ class RequestQueue {
     bool empty() const { return size_ == 0; }
     size_t size() const { return size_; }
     // The i-th oldest entry; i < size().
-    const Pending& operator[](size_t i) const { return slots_[(head_ + i) & (slots_.size() - 1)]; }
-    Pending& front() { return slots_[head_]; }
-    const Pending& front() const { return slots_[head_]; }
+    const KeyedRequest& operator[](size_t i) const {
+      return slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+    KeyedRequest& front() { return slots_[head_]; }
+    const KeyedRequest& front() const { return slots_[head_]; }
     // Moves the request into the next slot.
     void push_back(ServeRequest&& request, uint64_t key);
     void pop_front() {
@@ -147,7 +145,7 @@ class RequestQueue {
     }
 
    private:
-    std::vector<Pending> slots_;
+    std::vector<KeyedRequest> slots_;
     size_t head_ = 0;
     size_t size_ = 0;
   };

@@ -36,6 +36,13 @@ struct ServeRequest {
   int retries = 0;
 };
 
+// A request with its plan key, keyed once at placement: the form queue
+// lanes hold, extraction hands back and a fleet's requeue pool parks.
+struct KeyedRequest {
+  ServeRequest request;
+  uint64_t key = 0;
+};
+
 // Streaming arrival-time generator: the pull-based form of the batch
 // generators below, emitting one arrival per Next() call. Bit-identical to
 // PoissonArrivals/BurstyArrivals under the same parameters and seed (those

@@ -48,13 +48,6 @@ struct ServeConfig {
   // Plans are deterministic regardless of the lane count; only the
   // timeline changes.
   int tuner_lanes = 1;
-  // Memoize deterministic schedule replays per plan key
-  // (OverlapEngine::ExecuteMemoized) in the engine's run memo: the
-  // engine's own for a single session, the fleet's for a ServingCluster
-  // replica, so a cluster replays each key once per fleet. Plan-store
-  // lookups, hit/miss stats, and reports are unchanged; repeat specs skip
-  // the simulation itself.
-  bool memoize_runs = true;
   // Observability plane (src/obs): request-lifecycle span tracing, metrics
   // checkpoints, and the flight recorder. Borrowed; must outlive the run.
   // nullptr (the default) — and a plane with ObsConfig::enabled false —

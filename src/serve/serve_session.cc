@@ -367,17 +367,13 @@ size_t ServeSession::FailInFlightTuning() {
   return failed;
 }
 
-size_t ServeSession::ExtractPending(std::vector<ServeRequest>* out,
-                                    std::vector<uint64_t>* keys) {
+size_t ServeSession::ExtractPending(std::vector<KeyedRequest>* out) {
   FLO_CHECK(out != nullptr);
   size_t extracted = 0;
   auto evacuate = [&](uint32_t s, bool counted_pending) {
     Batch& batch = batch_pool_[s];
     for (ServeRequest& request : batch.requests) {
-      if (keys != nullptr) {
-        keys->push_back(batch.key);
-      }
-      out->push_back(std::move(request));
+      out->emplace_back(std::move(request), batch.key);
       ++extracted;
       if (counted_pending) {
         FLO_CHECK_GT(pending_requests_, 0u);
@@ -418,13 +414,12 @@ size_t ServeSession::ExtractPending(std::vector<ServeRequest>* out,
     evacuate(s, /*counted_pending=*/true);
   }
   // Admission queue last: lane order, FIFO within a lane.
-  return extracted + ExtractQueued(out, keys);
+  return extracted + ExtractQueued(out);
 }
 
-size_t ServeSession::ExtractQueued(std::vector<ServeRequest>* out,
-                                   std::vector<uint64_t>* keys) {
+size_t ServeSession::ExtractQueued(std::vector<KeyedRequest>* out) {
   FLO_CHECK(out != nullptr);
-  const size_t drained = queue_.DrainInto(out, keys);
+  const size_t drained = queue_.DrainInto(out);
   FLO_CHECK_GE(pending_requests_, drained);
   pending_requests_ -= drained;
   LoadChanged();
@@ -481,16 +476,11 @@ void ServeSession::ExecuteBatch(uint32_t batch_slot, SimTime now) {
   // One canonical key means one spec, one seed, one deterministic
   // schedule: simulate once and charge the service per request. Fleet
   // runs replay the same spec thousands of times, so the deterministic
-  // replay itself is memoized (the store lookup still happens per call).
+  // replay itself is memoized in the engine's run memo (a fleet's replicas
+  // share one); the store lookup still happens per call.
   // The batch key is the spec's key, except for the degraded safety spec.
-  OverlapEngine::RunTiming run;
-  if (!config_.memoize_runs) {
-    const OverlapRun full = engine_->Execute(spec);
-    run = OverlapEngine::RunTiming{full.total_us, full.plan_cache_hit};
-  } else {
-    run = engine_->ExecuteMemoizedTiming(
-        spec, batch.degraded ? engine_->planner().CanonicalKey(spec) : batch.key);
-  }
+  const OverlapEngine::RunTiming run = engine_->ExecuteMemoizedTiming(
+      spec, batch.degraded ? engine_->planner().CanonicalKey(spec) : batch.key);
   const bool hit = (batch.degraded ? degraded_warm : !batch.tuned) && run.plan_cache_hit;
   double service_us = run.total_us * static_cast<double>(batch.requests.size());
   const bool cold = !hit;

@@ -130,18 +130,19 @@ class ServeSession {
   // lanes (their searches are cancelled) — into *out for re-placement
   // elsewhere. Requests already on the executor are cancelled too: their
   // batch completes as a no-op and the requests ride out with the rest.
-  // Returns the number extracted. Deterministic order: executor batch,
-  // ready lane, tune-wait lane, tuning slots, then queue lanes. With
-  // `keys` non-null, each request's plan key is appended there in step.
-  size_t ExtractPending(std::vector<ServeRequest>* out, std::vector<uint64_t>* keys = nullptr);
+  // Each request is appended with its plan key, so the fleet re-places it
+  // without re-keying. Returns the number extracted. Deterministic order:
+  // executor batch, ready lane, tune-wait lane, tuning slots, then queue
+  // lanes.
+  size_t ExtractPending(std::vector<KeyedRequest>* out);
 
   // --- Fleet-scheduling surface (src/sched) --------------------------
   // Evacuates only the admission queue — requests never batched, tuned,
-  // or dispatched — into *out (lane order, FIFO within a lane) for
-  // preemptive re-placement through the router. Cheaper and safer than
-  // ExtractPending: in-flight tuning and ready batches stay put. `keys`
-  // as for ExtractPending.
-  size_t ExtractQueued(std::vector<ServeRequest>* out, std::vector<uint64_t>* keys = nullptr);
+  // or dispatched — into *out (lane order, FIFO within a lane, each with
+  // its plan key) for preemptive re-placement through the router.
+  // Cheaper and safer than ExtractPending: in-flight tuning and ready
+  // batches stay put.
+  size_t ExtractQueued(std::vector<KeyedRequest>* out);
 
  private:
   struct Batch {

@@ -375,12 +375,27 @@ bool SameServeReport(const ServeReport& a, const ServeReport& b) {
   return true;
 }
 
+// The engine options every run here uses.
+constexpr EngineOptions kNoJitter{.jitter = false};
+
+// The memo-off reference trace: a spec carrying its own options is never
+// memoized (OverlapEngine::ExecuteMemoizedTiming), and these equal the
+// engine's, so every batch replays its schedule and nothing else changes.
+std::vector<ServeRequest> Unmemoized(std::vector<ServeRequest> trace) {
+  for (ServeRequest& request : trace) {
+    request.spec.options = kNoJitter;
+  }
+  return trace;
+}
+
 ServeReport RunServe(const std::vector<ServeRequest>& trace, bool memoize) {
-  OverlapEngine engine(Make4090Cluster(2), {}, EngineOptions{.jitter = false});
-  ServeConfig config;
-  config.memoize_runs = memoize;
-  ServeLoop loop(&engine, config);
-  return loop.Run(trace);
+  OverlapEngine engine(Make4090Cluster(2), {}, kNoJitter);
+  ServeLoop loop(&engine);
+  const ServeReport report = loop.Run(memoize ? trace : Unmemoized(trace));
+  if (!memoize) {
+    EXPECT_EQ(engine.run_memo_size(), 0u);
+  }
+  return report;
 }
 
 TEST(EventCoreIdentityTest, ServeReportsBitIdenticalAcrossRerunsAndMemoization) {
@@ -432,7 +447,6 @@ bool SameFleetReport(const FleetReport& a, const FleetReport& b) {
 FleetReport RunFleet(const std::vector<ServeRequest>& trace, bool memoize, bool autoscale) {
   ClusterConfig config;
   config.replicas = 2;
-  config.serve.memoize_runs = memoize;
   if (autoscale) {
     config.autoscale.enabled = true;
     config.autoscale.min_replicas = 1;
@@ -440,8 +454,12 @@ FleetReport RunFleet(const std::vector<ServeRequest>& trace, bool memoize, bool 
     config.autoscale.check_interval_us = 20000.0;
     config.autoscale.spawn_queue_per_replica = 2.0;
   }
-  ServingCluster fleet(Make4090Cluster(2), config, {}, EngineOptions{.jitter = false});
-  return fleet.Run(trace);
+  ServingCluster fleet(Make4090Cluster(2), config, {}, kNoJitter);
+  const FleetReport report = fleet.Run(memoize ? trace : Unmemoized(trace));
+  if (!memoize) {
+    EXPECT_EQ(fleet.replicas()[0]->engine().run_memo_size(), 0u);
+  }
+  return report;
 }
 
 TEST(EventCoreIdentityTest, FleetReportsBitIdenticalAcrossRerunsAndMemoization) {
@@ -572,7 +590,6 @@ ReuseFleetRun RunReuseFleet(bool memoize) {
   config.replicas = 4;
   config.policy = PlacementPolicy::kLeastLoaded;
   config.store_capacity = 2;
-  config.serve.memoize_runs = memoize;
   config.autoscale.enabled = true;
   config.autoscale.min_replicas = 4;
   config.autoscale.max_replicas = 6;
@@ -586,9 +603,12 @@ ReuseFleetRun RunReuseFleet(bool memoize) {
   config.faults.tuner_failures = 1;
   config.faults.ship_loss_windows = 1;
   config.sched.enabled = true;
-  ServingCluster fleet(Make4090Cluster(2), config, {}, EngineOptions{.jitter = false});
+  ServingCluster fleet(Make4090Cluster(2), config, {}, kNoJitter);
   ReuseFleetRun run;
-  run.report = fleet.Run(trace);
+  run.report = fleet.Run(memoize ? trace : Unmemoized(trace));
+  if (!memoize) {
+    EXPECT_EQ(fleet.replicas()[0]->engine().run_memo_size(), 0u);
+  }
   run.bytes = ReportBytes(fleet, run.report);
   for (const auto& replica : fleet.replicas()) {
     run.evictions += replica->store()->stats().evictions;

@@ -440,9 +440,11 @@ std::string Respell(std::string text, const std::string& from, const std::string
 
 // A value spelled other than as the serializer writes it (a sign or a
 // leading zero on an integer, an upper-case or short key, a double not in
-// %.17g form) is rejected by both tier parsers, so whatever parses
-// re-exports as the same bytes. A rejected import leaves the store and
-// the tuner cache as they were.
+// %.17g form), or a record line spaced other than with single spaces (a
+// doubled, leading or trailing space, a tab, a CRLF line end), is
+// rejected by both tier parsers, so whatever parses re-exports as the
+// same bytes. A rejected import leaves the store, the tuner cache and the
+// published set as they were.
 TEST(PlanStoreParseTest, NonCanonicalSpellingsRejectedWhole) {
   PlanStore source;
   source.Put(0xff, MarkedPlan(1));
@@ -460,6 +462,11 @@ TEST(PlanStoreParseTest, NonCanonicalSpellingsRejectedWhole) {
       Respell(plans, "seg 0 1024 10", "seg +0 1024 10"),
       Respell(plans, "AllReduce 1,2 ", "AllReduce 01,2 "),
       Respell(plans, "# count 1", "# count 01"),
+      Respell(plans, "plan 00000000000000ff", "plan  00000000000000ff"),
+      Respell(plans, "tiles 2,3", "tiles\t2,3"),
+      Respell(plans, "end\n", "end \n"),
+      Respell(plans, "seg 0 1024 10\n", "seg 0 1024 10 \n"),
+      Respell(plans, "end\n", "end\r\n"),
   };
   PlanStore target;
   target.Put(999, MarkedPlan(9));
@@ -488,6 +495,10 @@ TEST(PlanStoreParseTest, NonCanonicalSpellingsRejectedWhole) {
       Respell(tier, " 1024\n", " 1024.0\n"),
       Respell(tier, " 4096 ", " 04096 "),
       Respell(tier, "#tuner-count 1", "#tuner-count +1"),
+      Respell(tier, "ff 4096 ", "ff  4096 "),
+      Respell(tier, " 2,3 ", "\t2,3 "),
+      Respell(tier, " 1024\n", " 1024 \n"),
+      Respell(tier, " 1024\n", " 1024\r\n"),
   };
   // The good snapshot imports both tiers, so each rejection below is the
   // probe's doing.
@@ -508,6 +519,12 @@ TEST(PlanStoreParseTest, NonCanonicalSpellingsRejectedWhole) {
     SCOPED_TRACE(bad);
     EXPECT_FALSE(ParseTunerTier(bad).has_value());
     EXPECT_EQ(shipper.ImportSnapshot(plans + bad), 0u);
+    EXPECT_EQ(store->Serialize(), before);
+    EXPECT_EQ(tuner.cache_size(), 0u);
+  }
+  for (const std::string& bad : plan_probes) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(shipper.ImportSnapshot(bad + tier), 0u);
     EXPECT_EQ(store->Serialize(), before);
     EXPECT_EQ(tuner.cache_size(), 0u);
   }

@@ -485,8 +485,7 @@ TEST(RouterDifferentialTest, SessionFeedsKeepTheTableSlotInStep) {
   Rng rng(17);
   SimTime now = 0.0;
   int64_t next_id = 0;
-  std::vector<ServeRequest> extracted;
-  std::vector<uint64_t> extracted_keys;
+  std::vector<KeyedRequest> extracted;
   size_t failed_tunes = 0;
   size_t moved = 0;
   for (int step = 0; step < 400; ++step) {
@@ -504,20 +503,20 @@ TEST(RouterDifferentialTest, SessionFeedsKeepTheTableSlotInStep) {
       failed_tunes += session.FailInFlightTuning();
     } else if (action == 13) {
       extracted.clear();
-      extracted_keys.clear();
-      moved += session.ExtractQueued(&extracted, &extracted_keys);
-      ASSERT_EQ(extracted.size(), extracted_keys.size());
-      for (size_t i = 0; i < extracted.size(); ++i) {
-        EXPECT_EQ(extracted_keys[i], engine.planner().CanonicalKey(extracted[i].spec));
+      const size_t count = session.ExtractQueued(&extracted);
+      ASSERT_EQ(extracted.size(), count);
+      moved += count;
+      for (const KeyedRequest& keyed : extracted) {
+        EXPECT_EQ(keyed.key, engine.planner().CanonicalKey(keyed.request.spec));
       }
       expect_in_step("extract queued");
     } else if (action == 14) {
       extracted.clear();
-      extracted_keys.clear();
-      moved += session.ExtractPending(&extracted, &extracted_keys);
-      ASSERT_EQ(extracted.size(), extracted_keys.size());
-      for (size_t i = 0; i < extracted.size(); ++i) {
-        EXPECT_EQ(extracted_keys[i], engine.planner().CanonicalKey(extracted[i].spec));
+      const size_t count = session.ExtractPending(&extracted);
+      ASSERT_EQ(extracted.size(), count);
+      moved += count;
+      for (const KeyedRequest& keyed : extracted) {
+        EXPECT_EQ(keyed.key, engine.planner().CanonicalKey(keyed.request.spec));
       }
       expect_in_step("extract pending");
     } else if (!events.empty()) {

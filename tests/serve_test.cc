@@ -368,13 +368,12 @@ TEST(RequestQueueTest, LaneGrowthPastWrapAroundKeepsFifoOrder) {
   EXPECT_EQ(PopSequence(&queue, 4, 2), "b:48,49 a:34");
   EXPECT_EQ(seen, (std::vector<std::string>{"a@34x11 b@48x2 ", "a@34x11 "}));
   queue.SetLanePicker(nullptr);
-  std::vector<ServeRequest> drained;
-  std::vector<uint64_t> keys;
-  EXPECT_EQ(queue.DrainInto(&drained, &keys), 10u);
+  std::vector<KeyedRequest> drained;
+  EXPECT_EQ(queue.DrainInto(&drained), 10u);
   std::string order;
-  for (size_t i = 0; i < drained.size(); ++i) {
-    order += drained[i].tenant + ":" + std::to_string(drained[i].id) + "/" +
-             std::to_string(keys[i]) + " ";
+  for (const KeyedRequest& keyed : drained) {
+    order += keyed.request.tenant + ":" + std::to_string(keyed.request.id) + "/" +
+             std::to_string(keyed.key) + " ";
   }
   EXPECT_EQ(order, "a:36/118 a:37/118 a:38/119 a:39/119 a:41/120 a:42/121 a:43/121 "
                    "a:44/122 a:46/123 a:47/123 ");
@@ -682,6 +681,9 @@ struct LedgerCase {
   // Every tune in flight fails right after each admission, and the retry
   // budget is zero: the first failure degrades the batch.
   bool fail_tunes = false;
+  // Every spec carries the engine's own options: no run is memoized
+  // (OverlapEngine::ExecuteMemoizedTiming), and nothing else changes.
+  bool unmemoized = false;
 };
 
 std::string PlanHitLedger(const LedgerCase& c) {
@@ -692,6 +694,9 @@ std::string PlanHitLedger(const LedgerCase& c) {
   std::vector<uint64_t> keys;
   for (int k = 0; k < 4; ++k) {
     specs.push_back(SmallSpec(1024 + 512 * k));
+    if (c.unmemoized) {
+      specs.back().options = engine.options();
+    }
     keys.push_back(engine.planner().CanonicalKey(specs.back()));
   }
   std::string removed;
@@ -722,6 +727,9 @@ std::string PlanHitLedger(const LedgerCase& c) {
     });
   }
   events.RunToCompletion();
+  if (c.unmemoized) {
+    EXPECT_EQ(engine.run_memo_size(), 0u);
+  }
   const ServeReport& report = session.report();
   std::string ledger;
   for (const RequestRecord& record : report.stats.records()) {
@@ -752,7 +760,7 @@ TEST(PlanHitAccountingTest, LedgerIsPinnedAcrossWarmColdEvictedUnmemoizedAndDegr
             "0m 2m 3m 1m 5H 6H 4m 7m 8m 9m 11m 10m 12m 13m 14m 15m 16m 17m 18m 19m "
             "| batches 16 cold 14 | store 7/23/21 removed 021230230321031032012");
   LedgerCase unmemoized = bounded;
-  unmemoized.config.memoize_runs = false;
+  unmemoized.unmemoized = true;
   EXPECT_EQ(PlanHitLedger(unmemoized), PlanHitLedger(bounded));
   LedgerCase degraded;
   degraded.fail_tunes = true;
