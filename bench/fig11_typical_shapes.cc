@@ -27,13 +27,17 @@ void Run() {
     specs.push_back(ScenarioSpec::Overlap(shape, prim));
     specs.push_back(ScenarioSpec::NonOverlap(shape, prim));
   }
-  const std::vector<OverlapRun> runs = engine.RunBatch(specs);
+  std::vector<OverlapRun> runs;
+  for (const ScenarioSpec& spec : specs) {
+    runs.push_back(engine.Execute(spec));
+  }
   const size_t searches_cold = engine.tuner().search_count();
   // A second sweep is served entirely from the plan cache: zero tuner
   // searches in-band, every plan a cache hit.
   engine.planner().ResetStats();
-  const std::vector<OverlapRun> warm_runs = engine.RunBatch(specs);
-  (void)warm_runs;
+  for (const ScenarioSpec& spec : specs) {
+    engine.Execute(spec);
+  }
 
   Table table({"M", "N", "K", "FlashOverlap", "FLUX", "cuBLASMp", "Async-TP", "VanillaDecomp",
                "winner"});

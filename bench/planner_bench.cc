@@ -1,6 +1,6 @@
 // Planner performance benchmark: branch-and-bound tuner search vs a
 // bench-local enumerate-then-evaluate baseline (EnumeratePruned, then
-// PredictOverlapLatency per candidate), plus cold/warm RunBatch sweeps.
+// PredictOverlapLatency per candidate), plus cold/warm Execute sweeps.
 //
 // Shapes are chosen to land at 30+ effective waves on the 8x A800 cluster —
 // the regime where the baseline materializes the full 65536-candidate
@@ -226,9 +226,13 @@ std::vector<ScenarioSpec> SweepSpecs(const std::vector<GemmShape>& shapes) {
   return specs;
 }
 
-double TimeRunBatch(OverlapEngine* engine, const std::vector<ScenarioSpec>& specs) {
+// One sweep: each spec through Execute. The JSON keeps its runbatch_*
+// field names so trajectory points stay comparable.
+double TimeSweep(OverlapEngine* engine, const std::vector<ScenarioSpec>& specs) {
   const Clock::time_point start = Clock::now();
-  engine->RunBatch(specs);
+  for (const ScenarioSpec& spec : specs) {
+    engine->Execute(spec);
+  }
   return SecondsSince(start);
 }
 
@@ -305,12 +309,12 @@ bool Run(bool smoke, const std::string& history_path) {
   // Cold vs warm batch sweeps through the full planner pipeline.
   const std::vector<ScenarioSpec> specs = SweepSpecs(shapes);
   OverlapEngine cold_engine(cluster, bnb_config, EngineOptions{.jitter = false});
-  const double cold_us = TimeRunBatch(&cold_engine, specs) * 1e6;
+  const double cold_us = TimeSweep(&cold_engine, specs) * 1e6;
   const size_t searches_after_cold = cold_engine.tuner().search_count();
-  const double warm_us = TimeRunBatch(&cold_engine, specs) * 1e6;
+  const double warm_us = TimeSweep(&cold_engine, specs) * 1e6;
   // A warm sweep must not search at all; the JSON records the proof.
   const size_t warm_searches = cold_engine.tuner().search_count() - searches_after_cold;
-  std::printf("RunBatch over %zu specs: cold %.0f us, warm %.0f us (%zu warm searches)\n",
+  std::printf("Sweep over %zu specs: cold %.0f us, warm %.0f us (%zu warm searches)\n",
               specs.size(), cold_us, warm_us, warm_searches);
 
   char line[2048];

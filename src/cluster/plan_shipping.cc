@@ -1,10 +1,10 @@
 #include "src/cluster/plan_shipping.h"
 
-#include <fstream>
 #include <iterator>
 #include <utility>
 
 #include "src/util/check.h"
+#include "src/util/file.h"
 #include "src/util/logging.h"
 
 namespace flo {
@@ -161,12 +161,7 @@ std::string PlanShipper::SerializeSnapshot() const {
 }
 
 bool PlanShipper::SaveSnapshot(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) {
-    return false;
-  }
-  file << SerializeSnapshot();
-  return static_cast<bool>(file);
+  return WriteStringToFile(path, SerializeSnapshot());
 }
 
 size_t PlanShipper::ImportSnapshot(const std::string& text) {

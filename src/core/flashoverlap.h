@@ -10,10 +10,9 @@
 //       flo::ScenarioSpec::NonOverlap(shape, flo::CommPrimitive::kAllReduce));
 //   double speedup = base.total_us / run.total_us;
 //
-// Many scenarios sweep through one call (plans are cached, a warm sweep
+// Many scenarios sweep through one engine (plans are cached, a warm sweep
 // never searches):
-//   std::vector<flo::ScenarioSpec> specs = ...;
-//   std::vector<flo::OverlapRun> runs = engine.RunBatch(specs);
+//   for (const flo::ScenarioSpec& spec : specs) runs.push_back(engine.Execute(spec));
 //
 // For numerically verified execution on real buffers, use
 // flo::FunctionalOverlap.

@@ -125,15 +125,6 @@ OverlapRun OverlapEngine::ExecuteInternal(const ScenarioSpec& spec, uint64_t key
   return run;
 }
 
-std::vector<OverlapRun> OverlapEngine::RunBatch(std::span<const ScenarioSpec> specs) {
-  std::vector<OverlapRun> runs;
-  runs.reserve(specs.size());
-  for (const ScenarioSpec& spec : specs) {
-    runs.push_back(Execute(spec));
-  }
-  return runs;
-}
-
 SimTime OverlapEngine::TheoreticalBest(const GemmShape& shape, CommPrimitive primitive) {
   PredictorSetup setup = tuner_.MakeSetup(shape, primitive);
   return TheoreticalOverlapLatency(setup);

@@ -4,14 +4,13 @@
 // Describe what to run as a ScenarioSpec (declarative: per-rank shapes,
 // primitive, ablation knobs, optional forced partition and per-scenario
 // options); the planner turns it into a cached ExecutionPlan; the executor
-// replays the plan on the simulated cluster. RunBatch sweeps many specs
-// through one shared executor, reusing cached plans — a warm sweep
-// performs zero tuner searches.
+// replays the plan on the simulated cluster. Successive Execute calls
+// share one executor and reuse cached plans, so a warm sweep performs
+// zero tuner searches.
 #ifndef SRC_CORE_OVERLAP_ENGINE_H_
 #define SRC_CORE_OVERLAP_ENGINE_H_
 
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -101,11 +100,6 @@ class OverlapEngine {
   // hit copies nothing (no OverlapRun, no partition vector): the warm
   // serving path's execute is one store lookup and one memo lookup.
   RunTiming ExecuteMemoizedTiming(const ScenarioSpec& spec, uint64_t key);
-
-  // Sweeps many scenarios through the shared executor. Plans are reused
-  // across calls via the PlanStore, so repeating a sweep performs zero
-  // tuner searches; planner().stats() exposes the hit/miss counts.
-  std::vector<OverlapRun> RunBatch(std::span<const ScenarioSpec> specs);
 
   // Perfect-overlap bound (Sec. 6.4).
   SimTime TheoreticalBest(const GemmShape& shape, CommPrimitive primitive);

@@ -1,114 +1,333 @@
 #include "src/core/plan_store.h"
 
-#include <fstream>
-#include <sstream>
+#include <charconv>
+#include <cmath>
+#include <limits>
+#include <string_view>
 #include <utility>
 
 #include "src/obs/metrics.h"
-#include "src/util/check.h"
 #include "src/util/file.h"
 #include "src/util/logging.h"
-#include "src/util/parse.h"
 #include "src/util/table.h"
 
 namespace flo {
 namespace {
 
-// 16 lower-case hex digits, as "%016llx" writes them.
-std::string KeyToken(uint64_t key) {
-  std::string token(16, '0');
-  for (size_t i = token.size(); i-- > 0; key >>= 4) {
-    token[i] = "0123456789abcdef"[key & 0xf];
+// The snapshot codec. Each line kind (grammar in plan_store.h) is one
+// field list, a template over an Io: LineWriter walks it to append
+// the line, LineReader walks it to read the line back. A field type has
+// one spelling, LineWriter's, and LineReader accepts a line only when
+// LineWriter, given the values read, writes that line back, so whatever
+// parses re-exports as the same bytes.
+
+// Whether `line` starts with `tag`, then a space.
+bool Tagged(std::string_view line, std::string_view tag) {
+  return line.size() > tag.size() && line.starts_with(tag) && line[tag.size()] == ' ';
+}
+
+// Appends the tag, then each field after one space: a 16-digit lower-case
+// hex key, a decimal integer, a %.17g double, comma-separated integers or
+// an enum name. End() writes the newline. Lower bounds are the reader's.
+class LineWriter {
+ public:
+  explicit LineWriter(std::string* out) : out_(out) {}
+
+  bool Begin(std::string_view tag) {
+    out_->append(tag);
+    return true;
   }
-  return token;
-}
-
-// Each value parses only when spelled exactly as the serializers write it
-// (no sign or leading zeros on an integer, a 16-digit lower-case key, a
-// %.17g double), so every record that parses re-exports as the same bytes.
-template <typename T, typename Format>
-std::optional<T> IfCanonical(const std::string& text, std::optional<T> value, Format format) {
-  if (!value || format(*value) != text) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-std::optional<int> CanonicalInt(const std::string& text) {
-  return IfCanonical(text, TryParseInt(text), [](int v) { return std::to_string(v); });
-}
-
-std::optional<int64_t> CanonicalInt64(const std::string& text) {
-  return IfCanonical(text, TryParseInt64(text), [](int64_t v) { return std::to_string(v); });
-}
-
-std::optional<uint64_t> CanonicalKey(const std::string& text) {
-  return IfCanonical(text, TryParseHexU64(text), KeyToken);
-}
-
-std::optional<double> CanonicalDouble(const std::string& text) {
-  return IfCanonical(text, TryParseDouble(text), FormatDoubleExact);
-}
-
-std::string PartitionToCsv(const WavePartition& partition) {
-  std::string out;
-  for (size_t i = 0; i < partition.group_sizes.size(); ++i) {
-    if (i != 0) {
-      out += ',';
+  bool Key(uint64_t key) {
+    char digits[16];
+    for (int i = 15; i >= 0; --i, key >>= 4) {
+      digits[i] = "0123456789abcdef"[key & 0xf];
     }
-    out += std::to_string(partition.group_sizes[i]);
+    return Field(std::string_view(digits, sizeof(digits)));
   }
-  return out;
+  template <typename T>
+  bool Int(T value, T /*min*/ = T()) {
+    out_->push_back(' ');
+    return Append(value);
+  }
+  bool Double(double value) { return Field(FormatDoubleExact(value)); }
+  bool Ints(const std::vector<int>& values, int /*min*/ = 0) {
+    out_->push_back(' ');
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (i != 0) {
+        out_->push_back(',');
+      }
+      Append(values[i]);
+    }
+    return true;
+  }
+  bool Name(ScenarioKind kind) { return Field(ScenarioKindName(kind)); }
+  bool Name(CommPrimitive primitive) { return Field(CommPrimitiveName(primitive)); }
+  bool End() {
+    out_->push_back('\n');
+    return true;
+  }
+  template <typename Row, typename Line>
+  bool Each(const std::vector<Row>& rows, Line line) {
+    for (const Row& row : rows) {
+      line(row);
+    }
+    return true;
+  }
+
+ private:
+  bool Field(std::string_view text) {
+    out_->push_back(' ');
+    out_->append(text);
+    return true;
+  }
+  template <typename T>
+  bool Append(T value) {
+    char buffer[24];
+    out_->append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
+    return true;
+  }
+
+  std::string* out_;
+};
+
+// Reads the lines of `text` that `visit` selects, field by field: each
+// field decodes its token and echoes the value through a LineWriter, and
+// End() accepts the line only when the echo is the line. A Begin() whose
+// tag does not match is no failure (Each() stops there); any other
+// mismatch is.
+class LineReader {
+ public:
+  LineReader(std::string_view text, bool (*visit)(std::string_view))
+      : rest_(text), visit_(visit) {
+    Next();
+  }
+
+  bool done() const { return done_; }
+
+  bool Begin(std::string_view tag) {
+    if (done_ || !(line_ == tag || Tagged(line_, tag))) {
+      return false;
+    }
+    pos_ = tag.size();
+    echo_.clear();
+    return Echo().Begin(tag);
+  }
+  bool Key(uint64_t& key) { return Check(Decode(Token(), key, 16)) && Echo().Key(key); }
+  template <typename T>
+  bool Int(T& value, T min = std::numeric_limits<T>::lowest()) {
+    return Check(Decode(Token(), value) && value >= min) && Echo().Int(value);
+  }
+  bool Double(double& value) {
+    return Check(Decode(Token(), value) && std::isfinite(value)) && Echo().Double(value);
+  }
+  bool Ints(std::vector<int>& values, int min = std::numeric_limits<int>::lowest()) {
+    const std::string_view token = Token();
+    values.clear();
+    for (size_t start = 0; start <= token.size();) {
+      const size_t comma = std::min(token.find(',', start), token.size());
+      if (!Check(Decode(token.substr(start, comma - start), values.emplace_back()) &&
+                 values.back() >= min)) {
+        return false;
+      }
+      start = comma + 1;
+    }
+    return Echo().Ints(values);
+  }
+  bool Name(ScenarioKind& kind) { return Named(TryScenarioKindFromName, kind); }
+  bool Name(CommPrimitive& primitive) { return Named(TryCommPrimitiveFromName, primitive); }
+  bool End() {
+    if (!Check(echo_ == line_)) {
+      return false;
+    }
+    Next();
+    return true;
+  }
+  // Reads rows while the current line has the row's tag.
+  template <typename Row, typename Line>
+  bool Each(std::vector<Row>& rows, Line line) {
+    while (line(rows.emplace_back())) {
+    }
+    rows.pop_back();
+    return !failed_;
+  }
+
+ private:
+  void Next() {
+    while (!rest_.empty()) {
+      const size_t end = std::min(rest_.find('\n'), rest_.size());
+      line_ = rest_.substr(0, end);
+      rest_.remove_prefix(std::min(end + 1, rest_.size()));
+      if (visit_(line_)) {
+        return;
+      }
+    }
+    done_ = true;
+  }
+  // The text after the space at the current position, up to the next
+  // space or the end of the line.
+  std::string_view Token() {
+    const size_t start = std::min(pos_ + 1, line_.size());
+    pos_ = std::min(line_.find(' ', start), line_.size());
+    return line_.substr(start, pos_ - start);
+  }
+  template <typename T, typename... Base>
+  static bool Decode(std::string_view token, T& value, Base... base) {
+    const char* last = token.data() + token.size();
+    const auto [end, error] = std::from_chars(token.data(), last, value, base...);
+    return error == std::errc() && end == last;
+  }
+  template <typename Parse, typename T>
+  bool Named(Parse parse, T& value) {
+    const auto parsed = parse(std::string(Token()));
+    if (parsed.has_value()) {
+      value = *parsed;
+    }
+    return Check(parsed.has_value()) && Echo().Name(value);
+  }
+  LineWriter Echo() { return LineWriter(&echo_); }
+  bool Check(bool ok) {
+    failed_ = failed_ || !ok;
+    return ok;
+  }
+
+  std::string_view rest_;
+  bool (*visit_)(std::string_view);
+  std::string_view line_;
+  size_t pos_ = 0;
+  bool done_ = false;
+  bool failed_ = false;
+  std::string echo_;
+};
+
+// The line kinds: each one's tag and fields, in order.
+
+template <typename Io, typename Key, typename Plan>
+bool PlanLine(Io& io, Key& key, Plan& plan) {
+  return io.Begin("plan") && io.Key(key) && io.Name(plan.kind) && io.Name(plan.primitive) &&
+         io.Ints(plan.partition.group_sizes, 1) && io.Double(plan.predicted_us) &&
+         io.Double(plan.predicted_non_overlap_us) && io.End();
 }
 
-// Splits `text` at every `separator`: a record line at single spaces, a
-// CSV field at commas. Empty when any field is empty (a doubled separator,
-// or one at either end): no serializer writes one, and accepting it would
-// re-export different bytes. Only the separator splits, so a tab or a
-// trailing '\r' stays inside a field and fails that field's parse.
-std::vector<std::string> SplitFields(const std::string& text, char separator) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  while (true) {
-    const size_t end = text.find(separator, start);
-    fields.push_back(text.substr(start, end - start));
-    if (fields.back().empty()) {
-      return {};
-    }
-    if (end == std::string::npos) {
-      return fields;
-    }
-    start = end + 1;
-  }
+template <typename Io, typename Tiles>
+bool TilesLine(Io& io, Tiles& tiles) {
+  return io.Begin("tiles") && io.Ints(tiles) && io.End();
 }
 
-// Splits "a,b,c" into ints, each spelled canonically.
-std::optional<std::vector<int>> IntsFromCsv(const std::string& text) {
-  std::vector<int> values;
-  for (const std::string& field : SplitFields(text, ',')) {
-    const auto value = CanonicalInt(field);
-    if (!value) {
+template <typename Io, typename Segment>
+bool SegLine(Io& io, Segment& segment) {
+  return io.Begin("seg") && io.Int(segment.group) && io.Double(segment.max_bytes) &&
+         io.Double(segment.latency_us) && io.End();
+}
+
+template <typename Io>
+bool EndLine(Io& io) {
+  return io.Begin("end") && io.End();
+}
+
+constexpr std::string_view kTunerTag = "#tuner";
+
+template <typename Io, typename Key, typename Plan>
+bool TunerLine(Io& io, Key& key, Plan& plan) {
+  return io.Begin(kTunerTag) && io.Key(key) && io.Int(plan.shape.m, int64_t{1}) &&
+         io.Int(plan.shape.n, int64_t{1}) && io.Int(plan.shape.k, int64_t{1}) &&
+         io.Name(plan.primitive) && io.Ints(plan.partition.group_sizes, 1) &&
+         io.Double(plan.predicted_us) && io.Double(plan.predicted_non_overlap_us) && io.End();
+}
+
+template <typename Io, typename Count>
+bool CountLine(Io& io, std::string_view tag, Count& count) {
+  return io.Begin(tag) && io.Int(count) && io.End();
+}
+
+// A snapshot's two tiers: which lines hold their records, their count
+// footer's tag, and the lines of one record.
+struct PlanTier {
+  using Value = ExecutionPlan;
+  static constexpr std::string_view kCountTag = "# count";
+  static bool IsRecordLine(std::string_view line) { return !line.empty() && line[0] != '#'; }
+  template <typename Io, typename Key, typename Plan>
+  static bool Record(Io& io, Key& key, Plan& plan) {
+    return PlanLine(io, key, plan) &&
+           io.Each(plan.group_tiles, [&io](auto& tiles) { return TilesLine(io, tiles); }) &&
+           io.Each(plan.segments, [&io](auto& segment) { return SegLine(io, segment); }) &&
+           EndLine(io);
+  }
+};
+
+struct TunerTier {
+  using Value = StoredPlan;
+  static constexpr std::string_view kCountTag = "#tuner-count";
+  static bool IsRecordLine(std::string_view line) { return Tagged(line, kTunerTag); }
+  template <typename Io, typename Key, typename Plan>
+  static bool Record(Io& io, Key& key, Plan& plan) {
+    return TunerLine(io, key, plan);
+  }
+};
+
+// Appends a tier's records in the entries' order, then its count footer.
+template <typename Tier, typename Entries>
+void WriteTier(std::string* out, const Entries& entries) {
+  LineWriter writer(out);
+  for (const auto& [key, value] : entries) {
+    Tier::Record(writer, key, value);
+  }
+  const size_t count = entries.size();
+  CountLine(writer, Tier::kCountTag, count);
+}
+
+// A tier's records in text order, or std::nullopt when a record is
+// malformed, its key is not greater than the previous record's, or a count
+// footer disagrees with the number of records.
+template <typename Tier>
+std::optional<std::vector<std::pair<uint64_t, typename Tier::Value>>> ReadTier(
+    std::string_view text) {
+  std::vector<std::pair<uint64_t, typename Tier::Value>> entries;
+  for (LineReader records(text, Tier::IsRecordLine); !records.done();) {
+    auto& [key, value] = entries.emplace_back();
+    if (!Tier::Record(records, key, value) ||
+        (entries.size() > 1 && key <= entries[entries.size() - 2].first)) {
       return std::nullopt;
     }
-    values.push_back(*value);
   }
-  if (values.empty()) {
-    return std::nullopt;
-  }
-  return values;
-}
-
-std::optional<WavePartition> PartitionFromCsv(const std::string& text) {
-  auto sizes = IntsFromCsv(text);
-  if (!sizes) {
-    return std::nullopt;
-  }
-  for (const int size : *sizes) {
-    if (size <= 0) {
+  const auto is_count_line = [](std::string_view line) { return Tagged(line, Tier::kCountTag); };
+  for (LineReader counts(text, is_count_line); !counts.done();) {
+    size_t count = 0;
+    if (!CountLine(counts, Tier::kCountTag, count) || count != entries.size()) {
       return std::nullopt;
     }
   }
-  return WavePartition{std::move(*sizes)};
+  return entries;
+}
+
+// A loadable plan must be internally consistent, not just syntactically
+// valid: the executor FLO_CHECKs would otherwise abort the process on the
+// first Execute against a hand-edited or bit-rotted record.
+bool StructurallyValid(const ExecutionPlan& plan) {
+  if (plan.group_tiles.empty()) {
+    return false;
+  }
+  const size_t group_count = plan.group_tiles[0].size();
+  if (group_count == 0 || plan.segments.size() != group_count) {
+    return false;
+  }
+  for (const auto& tiles : plan.group_tiles) {
+    if (tiles.size() != group_count) {
+      return false;
+    }
+    for (int count : tiles) {
+      if (count <= 0) {
+        return false;
+      }
+    }
+  }
+  for (size_t g = 0; g < plan.segments.size(); ++g) {
+    const CommSegment& segment = plan.segments[g];
+    if (segment.group != static_cast<int>(g) || segment.max_bytes < 0.0 ||
+        segment.latency_us < 0.0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -304,75 +523,11 @@ void PlanStore::ExportMetrics(MetricsRegistry* registry) const {
                 static_cast<double>(snapshot.evictions));
   registry->Set(registry->Gauge("plan_store.resident"), static_cast<double>(size()));
 }
-
-namespace {
-
-// A loadable plan must be internally consistent, not just syntactically
-// valid: the executor FLO_CHECKs would otherwise abort the process on the
-// first Execute against a hand-edited or bit-rotted record.
-bool StructurallyValid(const ExecutionPlan& plan) {
-  if (plan.group_tiles.empty()) {
-    return false;
-  }
-  const size_t group_count = plan.group_tiles[0].size();
-  if (group_count == 0 || plan.segments.size() != group_count) {
-    return false;
-  }
-  for (const auto& tiles : plan.group_tiles) {
-    if (tiles.size() != group_count) {
-      return false;
-    }
-    for (int count : tiles) {
-      if (count <= 0) {
-        return false;
-      }
-    }
-  }
-  for (size_t g = 0; g < plan.segments.size(); ++g) {
-    const CommSegment& segment = plan.segments[g];
-    if (segment.group != static_cast<int>(g) || segment.max_bytes < 0.0 ||
-        segment.latency_us < 0.0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// One multi-line record in the store's text format.
-void AppendRecord(std::ostringstream& out, uint64_t key, const ExecutionPlan& plan) {
-  out << "plan " << KeyToken(key) << ' ' << ScenarioKindName(plan.kind) << ' '
-      << CommPrimitiveName(plan.primitive) << ' ' << PartitionToCsv(plan.partition) << ' '
-      << FormatDoubleExact(plan.predicted_us) << ' ' << FormatDoubleExact(plan.predicted_non_overlap_us)
-      << '\n';
-  for (const auto& tiles : plan.group_tiles) {
-    out << "tiles ";
-    for (size_t g = 0; g < tiles.size(); ++g) {
-      out << (g == 0 ? "" : ",") << tiles[g];
-    }
-    out << "\n";
-  }
-  for (const auto& segment : plan.segments) {
-    out << "seg " << segment.group << ' ' << FormatDoubleExact(segment.max_bytes) << ' '
-        << FormatDoubleExact(segment.latency_us) << '\n';
-  }
-  out << "end\n";
-}
-
-}  // namespace
-
 std::string PlanStore::Serialize() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
-  out << "# FlashOverlap execution plans: keyed by canonical scenario hash\n";
-  for (const auto& [key, plan] : plans_) {
-    AppendRecord(out, key, plan);
-  }
-  // Trailing record-count footer. Syntactically a comment (older parsers
-  // skip it); Parse validates it when present, so a snapshot truncated at
-  // a record boundary — every record intact, some missing — is rejected
-  // whole instead of silently importing a subset.
-  out << "# count " << plans_.size() << '\n';
-  return out.str();
+  std::string out = "# FlashOverlap execution plans: keyed by canonical scenario hash\n";
+  WriteTier<PlanTier>(&out, plans_);
+  return out;
 }
 
 std::optional<std::string> PlanStore::ExportRecord(uint64_t key) const {
@@ -381,9 +536,10 @@ std::optional<std::string> PlanStore::ExportRecord(uint64_t key) const {
   if (it == plans_.end()) {
     return std::nullopt;
   }
-  std::ostringstream out;
-  AppendRecord(out, key, it->second);
-  return out.str();
+  std::string out;
+  LineWriter writer(&out);
+  PlanTier::Record(writer, it->first, it->second);
+  return out;
 }
 
 size_t PlanStore::ImportRecords(const std::string& text) {
@@ -403,115 +559,22 @@ size_t PlanStore::ImportRecords(const std::string& text) {
 }
 
 std::optional<PlanStore> PlanStore::Parse(const std::string& text) {
+  auto records = ReadTier<PlanTier>(text);
+  if (!records.has_value()) {
+    return std::nullopt;
+  }
   PlanStore store;
-  std::stringstream stream(text);
-  std::string line;
-  bool in_record = false;
-  uint64_t key = 0;
-  size_t records = 0;
-  // Declared record count from a "# count N" footer, when one is present
-  // (snapshots written by Serialize carry it; hand-written record text and
-  // single-record shipments need not).
-  std::optional<size_t> declared_count;
-  ExecutionPlan plan;
-  while (std::getline(stream, line)) {
-    if (line.empty() || line[0] == '#') {
-      constexpr const char kCountTag[] = "# count ";
-      if (line.rfind(kCountTag, 0) == 0) {
-        const auto parsed = CanonicalInt(line.substr(sizeof(kCountTag) - 1));
-        if (!parsed || *parsed < 0) {
-          return std::nullopt;
-        }
-        declared_count = static_cast<size_t>(*parsed);
-      }
-      continue;
-    }
-    // A record line is its tag and exactly its fields, one space apart.
-    const std::vector<std::string> fields = SplitFields(line, ' ');
-    if (fields.empty()) {
+  for (auto& [key, plan] : *records) {
+    if (!StructurallyValid(plan)) {
       return std::nullopt;
     }
-    const std::string& tag = fields[0];
-    if (tag == "plan") {
-      if (in_record || fields.size() != 7) {
-        return std::nullopt;  // previous record never closed, or malformed
-      }
-      const auto parsed_key = CanonicalKey(fields[1]);
-      if (!parsed_key) {
-        return std::nullopt;
-      }
-      key = *parsed_key;
-      const auto parsed_predicted = CanonicalDouble(fields[5]);
-      const auto parsed_non_overlap = CanonicalDouble(fields[6]);
-      if (!parsed_predicted || !parsed_non_overlap) {
-        return std::nullopt;
-      }
-      plan.predicted_us = *parsed_predicted;
-      plan.predicted_non_overlap_us = *parsed_non_overlap;
-      const auto parsed_kind = TryScenarioKindFromName(fields[2]);
-      const auto parsed_primitive = TryCommPrimitiveFromName(fields[3]);
-      const auto parsed_partition = PartitionFromCsv(fields[4]);
-      if (!parsed_kind || !parsed_primitive || !parsed_partition) {
-        return std::nullopt;
-      }
-      plan.kind = *parsed_kind;
-      plan.primitive = *parsed_primitive;
-      plan.partition = std::move(*parsed_partition);
-      in_record = true;
-    } else if (tag == "tiles") {
-      if (!in_record || fields.size() != 2) {
-        return std::nullopt;
-      }
-      auto tiles = IntsFromCsv(fields[1]);
-      if (!tiles) {
-        return std::nullopt;
-      }
-      plan.group_tiles.push_back(std::move(*tiles));
-    } else if (tag == "seg") {
-      if (!in_record || fields.size() != 4) {
-        return std::nullopt;
-      }
-      const auto parsed_group = CanonicalInt(fields[1]);
-      const auto parsed_bytes = CanonicalDouble(fields[2]);
-      const auto parsed_latency = CanonicalDouble(fields[3]);
-      if (!parsed_group || !parsed_bytes || !parsed_latency) {
-        return std::nullopt;
-      }
-      CommSegment segment;
-      segment.group = *parsed_group;
-      segment.max_bytes = *parsed_bytes;
-      segment.latency_us = *parsed_latency;
-      plan.segments.push_back(segment);
-    } else if (tag == "end") {
-      if (!in_record || fields.size() != 1 || !StructurallyValid(plan)) {
-        return std::nullopt;
-      }
-      store.Put(key, std::move(plan));
-      ++records;
-      plan = ExecutionPlan{};
-      in_record = false;
-    } else {
-      return std::nullopt;
-    }
-  }
-  if (in_record) {
-    return std::nullopt;
-  }
-  if (declared_count.has_value() && records != *declared_count) {
-    // Truncated at a record boundary (or padded): the byte stream is
-    // incomplete even though every surviving record parsed.
-    return std::nullopt;
+    store.Put(key, std::move(plan));
   }
   return store;
 }
 
 bool PlanStore::SaveToFile(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) {
-    return false;
-  }
-  file << Serialize();
-  return static_cast<bool>(file);
+  return WriteStringToFile(path, Serialize());
 }
 
 std::optional<PlanStore> PlanStore::LoadFromFile(const std::string& path) {
@@ -523,69 +586,14 @@ std::optional<PlanStore> PlanStore::LoadFromFile(const std::string& path) {
 }
 
 std::string SerializeTunerTier(const std::vector<std::pair<uint64_t, StoredPlan>>& plans) {
-  std::ostringstream out;
-  for (const auto& [key, plan] : plans) {
-    out << "#tuner " << KeyToken(key) << ' ' << plan.shape.m << ' ' << plan.shape.n << ' '
-        << plan.shape.k << ' ' << CommPrimitiveName(plan.primitive) << ' '
-        << PartitionToCsv(plan.partition) << ' ' << FormatDoubleExact(plan.predicted_us)
-        << ' ' << FormatDoubleExact(plan.predicted_non_overlap_us) << '\n';
-  }
-  out << "#tuner-count " << plans.size() << '\n';
-  return out.str();
+  std::string out;
+  WriteTier<TunerTier>(&out, plans);
+  return out;
 }
 
 std::optional<std::vector<std::pair<uint64_t, StoredPlan>>> ParseTunerTier(
     const std::string& text) {
-  std::vector<std::pair<uint64_t, StoredPlan>> plans;
-  std::stringstream stream(text);
-  std::string line;
-  std::optional<size_t> declared_count;
-  constexpr const char kRecordTag[] = "#tuner ";
-  constexpr const char kCountTag[] = "#tuner-count ";
-  while (std::getline(stream, line)) {
-    if (line.rfind(kCountTag, 0) == 0) {
-      const auto parsed = CanonicalInt(line.substr(sizeof(kCountTag) - 1));
-      if (!parsed || *parsed < 0) {
-        return std::nullopt;
-      }
-      declared_count = static_cast<size_t>(*parsed);
-      continue;
-    }
-    if (line.rfind(kRecordTag, 0) != 0) {
-      continue;  // plan-tier record or ordinary comment
-    }
-    const std::vector<std::string> fields =
-        SplitFields(line.substr(sizeof(kRecordTag) - 1), ' ');
-    if (fields.size() != 8) {
-      return std::nullopt;
-    }
-    const auto parsed_key = CanonicalKey(fields[0]);
-    const auto parsed_m = CanonicalInt64(fields[1]);
-    const auto parsed_n = CanonicalInt64(fields[2]);
-    const auto parsed_k = CanonicalInt64(fields[3]);
-    if (!parsed_key || !parsed_m || !parsed_n || !parsed_k || *parsed_m <= 0 || *parsed_n <= 0 ||
-        *parsed_k <= 0) {
-      return std::nullopt;
-    }
-    StoredPlan plan;
-    plan.shape = GemmShape{*parsed_m, *parsed_n, *parsed_k};
-    const auto parsed_primitive = TryCommPrimitiveFromName(fields[4]);
-    auto parsed_partition = PartitionFromCsv(fields[5]);
-    const auto parsed_predicted = CanonicalDouble(fields[6]);
-    const auto parsed_non_overlap = CanonicalDouble(fields[7]);
-    if (!parsed_primitive || !parsed_partition || !parsed_predicted || !parsed_non_overlap) {
-      return std::nullopt;
-    }
-    plan.primitive = *parsed_primitive;
-    plan.partition = std::move(*parsed_partition);
-    plan.predicted_us = *parsed_predicted;
-    plan.predicted_non_overlap_us = *parsed_non_overlap;
-    plans.emplace_back(*parsed_key, std::move(plan));
-  }
-  if (declared_count.has_value() && plans.size() != *declared_count) {
-    return std::nullopt;
-  }
-  return plans;
+  return ReadTier<TunerTier>(text);
 }
 
 }  // namespace flo

@@ -8,6 +8,31 @@
 // process can start with every scenario pre-planned, and the tuner tier,
 // the tuner's (shape, primitive) -> partition cache as keyed StoredPlans
 // carried in the same snapshot file.
+//
+// Snapshot text, both tiers. The plan tier (PlanStore::Serialize) is a
+// comment line, one multi-line record per plan, and a count footer:
+//   plan <key> <kind> <primitive> <partition-csv> <predicted_us> <non_overlap_us>
+//   tiles <csv>                            one line per rank: tiles per group
+//   seg <group> <max_bytes> <latency_us>   one line per group
+//   end
+//   # count <records>
+// The tuner tier (SerializeTunerTier) is one line per StoredPlan and a
+// count footer, every line '#'-prefixed, so the plan tier reads a combined
+// file as comments and a snapshot without the tier reads as an empty one:
+//   #tuner <key> <m> <n> <k> <primitive> <partition-csv> <predicted_us> <non_overlap_us>
+//   #tuner-count <records>
+// One codec writes and reads every line, and a line parses only when
+// spelled exactly as it is written: fields one space apart; a key as 16
+// lower-case hex digits; integers in plain decimal, with no '+' or
+// leading zero (shapes and partition sizes positive, counts not
+// negative); doubles finite, in %.17g form; kinds and primitives by their
+// canonical names. Within a
+// tier each record's key must be greater than the previous record's, the
+// order every serializer writes. A count footer, when present, must match
+// its tier's record count, so a text truncated at a record boundary is
+// rejected whole. Other '#' lines and empty lines are comments. A text
+// that breaks any rule is rejected whole, so whatever parses re-exports
+// as the same bytes.
 #ifndef SRC_CORE_PLAN_STORE_H_
 #define SRC_CORE_PLAN_STORE_H_
 
@@ -40,18 +65,11 @@ struct StoredPlan {
   bool operator==(const StoredPlan&) const = default;
 };
 
-// The tuner-tier section of a two-tier snapshot: keyed StoredPlans
-// carried in the same file as a PlanStore's ExecutionPlan records.
-// Every line is '#'-prefixed, so PlanStore::Parse reads a combined file
-// unchanged (the tier is comments to the plan-tier parser) and old
-// single-tier files parse as an empty tuner tier:
-//   #tuner <key-hex> <m> <n> <k> <primitive> <partition-csv> <pred> <non_overlap>
-//   #tuner-count N
-// The count footer rejects truncated files whole, like "# count".
+// The tuner tier of a two-tier snapshot (format above), in the order
+// given: pass keys in ascending order, or the tier does not parse back.
 std::string SerializeTunerTier(const std::vector<std::pair<uint64_t, StoredPlan>>& plans);
 // Extracts the tuner tier from snapshot text: empty vector when the
-// text carries none, std::nullopt on a malformed line (including a
-// non-canonical value, as for PlanStore::Parse) or count-footer mismatch.
+// text carries none, std::nullopt when it breaks any rule above.
 std::optional<std::vector<std::pair<uint64_t, StoredPlan>>> ParseTunerTier(
     const std::string& text);
 
@@ -86,11 +104,7 @@ struct PlanStoreStats {
 // use FindCopy. plans() exposes the underlying map and is only safe while
 // no other thread mutates the store.
 //
-// Text format (multi-line records):
-//   plan <key-hex> <kind> <primitive> <partition-csv> <predicted> <non_overlap>
-//   tiles <csv>          # one line per rank, group targets
-//   seg <group> <bytes> <latency_us>
-//   end
+// Text format: the plan tier above.
 class PlanStore {
  public:
   PlanStore() = default;
@@ -154,9 +168,11 @@ class PlanStore {
   const std::map<uint64_t, ExecutionPlan>& plans() const { return plans_; }
 
   std::string Serialize() const;
-  // Returns std::nullopt on any malformed record, including a value not
-  // spelled exactly as Serialize writes it ("02", "1.0", an upper-case or
-  // short key), so a record that parses re-exports as the same bytes.
+  // Returns std::nullopt when the text breaks any rule of the format above
+  // (a value not spelled as Serialize writes it, such as "02", "1.0" or an
+  // upper-case key; a repeated or descending key; a count mismatch) or a
+  // record is not a loadable plan, so a record that parses re-exports as
+  // the same bytes.
   static std::optional<PlanStore> Parse(const std::string& text);
   bool SaveToFile(const std::string& path) const;
   static std::optional<PlanStore> LoadFromFile(const std::string& path);

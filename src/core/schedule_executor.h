@@ -53,7 +53,7 @@ struct OverlapRun {
   std::vector<GroupTrace> groups;
   double predicted_us = 0.0;
   // Whether the plan came from the PlanStore (set by OverlapEngine, not
-  // the executor): per-spec cache visibility for RunBatch / serving loops.
+  // the executor): per-spec cache visibility for sweeps and serving loops.
   bool plan_cache_hit = false;
   // Rank-0 stream timelines, for trace export (src/sim/trace_export.h).
   Timeline gemm_timeline;

@@ -1,11 +1,11 @@
 #include "src/obs/obs_plane.h"
 
-#include <fstream>
 #include <utility>
 
 #include "src/serve/tenant_registry.h"
 #include "src/sim/trace_export.h"
 #include "src/util/check.h"
+#include "src/util/file.h"
 
 namespace flo {
 
@@ -247,12 +247,7 @@ std::string ObsPlane::TraceJson() const {
 }
 
 bool ObsPlane::WriteTrace(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) {
-    return false;
-  }
-  file << TraceJson();
-  return static_cast<bool>(file);
+  return WriteStringToFile(path, TraceJson());
 }
 
 std::string ObsPlane::MetricsCsv() const { return registry_.TimeSeriesCsv().Render(); }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "src/models/e2e.h"
@@ -267,12 +266,7 @@ std::optional<std::vector<ServeRequest>> ParseTrace(const std::string& text) {
 }
 
 bool SaveTraceToFile(const std::vector<ServeRequest>& trace, const std::string& path) {
-  std::ofstream file(path);
-  if (!file) {
-    return false;
-  }
-  file << SerializeTrace(trace);
-  return static_cast<bool>(file);
+  return WriteStringToFile(path, SerializeTrace(trace));
 }
 
 std::optional<std::vector<ServeRequest>> LoadTraceFromFile(const std::string& path) {

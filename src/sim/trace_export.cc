@@ -1,8 +1,7 @@
 #include "src/sim/trace_export.h"
 
-#include <fstream>
-
 #include "src/util/check.h"
+#include "src/util/file.h"
 #include "src/util/table.h"
 
 namespace flo {
@@ -118,12 +117,7 @@ std::string ChromeTraceBuilder::Json() const {
 }
 
 bool ChromeTraceBuilder::WriteFile(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) {
-    return false;
-  }
-  file << Json();
-  return static_cast<bool>(file);
+  return WriteStringToFile(path, Json());
 }
 
 std::string ChromeTraceJson(const std::vector<TraceTrack>& tracks) {
@@ -140,12 +134,7 @@ std::string ChromeTraceJson(const std::vector<TraceTrack>& tracks) {
 }
 
 bool WriteChromeTrace(const std::vector<TraceTrack>& tracks, const std::string& path) {
-  std::ofstream file(path);
-  if (!file) {
-    return false;
-  }
-  file << ChromeTraceJson(tracks);
-  return static_cast<bool>(file);
+  return WriteStringToFile(path, ChromeTraceJson(tracks));
 }
 
 }  // namespace flo

@@ -1,9 +1,9 @@
 #include "src/util/csv.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "src/util/check.h"
+#include "src/util/file.h"
 
 namespace flo {
 namespace {
@@ -54,12 +54,7 @@ std::string CsvWriter::Render() const {
 }
 
 bool CsvWriter::WriteFile(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) {
-    return false;
-  }
-  file << Render();
-  return static_cast<bool>(file);
+  return WriteStringToFile(path, Render());
 }
 
 }  // namespace flo

@@ -18,4 +18,13 @@ std::optional<std::string> ReadFileToString(const std::string& path) {
   return buffer.str();
 }
 
+bool WriteStringToFile(const std::string& path, const std::string& text) {
+  std::ofstream file(path);
+  if (!file) {
+    return false;
+  }
+  file << text;
+  return static_cast<bool>(file);
+}
+
 }  // namespace flo

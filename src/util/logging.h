@@ -7,7 +7,7 @@
 // relaxed atomic load) before it builds the message stream, so a filtered
 // hot-path FLO_LOG(kDebug) statement (e.g. in the tuner's search) costs
 // one branch and evaluates none of its arguments. Emission is serialized
-// behind a mutex — worker pools (RunBatch's pooled pretune) can log without
+// behind a mutex — threads sharing a Tuner or a PlanStore can log without
 // interleaving bytes on stderr — and can be redirected to a custom sink.
 #ifndef SRC_UTIL_LOGGING_H_
 #define SRC_UTIL_LOGGING_H_

@@ -1,5 +1,5 @@
-// Strict numeric parsing for on-disk text formats (plan store, serving
-// traces): the whole field must be consumed or the parse fails —
+// Strict numeric parsing for on-disk text formats (serving traces, fault
+// scripts): the whole field must be consumed or the parse fails —
 // std::stoi/stod stop at the first invalid character and would silently
 // accept trailing garbage like "12abc".
 #ifndef SRC_UTIL_PARSE_H_
@@ -16,10 +16,6 @@ std::optional<int64_t> TryParseInt64(const std::string& text);
 // Finite values only: std::stod also reads "nan" and "inf", which no
 // serializer writes and no simulated time, latency or size can hold.
 std::optional<double> TryParseDouble(const std::string& text);
-
-// Bare hex digits only (1..16 of them): no sign, no "0x", no whitespace —
-// stricter than strtoull, which would wrap "-1" to 0xFFFFFFFFFFFFFFFF.
-std::optional<uint64_t> TryParseHexU64(const std::string& text);
 
 }  // namespace flo
 

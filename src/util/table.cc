@@ -57,8 +57,8 @@ std::string FormatDouble(double value, int decimals) {
 
 std::string FormatDoubleExact(double value) {
   // std::to_chars with a precision writes what printf("%.17g") writes,
-  // without the stdio and locale overhead; the plan-record parsers format
-  // every double they read to check its spelling.
+  // without the stdio and locale overhead; the plan-record reader formats
+  // every double it reads to check its spelling.
   char buffer[64];
   const auto result =
       std::to_chars(buffer, buffer + sizeof(buffer), value, std::chars_format::general, 17);

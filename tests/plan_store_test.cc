@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <thread>
@@ -8,8 +10,12 @@
 #include <vector>
 
 #include "src/cluster/plan_shipping.h"
+#include "src/cluster/serving_cluster.h"
 #include "src/core/plan_store.h"
 #include "src/core/tuner.h"
+#include "src/serve/request_source.h"
+#include "src/util/logging.h"
+#include "src/util/rng.h"
 
 namespace flo {
 namespace {
@@ -808,6 +814,237 @@ TEST(TunerPersistenceTest, SerializedCacheSurvivesTheTextFormat) {
   Tuner target(Make4090Cluster(4));
   EXPECT_EQ(target.ImportPlans(plans), 1);
   EXPECT_EQ(target.ExportPlans(), exported);
+}
+
+
+// Every serializer writes a tier's keys in ascending order, so a record
+// whose key is not greater than the one before it in its tier (a repeat,
+// or keys out of order) is rejected whole. Accepting it would re-export
+// different bytes: one record where two were read, or the keys reordered.
+TEST(PlanStoreParseTest, RepeatedOrOutOfOrderKeysRejectedWhole) {
+  PlanStore source;
+  source.Put(0xff, MarkedPlan(1));
+  source.Put(0x100, MarkedPlan(2));
+  const std::string first = *source.ExportRecord(0xff);
+  const std::string second = *source.ExportRecord(0x100);
+  ASSERT_EQ(PlanStore::Parse(first + second + "# count 2\n")->Serialize(), source.Serialize());
+  const std::string plan_probes[] = {
+      first + first + "# count 2\n",
+      first + first,
+      second + first + "# count 2\n",
+      first + second + first,
+  };
+  PlanStore target;
+  target.Put(999, MarkedPlan(9));
+  const std::string before = target.Serialize();
+  for (const std::string& bad : plan_probes) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(PlanStore::Parse(bad).has_value());
+    EXPECT_EQ(target.ImportRecords(bad), 0u);
+    EXPECT_EQ(target.Serialize(), before);
+  }
+
+  const auto keyed = KeyedSamplePlans();
+  ASSERT_LT(keyed[0].first, keyed[1].first);
+  ASSERT_TRUE(ParseTunerTier(SerializeTunerTier(keyed)).has_value());
+  const std::string tier_probes[] = {
+      SerializeTunerTier({keyed[0], keyed[0]}),
+      SerializeTunerTier({keyed[1], keyed[0]}),
+      SerializeTunerTier({keyed[0], keyed[1], keyed[1]}),
+  };
+  PlanShipper shipper;
+  auto store = std::make_shared<PlanStore>();
+  store->Put(999, MarkedPlan(9));
+  Tuner tuner(MakeA800Cluster(4));
+  shipper.Subscribe(0, store, &tuner);
+  for (const std::string& bad : tier_probes) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(ParseTunerTier(bad).has_value());
+    EXPECT_EQ(shipper.ImportSnapshot(source.Serialize() + bad), 0u);
+    EXPECT_EQ(store->Serialize(), before);
+    EXPECT_EQ(tuner.cache_size(), 0u);
+  }
+  EXPECT_EQ(shipper.published_size(), 0u);
+}
+
+// Two more spellings that parsed but re-exported different bytes: a
+// record's lines out of the order the serializer writes them (a tiles
+// line after a seg line), and a primitive named by an alias or in another
+// case than CommPrimitiveName's.
+TEST(PlanStoreParseTest, ReorderedRecordLinesOrAliasedNamesRejectedWhole) {
+  PlanStore source;
+  source.Put(0xff, MarkedPlan(1));
+  const std::string plans = source.Serialize();
+  ASSERT_NE(plans.find("tiles 2,3\nseg 0 1024 10\n"), std::string::npos);
+  const std::string plan_probes[] = {
+      Respell(plans, "tiles 2,3\nseg 0 1024 10\n", "seg 0 1024 10\ntiles 2,3\n"),
+      Respell(plans, " AllReduce ", " allreduce "),
+      Respell(plans, " AllReduce ", " AR "),
+  };
+  PlanStore target;
+  target.Put(999, MarkedPlan(9));
+  const std::string before = target.Serialize();
+  for (const std::string& bad : plan_probes) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(PlanStore::Parse(bad).has_value());
+    EXPECT_EQ(target.ImportRecords(bad), 0u);
+    EXPECT_EQ(target.Serialize(), before);
+  }
+  const std::string tier = SerializeTunerTier(KeyedSamplePlans());
+  EXPECT_FALSE(ParseTunerTier(Respell(tier, " AllReduce ", " ALLREDUCE ")).has_value());
+  EXPECT_FALSE(ParseTunerTier(Respell(tier, " AllToAll ", " a2a ")).has_value());
+}
+
+// --- Seeded mutation fuzzing of a real two-tier snapshot ---------------------
+
+std::vector<std::string> SplitLines(const std::string& text) {
+  std::vector<std::string> lines;
+  size_t start = 0;
+  while (start < text.size()) {
+    const size_t end = std::min(text.find('\n', start), text.size());
+    lines.push_back(text.substr(start, end - start));
+    start = end + 1;
+  }
+  return lines;
+}
+
+// The record lines of `text` for one tier, each with its newline: the
+// lines a parse of that tier reads, comments and count footers left out.
+std::string RecordLines(const std::string& text, bool tuner_tier) {
+  std::string lines;
+  for (const std::string& line : SplitLines(text)) {
+    if (tuner_tier ? line.rfind("#tuner ", 0) == 0 : !line.empty() && line[0] != '#') {
+      lines += line + '\n';
+    }
+  }
+  return lines;
+}
+
+// One seeded edit: a byte overwritten, a byte deleted, a token or a line
+// duplicated, or two lines swapped.
+std::string Mutate(std::string text, Rng& rng) {
+  const auto pick = [&rng](size_t n) { return static_cast<size_t>(rng.NextU64() % n); };
+  static constexpr char kBytes[] = "0123456789abcdefAEx-+., \n#\t\r";
+  switch (pick(5)) {
+    case 0: {
+      const size_t at = pick(text.size());
+      text[at] = pick(2) == 0 ? kBytes[pick(sizeof(kBytes) - 1)]
+                              : static_cast<char>(text[at] ^ (1 << pick(8)));
+      return text;
+    }
+    case 1:
+      return text.erase(pick(text.size()), 1);
+    default:
+      break;
+  }
+  std::vector<std::string> lines = SplitLines(text);
+  const size_t a = pick(lines.size());
+  const size_t b = pick(lines.size());
+  switch (pick(3)) {
+    case 0: {  // duplicate one space-separated token of line a
+      std::string& line = lines[a];
+      std::vector<size_t> starts{0};
+      for (size_t i = 0; i < line.size(); ++i) {
+        if (line[i] == ' ') {
+          starts.push_back(i + 1);
+        }
+      }
+      const size_t begin = starts[pick(starts.size())];
+      const size_t end = std::min(line.find(' ', begin), line.size());
+      line.insert(end, ' ' + line.substr(begin, end - begin));
+      break;
+    }
+    case 1:
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(b), lines[a]);
+      break;
+    default:
+      std::swap(lines[a], lines[b]);
+      break;
+  }
+  std::string out;
+  for (const std::string& line : lines) {
+    out += line + '\n';
+  }
+  return out;
+}
+
+// A mutated snapshot either is rejected, and then no import applies
+// anything, or every record line it parsed re-exports byte-identically:
+// ExportRecord for each plan, SerializeTunerTier for the tuner lines.
+TEST(PlanStoreFuzzTest, SeededMutationsRejectWholeOrReExportIdentically) {
+  const ClusterSpec hardware = MakeA800Cluster(4);
+  const std::vector<ScenarioSpec> specs{
+      ScenarioSpec::Overlap(GemmShape{2048, 4096, 1024}, CommPrimitive::kAllReduce),
+      ScenarioSpec::Overlap(GemmShape{4096, 4096, 2048}, CommPrimitive::kReduceScatter),
+      ScenarioSpec::NonOverlap(GemmShape{2048, 4096, 1024}, CommPrimitive::kAllReduce),
+      ScenarioSpec::Imbalanced({GemmShape{4096, 4096, 1024}, GemmShape{2048, 4096, 1024},
+                                GemmShape{2048, 4096, 1024}, GemmShape{1024, 4096, 1024}},
+                               CommPrimitive::kAllToAll),
+  };
+  ClusterConfig config;
+  config.replicas = 2;
+  ServingCluster fleet(hardware, config, {}, EngineOptions{.jitter = false});
+  fleet.Run(MakeRequestStream("fuzz", specs, {0.0, 100.0, 200.0, 300.0}));
+  const std::string snapshot = fleet.shipper().SerializeSnapshot();
+  ASSERT_EQ(PlanStore::Parse(snapshot)->size(), specs.size());
+  ASSERT_FALSE(ParseTunerTier(snapshot)->empty());
+
+  PlanStore target;
+  target.Put(999, MarkedPlan(9));
+  const std::string target_before = target.Serialize();
+  PlanShipper shipper;
+  auto store = std::make_shared<PlanStore>();
+  store->Put(999, MarkedPlan(9));
+  Tuner tuner(hardware);
+  shipper.Subscribe(0, store, &tuner);
+
+  // Rejected imports log an error each; count them instead of printing.
+  size_t logged = 0;
+  SetLogSink([](LogLevel, const char*, int, const std::string&,
+                void* ctx) { ++*static_cast<size_t*>(ctx); },
+             &logged);
+  Rng rng(26);
+  size_t plan_accepted = 0;
+  size_t tier_accepted = 0;
+  constexpr int kTexts = 1500;
+  for (int i = 0; i < kTexts; ++i) {
+    std::string text = Mutate(snapshot, rng);
+    if (rng.NextU64() % 2 == 0) {
+      text = Mutate(text, rng);
+    }
+    SCOPED_TRACE(text);
+    const std::optional<PlanStore> plans = PlanStore::Parse(text);
+    const auto tier = ParseTunerTier(text);
+    if (plans.has_value()) {
+      ++plan_accepted;
+      std::string exported;
+      for (const auto& entry : plans->plans()) {
+        exported += *plans->ExportRecord(entry.first);
+      }
+      ASSERT_EQ(exported, RecordLines(text, false));
+    } else {
+      ASSERT_EQ(target.ImportRecords(text), 0u);
+      ASSERT_EQ(target.Serialize(), target_before);
+    }
+    if (tier.has_value()) {
+      ++tier_accepted;
+      const std::string exported = SerializeTunerTier(*tier);
+      ASSERT_EQ(exported.substr(0, exported.rfind("#tuner-count ")), RecordLines(text, true));
+    }
+    if (!plans.has_value() || !tier.has_value()) {
+      ASSERT_EQ(shipper.ImportSnapshot(text), 0u);
+      ASSERT_EQ(store->Serialize(), target_before);
+      ASSERT_EQ(tuner.cache_size(), 0u);
+      ASSERT_EQ(shipper.published_size(), 0u);
+    }
+  }
+  SetLogSink(nullptr, nullptr);
+  EXPECT_GT(logged, 0u);
+  // Both outcomes are common, so neither branch above is vacuous.
+  EXPECT_GT(plan_accepted, kTexts / 10);
+  EXPECT_LT(plan_accepted, kTexts * 9 / 10);
+  EXPECT_GT(tier_accepted, kTexts / 10);
+  EXPECT_LT(tier_accepted, kTexts * 9 / 10);
 }
 
 }  // namespace

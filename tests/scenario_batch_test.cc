@@ -1,4 +1,4 @@
-// Batch execution and plan caching: RunBatch sweeps many ScenarioSpecs
+// Batch execution and plan caching: a sweep runs many ScenarioSpecs
 // through one shared executor, memoizing ExecutionPlans in the PlanStore
 // keyed by the planner's canonical scenario hash. A warm sweep must be
 // served entirely from the cache — zero tuner searches in-band, exactly
@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
 
 #include "src/core/overlap_engine.h"
 #include "src/models/shapes.h"
@@ -17,6 +18,15 @@ EngineOptions NoJitter() {
   EngineOptions options;
   options.jitter = false;
   return options;
+}
+
+// A sweep: each spec through Execute, in order.
+std::vector<OverlapRun> ExecuteEach(OverlapEngine& engine, std::span<const ScenarioSpec> specs) {
+  std::vector<OverlapRun> runs;
+  for (const ScenarioSpec& spec : specs) {
+    runs.push_back(engine.Execute(spec));
+  }
+  return runs;
 }
 
 // The Fig. 11 typical-shape set, as overlap + non-overlap scenario pairs.
@@ -33,14 +43,14 @@ TEST(RunBatchTest, WarmSweepPerformsZeroTunerSearches) {
   OverlapEngine engine(MakeA800Cluster(4), {}, NoJitter());
   const std::vector<ScenarioSpec> specs = Fig11Specs();
 
-  const std::vector<OverlapRun> cold = engine.RunBatch(specs);
+  const std::vector<OverlapRun> cold = ExecuteEach(engine, specs);
   const size_t cold_searches = engine.tuner().search_count();
   EXPECT_GT(cold_searches, 0u);
   EXPECT_EQ(engine.planner().stats().cache_misses, specs.size());
   EXPECT_EQ(engine.plan_store().size(), specs.size());
 
   engine.planner().ResetStats();
-  const std::vector<OverlapRun> warm = engine.RunBatch(specs);
+  const std::vector<OverlapRun> warm = ExecuteEach(engine, specs);
   EXPECT_EQ(engine.tuner().search_count(), cold_searches)
       << "warm sweep must not search";
   EXPECT_EQ(engine.planner().stats().cache_hits, specs.size());
@@ -52,19 +62,6 @@ TEST(RunBatchTest, WarmSweepPerformsZeroTunerSearches) {
     // Per-spec cache behaviour is reported in the result struct itself.
     EXPECT_FALSE(cold[i].plan_cache_hit) << "spec " << i;
     EXPECT_TRUE(warm[i].plan_cache_hit) << "spec " << i;
-  }
-}
-
-TEST(RunBatchTest, BatchAgreesWithIndividualExecution) {
-  // The shared executor must not leak state between scenarios: a batch
-  // sweep and one-off executions on a fresh engine give identical numbers.
-  const std::vector<ScenarioSpec> specs = Fig11Specs();
-  OverlapEngine batch_engine(MakeA800Cluster(4), {}, NoJitter());
-  const std::vector<OverlapRun> batched = batch_engine.RunBatch(specs);
-  for (size_t i = 0; i < specs.size(); ++i) {
-    OverlapEngine single(MakeA800Cluster(4), {}, NoJitter());
-    EXPECT_DOUBLE_EQ(single.Execute(specs[i]).total_us, batched[i].total_us)
-        << "spec " << i;
   }
 }
 
@@ -81,7 +78,7 @@ TEST(RunBatchTest, MixedScenarioKindsShareOneBatch) {
       ScenarioSpec::Imbalanced(imbalanced, CommPrimitive::kAllToAll),
       ScenarioSpec::NonOverlapImbalanced(imbalanced, CommPrimitive::kAllToAll),
   };
-  const std::vector<OverlapRun> runs = engine.RunBatch(specs);
+  const std::vector<OverlapRun> runs = ExecuteEach(engine, specs);
   ASSERT_EQ(runs.size(), specs.size());
   for (const OverlapRun& run : runs) {
     EXPECT_GT(run.total_us, 0.0);
@@ -117,9 +114,9 @@ TEST(PretuneImbalancedTest, SpecsSharingAHeaviestRankDoNotCollide) {
   EXPECT_EQ(engine.planner().TuningRequest(reordered), first);
 
   // A sweep runs each multiset's search once.
-  engine.RunBatch(specs);
+  ExecuteEach(engine, specs);
   EXPECT_EQ(engine.tuner().search_count(), 2u);
-  engine.RunBatch({&reordered, 1});
+  engine.Execute(reordered);
   EXPECT_EQ(engine.tuner().search_count(), 2u);
 }
 

@@ -6,6 +6,7 @@
 
 #include "src/util/check.h"
 #include "src/util/csv.h"
+#include "src/util/file.h"
 #include "src/util/interp.h"
 #include "src/util/logging.h"
 #include "src/util/parse.h"
@@ -281,20 +282,25 @@ TEST(ParseTest, TryParseDoubleRejectsNonFinite) {
   EXPECT_DOUBLE_EQ(*TryParseDouble("1e308"), 1e308);
 }
 
-TEST(ParseTest, TryParseHexU64IsStrict) {
-  EXPECT_EQ(TryParseHexU64("ff"), 0xffull);
-  EXPECT_EQ(TryParseHexU64("00000000000000FF"), 0xffull);
-  EXPECT_EQ(TryParseHexU64("ffffffffffffffff"), 0xffffffffffffffffull);
-  EXPECT_FALSE(TryParseHexU64("").has_value());
-  EXPECT_FALSE(TryParseHexU64("-1").has_value());
-  EXPECT_FALSE(TryParseHexU64("0x10").has_value());
-  EXPECT_FALSE(TryParseHexU64(" ff").has_value());
-  EXPECT_FALSE(TryParseHexU64("11111111111111111").has_value());  // 17 digits
-}
-
 TEST(TableTest, FormatDoubleExactRoundTrips) {
   const double value = 10000.0 / 3.0;
   EXPECT_DOUBLE_EQ(*TryParseDouble(FormatDoubleExact(value)), value);
+}
+
+TEST(FileTest, WriteStringToFileRoundTripsAndReplaces) {
+  const std::string path = ::testing::TempDir() + "/util_file_round_trip.txt";
+  const std::string text = std::string("line one\n\tline two\r\n") + '\0' + "tail";
+  ASSERT_TRUE(WriteStringToFile(path, text));
+  EXPECT_EQ(ReadFileToString(path), text);
+  // A second write replaces the contents rather than appending.
+  ASSERT_TRUE(WriteStringToFile(path, "short\n"));
+  EXPECT_EQ(ReadFileToString(path), "short\n");
+}
+
+TEST(FileTest, WriteStringToFileFailsOnUnwritablePath) {
+  EXPECT_FALSE(WriteStringToFile("/nonexistent_flo_dir/out.txt", "text"));
+  EXPECT_FALSE(WriteStringToFile(::testing::TempDir(), "a directory is not a file"));
+  EXPECT_FALSE(ReadFileToString("/nonexistent_flo_dir/out.txt").has_value());
 }
 
 TEST(CsvTest, EscapesSpecialCharacters) {
