@@ -30,6 +30,27 @@ std::optional<int64_t> TryParseInt64(const std::string& text) {
   }
 }
 
+std::optional<uint64_t> TryParseHexU64(const std::string& text) {
+  if (text.empty() || text.size() > 16) {
+    return std::nullopt;
+  }
+  uint64_t value = 0;
+  for (const char c : text) {
+    int digit;
+    if (c >= '0' && c <= '9') {
+      digit = c - '0';
+    } else if (c >= 'a' && c <= 'f') {
+      digit = c - 'a' + 10;
+    } else if (c >= 'A' && c <= 'F') {
+      digit = c - 'A' + 10;
+    } else {
+      return std::nullopt;
+    }
+    value = (value << 4) | static_cast<uint64_t>(digit);
+  }
+  return value;
+}
+
 std::optional<double> TryParseDouble(const std::string& text) {
   try {
     size_t consumed = 0;

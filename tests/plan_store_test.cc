@@ -817,6 +817,46 @@ TEST(TunerPersistenceTest, SerializedCacheSurvivesTheTextFormat) {
 }
 
 
+// A key is exactly 16 lower-case hex digits in both tiers: a sign, a
+// "0x" prefix, a leading space or a 17th digit is rejected whole, with
+// nothing imported.
+TEST(PlanStoreParseTest, KeyNotSixteenBareHexDigitsRejectedWhole) {
+  PlanStore source;
+  source.Put(0xff, MarkedPlan(1));
+  const std::string plans = source.Serialize();
+  const std::string tier = SerializeTunerTier(
+      {{0xff, StoredPlan{GemmShape{4096, 8192, 7168}, CommPrimitive::kAllReduce,
+                         WavePartition{{2, 3}}, 1.0, 1024.0}}});
+  ASSERT_TRUE(PlanStore::Parse(plans).has_value());
+  ASSERT_TRUE(ParseTunerTier(tier).has_value());
+  const std::string key = "00000000000000ff";
+  const std::string bad_keys[] = {
+      "-1", "-00000000000000ff", "0x10", "0x000000000000ff", " 00000000000000ff",
+      "11111111111111111", "000000000000000ff",
+  };
+  PlanStore target;
+  target.Put(999, MarkedPlan(9));
+  const std::string before = target.Serialize();
+  PlanShipper shipper;
+  auto store = std::make_shared<PlanStore>();
+  store->Put(999, MarkedPlan(9));
+  Tuner tuner(MakeA800Cluster(4));
+  shipper.Subscribe(0, store, &tuner);
+  for (const std::string& bad : bad_keys) {
+    SCOPED_TRACE(bad);
+    const std::string bad_plans = Respell(plans, key, bad);
+    EXPECT_FALSE(PlanStore::Parse(bad_plans).has_value());
+    EXPECT_EQ(target.ImportRecords(bad_plans), 0u);
+    EXPECT_EQ(target.Serialize(), before);
+    const std::string bad_tier = Respell(tier, key, bad);
+    EXPECT_FALSE(ParseTunerTier(bad_tier).has_value());
+    EXPECT_EQ(shipper.ImportSnapshot(plans + bad_tier), 0u);
+    EXPECT_EQ(store->Serialize(), before);
+    EXPECT_EQ(tuner.cache_size(), 0u);
+  }
+  EXPECT_EQ(shipper.published_size(), 0u);
+}
+
 // Every serializer writes a tier's keys in ascending order, so a record
 // whose key is not greater than the one before it in its tier (a repeat,
 // or keys out of order) is rejected whole. Accepting it would re-export
@@ -999,10 +1039,15 @@ TEST(PlanStoreFuzzTest, SeededMutationsRejectWholeOrReExportIdentically) {
   shipper.Subscribe(0, store, &tuner);
 
   // Rejected imports log an error each; count them instead of printing.
+  // The guard removes the sink on every exit, a failed ASSERT's early
+  // return included, so no later test logs through `logged`.
   size_t logged = 0;
   SetLogSink([](LogLevel, const char*, int, const std::string&,
                 void* ctx) { ++*static_cast<size_t*>(ctx); },
              &logged);
+  struct SinkReset {
+    ~SinkReset() { SetLogSink(nullptr, nullptr); }
+  } sink_reset;
   Rng rng(26);
   size_t plan_accepted = 0;
   size_t tier_accepted = 0;
@@ -1038,7 +1083,6 @@ TEST(PlanStoreFuzzTest, SeededMutationsRejectWholeOrReExportIdentically) {
       ASSERT_EQ(shipper.published_size(), 0u);
     }
   }
-  SetLogSink(nullptr, nullptr);
   EXPECT_GT(logged, 0u);
   // Both outcomes are common, so neither branch above is vacuous.
   EXPECT_GT(plan_accepted, kTexts / 10);
