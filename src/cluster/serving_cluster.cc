@@ -101,6 +101,10 @@ Replica* ServingCluster::SpawnReplica(SimTime now) {
                                                 config_.store_capacity, now));
   Replica* replica = replicas_.back().get();
   replica->engine().UseSharedRunMemo(run_memo_);
+  // One offline stage per fleet: every replica reads the GEMM
+  // configurations and latency curves the keyer's stage holds, so the
+  // bootstrap below derives none of them again.
+  replica->engine().tuner().ShareOfflineStage(keyer_tuner_);
   // The store feeds its slot's resident bits from here on — attached
   // before the bootstrap below so the shipped plans register too. Replica
   // stores are only mutated on the simulation thread.
@@ -515,7 +519,7 @@ FleetReport ServingCluster::Run(RequestCursor* cursor) {
     entry.retired_us = replica->retired_us();
     entry.plans_resident = replica->store()->size();
     if (replica->session() != nullptr) {
-      entry.serve = replica->session()->report();
+      entry.serve = std::move(replica->session()->report());
       entry.tuner_searches = replica->SearchesThisRun();
       report.total_searches += entry.tuner_searches;
       report.makespan_us = std::max(report.makespan_us, entry.serve.makespan_us);

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "src/core/partition_search.h"
@@ -14,37 +18,54 @@
 
 namespace flo {
 
+struct Tuner::OfflineStage {
+  std::mutex mu;
+  std::unordered_map<GemmShape, GemmConfig, GemmShapeHash> gemm_cache;
+  std::map<int, Curve> curve_cache;
+};
+
 Tuner::Tuner(ClusterSpec cluster, TunerConfig config)
     : cluster_(std::move(cluster)),
       config_(config),
-      cost_model_(cluster_.link, cluster_.gpu_count) {
+      cost_model_(cluster_.link, cluster_.gpu_count),
+      stage_(std::make_shared<OfflineStage>()) {
   FLO_CHECK_GE(config_.s1, 1);
   FLO_CHECK_GE(config_.sp, 1);
   FLO_CHECK_GE(config_.search_max_nodes, 1);
 }
 
+void Tuner::ShareOfflineStage(const Tuner& owner) {
+  FLO_CHECK(cluster_ == owner.cluster_)
+      << "tuners sharing an offline stage need equal ClusterSpecs: " << cluster_.Describe()
+      << " vs " << owner.cluster_.Describe();
+  stage_ = owner.stage_;
+}
+
+// The stage's artifacts depend only on the ClusterSpec, which every
+// tuner sharing the stage has equal (ShareOfflineStage), so whichever
+// tuner derives one derives it for all.
 const GemmConfig& Tuner::GemmConfigFor(const GemmShape& shape) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gemm_cache_.find(shape);
-  if (it == gemm_cache_.end()) {
+  std::lock_guard<std::mutex> lock(stage_->mu);
+  auto it = stage_->gemm_cache.find(shape);
+  if (it == stage_->gemm_cache.end()) {
     GemmModel model(cluster_.gpu);
-    it = gemm_cache_.emplace(shape, model.Configure(shape)).first;
+    it = stage_->gemm_cache.emplace(shape, model.Configure(shape)).first;
   }
   return it->second;
 }
 
 const Curve& Tuner::LatencyCurveFor(CommPrimitive primitive) {
   const int key = static_cast<int>(primitive);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = curve_cache_.find(key);
-  if (it == curve_cache_.end()) {
+  std::lock_guard<std::mutex> lock(stage_->mu);
+  auto it = stage_->curve_cache.find(key);
+  if (it == stage_->curve_cache.end()) {
     // Dense log-spaced sampling from 64 KiB to 4 GiB covers every group
     // size the engine can produce; 64 points per decade keeps the
     // interpolation error well under the jitter floor even across the
     // bandwidth cliff's curvature.
     Curve curve = cost_model_.SampleLatencyCurve(primitive, 64.0 * 1024,
                                                  4.0 * 1024 * 1024 * 1024, 64);
-    it = curve_cache_.emplace(key, std::move(curve)).first;
+    it = stage_->curve_cache.emplace(key, std::move(curve)).first;
   }
   return it->second;
 }

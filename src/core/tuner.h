@@ -2,6 +2,10 @@
 //
 // Offline (once per deployment): derive GEMM configurations, sample the
 // communication latency curve, determine the collective's SM footprint.
+// The derived artifacts live in an offline stage that several tuners on
+// one cluster can share (ShareOfflineStage): a serving fleet points every
+// replica's tuner at one stage, so the fleet runs the offline stage once,
+// not once per replica.
 // Online (once per new GEMM size): search the wave-group design space for
 // the candidate with the lowest predicted latency. The search is the fused
 // branch-and-bound walk of src/core/partition_search.h over a precomputed
@@ -14,10 +18,13 @@
 // search itself and single-flights concurrent requests for the same key,
 // so several threads can drive cold searches for distinct keys in
 // parallel (each key is searched exactly once, keeping search_count and
-// the cached plans deterministic regardless of thread count). One
-// exception: ImportPlans overwrites already-cached plans in place, so it
-// must not run while another thread holds a reference to a plan of the
-// same key — it is a warm-start operation, meant to run before serving.
+// the cached plans deterministic regardless of thread count). The offline
+// stage has its own lock, so tuners sharing it stay thread-safe. Two
+// exceptions, both warm-start operations meant to run before serving:
+// ImportPlans overwrites already-cached plans in place, so it must not
+// run while another thread holds a reference to a plan of the same key;
+// ShareOfflineStage swaps the tuner's stage, so it must not run while
+// another thread uses this tuner.
 #ifndef SRC_CORE_TUNER_H_
 #define SRC_CORE_TUNER_H_
 
@@ -25,11 +32,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -90,11 +97,17 @@ class Tuner {
   const TunerConfig& config() const { return config_; }
   const CommCostModel& cost_model() const { return cost_model_; }
 
-  // --- Offline stage artifacts (computed lazily, cached) ---
-  // Returned references stay valid for the tuner's lifetime (node-based
-  // containers; entries are never erased).
+  // --- Offline stage artifacts (computed lazily, cached in the stage) ---
+  // Returned references stay valid while any tuner sharing the stage
+  // lives (node-based containers; entries are never erased).
   const GemmConfig& GemmConfigFor(const GemmShape& shape);
   const Curve& LatencyCurveFor(CommPrimitive primitive);
+  // Points this tuner at `owner`'s offline stage and drops its own, so
+  // both derive and read each artifact once. The artifacts are functions
+  // of the ClusterSpec alone; aborts unless the two specs are equal.
+  // References this tuner returned before come from the dropped stage:
+  // call it before the tuner derives anything.
+  void ShareOfflineStage(const Tuner& owner);
   int CommSmCount() const { return cluster_.link.comm_sm_count; }
   PredictorSetup MakeSetup(const GemmShape& shape, CommPrimitive primitive);
 
@@ -186,16 +199,19 @@ class Tuner {
   // node.
   const TunedPlan& StorePlanLocked(const Key& key, TunedPlan plan, bool overwrite);
 
+  // GEMM configurations and sampled latency curves behind their own lock
+  // (defined in tuner.cc).
+  struct OfflineStage;
+
   ClusterSpec cluster_;
   TunerConfig config_;
   CommCostModel cost_model_;
+  std::shared_ptr<OfflineStage> stage_;
 
   mutable std::mutex mu_;
   std::condition_variable search_done_;
   std::set<Key> searches_in_flight_;
   std::set<MultiKey> imbalanced_in_flight_;
-  std::unordered_map<GemmShape, GemmConfig, GemmShapeHash> gemm_cache_;
-  std::map<int, Curve> curve_cache_;
   std::map<Key, TunedPlan> plan_cache_;
   std::map<MultiKey, TunedMultiRankPlan> imbalanced_cache_;
   // primitive -> index over the cached plans of that primitive.

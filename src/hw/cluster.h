@@ -18,6 +18,8 @@ struct ClusterSpec {
   int gpu_count = 0;
 
   std::string Describe() const;
+
+  bool operator==(const ClusterSpec&) const = default;
 };
 
 // Paper testbed factories.

@@ -28,6 +28,8 @@ struct GpuSpec {
 
   // Effective GEMM FLOPS for accumulation depth `k` using all SMs.
   double EffectiveTflops(double k) const;
+
+  bool operator==(const GpuSpec&) const = default;
 };
 
 // Paper testbed presets.

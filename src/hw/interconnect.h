@@ -50,6 +50,8 @@ struct InterconnectSpec {
   // Samples (bytes, GB/s) densely over [min_bytes, max_bytes]; this is the
   // "offline profiling" stage of the tuner (Sec. 4.2.1 (2)).
   Curve SampleBandwidthCurve(double min_bytes, double max_bytes, int points_per_decade = 16) const;
+
+  bool operator==(const InterconnectSpec&) const = default;
 };
 
 // Presets matching the paper's testbeds.

@@ -106,6 +106,8 @@ class ServeSession {
   OverlapEngine& engine() { return *engine_; }
   const ServeConfig& config() const { return config_; }
   const ServeReport& report() const { return report_; }
+  // ServingCluster::Run moves the report out (its records included) into
+  // the fleet report; only the counters stay readable here afterwards.
   ServeReport& report() { return report_; }
 
   // --- Fault-injection surface (src/fault) ---------------------------

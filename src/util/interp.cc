@@ -6,24 +6,30 @@
 
 namespace flo {
 
-Curve::Curve(std::vector<std::pair<double, double>> points) : points_(std::move(points)) {
-  FLO_CHECK(!points_.empty()) << "a curve needs at least one sample";
-  for (size_t i = 1; i < points_.size(); ++i) {
-    FLO_CHECK_LT(points_[i - 1].first, points_[i].first) << "curve x must be strictly increasing";
+Curve::Curve(std::vector<std::pair<double, double>> points) {
+  FLO_CHECK(!points.empty()) << "a curve needs at least one sample";
+  for (size_t i = 1; i < points.size(); ++i) {
+    FLO_CHECK_LT(points[i - 1].first, points[i].first) << "curve x must be strictly increasing";
   }
+  points_ = std::make_shared<const std::vector<std::pair<double, double>>>(std::move(points));
+}
+
+const std::vector<std::pair<double, double>>& Curve::points() const {
+  FLO_CHECK(points_ != nullptr);
+  return *points_;
 }
 
 double Curve::Eval(double x) const {
-  FLO_CHECK(!points_.empty());
-  if (x <= points_.front().first) {
-    return points_.front().second;
+  const std::vector<std::pair<double, double>>& samples = points();
+  if (x <= samples.front().first) {
+    return samples.front().second;
   }
-  if (x >= points_.back().first) {
-    return points_.back().second;
+  if (x >= samples.back().first) {
+    return samples.back().second;
   }
   // First sample with x_i >= x; the predecessor exists because of the
   // boundary checks above.
-  auto it = std::lower_bound(points_.begin(), points_.end(), x,
+  auto it = std::lower_bound(samples.begin(), samples.end(), x,
                              [](const std::pair<double, double>& p, double v) {
                                return p.first < v;
                              });
@@ -33,57 +39,51 @@ double Curve::Eval(double x) const {
 }
 
 double Curve::Eval(double x, size_t* hint) const {
-  FLO_CHECK(!points_.empty());
-  if (x <= points_.front().first) {
-    return points_.front().second;
+  const std::vector<std::pair<double, double>>& samples = points();
+  if (x <= samples.front().first) {
+    return samples.front().second;
   }
-  if (x >= points_.back().first) {
-    return points_.back().second;
+  if (x >= samples.back().first) {
+    return samples.back().second;
   }
-  // Invariant for interior x: points_[i-1].x < x <= points_[i].x. Start
+  // Invariant for interior x: samples[i-1].x < x <= samples[i].x. Start
   // from the cached segment; a monotone caller lands on it within a few
   // steps, anything else (stale hint in either direction) falls back to
   // the binary search.
   size_t i = (hint != nullptr) ? *hint : 0;
-  if (i < 1 || i >= points_.size()) {
+  if (i < 1 || i >= samples.size()) {
     i = 1;
   }
   bool resolved = false;
-  if (points_[i].first < x) {
+  if (samples[i].first < x) {
     for (int step = 0; step < 4; ++step) {
-      ++i;  // bounded: x < points_.back().x guarantees a stopper
-      if (points_[i].first >= x) {
+      ++i;  // bounded: x < samples.back().x guarantees a stopper
+      if (samples[i].first >= x) {
         resolved = true;
         break;
       }
     }
   } else {
-    resolved = points_[i - 1].first < x;
+    resolved = samples[i - 1].first < x;
   }
   if (!resolved) {
-    auto it = std::lower_bound(points_.begin(), points_.end(), x,
+    auto it = std::lower_bound(samples.begin(), samples.end(), x,
                                [](const std::pair<double, double>& p, double v) {
                                  return p.first < v;
                                });
-    i = static_cast<size_t>(it - points_.begin());
+    i = static_cast<size_t>(it - samples.begin());
   }
   if (hint != nullptr) {
     *hint = i;
   }
-  const std::pair<double, double>& prev = points_[i - 1];
-  const std::pair<double, double>& next = points_[i];
+  const std::pair<double, double>& prev = samples[i - 1];
+  const std::pair<double, double>& next = samples[i];
   const double t = (x - prev.first) / (next.first - prev.first);
   return prev.second + t * (next.second - prev.second);
 }
 
-double Curve::min_x() const {
-  FLO_CHECK(!points_.empty());
-  return points_.front().first;
-}
+double Curve::min_x() const { return points().front().first; }
 
-double Curve::max_x() const {
-  FLO_CHECK(!points_.empty());
-  return points_.back().first;
-}
+double Curve::max_x() const { return points().back().first; }
 
 }  // namespace flo

@@ -7,13 +7,17 @@
 #define SRC_UTIL_INTERP_H_
 
 #include <cstddef>
+#include <memory>
+#include <utility>
 #include <vector>
 
 namespace flo {
 
 // A sampled curve y = f(x) with x strictly increasing. Queries outside the
 // sampled range clamp to the boundary values (flat extrapolation), matching
-// how a profiled bandwidth table is used in practice.
+// how a profiled bandwidth table is used in practice. The samples are
+// immutable and shared: copying a curve (every PredictorSetup holds one)
+// copies a handle, not the samples.
 class Curve {
  public:
   Curve() = default;
@@ -33,15 +37,14 @@ class Curve {
   // binary search.
   double Eval(double x, size_t* hint) const;
 
-  bool empty() const { return points_.empty(); }
-  size_t size() const { return points_.size(); }
-  const std::vector<std::pair<double, double>>& points() const { return points_; }
+  const std::vector<std::pair<double, double>>& points() const;
 
   double min_x() const;
   double max_x() const;
 
  private:
-  std::vector<std::pair<double, double>> points_;
+  // Null for a default-constructed (empty) curve, else non-empty.
+  std::shared_ptr<const std::vector<std::pair<double, double>>> points_;
 };
 
 }  // namespace flo

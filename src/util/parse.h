@@ -17,10 +17,6 @@ std::optional<int64_t> TryParseInt64(const std::string& text);
 // serializer writes and no simulated time, latency or size can hold.
 std::optional<double> TryParseDouble(const std::string& text);
 
-// Bare hex digits only (1..16 of them): no sign, no "0x", no whitespace —
-// stricter than strtoull, which would wrap "-1" to 0xFFFFFFFFFFFFFFFF.
-std::optional<uint64_t> TryParseHexU64(const std::string& text);
-
 }  // namespace flo
 
 #endif  // SRC_UTIL_PARSE_H_

@@ -585,6 +585,33 @@ TEST(ServingClusterTest, FleetReplaysEachKeyOncePerFleet) {
   EXPECT_EQ(fleet_events, reference.executor().replay_events());
 }
 
+// One offline stage per fleet: every replica's tuner is pointed at the
+// keyer's stage when it spawns, so all of them return the same GEMM
+// configuration and latency curve objects.
+TEST(ServingClusterTest, ReplicasShareOneOfflineStage) {
+  const auto trace = MixedTrace(4, 60);
+  ClusterConfig config;
+  config.replicas = 4;
+  config.policy = PlacementPolicy::kRoundRobin;
+  ServingCluster fleet(Make4090Cluster(4), config);
+  fleet.Run(trace);
+  ASSERT_EQ(fleet.replicas().size(), 4u);
+  Tuner& first = fleet.replicas()[0]->engine().tuner();
+  for (const auto& replica : fleet.replicas()) {
+    Tuner& tuner = replica->engine().tuner();
+    for (int k = 0; k < 4; ++k) {
+      const GemmShape shape = SmallSpec(1024 + 512 * k).shapes[0];
+      EXPECT_EQ(&tuner.GemmConfigFor(shape), &first.GemmConfigFor(shape))
+          << "replica " << replica->id();
+    }
+    for (const CommPrimitive primitive :
+         {CommPrimitive::kAllReduce, CommPrimitive::kReduceScatter}) {
+      EXPECT_EQ(&tuner.LatencyCurveFor(primitive), &first.LatencyCurveFor(primitive))
+          << "replica " << replica->id();
+    }
+  }
+}
+
 TEST(ServingClusterTest, ReportsAreDeterministicAndPlansReplicaCountInvariant) {
   const auto trace = MixedTrace(3, 40);
   ClusterConfig config;

@@ -1,9 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "src/core/tuner.h"
 
 namespace flo {
 namespace {
+
+std::string HexDouble(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%a", value);
+  return buffer;
+}
 
 TEST(TunerTest, OfflineArtifactsAreCached) {
   Tuner tuner(MakeA800Cluster(4));
@@ -14,6 +25,95 @@ TEST(TunerTest, OfflineArtifactsAreCached) {
   const Curve& c1 = tuner.LatencyCurveFor(CommPrimitive::kAllReduce);
   const Curve& c2 = tuner.LatencyCurveFor(CommPrimitive::kAllReduce);
   EXPECT_EQ(&c1, &c2);
+}
+
+TEST(TunerTest, SharedOfflineStageHoldsEachArtifactOnce) {
+  Tuner owner(MakeA800Cluster(4));
+  Tuner sharer(MakeA800Cluster(4));
+  sharer.ShareOfflineStage(owner);
+  const GemmShape shape{4096, 8192, 4096};
+  EXPECT_EQ(&sharer.GemmConfigFor(shape), &owner.GemmConfigFor(shape));
+  EXPECT_EQ(&sharer.LatencyCurveFor(CommPrimitive::kAllReduce),
+            &owner.LatencyCurveFor(CommPrimitive::kAllReduce));
+  // The plan caches stay per tuner.
+  sharer.Tune(shape, CommPrimitive::kAllReduce);
+  EXPECT_EQ(sharer.cache_size(), 1u);
+  EXPECT_EQ(owner.cache_size(), 0u);
+}
+
+TEST(TunerDeathTest, SharingAStageAcrossClusterSpecsAborts) {
+  Tuner owner(MakeA800Cluster(4));
+  Tuner other_gpu(Make4090Cluster(4));
+  Tuner other_count(MakeA800Cluster(8));
+  EXPECT_DEATH(other_gpu.ShareOfflineStage(owner), "equal ClusterSpecs");
+  EXPECT_DEATH(other_count.ShareOfflineStage(owner), "equal ClusterSpecs");
+}
+
+// A setup's curve is a copy of the stage's curve that shares its samples;
+// it must evaluate bit-identically to a freshly sampled curve at the
+// samples, between them and outside the sampled range.
+TEST(TunerTest, CopiedCurveEvaluatesBitIdentically) {
+  const ClusterSpec cluster = MakeA800Cluster(4);
+  Tuner tuner(cluster);
+  const Curve copy =
+      tuner.MakeSetup(GemmShape{4096, 8192, 4096}, CommPrimitive::kAllReduce).latency_curve;
+  EXPECT_EQ(&copy.points(), &tuner.LatencyCurveFor(CommPrimitive::kAllReduce).points())
+      << "a setup must share the stage's samples, not copy them";
+  const Curve fresh = CommCostModel(cluster.link, cluster.gpu_count)
+                          .SampleLatencyCurve(CommPrimitive::kAllReduce, 64.0 * 1024,
+                                              4.0 * 1024 * 1024 * 1024, 64);
+  ASSERT_EQ(copy.points(), fresh.points());
+  std::vector<double> queries = {copy.min_x() / 2, copy.max_x() * 2};
+  const auto& samples = copy.points();
+  for (size_t i = 0; i < samples.size(); ++i) {
+    queries.push_back(samples[i].first);
+    if (i + 1 < samples.size()) {
+      queries.push_back((samples[i].first + samples[i + 1].first) / 2);
+    }
+  }
+  size_t copy_hint = 0;
+  size_t fresh_hint = 0;
+  for (const double x : queries) {
+    SCOPED_TRACE(HexDouble(x));
+    EXPECT_EQ(HexDouble(copy.Eval(x)), HexDouble(fresh.Eval(x)));
+    EXPECT_EQ(HexDouble(copy.Eval(x, &copy_hint)), HexDouble(fresh.Eval(x, &fresh_hint)));
+  }
+}
+
+// Two tuners on one stage tune distinct keys from two threads while a
+// third thread reads GEMM configurations: the stage's own lock must keep
+// this race-free (the TSan job runs this binary).
+TEST(TunerTest, SharedStageIsThreadSafe) {
+  Tuner owner(MakeA800Cluster(4));
+  Tuner sharer(MakeA800Cluster(4));
+  sharer.ShareOfflineStage(owner);
+  const std::vector<GemmShape> shapes = {
+      {2048, 8192, 4096}, {4096, 8192, 4096}, {8192, 8192, 4096}, {3072, 8192, 4096}};
+  auto tune = [&shapes](Tuner* tuner, CommPrimitive primitive) {
+    for (const GemmShape& shape : shapes) {
+      tuner->Tune(shape, primitive);
+    }
+  };
+  std::thread a(tune, &owner, CommPrimitive::kAllReduce);
+  std::thread b(tune, &sharer, CommPrimitive::kReduceScatter);
+  std::thread c([&owner, &shapes] {
+    for (int round = 0; round < 4; ++round) {
+      for (const GemmShape& shape : shapes) {
+        owner.GemmConfigFor(shape);
+      }
+    }
+  });
+  a.join();
+  b.join();
+  c.join();
+  EXPECT_EQ(owner.cache_size(), shapes.size());
+  EXPECT_EQ(sharer.cache_size(), shapes.size());
+  Tuner solo(MakeA800Cluster(4));
+  for (const GemmShape& shape : shapes) {
+    EXPECT_EQ(&owner.GemmConfigFor(shape), &sharer.GemmConfigFor(shape));
+    EXPECT_EQ(sharer.Tune(shape, CommPrimitive::kReduceScatter).partition,
+              solo.Tune(shape, CommPrimitive::kReduceScatter).partition);
+  }
 }
 
 TEST(TunerTest, TunedPartitionCoversEffectiveWaves) {

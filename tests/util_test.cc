@@ -282,17 +282,6 @@ TEST(ParseTest, TryParseDoubleRejectsNonFinite) {
   EXPECT_DOUBLE_EQ(*TryParseDouble("1e308"), 1e308);
 }
 
-TEST(ParseTest, TryParseHexU64IsStrict) {
-  EXPECT_EQ(TryParseHexU64("ff"), 0xffull);
-  EXPECT_EQ(TryParseHexU64("00000000000000FF"), 0xffull);
-  EXPECT_EQ(TryParseHexU64("ffffffffffffffff"), 0xffffffffffffffffull);
-  EXPECT_FALSE(TryParseHexU64("").has_value());
-  EXPECT_FALSE(TryParseHexU64("-1").has_value());
-  EXPECT_FALSE(TryParseHexU64("0x10").has_value());
-  EXPECT_FALSE(TryParseHexU64(" ff").has_value());
-  EXPECT_FALSE(TryParseHexU64("11111111111111111").has_value());  // 17 digits
-}
-
 TEST(TableTest, FormatDoubleExactRoundTrips) {
   const double value = 10000.0 / 3.0;
   EXPECT_DOUBLE_EQ(*TryParseDouble(FormatDoubleExact(value)), value);
