@@ -14,7 +14,7 @@ size_t PlanShipper::DeliverLocked(PlanIterator first, PlanIterator last,
                                   Subscriber* subscriber) {
   size_t delivered = 0;
   for (; first != last; ++first) {
-    subscriber->store->Put(first->first, first->second);
+    subscriber->store->Put(first->first, first->second.plan);
     ++delivered;
   }
   stats_.shipped += delivered;
@@ -90,7 +90,7 @@ bool PlanShipper::BeginTuning(uint64_t key, int replica_id) {
   const auto& published = published_.plans();
   if (const auto plan = published.find(key); plan != published.end()) {
     // Already tuned fleet-wide: re-ship into the caller (its bounded
-    // store evicted the copy) instead of letting it re-search.
+    // store evicted the plan) instead of letting it re-search.
     const auto it = subscribers_.find(replica_id);
     if (it != subscribers_.end()) {
       DeliverLocked(plan, std::next(plan), ArtifactsForLocked(key), &it->second);
@@ -115,9 +115,9 @@ bool PlanShipper::Publish(uint64_t key, const PlanStore& source, const StoredPla
   if (!record.has_value()) {
     return false;
   }
-  // A re-publish (an evicted copy re-tuned at zero searches) refreshes
+  // A re-publish (an evicted plan re-tuned at zero searches) refreshes
   // the published set but is not a new plan and fans out nothing: peers
-  // that lost their copy re-fetch through BeginTuning.
+  // that lost their plan re-fetch through BeginTuning.
   const bool fresh = !published_.Contains(key);
   if (published_.ImportRecords(*record) == 0) {
     return false;
@@ -130,7 +130,7 @@ bool PlanShipper::Publish(uint64_t key, const PlanStore& source, const StoredPla
   }
   ++stats_.published;
   // The record was parsed once, into the published set; peers receive
-  // copies of that plan.
+  // that plan's handle.
   const auto plan = published_.plans().find(key);
   const std::vector<StoredPlan> artifacts = ArtifactsForLocked(key);
   for (auto& [id, subscriber] : subscribers_) {
@@ -185,8 +185,8 @@ size_t PlanShipper::ImportSnapshot(const std::string& text) {
   if (plans.empty()) {
     return 0;
   }
-  for (const auto& [key, plan] : plans) {
-    published_.Put(key, plan);
+  for (const auto& [key, entry] : plans) {
+    published_.Put(key, entry.plan);
   }
   std::vector<StoredPlan> artifacts;
   artifacts.reserve(tuner_tier->size());

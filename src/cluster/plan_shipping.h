@@ -5,8 +5,9 @@
 // the owner's plan is exported as record text and parsed into the
 // published set (PlanStore::ExportRecord / ImportRecords), so the
 // published plan is exactly what an on-disk warm start of the same bytes
-// would load. Peer stores then receive copies of that parsed plan — the
-// record is parsed once per publish, not once per peer.
+// would load. Peer stores then receive that parsed plan's handle: the
+// record is parsed once per publish, and the fleet holds one immutable
+// plan object per key however many stores it is delivered to.
 //
 // The shipper also single-flights searches fleet-wide: BeginTuning grants
 // each key to the first replica that asks; peers that lose the race park
@@ -36,8 +37,9 @@ namespace flo {
 struct PlanShipperStats {
   // Plans published (one per key tuned anywhere in the fleet).
   size_t published = 0;
-  // Plan copies delivered into subscriber stores (publishes, re-ships,
-  // and bootstrap deliveries).
+  // Plan deliveries into subscriber stores (publishes, re-ships,
+  // snapshot imports and bootstrap deliveries); each delivery puts the
+  // published plan's handle, not a copy.
   size_t shipped = 0;
   // BeginTuning calls denied because a peer owned the in-flight search —
   // duplicate searches the fleet did not pay.
@@ -114,10 +116,10 @@ class PlanShipper {
     Tuner* tuner = nullptr;
   };
 
-  using PlanIterator = std::map<uint64_t, ExecutionPlan>::const_iterator;
+  using PlanIterator = std::map<uint64_t, PlanStore::Entry>::const_iterator;
 
   // The one delivery path (bootstrap, snapshot import, publish fan-out,
-  // re-ship): puts copies of the plans in [first, last) into the
+  // re-ship): puts the plans in [first, last), by handle, into the
   // subscriber's store in key order, hands `artifacts` to its tuner, and
   // returns the number of plans delivered. Requires mu_.
   size_t DeliverLocked(PlanIterator first, PlanIterator last,

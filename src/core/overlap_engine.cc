@@ -13,14 +13,13 @@ OverlapEngine::OverlapEngine(ClusterSpec cluster, TunerConfig tuner_config,
     : cluster_(cluster),
       options_(options),
       tuner_(cluster, tuner_config),
-      planner_(&tuner_, &plan_store_),
+      planner_(&tuner_, store_.get()),
       executor_(std::move(cluster)) {}
 
 void OverlapEngine::UseSharedPlanStore(std::shared_ptr<PlanStore> store) {
   FLO_CHECK(store != nullptr);
-  shared_store_ = std::move(store);
-  store_ = shared_store_.get();
-  planner_ = OverlapPlanner(&tuner_, store_);
+  store_ = std::move(store);
+  planner_ = OverlapPlanner(&tuner_, store_.get());
   // Conservative: memoized runs stay valid across stores (plans for a key
   // are deterministic), but a store swap is a deployment boundary — start
   // clean. Dropping the handle (not clearing the map) leaves a memo other
@@ -82,17 +81,7 @@ OverlapRun OverlapEngine::ExecuteInternal(const ScenarioSpec& spec, uint64_t key
                                           bool memoize) {
   const EngineOptions& effective = spec.options.has_value() ? *spec.options : options_;
   bool cache_hit = false;
-  // Against a shared store another engine may evict concurrently, so take
-  // the plan by value (copied under the store's lock) instead of holding a
-  // reference into the map.
-  ExecutionPlan owned;
-  const ExecutionPlan* plan;
-  if (shared_store_ != nullptr) {
-    owned = planner_.PlanByValue(spec, key, &cache_hit);
-    plan = &owned;
-  } else {
-    plan = &planner_.Plan(spec, key, &cache_hit);
-  }
+  const PlanStore::Handle plan = planner_.Plan(spec, key, &cache_hit);
   const std::vector<GemmShape> shapes = spec.RankShapes(cluster_.gpu_count);
   std::vector<GemmConfig> configs;
   configs.reserve(shapes.size());

@@ -40,7 +40,7 @@ class OverlapEngine {
 
   Tuner& tuner() { return tuner_; }
   OverlapPlanner& planner() { return planner_; }
-  // The active store: the engine-owned one, or the shared one after
+  // The active store: a private one, or the shared one after
   // UseSharedPlanStore.
   PlanStore& plan_store() { return *store_; }
   ScheduleExecutor& executor() { return executor_; }
@@ -50,8 +50,10 @@ class OverlapEngine {
   // Shared-store mode (the paper's plans are "cached and reusable across
   // serving processes"): repoints the planner at an external, possibly
   // capacity-bounded PlanStore so several engines/serving loops reuse each
-  // other's plans. Cross-engine reuse only happens between identical
-  // deployments — the canonical key covers cluster and tuner config.
+  // other's plans. Execution holds a plan by its handle, so it takes the
+  // same path against a private or a shared store. Cross-engine reuse
+  // only happens between identical deployments — the canonical key covers
+  // cluster and tuner config.
   // Resets planner stats (they described the old store) and detaches the
   // engine from any shared run memo onto a fresh private one, so a store
   // swap never wipes runs that other engines share.
@@ -80,7 +82,7 @@ class OverlapEngine {
   // times). The plan-store lookup still happens on every call — store
   // hit/miss counters, LRU recency, and planner stats advance exactly as
   // with Execute, and plan_cache_hit reflects the fresh lookup — but on a
-  // repeat spec the plan is not copied (OverlapPlanner::TouchPlan) and the
+  // repeat spec no plan handle is taken (OverlapPlanner::TouchPlan) and the
   // deterministic simulation itself (gemm configs, seeded schedule replay)
   // is skipped and the cached result returned with `groups` traces and the
   // rank-0 timelines empty (only Execute callers read them). Specs
@@ -120,9 +122,8 @@ class OverlapEngine {
   ClusterSpec cluster_;
   EngineOptions options_;
   Tuner tuner_;
-  PlanStore plan_store_;
-  std::shared_ptr<PlanStore> shared_store_;  // set by UseSharedPlanStore
-  PlanStore* store_ = &plan_store_;          // the store planner_ memoizes into
+  // The store planner_ memoizes into: private until UseSharedPlanStore.
+  std::shared_ptr<PlanStore> store_ = std::make_shared<PlanStore>();
   OverlapPlanner planner_;
   ScheduleExecutor executor_;
   // The active run memo: private, allocated on the first memoized miss,

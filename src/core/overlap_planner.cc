@@ -92,34 +92,10 @@ void OverlapPlanner::RecordLookup(bool hit, bool* cache_hit) {
   }
 }
 
-const ExecutionPlan& OverlapPlanner::Plan(const ScenarioSpec& spec, bool* cache_hit) {
-  return Plan(spec, CanonicalKey(spec), cache_hit);
-}
-
-ExecutionPlan OverlapPlanner::PlanByValue(const ScenarioSpec& spec, bool* cache_hit) {
-  return PlanByValue(spec, CanonicalKey(spec), cache_hit);
-}
-
-const ExecutionPlan& OverlapPlanner::Plan(const ScenarioSpec& spec, uint64_t key,
-                                          bool* cache_hit) {
-  if (const ExecutionPlan* cached = store_->Find(key)) {
-    RecordLookup(true, cache_hit);
-    return *cached;
-  }
-  RecordLookup(false, cache_hit);
-  return store_->Put(key, Build(spec));
-}
-
-ExecutionPlan OverlapPlanner::PlanByValue(const ScenarioSpec& spec, uint64_t key,
-                                          bool* cache_hit) {
-  if (std::optional<ExecutionPlan> cached = store_->FindCopy(key)) {
-    RecordLookup(true, cache_hit);
-    return *std::move(cached);
-  }
-  RecordLookup(false, cache_hit);
-  ExecutionPlan built = Build(spec);
-  store_->Put(key, built);
-  return built;
+PlanStore::Handle OverlapPlanner::Plan(const ScenarioSpec& spec, uint64_t key, bool* cache_hit) {
+  PlanStore::Handle cached = store_->Find(key);
+  RecordLookup(cached != nullptr, cache_hit);
+  return cached != nullptr ? cached : store_->Put(key, Build(spec));
 }
 
 bool OverlapPlanner::TouchPlan(const ScenarioSpec& spec, uint64_t key) {

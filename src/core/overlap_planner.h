@@ -56,26 +56,16 @@ class OverlapPlanner {
   std::optional<PretuneRequest> TuningRequest(const ScenarioSpec& spec) const;
 
   // Returns the memoized plan, building (and caching) it on first use.
-  // The reference is stable until the store evicts the entry (so: consume
-  // it before planning anything else against a capacity-bounded store).
-  // `cache_hit`, when non-null, reports whether the plan was served from
-  // the store — per-spec visibility for batch sweeps and serving loops.
-  const ExecutionPlan& Plan(const ScenarioSpec& spec, bool* cache_hit = nullptr);
-
-  // Value-returning variant for shared stores: the copy is taken under the
-  // store's lock (PlanStore::FindCopy), so it stays valid even if another
-  // engine concurrently evicts the entry. The engine uses this whenever a
-  // shared PlanStore is attached.
-  ExecutionPlan PlanByValue(const ScenarioSpec& spec, bool* cache_hit = nullptr);
-
-  // Keyed forms for callers that already hold the spec's key: `key` must
-  // equal CanonicalKey(spec) (serving paths key a request once, at
-  // placement, and carry the key through batching and execution).
-  const ExecutionPlan& Plan(const ScenarioSpec& spec, uint64_t key, bool* cache_hit);
-  ExecutionPlan PlanByValue(const ScenarioSpec& spec, uint64_t key, bool* cache_hit);
-  // The lookup of PlanByValue without the copy: stats, store hit/miss and
-  // LRU recency advance exactly as PlanByValue's would, and a miss builds
-  // and caches the plan. Returns whether the lookup hit.
+  // `key` must equal CanonicalKey(spec) (serving paths key a request
+  // once, at placement, and carry the key through batching and
+  // execution). The handle keeps the plan alive even if the store, which
+  // other engines may share, evicts the entry meanwhile. `cache_hit`,
+  // when non-null, reports whether the plan was served from the store —
+  // per-spec visibility for batch sweeps and serving loops.
+  PlanStore::Handle Plan(const ScenarioSpec& spec, uint64_t key, bool* cache_hit);
+  // The lookup of Plan without the handle: stats, store hit/miss and LRU
+  // recency advance exactly as Plan's would, and a miss builds and caches
+  // the plan. Returns whether the lookup hit.
   bool TouchPlan(const ScenarioSpec& spec, uint64_t key);
 
   const PlannerStats& stats() const { return stats_; }

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/obs/metrics.h"
+#include "src/util/check.h"
 #include "src/util/file.h"
 #include "src/util/logging.h"
 #include "src/util/table.h"
@@ -264,12 +265,16 @@ struct TunerTier {
   }
 };
 
+// A written entry's record value: a store entry's plan, or a tuner record.
+const ExecutionPlan& RecordOf(const PlanStore::Entry& entry) { return *entry.plan; }
+const StoredPlan& RecordOf(const StoredPlan& plan) { return plan; }
+
 // Appends a tier's records in the entries' order, then its count footer.
 template <typename Tier, typename Entries>
 void WriteTier(std::string* out, const Entries& entries) {
   LineWriter writer(out);
   for (const auto& [key, value] : entries) {
-    Tier::Record(writer, key, value);
+    Tier::Record(writer, key, RecordOf(value));
   }
   const size_t count = entries.size();
   CountLine(writer, Tier::kCountTag, count);
@@ -335,8 +340,7 @@ bool StructurallyValid(const ExecutionPlan& plan) {
 PlanStore::PlanStore(const PlanStore& other) {
   std::lock_guard<std::mutex> lock(other.mu_);
   capacity_ = other.capacity_;
-  plans_ = other.plans_;
-  last_use_ = other.last_use_;
+  entries_ = other.entries_;
   use_clock_ = other.use_clock_;
   stats_ = other.stats_;
 }
@@ -344,8 +348,7 @@ PlanStore::PlanStore(const PlanStore& other) {
 PlanStore::PlanStore(PlanStore&& other) noexcept {
   std::lock_guard<std::mutex> lock(other.mu_);
   capacity_ = other.capacity_;
-  plans_ = std::move(other.plans_);
-  last_use_ = std::move(other.last_use_);
+  entries_ = std::move(other.entries_);
   use_clock_ = other.use_clock_;
   stats_ = other.stats_;
 }
@@ -357,8 +360,7 @@ PlanStore& PlanStore::operator=(const PlanStore& other) {
   PlanStore copy(other);
   std::lock_guard<std::mutex> lock(mu_);
   capacity_ = copy.capacity_;
-  plans_ = std::move(copy.plans_);
-  last_use_ = std::move(copy.last_use_);
+  entries_ = std::move(copy.entries_);
   use_clock_ = copy.use_clock_;
   stats_ = copy.stats_;
   return *this;
@@ -370,26 +372,33 @@ PlanStore& PlanStore::operator=(PlanStore&& other) noexcept {
   }
   std::scoped_lock lock(mu_, other.mu_);
   capacity_ = other.capacity_;
-  plans_ = std::move(other.plans_);
-  last_use_ = std::move(other.last_use_);
+  entries_ = std::move(other.entries_);
   use_clock_ = other.use_clock_;
   stats_ = other.stats_;
   return *this;
 }
 
-void PlanStore::TouchLocked(uint64_t key) const { last_use_[key] = ++use_clock_; }
+const PlanStore::Entry* PlanStore::LookupLocked(uint64_t key) const {
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) {
+    ++stats_.misses;
+    return nullptr;
+  }
+  ++stats_.hits;
+  it->second.last_use = ++use_clock_;
+  return &it->second;
+}
 
 void PlanStore::EnforceCapacityLocked() {
-  while (capacity_ != 0 && plans_.size() > capacity_) {
-    auto victim = last_use_.begin();
-    for (auto it = last_use_.begin(); it != last_use_.end(); ++it) {
-      if (it->second < victim->second) {
+  while (capacity_ != 0 && entries_.size() > capacity_) {
+    auto victim = entries_.begin();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (it->second.last_use < victim->second.last_use) {
         victim = it;
       }
     }
     const uint64_t key = victim->first;
-    plans_.erase(key);
-    last_use_.erase(victim);
+    entries_.erase(victim);
     ++stats_.evictions;
     if (on_change_) {
       on_change_(key, false);
@@ -397,74 +406,58 @@ void PlanStore::EnforceCapacityLocked() {
   }
 }
 
-const ExecutionPlan* PlanStore::Find(uint64_t key) const {
+PlanStore::Handle PlanStore::Find(uint64_t key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = plans_.find(key);
-  if (it == plans_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
-  TouchLocked(key);
-  return &it->second;
+  const Entry* entry = LookupLocked(key);
+  return entry == nullptr ? nullptr : entry->plan;
 }
 
 bool PlanStore::Touch(uint64_t key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (plans_.count(key) == 0) {
-    ++stats_.misses;
-    return false;
-  }
-  ++stats_.hits;
-  TouchLocked(key);
-  return true;
+  return LookupLocked(key) != nullptr;
 }
 
 std::optional<ExecutionPlan> PlanStore::FindCopy(uint64_t key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = plans_.find(key);
-  if (it == plans_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  ++stats_.hits;
-  TouchLocked(key);
-  return it->second;
+  const Handle plan = Find(key);
+  return plan == nullptr ? std::nullopt : std::optional<ExecutionPlan>(*plan);
 }
 
-const ExecutionPlan& PlanStore::Put(uint64_t key, ExecutionPlan plan) {
+PlanStore::Handle PlanStore::Put(uint64_t key, Handle plan) {
+  FLO_CHECK(plan != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = plans_.insert_or_assign(key, std::move(plan));
-  TouchLocked(key);
+  const auto [it, inserted] = entries_.insert_or_assign(key, Entry{std::move(plan), ++use_clock_});
   if (inserted) {
     if (on_change_) {
       on_change_(key, true);
     }
     // The fresh entry holds the max use tick, so eviction can never pick
-    // it: the returned reference stays valid.
+    // it: `it` stays valid.
     EnforceCapacityLocked();
   }
-  return it->second;
+  return it->second.plan;
+}
+
+PlanStore::Handle PlanStore::Put(uint64_t key, ExecutionPlan plan) {
+  return Put(key, std::make_shared<const ExecutionPlan>(std::move(plan)));
 }
 
 bool PlanStore::Contains(uint64_t key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return plans_.count(key) != 0;
+  return entries_.count(key) != 0;
 }
 
 std::optional<double> PlanStore::PeekPredictedUs(uint64_t key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = plans_.find(key);
-  if (it == plans_.end()) {
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) {
     return std::nullopt;
   }
-  return it->second.predicted_us;
+  return it->second.plan->predicted_us;
 }
 
 bool PlanStore::Erase(uint64_t key) {
   std::lock_guard<std::mutex> lock(mu_);
-  last_use_.erase(key);
-  if (plans_.erase(key) == 0) {
+  if (entries_.erase(key) == 0) {
     return false;
   }
   if (on_change_) {
@@ -475,18 +468,17 @@ bool PlanStore::Erase(uint64_t key) {
 
 size_t PlanStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return plans_.size();
+  return entries_.size();
 }
 
 void PlanStore::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   if (on_change_) {
-    for (const auto& entry : plans_) {
+    for (const auto& entry : entries_) {
       on_change_(entry.first, false);
     }
   }
-  plans_.clear();
-  last_use_.clear();
+  entries_.clear();
 }
 
 size_t PlanStore::capacity() const {
@@ -526,19 +518,19 @@ void PlanStore::ExportMetrics(MetricsRegistry* registry) const {
 std::string PlanStore::Serialize() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "# FlashOverlap execution plans: keyed by canonical scenario hash\n";
-  WriteTier<PlanTier>(&out, plans_);
+  WriteTier<PlanTier>(&out, entries_);
   return out;
 }
 
 std::optional<std::string> PlanStore::ExportRecord(uint64_t key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = plans_.find(key);
-  if (it == plans_.end()) {
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) {
     return std::nullopt;
   }
   std::string out;
   LineWriter writer(&out);
-  PlanTier::Record(writer, it->first, it->second);
+  PlanTier::Record(writer, it->first, *it->second.plan);
   return out;
 }
 
@@ -551,11 +543,10 @@ size_t PlanStore::ImportRecords(const std::string& text) {
                     << text.size() << " bytes); store untouched";
     return 0;
   }
-  const size_t imported = parsed->plans_.size();
-  for (auto& [key, plan] : parsed->plans_) {
-    Put(key, std::move(plan));
+  for (const auto& [key, entry] : parsed->entries_) {
+    Put(key, entry.plan);
   }
-  return imported;
+  return parsed->entries_.size();
 }
 
 std::optional<PlanStore> PlanStore::Parse(const std::string& text) {

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -86,7 +87,7 @@ struct PlanStoreStats {
   }
 };
 
-// Keyed store of full ExecutionPlans. The key is the OverlapPlanner's
+// Keyed store of immutable ExecutionPlans. The key is the OverlapPlanner's
 // canonical scenario hash (scenario fields x cluster x tuner config), so a
 // store survives process restarts only between identical deployments —
 // exactly the paper's "prepare once, serve many" contract.
@@ -98,11 +99,13 @@ struct PlanStoreStats {
 //
 // Concurrency: every member is guarded by an internal mutex, so one store
 // can be shared by multiple serving loops (the paper's plans are "cached
-// and reusable across serving processes"). Find/Put return references into
-// the store that stay valid only until the entry is evicted — within one
-// thread that is fine (the plan is consumed immediately); across threads
-// use FindCopy. plans() exposes the underlying map and is only safe while
-// no other thread mutates the store.
+// and reusable across serving processes"). A stored plan is an immutable
+// object behind a Handle: Find and Put return the handle, which keeps the
+// plan alive after its entry is evicted, erased or overwritten, so it may
+// be held and read on any thread. Stores may hold the same handle (a fleet
+// ships one plan object to every replica), and copying a store shares its
+// plans. plans() exposes the underlying map and is only safe while no
+// other thread mutates the store.
 //
 // Text format: the plan tier above.
 class PlanStore {
@@ -110,23 +113,31 @@ class PlanStore {
   PlanStore() = default;
   explicit PlanStore(size_t capacity) : capacity_(capacity) {}
 
+  // A stored plan: immutable and shared.
+  using Handle = std::shared_ptr<const ExecutionPlan>;
+  // One resident plan and its LRU use tick.
+  struct Entry {
+    Handle plan;
+    mutable uint64_t last_use = 0;
+  };
+
   PlanStore(const PlanStore& other);
   PlanStore(PlanStore&& other) noexcept;
   PlanStore& operator=(const PlanStore& other);
   PlanStore& operator=(PlanStore&& other) noexcept;
 
   // nullptr when absent. Counts a hit/miss and refreshes LRU recency.
-  const ExecutionPlan* Find(uint64_t key) const;
+  Handle Find(uint64_t key) const;
   // Find without the plan: counts the hit/miss and refreshes LRU recency
   // exactly as Find/FindCopy do, and returns whether the key is resident.
   // For callers that only need the lookup's side effects (a memoized run).
   bool Touch(uint64_t key) const;
-  // Thread-safe lookup for shared-store use: returns a copy, so the result
-  // survives a concurrent eviction.
+  // Find, returning a copy of the plan.
   std::optional<ExecutionPlan> FindCopy(uint64_t key) const;
-  // Inserts or overwrites; returns the stored plan. May evict the
+  // Inserts or overwrites; returns the stored handle. May evict the
   // least-recently-used *other* entry when over capacity.
-  const ExecutionPlan& Put(uint64_t key, ExecutionPlan plan);
+  Handle Put(uint64_t key, Handle plan);
+  Handle Put(uint64_t key, ExecutionPlan plan);
   // Peek: no stats, no recency update.
   bool Contains(uint64_t key) const;
   // The stored plan's predicted end-to-end latency, as a peek: no stats,
@@ -165,7 +176,7 @@ class PlanStore {
   // their checkpoint pollers.
   void ExportMetrics(MetricsRegistry* registry) const;
 
-  const std::map<uint64_t, ExecutionPlan>& plans() const { return plans_; }
+  const std::map<uint64_t, Entry>& plans() const { return entries_; }
 
   std::string Serialize() const;
   // Returns std::nullopt when the text breaks any rule of the format above
@@ -188,17 +199,19 @@ class PlanStore {
   size_t ImportRecords(const std::string& text);
 
  private:
-  void TouchLocked(uint64_t key) const;
+  // The lookup behind Find, Touch and FindCopy: counts a hit or a miss and
+  // refreshes the entry's recency. nullptr on a miss. Requires mu_.
+  const Entry* LookupLocked(uint64_t key) const;
   // Evicts least-recently-used entries until size() <= capacity().
   void EnforceCapacityLocked();
 
   mutable std::mutex mu_;
   size_t capacity_ = 0;
-  std::map<uint64_t, ExecutionPlan> plans_;
-  // LRU bookkeeping: a monotonic use tick per key. Eviction takes the
-  // minimum — O(n), but stores hold at most thousands of plans and the
-  // flat layout keeps the class copyable (tests snapshot stores by value).
-  mutable std::map<uint64_t, uint64_t> last_use_;
+  // LRU bookkeeping: each entry's last_use is a monotonic use tick, unique
+  // per store. Eviction takes the minimum — O(n), but stores hold at most
+  // thousands of plans and the flat layout keeps the class copyable (tests
+  // snapshot stores by value).
+  std::map<uint64_t, Entry> entries_;
   mutable uint64_t use_clock_ = 0;
   mutable PlanStoreStats stats_;
   ChangeCallback on_change_;

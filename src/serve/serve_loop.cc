@@ -45,7 +45,7 @@ ServeReport ServeLoop::Run(RequestCursor* cursor) {
                      session.Admit(std::move(request), now);
                    });
   events.RunToCompletion();
-  ServeReport report = session.report();
+  ServeReport report = std::move(session.report());
   report.events = events.dispatched();
   if (observing) {
     obs->FinishRun(report.makespan_us);

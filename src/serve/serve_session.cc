@@ -430,12 +430,10 @@ void ServeSession::StartTuning(uint32_t batch_slot, SimTime now) {
   ++tuners_busy_;
   SetTuningKey(batch_pool_[batch_slot].key, true);
   // Build and cache the plan now; its cost lands on the tuning lane, so
-  // the executor keeps serving warm batches meanwhile. By-value: against
-  // a shared store, Plan()'s reference could dangle under concurrent
-  // eviction by another engine.
+  // the executor keeps serving warm batches meanwhile.
   const size_t searches_before = engine_->tuner().search_count();
-  engine_->planner().PlanByValue(batch_pool_[batch_slot].requests.front().spec,
-                                 batch_pool_[batch_slot].key, nullptr);
+  engine_->planner().Plan(batch_pool_[batch_slot].requests.front().spec,
+                          batch_pool_[batch_slot].key, nullptr);
   const size_t searches = std::max(engine_->tuner().search_count() - searches_before,
                                    batch_pool_[batch_slot].charged_searches);
   FinishTuningAt(batch_slot, TuneCostUs(searches), searches, now);

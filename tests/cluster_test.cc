@@ -612,6 +612,94 @@ TEST(ServingClusterTest, ReplicasShareOneOfflineStage) {
   }
 }
 
+// Expects every replica store but `skip_id`'s to hold `key` as one shared
+// plan object.
+void ExpectOnePlanObject(const ServingCluster& fleet, uint64_t key, int skip_id = -1) {
+  const ExecutionPlan* shared = nullptr;
+  for (const auto& replica : fleet.replicas()) {
+    if (replica->id() == skip_id) {
+      continue;
+    }
+    const ExecutionPlan* plan = replica->store()->Find(key).get();
+    ASSERT_NE(plan, nullptr) << "replica " << replica->id();
+    if (shared == nullptr) {
+      shared = plan;
+    }
+    EXPECT_EQ(plan, shared) << "replica " << replica->id() << " holds its own copy";
+  }
+}
+
+// Snapshot import and bootstrap, publish fan-out, a late autoscaler spawn
+// and a crash restart's re-warm all hand replicas the published plan
+// object, not a copy of it.
+TEST(ServingClusterTest, ReplicasHoldOnePlanObjectPerKey) {
+  std::string snapshot;
+  {
+    ClusterConfig single;
+    single.replicas = 1;
+    ServingCluster source(Make4090Cluster(4), single, {}, EngineOptions{.jitter = false});
+    source.Run(MixedTrace(2, 10));
+    snapshot = source.shipper().SerializeSnapshot();
+  }
+  ClusterConfig config;
+  config.replicas = 2;
+  config.policy = PlacementPolicy::kRoundRobin;
+  config.autoscale.enabled = true;
+  config.autoscale.min_replicas = 2;
+  config.autoscale.max_replicas = 4;
+  config.autoscale.check_interval_us = 20000.0;
+  config.autoscale.spawn_queue_per_replica = 4.0;
+  config.autoscale.drain_after_calm_checks = 1000;  // keep every replica subscribed
+  ServingCluster fleet(Make4090Cluster(4), config, {}, EngineOptions{.jitter = false});
+  ASSERT_EQ(fleet.ImportPlans(snapshot), 2u);
+  const uint64_t warm[] = {fleet.KeyFor(SmallSpec(1024)), fleet.KeyFor(SmallSpec(1536))};
+  fleet.Run(std::vector<ServeRequest>{});
+  ASSERT_EQ(fleet.replicas().size(), 2u);
+  for (const uint64_t key : warm) {
+    ExpectOnePlanObject(fleet, key);
+  }
+
+  // A burst with one cold key: one replica tunes and publishes it, the
+  // others receive it, and the autoscaler spawns late replicas.
+  std::vector<ServeRequest> burst;
+  for (int i = 0; i < 60; ++i) {
+    burst.push_back({i, "burst", static_cast<double>(i), SmallSpec(1024 + 512 * (i % 3))});
+  }
+  const FleetReport report = fleet.Run(burst);
+  ASSERT_EQ(report.stats.count(), burst.size());
+  ASSERT_GT(report.spawns, 0u);
+  ASSERT_EQ(report.total_searches, 1u);
+  int owner = -1;
+  for (const ReplicaReport& replica : report.replicas) {
+    if (replica.tuner_searches > 0) {
+      owner = replica.id;
+    }
+  }
+  ASSERT_GE(owner, 0);
+  for (const uint64_t key : warm) {
+    ExpectOnePlanObject(fleet, key);
+  }
+  // The owner keeps the plan it built; every other replica holds the
+  // published one.
+  ExpectOnePlanObject(fleet, fleet.KeyFor(SmallSpec(2048)), owner);
+
+  // A crash empties replica 0's store; the restart re-warms it from the
+  // published set.
+  ClusterConfig crashing;
+  crashing.replicas = 2;
+  ServingCluster crashed(Make4090Cluster(4), crashing, {}, EngineOptions{.jitter = false});
+  ASSERT_EQ(crashed.ImportPlans(snapshot), 2u);
+  FaultSchedule schedule;
+  schedule.Add(FaultEvent{5000.0, FaultKind::kCrash, 0, 8000.0, 0.0});
+  crashed.SetFaultSchedule(schedule);
+  const FleetReport recovered = crashed.Run(MixedTrace(2, 20));
+  ASSERT_EQ(recovered.fault.replica_restarts, 1u);
+  ASSERT_EQ(recovered.fault.plans_rewarmed, 2u);
+  for (const uint64_t key : warm) {
+    ExpectOnePlanObject(crashed, key);
+  }
+}
+
 TEST(ServingClusterTest, ReportsAreDeterministicAndPlansReplicaCountInvariant) {
   const auto trace = MixedTrace(3, 40);
   ClusterConfig config;

@@ -139,8 +139,14 @@ TEST(PlanStoreLruTest, SharedStoreSurvivesConcurrentUse) {
         const uint64_t key = static_cast<uint64_t>((t * kOpsPerThread + i) % 16);
         if (i % 3 == 0) {
           store.Put(key, MarkedPlan(static_cast<int>(key)));
+        } else if (i % 3 == 1) {
+          // A Find handle: its plan outlives a concurrent eviction or
+          // overwrite of the entry.
+          const PlanStore::Handle plan = store.Find(key);
+          if (plan != nullptr) {
+            EXPECT_EQ(*plan, MarkedPlan(static_cast<int>(key)));
+          }
         } else {
-          // FindCopy: safe against a concurrent eviction of the entry.
           const auto plan = store.FindCopy(key);
           if (plan.has_value()) {
             EXPECT_EQ(plan->segments.size(), 2u);
@@ -157,6 +163,34 @@ TEST(PlanStoreLruTest, SharedStoreSurvivesConcurrentUse) {
   const size_t finds_per_thread = kOpsPerThread - (kOpsPerThread + 2) / 3;
   const PlanStoreStats stats = store.stats();
   EXPECT_EQ(stats.hits + stats.misses, kThreads * finds_per_thread);
+}
+
+// A Find handle keeps reading its plan after the entry leaves the store,
+// by eviction, Erase, Clear or overwrite (ASan catches a dangling read).
+TEST(PlanStoreLruTest, FindHandleOutlivesItsEntry) {
+  PlanStore store(/*capacity=*/1);
+  store.Put(1, MarkedPlan(1));
+  const PlanStore::Handle evicted = store.Find(1);
+  store.Put(2, MarkedPlan(2));
+  ASSERT_FALSE(store.Contains(1));
+  const PlanStore::Handle erased = store.Find(2);
+  ASSERT_TRUE(store.Erase(2));
+  store.Put(3, MarkedPlan(3));
+  const PlanStore::Handle overwritten = store.Find(3);
+  store.Put(3, MarkedPlan(4));
+  const PlanStore::Handle cleared = store.Find(3);
+  store.Clear();
+  ASSERT_EQ(store.size(), 0u);
+  EXPECT_EQ(*evicted, MarkedPlan(1));
+  EXPECT_EQ(*erased, MarkedPlan(2));
+  EXPECT_EQ(*overwritten, MarkedPlan(3));
+  EXPECT_EQ(*cleared, MarkedPlan(4));
+  // Putting a handle stores that object: two stores share it, uncopied.
+  PlanStore a;
+  PlanStore b;
+  EXPECT_EQ(a.Put(5, cleared), cleared);
+  b.Put(5, cleared);
+  EXPECT_EQ(a.Find(5).get(), b.Find(5).get());
 }
 
 TEST(PlanStoreRecordTest, ExportImportRoundTripsBitIdentically) {
@@ -194,11 +228,11 @@ TEST(PlanStoreRecordTest, FindAndFindCopyAgreeAcrossSnapshotRoundTrip) {
   for (int i = 0; i < 4; ++i) {
     const uint64_t key = 100 + i;
     // Find and FindCopy agree with each other...
-    const ExecutionPlan* by_ref = store.Find(key);
+    const PlanStore::Handle by_ref = store.Find(key);
     ASSERT_NE(by_ref, nullptr);
     EXPECT_EQ(*by_ref, *store.FindCopy(key));
     // ...and with the save/load round-trip, bit for bit.
-    const ExecutionPlan* restored_ref = restored->Find(key);
+    const PlanStore::Handle restored_ref = restored->Find(key);
     ASSERT_NE(restored_ref, nullptr);
     EXPECT_EQ(*restored_ref, *by_ref);
     EXPECT_EQ(*restored->FindCopy(key), *by_ref);
@@ -755,8 +789,8 @@ TEST(PlanShipperConcurrencyTest, PublishReshipAndLateSubscribeRaceCleanly) {
     EXPECT_EQ(store->size(), kCapacity);
     const auto parsed = PlanStore::Parse(store->Serialize());
     ASSERT_TRUE(parsed.has_value());
-    for (const auto& [key, plan] : parsed->plans()) {
-      EXPECT_EQ(plan, MarkedPlan(static_cast<int>(key)));
+    for (const auto& [key, entry] : parsed->plans()) {
+      EXPECT_EQ(*entry.plan, MarkedPlan(static_cast<int>(key)));
     }
   }
   const auto snapshot = PlanStore::Parse(shipper.SerializeSnapshot());

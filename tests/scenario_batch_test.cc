@@ -183,10 +183,10 @@ TEST(PlanStoreExecutionPlanTest, RoundTripKeyedByScenarioHash) {
   const auto parsed = PlanStore::Parse(text);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_EQ(parsed->size(), engine.plan_store().size());
-  for (const auto& [key, plan] : engine.plan_store().plans()) {
-    const ExecutionPlan* restored = parsed->Find(key);
+  for (const auto& [key, entry] : engine.plan_store().plans()) {
+    const PlanStore::Handle restored = parsed->Find(key);
     ASSERT_NE(restored, nullptr) << "key " << key << " missing after round trip";
-    EXPECT_EQ(*restored, plan);
+    EXPECT_EQ(*restored, *entry.plan);
   }
 }
 
