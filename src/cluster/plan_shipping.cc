@@ -106,36 +106,32 @@ bool PlanShipper::BeginTuning(uint64_t key, int replica_id) {
 }
 
 bool PlanShipper::Publish(uint64_t key, const PlanStore& source, const StoredPlan* artifact) {
-  const std::optional<std::string> record = source.ExportRecord(key);
+  const PlanStore::Handle plan = source.Peek(key);
   std::lock_guard<std::mutex> lock(mu_);
   // Release ownership unconditionally: if the owner's bounded store
-  // evicted the plan before the publish (nothing to export), a peer must
-  // be able to acquire the key and tune it, not stay parked forever.
+  // evicted the plan before the publish (nothing to ship), a peer must be
+  // able to acquire the key and tune it, not stay parked forever.
   in_flight_.erase(key);
-  if (!record.has_value()) {
+  if (plan == nullptr) {
     return false;
   }
-  // A re-publish (an evicted plan re-tuned at zero searches) refreshes
-  // the published set but is not a new plan and fans out nothing: peers
-  // that lost their plan re-fetch through BeginTuning.
-  const bool fresh = !published_.Contains(key);
-  if (published_.ImportRecords(*record) == 0) {
-    return false;
-  }
-  if (!fresh) {
+  // A re-publish (an evicted plan re-tuned at zero searches) is not a new
+  // plan: the published object stays and nothing fans out. Peers that
+  // lost their plan re-fetch through BeginTuning.
+  if (published_.Contains(key)) {
     return true;
   }
   if (artifact != nullptr) {
     artifacts_[key] = *artifact;
   }
   ++stats_.published;
-  // The record was parsed once, into the published set; peers receive
-  // that plan's handle.
-  const auto plan = published_.plans().find(key);
+  // The owner's plan object becomes the fleet's: peers receive its handle.
+  published_.Put(key, plan);
+  const auto published = published_.plans().find(key);
   const std::vector<StoredPlan> artifacts = ArtifactsForLocked(key);
   for (auto& [id, subscriber] : subscribers_) {
     if (subscriber.store.get() == &source) {
-      continue;  // the owner already holds what it just tuned
+      continue;  // the owner already holds this plan object
     }
     if (drop_filter_ && drop_filter_(key, id)) {
       // Injected shipping loss: the delivery vanishes. The victim's
@@ -144,7 +140,7 @@ bool PlanShipper::Publish(uint64_t key, const PlanStore& source, const StoredPla
       ++stats_.ship_drops;
       continue;
     }
-    DeliverLocked(plan, std::next(plan), artifacts, &subscriber);
+    DeliverLocked(published, std::next(published), artifacts, &subscriber);
   }
   return true;
 }
@@ -173,8 +169,8 @@ size_t PlanShipper::ImportSnapshot(const std::string& text) {
     return 0;
   }
   // The plan tier is parsed once and put into the published set and every
-  // subscriber store in the same (key) order a per-store ImportRecords of
-  // the text would apply.
+  // subscriber store in key order, as a per-store Parse and Put of each
+  // plan would apply it.
   const std::optional<PlanStore> parsed = PlanStore::Parse(text);
   if (!parsed.has_value()) {
     FLO_LOG(kError) << "snapshot import rejected: malformed or truncated plan tier ("

@@ -1,13 +1,14 @@
 // Plan shipping: the fleet pays each tuner search once.
 //
 // Replicas subscribe their PlanStores; when one replica finishes a cold
-// tune it publishes the plan. Each publish makes one record round trip:
-// the owner's plan is exported as record text and parsed into the
-// published set (PlanStore::ExportRecord / ImportRecords), so the
-// published plan is exactly what an on-disk warm start of the same bytes
-// would load. Peer stores then receive that parsed plan's handle: the
-// record is parsed once per publish, and the fleet holds one immutable
-// plan object per key however many stores it is delivered to.
+// tune it publishes the plan. A publish ships a handle, not text: the
+// owner's immutable plan object goes into the published set and peer
+// stores receive that same handle, so the fleet holds one plan object per
+// key, the owner's included, however many stores it is delivered to. A
+// re-publish of a key already published changes nothing. Record text is
+// only the snapshot boundary (SerializeSnapshot / ImportSnapshot); the
+// codec writes every field of a plan exactly, so a snapshot reloads plans
+// equal to the shipped objects.
 //
 // The shipper also single-flights searches fleet-wide: BeginTuning grants
 // each key to the first replica that asks; peers that lose the race park
@@ -85,20 +86,23 @@ class PlanShipper {
   // caller's "tune" then finds the store warm and costs no search.
   bool BeginTuning(uint64_t key, int replica_id);
 
-  // Publishes `key`'s plan from `source` to every subscribed store and
-  // releases the in-flight ownership. `artifact`, when given, is the
-  // tuner-tier StoredPlan behind the key's search: it is delivered to
-  // peer tuners (and kept for late subscribers), so a bounded store that
-  // later evicts the shipped ExecutionPlan rebuilds it without re-paying
-  // the search. No-op (false) when `source` does not hold the key.
+  // Releases the in-flight ownership of `key` and publishes `source`'s
+  // plan object for it: the published set and every other subscribed
+  // store receive its handle. `artifact`, when given, is the tuner-tier
+  // StoredPlan behind the key's search: it is delivered to peer tuners
+  // (and kept for late subscribers), so a bounded store that later evicts
+  // the shipped ExecutionPlan rebuilds it without re-paying the search.
+  // Nothing is published (false) when `source` does not hold the key; a
+  // key already published keeps its published plan and ships nothing
+  // (true).
   bool Publish(uint64_t key, const PlanStore& source, const StoredPlan* artifact = nullptr);
 
   // The published set, serialized — the fleet snapshot for on-disk
-  // warm starts (feed it back via ImportSnapshot or
-  // PlanStore::ImportRecords). Two tiers in one file: the ExecutionPlan
-  // records, then the tuner-tier StoredPlan artifacts as '#tuner' lines
-  // (comments to plan-tier parsers, so old readers load the plan tier
-  // unchanged and old snapshots import as an empty tuner tier).
+  // warm starts (feed it back via ImportSnapshot or PlanStore::Parse).
+  // Two tiers in one file: the ExecutionPlan records, then the tuner-tier
+  // StoredPlan artifacts as '#tuner' lines (comments to plan-tier
+  // parsers, so old readers load the plan tier unchanged and old
+  // snapshots import as an empty tuner tier).
   std::string SerializeSnapshot() const;
   bool SaveSnapshot(const std::string& path) const;
   // Imports both tiers into the published set and ships them to every

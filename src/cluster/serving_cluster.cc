@@ -667,9 +667,10 @@ void ServingCluster::OnHealthRestore(const EventRecord& record, SimTime now) {
   }
   const Replica::Health faulted = kFaultedHealth[record.key];
   FLO_CHECK(faulted != Replica::Health::kHealthy) << "unreachable restore kind";
-  if (replica->health() != faulted) {
-    return;
-  }
+  // ApplyFault injects a health fault only into a healthy replica, and
+  // nothing but this restore clears it, so the replica still shows it.
+  FLO_CHECK(replica->health() == faulted)
+      << "replica " << replica->id() << " restores a fault it does not show";
   if (kind == FaultKind::kCrash) {
     // Restart: re-subscribe re-warms the empty store (and tuner tier)
     // from everything the fleet has published — the paper's "prepare

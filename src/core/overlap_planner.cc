@@ -20,6 +20,10 @@ StableHash& MixDouble(StableHash& hash, double value) {
 // See CanonicalKey: bumped when imbalanced plan construction changes.
 constexpr int kImbalancedPlanVersion = 2;
 
+// Output element size in bytes (fp16/bf16), as the tuner's predictor
+// assumes: a segment's payload is its tiles' elements times this.
+constexpr int kElementSize = 2;
+
 }  // namespace
 
 OverlapPlanner::OverlapPlanner(Tuner* tuner, PlanStore* store)
@@ -52,11 +56,11 @@ uint64_t OverlapPlanner::CanonicalKey(const ScenarioSpec& spec) const {
   // 65536: the retired candidate cap, still mixed so stored keys stay valid.
   hash.Mix(config.s1).Mix(config.sp).Mix(65536);
   hash.Mix(config.exhaustive ? 1 : 0);
-  hash.Mix(config.element_size);
+  hash.Mix(kElementSize);
   // 0: the retired search-implementation flag, mixed for the same reason.
   hash.Mix(0);
-  // The node budget can change which partition wins.
-  hash.Mix(config.search_max_nodes);
+  // 1 << 24: the tuner's node budget (tuner.cc), mixed for the same reason.
+  hash.Mix(1 << 24);
   if (spec.imbalanced()) {
     // Imbalanced planning-algorithm version: bumped when imbalanced plan
     // construction changes (v2: joint multi-rank search), so stale
@@ -139,7 +143,7 @@ ExecutionPlan OverlapPlanner::BuildNonOverlap(const ScenarioSpec& spec) {
     worst_gemm_us = std::max(worst_gemm_us, config.duration_us);
     // The library call moves the exact output payload, not the padded tile
     // footprint; the collective starts when the slowest rank arrives.
-    const double bytes = shape.OutputBytes(tuner_->config().element_size);
+    const double bytes = shape.OutputBytes(kElementSize);
     segment.max_bytes = std::max(segment.max_bytes, bytes);
     segment.latency_us =
         std::max(segment.latency_us, tuner_->cost_model().LatencyUs(spec.primitive, bytes));
@@ -288,7 +292,6 @@ void OverlapPlanner::FillCommSegments(ExecutionPlan* plan,
   // Payload follows the heaviest rank (the call is synchronizing); a
   // group's bytes are its counting target times the rank's tile footprint.
   FLO_CHECK_EQ(rank_shapes.size(), static_cast<size_t>(plan->rank_count()));
-  const int element_size = tuner_->config().element_size;
   plan->segments.clear();
   plan->segments.reserve(plan->group_count());
   for (int g = 0; g < plan->group_count(); ++g) {
@@ -297,7 +300,7 @@ void OverlapPlanner::FillCommSegments(ExecutionPlan* plan,
     for (int r = 0; r < plan->rank_count(); ++r) {
       const GemmConfig& config = tuner_->GemmConfigFor(rank_shapes[r]);
       const double rank_bytes = static_cast<double>(plan->group_tiles[r][g]) *
-                                config.tile.Elements() * element_size;
+                                config.tile.Elements() * kElementSize;
       segment.max_bytes = std::max(segment.max_bytes, rank_bytes);
       if (rank_bytes > 0) {
         segment.latency_us = std::max(

@@ -9,7 +9,6 @@
 #include "src/obs/metrics.h"
 #include "src/util/check.h"
 #include "src/util/file.h"
-#include "src/util/logging.h"
 #include "src/util/table.h"
 
 namespace flo {
@@ -446,13 +445,10 @@ bool PlanStore::Contains(uint64_t key) const {
   return entries_.count(key) != 0;
 }
 
-std::optional<double> PlanStore::PeekPredictedUs(uint64_t key) const {
+PlanStore::Handle PlanStore::Peek(uint64_t key) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    return std::nullopt;
-  }
-  return it->second.plan->predicted_us;
+  return it == entries_.end() ? nullptr : it->second.plan;
 }
 
 bool PlanStore::Erase(uint64_t key) {
@@ -520,33 +516,6 @@ std::string PlanStore::Serialize() const {
   std::string out = "# FlashOverlap execution plans: keyed by canonical scenario hash\n";
   WriteTier<PlanTier>(&out, entries_);
   return out;
-}
-
-std::optional<std::string> PlanStore::ExportRecord(uint64_t key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    return std::nullopt;
-  }
-  std::string out;
-  LineWriter writer(&out);
-  PlanTier::Record(writer, it->first, *it->second.plan);
-  return out;
-}
-
-size_t PlanStore::ImportRecords(const std::string& text) {
-  // Parse into a scratch store first so a malformed shipment applies
-  // nothing (and holds no lock while parsing).
-  std::optional<PlanStore> parsed = Parse(text);
-  if (!parsed.has_value()) {
-    FLO_LOG(kError) << "plan import rejected: malformed or truncated record text ("
-                    << text.size() << " bytes); store untouched";
-    return 0;
-  }
-  for (const auto& [key, entry] : parsed->entries_) {
-    Put(key, entry.plan);
-  }
-  return parsed->entries_.size();
 }
 
 std::optional<PlanStore> PlanStore::Parse(const std::string& text) {

@@ -75,7 +75,7 @@ std::optional<std::vector<std::pair<uint64_t, StoredPlan>>> ParseTunerTier(
     const std::string& text);
 
 // Hit/miss counts from Find/FindCopy lookups, evictions from capacity
-// enforcement. Contains() is a peek and does not count.
+// enforcement. Contains() and Peek() are peeks and do not count.
 struct PlanStoreStats {
   size_t hits = 0;
   size_t misses = 0;
@@ -100,12 +100,13 @@ struct PlanStoreStats {
 // Concurrency: every member is guarded by an internal mutex, so one store
 // can be shared by multiple serving loops (the paper's plans are "cached
 // and reusable across serving processes"). A stored plan is an immutable
-// object behind a Handle: Find and Put return the handle, which keeps the
-// plan alive after its entry is evicted, erased or overwritten, so it may
-// be held and read on any thread. Stores may hold the same handle (a fleet
-// ships one plan object to every replica), and copying a store shares its
-// plans. plans() exposes the underlying map and is only safe while no
-// other thread mutates the store.
+// object behind a Handle: Find, Peek and Put return the handle, which
+// keeps the plan alive after its entry is evicted, erased or overwritten,
+// so it may be held and read on any thread. Stores may hold the same
+// handle (a fleet ships the tuning replica's plan object to every other
+// replica), and copying a store shares its plans. plans() exposes the
+// underlying map and is only safe while no other thread mutates the
+// store.
 //
 // Text format: the plan tier above.
 class PlanStore {
@@ -140,10 +141,12 @@ class PlanStore {
   Handle Put(uint64_t key, ExecutionPlan plan);
   // Peek: no stats, no recency update.
   bool Contains(uint64_t key) const;
-  // The stored plan's predicted end-to-end latency, as a peek: no stats,
-  // no recency update — the fleet scheduler's backfill fit-checks call
-  // this per dispatch and must not perturb hit rates or LRU order.
-  std::optional<double> PeekPredictedUs(uint64_t key) const;
+  // The stored plan (nullptr when absent), as a peek: no stats, no
+  // recency update. For readers that must not perturb hit rates or LRU
+  // order: plan shipping takes the tuning owner's plan object with it,
+  // and the fleet scheduler's backfill fit checks read the predicted
+  // latency per dispatch.
+  Handle Peek(uint64_t key) const;
   // Drops one entry (no eviction stats: this is an explicit discard, e.g.
   // an aborted tuner search invalidating the plan it cached). False when
   // absent.
@@ -187,16 +190,6 @@ class PlanStore {
   static std::optional<PlanStore> Parse(const std::string& text);
   bool SaveToFile(const std::string& path) const;
   static std::optional<PlanStore> LoadFromFile(const std::string& path);
-
-  // Per-record wire format for plan shipping (src/cluster): a published
-  // plan makes one round trip through exactly the bytes a save/load
-  // would write, so shipping and on-disk warm starts share one
-  // serialization layer. ExportRecord returns the entry's record text
-  // (std::nullopt when absent; a peek — no stats, no recency update).
-  // ImportRecords parses record text and Puts every plan, returning the
-  // number imported (0 on any malformed record; nothing is applied).
-  std::optional<std::string> ExportRecord(uint64_t key) const;
-  size_t ImportRecords(const std::string& text);
 
  private:
   // The lookup behind Find, Touch and FindCopy: counts a hit or a miss and

@@ -17,6 +17,16 @@
 #include "src/util/logging.h"
 
 namespace flo {
+namespace {
+
+// Output element size in bytes (fp16/bf16).
+constexpr int kElementSize = 2;
+// Node budget for the branch-and-bound search (group extensions); on
+// exhaustion the best plan found so far is kept. OverlapPlanner::
+// CanonicalKey mixes both values: a change here must change it too.
+constexpr int kSearchMaxNodes = 1 << 24;
+
+}  // namespace
 
 struct Tuner::OfflineStage {
   std::mutex mu;
@@ -31,7 +41,6 @@ Tuner::Tuner(ClusterSpec cluster, TunerConfig config)
       stage_(std::make_shared<OfflineStage>()) {
   FLO_CHECK_GE(config_.s1, 1);
   FLO_CHECK_GE(config_.sp, 1);
-  FLO_CHECK_GE(config_.search_max_nodes, 1);
 }
 
 void Tuner::ShareOfflineStage(const Tuner& owner) {
@@ -77,7 +86,7 @@ PredictorSetup Tuner::MakeSetup(const GemmShape& shape, CommPrimitive primitive)
   setup.primitive = primitive;
   setup.latency_curve = LatencyCurveFor(primitive);
   setup.comm_sm_count = CommSmCount();
-  setup.element_size = config_.element_size;
+  setup.element_size = kElementSize;
   return setup;
 }
 
@@ -210,7 +219,7 @@ TunedMultiRankPlan Tuner::SearchImbalanced(const MultiKey& key, CommPrimitive pr
   options.s1 = config_.s1;
   options.sp = config_.sp;
   options.bounded = !(config_.exhaustive && tables.base_waves <= 20);
-  options.max_nodes = static_cast<size_t>(config_.search_max_nodes);
+  options.max_nodes = kSearchMaxNodes;
 
   // Seed the incumbent with the deepest rank's single-rank plan: the
   // heaviest rank dominates the rendezvous, so its solo optimum is a
@@ -227,7 +236,7 @@ TunedMultiRankPlan Tuner::SearchImbalanced(const MultiKey& key, CommPrimitive pr
   const WavePartition seed = rank_searcher.Search(*deepest, options).partition;
   const MultiRankSearchResult result = searcher.Search(tables, options, &seed);
   if (result.budget_exhausted) {
-    FLO_LOG(kWarning) << "multi-rank branch-and-bound hit the " << config_.search_max_nodes
+    FLO_LOG(kWarning) << "multi-rank branch-and-bound hit the " << kSearchMaxNodes
                       << "-node budget at " << tables.base_waves
                       << " base waves; best-so-far plan kept";
   }
@@ -287,13 +296,13 @@ TunedPlan Tuner::SearchBranchAndBound(const PredictorSetup& setup, int waves) co
   // The exhaustive config searches the full 2^(T-1) space for modest T
   // (the space EnumerateAllPartitions lists).
   options.bounded = !(config_.exhaustive && waves <= 20);
-  options.max_nodes = static_cast<size_t>(config_.search_max_nodes);
+  options.max_nodes = kSearchMaxNodes;
   // One workspace per thread: the pool's parallel cold searches each reuse
   // their own preallocated buffers across searches.
   static thread_local PartitionSearcher searcher;
   const PartitionSearchResult result = searcher.Search(table, options);
   if (result.budget_exhausted) {
-    FLO_LOG(kWarning) << "branch-and-bound search hit the " << config_.search_max_nodes
+    FLO_LOG(kWarning) << "branch-and-bound search hit the " << kSearchMaxNodes
                       << "-node budget at " << waves << " waves; best-so-far plan kept";
   }
   TunedPlan plan;

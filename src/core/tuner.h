@@ -55,10 +55,6 @@ struct TunerConfig {
   // If true, search the full 2^(T-1) space (the accuracy baseline of
   // Sec. 6.5); only viable for modest T.
   bool exhaustive = false;
-  int element_size = 2;
-  // Node budget for the branch-and-bound search (group extensions); on
-  // exhaustion the best plan found so far is returned.
-  int search_max_nodes = 1 << 24;
 };
 
 struct TunedPlan {

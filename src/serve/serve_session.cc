@@ -150,11 +150,11 @@ double ServeSession::PredictedServiceUs(const Batch& batch) const {
     // The safety plan's cost has no stored estimate; never backfill it.
     return std::numeric_limits<double>::infinity();
   }
-  const auto predicted = engine_->plan_store().PeekPredictedUs(batch.key);
-  if (!predicted.has_value()) {
+  const PlanStore::Handle plan = engine_->plan_store().Peek(batch.key);
+  if (plan == nullptr) {
     return std::numeric_limits<double>::infinity();
   }
-  return *predicted * static_cast<double>(batch.requests.size()) * cost_multiplier_;
+  return plan->predicted_us * static_cast<double>(batch.requests.size()) * cost_multiplier_;
 }
 
 // Batches parked in a lane are not frozen: a same-key batch joining the
@@ -844,9 +844,10 @@ void ServeSession::BackfillOrReserve(uint32_t blocked_slot, SimTime now) {
       }
       const FleetScheduler::Priority priority =
           sched_->KeyFor(lane.tenant_id, lane.oldest_arrival_us, now);
-      const auto predicted = engine_->plan_store().PeekPredictedUs(lane.key);
-      if (predicted.has_value() &&
-          sched_->BackfillFits(*predicted * static_cast<double>(lane.size) * cost_multiplier_,
+      const PlanStore::Handle plan = engine_->plan_store().Peek(lane.key);
+      if (plan != nullptr &&
+          sched_->BackfillFits(plan->predicted_us * static_cast<double>(lane.size) *
+                                   cost_multiplier_,
                                window_for(priority)) &&
           (!found || FleetScheduler::Before(priority, fill_priority))) {
         found = true;

@@ -142,13 +142,37 @@ TEST(PlanShipperTest, PublishShipsBitIdenticalCopiesToAllPeers) {
   shipper.Subscribe(1, b);
   a->Put(42, MarkedPlan(7));
   ASSERT_TRUE(shipper.Publish(42, *a));
-  // The shipped copy is the serialization round-trip of the original.
+  // The peer receives the owner's plan object itself.
   ASSERT_TRUE(b->Contains(42));
-  EXPECT_EQ(*a->ExportRecord(42), *b->ExportRecord(42));
+  EXPECT_EQ(a->Find(42).get(), b->Find(42).get());
   EXPECT_EQ(*b->FindCopy(42), MarkedPlan(7));
   EXPECT_EQ(shipper.stats().published, 1u);
   EXPECT_TRUE(shipper.Published(42));
   EXPECT_FALSE(shipper.Publish(43, *a));  // absent from the source
+}
+
+// A re-publish (the owner's store lost the plan and re-tuned it at zero
+// searches, as a new, equal object) keeps the published object: the
+// fan-out peer and a later subscriber share one plan object, and neither
+// the publish count nor the snapshot bytes move.
+TEST(PlanShipperTest, RepublishKeepsThePublishedPlanObject) {
+  PlanShipper shipper;
+  auto owner = std::make_shared<PlanStore>();
+  auto peer = std::make_shared<PlanStore>();
+  shipper.Subscribe(0, owner);
+  shipper.Subscribe(1, peer);
+  owner->Put(1, MarkedPlan(1));
+  ASSERT_TRUE(shipper.Publish(1, *owner));
+  const std::string snapshot = shipper.SerializeSnapshot();
+  ASSERT_TRUE(owner->Erase(1));
+  owner->Put(1, MarkedPlan(1));
+  EXPECT_TRUE(shipper.Publish(1, *owner));
+  auto late = std::make_shared<PlanStore>();
+  shipper.Subscribe(2, late);
+  ASSERT_NE(peer->Find(1), nullptr);
+  EXPECT_EQ(peer->Find(1).get(), late->Find(1).get());
+  EXPECT_EQ(shipper.stats().published, 1u);
+  EXPECT_EQ(shipper.SerializeSnapshot(), snapshot);
 }
 
 TEST(PlanShipperTest, BeginTuningSingleFlightsAcrossTheFleet) {
@@ -612,14 +636,10 @@ TEST(ServingClusterTest, ReplicasShareOneOfflineStage) {
   }
 }
 
-// Expects every replica store but `skip_id`'s to hold `key` as one shared
-// plan object.
-void ExpectOnePlanObject(const ServingCluster& fleet, uint64_t key, int skip_id = -1) {
+// Expects every replica store to hold `key` as one shared plan object.
+void ExpectOnePlanObject(const ServingCluster& fleet, uint64_t key) {
   const ExecutionPlan* shared = nullptr;
   for (const auto& replica : fleet.replicas()) {
-    if (replica->id() == skip_id) {
-      continue;
-    }
     const ExecutionPlan* plan = replica->store()->Find(key).get();
     ASSERT_NE(plan, nullptr) << "replica " << replica->id();
     if (shared == nullptr) {
@@ -631,7 +651,7 @@ void ExpectOnePlanObject(const ServingCluster& fleet, uint64_t key, int skip_id 
 
 // Snapshot import and bootstrap, publish fan-out, a late autoscaler spawn
 // and a crash restart's re-warm all hand replicas the published plan
-// object, not a copy of it.
+// object, not a copy of it; a published plan is the tuning replica's own.
 TEST(ServingClusterTest, ReplicasHoldOnePlanObjectPerKey) {
   std::string snapshot;
   {
@@ -669,19 +689,12 @@ TEST(ServingClusterTest, ReplicasHoldOnePlanObjectPerKey) {
   ASSERT_EQ(report.stats.count(), burst.size());
   ASSERT_GT(report.spawns, 0u);
   ASSERT_EQ(report.total_searches, 1u);
-  int owner = -1;
-  for (const ReplicaReport& replica : report.replicas) {
-    if (replica.tuner_searches > 0) {
-      owner = replica.id;
-    }
-  }
-  ASSERT_GE(owner, 0);
   for (const uint64_t key : warm) {
     ExpectOnePlanObject(fleet, key);
   }
-  // The owner keeps the plan it built; every other replica holds the
-  // published one.
-  ExpectOnePlanObject(fleet, fleet.KeyFor(SmallSpec(2048)), owner);
+  // The replica that tuned the cold key holds the object it built, and
+  // so does every other replica.
+  ExpectOnePlanObject(fleet, fleet.KeyFor(SmallSpec(2048)));
 
   // A crash empties replica 0's store; the restart re-warms it from the
   // published set.
@@ -871,6 +884,36 @@ std::vector<ServeRequest> MixedImbalancedTrace(int per_tenant) {
       {MakeRequestStream("llm", specs, PoissonArrivals(8000.0, per_tenant, 3), 0),
        MakeRequestStream("moe", specs, BurstyArrivals(16000.0, 4.0, 6, per_tenant, 5),
                          400000)});
+}
+
+// Shipped plans are the tuning replicas' objects, not parses of record
+// text, so an on-disk warm start must load equal plans: after a fleet
+// run that publishes cold keys, every replica's plan equals, by value,
+// what a parse of the fleet snapshot holds for its key, and the shipped
+// objects and that parse both serialize to the snapshot's plan tier.
+TEST(ServingClusterTest, ShippedPlansEqualTheirSnapshotParse) {
+  ClusterConfig config;
+  config.replicas = 3;
+  ServingCluster fleet(Make4090Cluster(4), config, {}, EngineOptions{.jitter = false});
+  const FleetReport report = fleet.Run(MixedImbalancedTrace(10));
+  ASSERT_EQ(report.shipping.published, 4u);
+  const std::string snapshot = fleet.shipper().SerializeSnapshot();
+  const std::optional<PlanStore> parsed = PlanStore::Parse(snapshot);
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_EQ(parsed->size(), 4u);
+  const std::string plan_tier = parsed->Serialize();
+  EXPECT_EQ(snapshot.compare(0, plan_tier.size(), plan_tier), 0);
+  for (const auto& replica : fleet.replicas()) {
+    SCOPED_TRACE("replica " + std::to_string(replica->id()));
+    PlanStore shipped;
+    for (const auto& [key, entry] : parsed->plans()) {
+      const PlanStore::Handle plan = replica->store()->Peek(key);
+      ASSERT_NE(plan, nullptr);
+      EXPECT_EQ(*plan, *entry.plan);
+      shipped.Put(key, plan);
+    }
+    EXPECT_EQ(shipped.Serialize(), plan_tier);
+  }
 }
 
 TEST(ServingClusterTest, ImbalancedKeysShipWarmAndStayDeterministic) {
