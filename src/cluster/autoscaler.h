@@ -15,7 +15,8 @@
 //
 // An optional predictive tier (off by default) composes with — never
 // overrides — the reactive signals. It reads a short-horizon arrival-rate
-// estimate sampled from the FleetScheduler's decayed arrival accounts:
+// estimate sampled from the fleet's decayed arrival account (ArrivalRate,
+// src/sched/fleet_scheduler.h):
 //  - pre-spawn (kPrespawn): when the extrapolated next-interval demand
 //    exceeds what the accepting fleet can absorb (accepting_replicas x
 //    capacity_per_replica x prespawn_headroom) while the reactive signals
@@ -52,9 +53,9 @@ struct AutoscaleConfig {
   int drain_after_calm_checks = 3;
   // Predictive tier master switch. Off (the default), the rate-estimate
   // fields of the observation are ignored and decisions are bit-identical
-  // to the reactive-only autoscaler. On, the ServingCluster constructs a
-  // FleetScheduler for its arrival accounts even when SchedConfig is
-  // disabled; the estimate decays over SchedConfig::share_half_life_us.
+  // to the reactive-only autoscaler. On, the ServingCluster keeps an
+  // ArrivalRate account whether or not SchedConfig is enabled; the
+  // estimate decays over SchedConfig::share_half_life_us.
   bool predictive = false;
   // Capacity margin for both predictive decisions: pre-spawn fires when
   // predicted demand > accepting x capacity x headroom, and a drain is

@@ -6,7 +6,6 @@
 
 #include "src/obs/obs_plane.h"
 #include "src/serve/request_cursor.h"
-#include "src/serve/tenant_registry.h"
 #include "src/util/check.h"
 #include "src/util/file.h"
 #include "src/util/logging.h"
@@ -73,17 +72,10 @@ ServingCluster::ServingCluster(ClusterSpec hardware, ClusterConfig config,
       [this](const EventRecord& record, SimTime now) { OnFaultEvent(record, now); });
   sched_handler_ = events_.RegisterHandler(
       [this](const EventRecord&, SimTime now) { SchedCheck(now); });
-  // The predictive autoscale tier reads arrival-rate estimates off the
-  // scheduler's decayed arrival accounts, so it needs the FleetScheduler
-  // constructed even when the sched plane itself is off.
-  if (config_.sched.enabled ||
-      (config_.autoscale.enabled && config_.autoscale.predictive)) {
-    scheduler_ = std::make_unique<FleetScheduler>(config_.sched);
-  }
   if (config_.sched.enabled) {
     // Every session spawned from config_.serve consults the one fleet
     // scheduler: per-tenant shares are fleet-wide state, not per-replica.
-    // (Predictive-only mode leaves this null: dispatch stays FIFO.)
+    scheduler_ = std::make_unique<FleetScheduler>(config_.sched);
     config_.serve.sched = scheduler_.get();
   }
 }
@@ -233,15 +225,11 @@ int ServingCluster::Place(uint64_t key, SimTime now, int avoid_id) {
 
 void ServingCluster::PlaceRequest(ServeRequest&& request, SimTime now) {
   const uint64_t key = catalog_.Key(request.spec);
-  if (scheduler_ != nullptr) {
+  if (arrival_rate_.has_value()) {
     // One arrival charge per admitted request (requeues and preemptive
     // re-placements bypass this path on purpose — a placement revision
-    // is not new demand). Interning here matches RequestQueue::Admit's
-    // lazy interning order, arrivals being the first touch of a tenant.
-    if (request.tenant_id == 0) {
-      request.tenant_id = InternTenant(request.tenant);
-    }
-    scheduler_->ChargeArrival(request.tenant_id, now);
+    // is not new demand).
+    arrival_rate_->Charge(now);
   }
   Route(std::move(request), key, now, /*retry=*/false);
 }
@@ -255,7 +243,7 @@ void ServingCluster::Route(ServeRequest&& request, uint64_t key, SimTime now, bo
     // charging a retry. Without faults it is a configuration error.
     FLO_CHECK(faults_active_) << "no accepting replica (autoscaler drained below min?)";
     ++fault_report_.placement_stalls;
-    PushRequeue(std::move(request), key, now + config_.faults.retry_backoff_base_us);
+    PushRequeue(std::move(request), key, now + kRetryBackoffBaseUs);
     return;
   }
   if (retry) {
@@ -319,9 +307,9 @@ void ServingCluster::AutoscaleCheck(SimTime now) {
   }
   ObsPlane* obs = config_.serve.obs;
   const bool observing = obs != nullptr && obs->enabled();
-  if (autoscaler_->config().predictive && scheduler_ != nullptr) {
+  if (arrival_rate_.has_value()) {
     const RateEstimate estimate =
-        scheduler_->SampleRate(now, autoscaler_->config().check_interval_us);
+        arrival_rate_->Sample(now, autoscaler_->config().check_interval_us);
     observation.rate_estimate = estimate.arrivals_per_interval;
     observation.rate_trend = estimate.trend;
     observation.capacity_per_replica =
@@ -418,6 +406,11 @@ FleetReport ServingCluster::Run(RequestCursor* cursor) {
   sched_preempted_ = 0;
   if (scheduler_ != nullptr) {
     scheduler_->ResetRunState();
+  }
+  // The predictive tier's rate estimate decays on the fair-share clock.
+  arrival_rate_.reset();
+  if (config_.autoscale.enabled && config_.autoscale.predictive) {
+    arrival_rate_.emplace(config_.sched.share_half_life_us);
   }
   ObsPlane* obs = config_.serve.obs;
   const bool observing = obs != nullptr && obs->enabled();

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -217,12 +218,14 @@ class ServingCluster {
   FleetRouter router_;
   PlanShipper shipper_;
   EventLoop events_;
-  // Constructed when ClusterConfig::sched enables it (every session then
-  // borrows it through ServeConfig::sched) OR when the predictive
-  // autoscale tier needs its arrival accounts — in that second, sched-off
-  // mode the sessions never see it, so dispatch stays FIFO and only the
-  // rate estimate is read. Null = neither consumer active.
+  // Constructed exactly when ClusterConfig::sched enables it; every
+  // session then borrows it through ServeConfig::sched. Null = FIFO
+  // dispatch.
   std::unique_ptr<FleetScheduler> scheduler_;
+  // The fleet's arrival account, held (fresh each run) exactly when the
+  // predictive autoscale tier is on; it samples the rate at each
+  // checkpoint.
+  std::optional<ArrivalRate> arrival_rate_;
   // Typed-event targets for autoscale checkpoints, fault-plane events,
   // and scheduler preempt scans (registered once).
   uint32_t autoscale_handler_ = 0;

@@ -12,9 +12,8 @@ namespace flo {
 struct EngineOptions {
   // Deterministic jitter (per-case seeded) on wave and collective
   // durations; gives the predictor a realistic error distribution.
+  // Amplitudes are fixed in schedule_executor.cc.
   bool jitter = true;
-  double wave_jitter = 0.02;
-  double comm_jitter = 0.05;
   uint64_t seed_salt = 0;
   // Simulate collectives mechanistically, ring step by ring step
   // (src/comm/ring_transport.h) instead of charging the closed-form cost.

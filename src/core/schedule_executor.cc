@@ -9,6 +9,14 @@
 #include "src/util/check.h"
 
 namespace flo {
+namespace {
+
+// Jitter amplitudes: a jittered wave or collective runs up to this
+// fraction slower than nominal.
+constexpr double kWaveJitter = 0.02;
+constexpr double kCommJitter = 0.05;
+
+}  // namespace
 
 ScheduleExecutor::ScheduleExecutor(ClusterSpec spec) : spec_(spec), devices_(spec_) {
   handler_ = loop_.RegisterHandler(
@@ -56,10 +64,10 @@ SimTime ScheduleExecutor::ExecuteSequential(const ExecutionPlan& plan,
       duration = waves * config.wave_time_us + spec_.gpu.kernel_launch_overhead_us;
     }
     gemm_us = std::max(gemm_us,
-                       duration * JitterFactor(&rng, options.jitter, options.wave_jitter));
+                       duration * JitterFactor(&rng, options.jitter, kWaveJitter));
   }
   const double worst_comm = plan.segments[0].latency_us;
-  return gemm_us + worst_comm * JitterFactor(&rng, options.jitter, options.comm_jitter);
+  return gemm_us + worst_comm * JitterFactor(&rng, options.jitter, kCommJitter);
 }
 
 void ScheduleExecutor::Push(SimTime time, Kind kind, int index, int ring_step) {
@@ -154,7 +162,7 @@ void ScheduleExecutor::NextWave(int rank, SimTime now) {
   const int width = devices_.device(rank).ComputeSms();
   state.wave_tiles = std::min(width, state.config->tile_count - state.tiles_done);
   const double duration = state.config->wave_time_us *
-                          JitterFactor(rng_, options_->jitter, options_->wave_jitter);
+                          JitterFactor(rng_, options_->jitter, kWaveJitter);
   Push(now + duration, Kind::kWaveEnd, rank);
 }
 
@@ -282,7 +290,7 @@ OverlapRun ScheduleExecutor::ExecuteOverlap(const ExecutionPlan& plan,
       collective.step_us = RingStepTime(spec_.link, segment.max_bytes, chunk);
     } else {
       collective.duration =
-          segment.latency_us * JitterFactor(&rng, options.jitter, options.comm_jitter);
+          segment.latency_us * JitterFactor(&rng, options.jitter, kCommJitter);
       FLO_CHECK_GE(collective.duration, 0.0);
     }
   }

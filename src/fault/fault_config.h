@@ -46,6 +46,10 @@ enum class FaultKind : uint8_t {
 
 const char* FaultKindName(FaultKind kind);
 
+// First-retry recovery backoff; it doubles per attempt (RetryBackoffUs).
+// A requeue that finds no routable replica also parks this long.
+inline constexpr double kRetryBackoffBaseUs = 200.0;
+
 // Seeded chaos shape plus the recovery policy knobs. `enabled()` false
 // (the default) injects nothing and perturbs nothing.
 struct FaultConfig {
@@ -59,20 +63,14 @@ struct FaultConfig {
   int slowdowns = 0;
   int tuner_failures = 0;
   int ship_loss_windows = 0;
-  // Per-kind windows and magnitudes.
-  double crash_restart_us = 5000.0;       // crash -> restart delay
-  double hang_window_us = 4000.0;         // stall duration
-  double hang_detect_us = 1500.0;         // deadline before pending work requeues
-  double slowdown_window_us = 8000.0;     // straggler window
-  double slowdown_multiplier = 3.0;       // execution-cost multiplier
-  double ship_loss_window_us = 5000.0;    // drop-filter window
-  double ship_loss_fraction = 0.5;        // per-(key, peer) drop probability
-  // Recovery policy: requeued requests back off exponentially
-  // (RetryBackoffUs below) and are flagged once they exceed the budget
-  // (the run still completes them — the budget bounds the backoff growth
-  // and feeds the report, it does not shed load).
+  // Deadline before a hung replica's pending work requeues. (Per-kind
+  // windows and magnitudes are fixed in fault_schedule.cc.)
+  double hang_detect_us = 1500.0;
+  // Recovery policy: requeued requests back off exponentially from
+  // kRetryBackoffBaseUs (RetryBackoffUs below) and are flagged once they
+  // exceed the budget (the run still completes them — the budget bounds
+  // the backoff growth and feeds the report, it does not shed load).
   int retry_budget = 5;
-  double retry_backoff_base_us = 200.0;
   double retry_backoff_jitter_us = 50.0;
   // Cold searches aborted by kTunerFail retry at most this many times
   // before the batch serves the single-group safety plan instead.
@@ -86,7 +84,7 @@ struct FaultConfig {
 
 // Recovery backoff before retry `attempt` (1-based) of the work `id` — a
 // requeued request's id or an aborted tune's plan key:
-// retry_backoff_base_us * 2^(min(attempt, 10) - 1) (attempts past the
+// kRetryBackoffBaseUs * 2^(min(attempt, 10) - 1) (attempts past the
 // tenth wait as long as the tenth), plus seeded jitter in
 // [0, retry_backoff_jitter_us) that is a pure function of (seed, id,
 // attempt), so the timeline is bit-identical across reruns.

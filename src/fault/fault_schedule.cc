@@ -30,7 +30,7 @@ const char* FaultKindName(FaultKind kind) {
 
 double RetryBackoffUs(const FaultConfig& faults, uint64_t id, int attempt) {
   // No std::pow: libm rounding is not a determinism bet worth making.
-  double backoff = faults.retry_backoff_base_us;
+  double backoff = kRetryBackoffBaseUs;
   const int doublings = std::min(attempt, 10) - 1;
   for (int i = 0; i < doublings; ++i) {
     backoff *= 2.0;
@@ -41,6 +41,14 @@ double RetryBackoffUs(const FaultConfig& faults, uint64_t id, int attempt) {
 }
 
 namespace {
+
+// Seeded schedules' per-kind windows and magnitudes.
+constexpr double kCrashRestartUs = 5000.0;    // crash -> restart delay
+constexpr double kHangWindowUs = 4000.0;      // stall duration
+constexpr double kSlowdownWindowUs = 8000.0;  // straggler window
+constexpr double kSlowdownMultiplier = 3.0;   // execution-cost multiplier
+constexpr double kShipLossWindowUs = 5000.0;  // drop-filter window
+constexpr double kShipLossFraction = 0.5;     // per-(key, peer) drop probability
 
 std::optional<FaultKind> TryFaultKindFromName(const std::string& name) {
   for (const FaultKind kind : {FaultKind::kCrash, FaultKind::kHang, FaultKind::kSlowdown,
@@ -96,13 +104,11 @@ FaultSchedule FaultSchedule::FromConfig(const FaultConfig& config, int replica_c
       schedule.events_.push_back(event);
     }
   };
-  draw(FaultKind::kCrash, config.crashes, config.crash_restart_us, 0.0);
-  draw(FaultKind::kHang, config.hangs, config.hang_window_us, 0.0);
-  draw(FaultKind::kSlowdown, config.slowdowns, config.slowdown_window_us,
-       config.slowdown_multiplier);
+  draw(FaultKind::kCrash, config.crashes, kCrashRestartUs, 0.0);
+  draw(FaultKind::kHang, config.hangs, kHangWindowUs, 0.0);
+  draw(FaultKind::kSlowdown, config.slowdowns, kSlowdownWindowUs, kSlowdownMultiplier);
   draw(FaultKind::kTunerFail, config.tuner_failures, 0.0, 0.0);
-  draw(FaultKind::kShipLoss, config.ship_loss_windows, config.ship_loss_window_us,
-       config.ship_loss_fraction);
+  draw(FaultKind::kShipLoss, config.ship_loss_windows, kShipLossWindowUs, kShipLossFraction);
   schedule.SortEvents();
   return schedule;
 }

@@ -1,8 +1,5 @@
 #include "src/sched/fleet_scheduler.h"
 
-#include <string>
-
-#include "src/serve/tenant_registry.h"
 #include "src/util/check.h"
 
 namespace flo {
@@ -29,7 +26,7 @@ double Halve(double value, int periods) {
 }
 
 // Folds whole-period decay into an account in place (the shared idiom of
-// Charge, ChargeArrival, and the fleet-level account).
+// the usage shares and the arrival account).
 void FoldDecay(double* mass, SimTime* anchor_us, SimTime now, double half_life_us) {
   const int periods = DecayPeriods(*anchor_us, now, half_life_us);
   if (periods >= 64) {
@@ -86,54 +83,26 @@ FleetScheduler::TenantShare& FleetScheduler::ShareFor(uint32_t tenant_id) {
   if (tenant_id >= shares_.size()) {
     shares_.resize(tenant_id + 1);
   }
-  TenantShare& share = shares_[tenant_id];
-  if (!share.registered) {
-    const std::string& tenant = TenantNameOf(tenant_id);
-    share.usage_gauge = registry_.Gauge("sched.usage_us." + tenant);
-    share.latency_histo = registry_.Histo("sched.latency_us." + tenant);
-    share.arrival_gauge = registry_.Gauge("sched.arrivals." + tenant);
-    share.registered = true;
-  }
-  return share;
+  return shares_[tenant_id];
 }
 
 void FleetScheduler::Charge(uint32_t tenant_id, double cost_us, SimTime now) {
   TenantShare& share = ShareFor(tenant_id);
   FoldDecay(&share.usage_us, &share.anchor_us, now, config_.share_half_life_us);
   share.usage_us += cost_us;
-  registry_.Set(share.usage_gauge, share.usage_us);
 }
 
-void FleetScheduler::ChargeArrival(uint32_t tenant_id, SimTime now) {
-  TenantShare& share = ShareFor(tenant_id);
-  FoldDecay(&share.arrival_mass, &share.arrival_anchor_us, now, config_.share_half_life_us);
-  share.arrival_mass += 1.0;
-  registry_.Set(share.arrival_gauge, share.arrival_mass);
-  FoldDecay(&fleet_arrival_mass_, &fleet_arrival_anchor_us_, now,
-            config_.share_half_life_us);
-  fleet_arrival_mass_ += 1.0;
+void ArrivalRate::Charge(SimTime now) {
+  FoldDecay(&mass_, &anchor_us_, now, half_life_us_);
+  mass_ += 1.0;
 }
 
-double FleetScheduler::ArrivalMassAt(uint32_t tenant_id, SimTime now) const {
-  if (tenant_id >= shares_.size()) {
-    return 0.0;
-  }
-  const TenantShare& share = shares_[tenant_id];
-  if (!share.registered || share.arrival_mass <= 0.0) {
-    return 0.0;
-  }
-  const int periods =
-      DecayPeriods(share.arrival_anchor_us, now, config_.share_half_life_us);
-  return periods >= 64 ? 0.0 : Halve(share.arrival_mass, periods);
-}
-
-RateEstimate FleetScheduler::SampleRate(SimTime now, double interval_us) {
+RateEstimate ArrivalRate::Sample(SimTime now, double interval_us) {
   RateEstimate estimate;
-  if (config_.share_half_life_us <= 0.0 || interval_us <= 0.0) {
+  if (half_life_us_ <= 0.0 || interval_us <= 0.0) {
     return estimate;
   }
-  FoldDecay(&fleet_arrival_mass_, &fleet_arrival_anchor_us_, now,
-            config_.share_half_life_us);
+  FoldDecay(&mass_, &anchor_us_, now, half_life_us_);
   // Phase-compensated inversion: folding decays in whole half-life
   // quanta, so the mass still carries an un-decayed span of
   // d = now - anchor in [0, half_life). At a steady rate of r arrivals/us
@@ -141,15 +110,14 @@ RateEstimate FleetScheduler::SampleRate(SimTime now, double interval_us) {
   // (the un-decayed arrivals), so r = mass / (half_life + d) — exact at
   // any sample phase, where dividing by half_life alone would swing the
   // estimate by up to 2x with the anchor's position. No libm.
-  const double undecayed_us = now - fleet_arrival_anchor_us_;
-  const double rate_per_us =
-      fleet_arrival_mass_ / (config_.share_half_life_us + undecayed_us);
+  const double undecayed_us = now - anchor_us_;
+  const double rate_per_us = mass_ / (half_life_us_ + undecayed_us);
   estimate.arrivals_per_interval = rate_per_us * interval_us;
-  if (rate_sampled_) {
+  if (sampled_) {
     estimate.trend = estimate.arrivals_per_interval - last_rate_per_interval_;
   }
   last_rate_per_interval_ = estimate.arrivals_per_interval;
-  rate_sampled_ = true;
+  sampled_ = true;
   return estimate;
 }
 
@@ -158,7 +126,7 @@ double FleetScheduler::UsageAt(uint32_t tenant_id, SimTime now) const {
     return 0.0;
   }
   const TenantShare& share = shares_[tenant_id];
-  if (!share.registered || share.usage_us <= 0.0) {
+  if (share.usage_us <= 0.0) {
     return 0.0;
   }
   const int periods = DecayPeriods(share.anchor_us, now, config_.share_half_life_us);
@@ -167,14 +135,16 @@ double FleetScheduler::UsageAt(uint32_t tenant_id, SimTime now) const {
 }
 
 void FleetScheduler::ObserveLatency(uint32_t tenant_id, double latency_us) {
-  registry_.Observe(ShareFor(tenant_id).latency_histo, latency_us);
+  if (config_.slo_shed && config_.slo_p99_us > 0.0) {
+    ShareFor(tenant_id).latency_us.Observe(latency_us);
+  }
 }
 
 double FleetScheduler::TenantP99Us(uint32_t tenant_id) const {
-  if (tenant_id >= shares_.size() || !shares_[tenant_id].registered) {
+  if (tenant_id >= shares_.size()) {
     return 0.0;
   }
-  const Histogram& histogram = registry_.histogram(shares_[tenant_id].latency_histo);
+  const Histogram& histogram = shares_[tenant_id].latency_us;
   return histogram.count() == 0 ? 0.0 : histogram.ApproxPercentile(0.99);
 }
 
@@ -190,11 +160,6 @@ bool FleetScheduler::BackfillFits(double predicted_service_us, double window_us)
 
 void FleetScheduler::ResetRunState() {
   shares_.clear();
-  registry_.ResetValues();
-  fleet_arrival_mass_ = 0.0;
-  fleet_arrival_anchor_us_ = 0.0;
-  last_rate_per_interval_ = 0.0;
-  rate_sampled_ = false;
 }
 
 }  // namespace flo

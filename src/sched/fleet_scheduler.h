@@ -3,10 +3,11 @@
 //
 // One scheduler is shared by every session in a cluster (the way the
 // ObsPlane is), so tenant shares are fleet-wide: a tenant burning
-// executor time on replica 3 loses priority on replica 0 too. All
-// state lives in a live MetricsRegistry — per-tenant usage gauges and
-// latency histograms — updated at event-dispatch time on the sim
-// clock, so decisions are bit-deterministic across reruns.
+// executor time on replica 3 loses priority on replica 0 too. It holds
+// only what its decisions read — per-tenant decayed usage and, when the
+// SLO shed is armed, per-tenant latency histograms — updated at
+// event-dispatch time on the sim clock, so decisions are
+// bit-deterministic across reruns.
 //
 // Priority is Slurm-shaped: usage-decayed fair share first (lowest
 // served cost wins), request age as the tie-break, and a starvation
@@ -14,6 +15,12 @@
 // every non-starving batch. Tenant ids never order anything — interning
 // order is arrival-dependent — only usage, age, and (via the lane list)
 // alphabetical tenant order do.
+//
+// ArrivalRate: the fleet's decayed arrival account, on the same
+// libm-free half-life clock as the usage shares, inverted into the
+// short-horizon rate estimate the predictive autoscale tier reads. It is
+// independent of the scheduler: a cluster holds one exactly when that
+// tier is on.
 #ifndef SRC_SCHED_FLEET_SCHEDULER_H_
 #define SRC_SCHED_FLEET_SCHEDULER_H_
 
@@ -27,15 +34,45 @@
 
 namespace flo {
 
-// Short-horizon arrival-rate estimate over the scheduler's decayed
-// arrival accounts, sampled at the autoscale checkpoint. Both fields are
-// in requests per `interval_us` (the sampling interval): the estimate is
-// the steady-state inversion of the decayed arrival mass, the trend is
-// the change since the previous sample — together they extrapolate the
-// next interval's demand one step ahead.
+// Short-horizon arrival-rate estimate sampled from an ArrivalRate at the
+// autoscale checkpoint. Both fields are in requests per `interval_us`
+// (the sampling interval): the estimate is the steady-state inversion of
+// the decayed arrival mass, the trend is the change since the previous
+// sample — together they extrapolate the next interval's demand one step
+// ahead.
 struct RateEstimate {
   double arrivals_per_interval = 0.0;
   double trend = 0.0;
+};
+
+class ArrivalRate {
+ public:
+  explicit ArrivalRate(double half_life_us) : half_life_us_(half_life_us) {}
+
+  // Charges one arrival. Called once per admitted request, never for
+  // fault requeues or preemptive re-placements (those are placement
+  // revisions, not demand).
+  void Charge(SimTime now);
+
+  // Samples the arrival-rate estimate for the next `interval_us`,
+  // inverting the decayed arrival mass: decay folds in whole half-life
+  // quanta, so at a steady rate of r arrivals/us the after-fold mass is
+  // r * (half_life + d) where d = now - anchor is the un-decayed span —
+  // mass / (half_life + d) recovers r exactly at any sample phase, with
+  // plain arithmetic (no libm call — decisions stay bit-stable across
+  // toolchains). The trend is the difference from the previous sample, so
+  // callers can extrapolate a forming burst one interval ahead. Returns
+  // zeros when decay is disabled (half_life_us <= 0): an undecayed
+  // account is cumulative history, not a rate.
+  RateEstimate Sample(SimTime now, double interval_us);
+
+ private:
+  double half_life_us_;
+  double mass_ = 0.0;
+  SimTime anchor_us_ = 0.0;
+  // The previous Sample value, for the trend.
+  double last_rate_per_interval_ = 0.0;
+  bool sampled_ = false;
 };
 
 class FleetScheduler {
@@ -63,36 +100,14 @@ class FleetScheduler {
   size_t PickLane(const std::vector<RequestQueue::LaneHead>& heads, SimTime now) const;
 
   // Charges `cost_us` of served predicted-cost to the tenant (once per
-  // request at batch dispatch), folding in half-life decay and
-  // mirroring the share into the live registry gauge.
+  // request at batch dispatch), folding in half-life decay.
   void Charge(uint32_t tenant_id, double cost_us, SimTime now);
   // The tenant's decayed usage as of `now`; 0 for never-charged tenants.
   double UsageAt(uint32_t tenant_id, SimTime now) const;
 
-  // Charges one arrival to the tenant's (and the fleet's) arrival
-  // account — the same libm-free halving over `share_half_life_us` the
-  // served-cost shares use, so a burst's arrival mass decays on the same
-  // clock its usage does. Charged once per admitted request, never for
-  // fault requeues or preemptive re-placements (those are placement
-  // revisions, not demand).
-  void ChargeArrival(uint32_t tenant_id, SimTime now);
-  // The tenant's decayed arrival mass as of `now`; 0 when never charged.
-  double ArrivalMassAt(uint32_t tenant_id, SimTime now) const;
-
-  // Samples the fleet-level arrival-rate estimate for the next
-  // `interval_us`, inverting the decayed arrival mass: decay folds in
-  // whole half-life quanta, so at a steady rate of r arrivals/us the
-  // after-fold mass is r * (half_life + d) where d = now - anchor is the
-  // un-decayed span — mass / (half_life + d) recovers r exactly at any
-  // sample phase, with plain arithmetic (no libm call — decisions stay
-  // bit-stable across toolchains). The trend is the difference from the
-  // previous sample, so callers can extrapolate a forming burst one
-  // interval ahead. Returns zeros when decay is disabled
-  // (share_half_life_us <= 0): an undecayed account is cumulative
-  // history, not a rate.
-  RateEstimate SampleRate(SimTime now, double interval_us);
-
-  // Completed-request latency feed for the SLO shed decision.
+  // Completed-request latency feed for the SLO shed decision. Recorded
+  // only while the shed is armed (slo_shed and slo_p99_us > 0), the one
+  // case TenantSloBlown reads it; TenantP99Us has no other reader.
   void ObserveLatency(uint32_t tenant_id, double latency_us);
   // Approximate p99 over the tenant's observed latencies (0 when none).
   double TenantP99Us(uint32_t tenant_id) const;
@@ -104,42 +119,23 @@ class FleetScheduler {
   // tuning window of `window_us` with the configured slack.
   bool BackfillFits(double predicted_service_us, double window_us) const;
 
-  // Clears shares and latency state between runs; registry metric
-  // registrations survive (ids are name-stable).
+  // Clears shares and latency state between runs.
   void ResetRunState();
-
-  // The live share state (sched.usage_us.<tenant> gauges,
-  // sched.latency_us.<tenant> histograms) — what the priority reads.
-  const MetricsRegistry& registry() const { return registry_; }
 
  private:
   struct TenantShare {
-    bool registered = false;
     double usage_us = 0.0;
     // Decay is folded in whole half-life periods; the anchor advances
     // by whole periods so partial periods keep accumulating.
     SimTime anchor_us = 0.0;
-    // Arrival account: requests admitted, decayed like usage_us but on
-    // its own anchor (arrivals and dispatches happen at different times).
-    double arrival_mass = 0.0;
-    SimTime arrival_anchor_us = 0.0;
-    MetricsRegistry::Id usage_gauge = 0;
-    MetricsRegistry::Id latency_histo = 0;
-    MetricsRegistry::Id arrival_gauge = 0;
+    Histogram latency_us;
   };
 
   TenantShare& ShareFor(uint32_t tenant_id);
 
   SchedConfig config_;
-  MetricsRegistry registry_;
   // Indexed by interned tenant id (dense, ids start at 1).
   std::vector<TenantShare> shares_;
-  // Fleet-level arrival account (the per-tenant accounts' sum, folded on
-  // its own anchor) plus the previous SampleRate value for the trend.
-  double fleet_arrival_mass_ = 0.0;
-  SimTime fleet_arrival_anchor_us_ = 0.0;
-  double last_rate_per_interval_ = 0.0;
-  bool rate_sampled_ = false;
 };
 
 }  // namespace flo

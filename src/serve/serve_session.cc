@@ -839,14 +839,18 @@ void ServeSession::BackfillOrReserve(uint32_t blocked_slot, SimTime now) {
     // (cold, unpoppable), while warm work waits in lanes it outranks.
     queue_.PreviewLanes(config_.max_batch, &lane_previews_);
     for (const RequestQueue::BatchPreview& lane : lane_previews_) {
-      if (lane.size == 0 || !IsWarm(lane.key)) {
+      if (lane.size == 0 || IsTuningKey(lane.key)) {
+        continue;
+      }
+      // With the tuning check above, a non-null peek is IsWarm, and it
+      // carries the predicted latency.
+      const PlanStore::Handle plan = engine_->plan_store().Peek(lane.key);
+      if (plan == nullptr) {
         continue;
       }
       const FleetScheduler::Priority priority =
           sched_->KeyFor(lane.tenant_id, lane.oldest_arrival_us, now);
-      const PlanStore::Handle plan = engine_->plan_store().Peek(lane.key);
-      if (plan != nullptr &&
-          sched_->BackfillFits(plan->predicted_us * static_cast<double>(lane.size) *
+      if (sched_->BackfillFits(plan->predicted_us * static_cast<double>(lane.size) *
                                    cost_multiplier_,
                                window_for(priority)) &&
           (!found || FleetScheduler::Before(priority, fill_priority))) {

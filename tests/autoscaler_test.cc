@@ -25,7 +25,6 @@
 #include "src/sched/fleet_scheduler.h"
 #include "src/serve/request_source.h"
 #include "src/serve/serve_loop.h"
-#include "src/serve/tenant_registry.h"
 
 namespace flo {
 namespace {
@@ -174,28 +173,26 @@ TEST(AutoscalerDecisionTest, RateEstimateIsPhaseStableAtASteadyRate) {
   // and the phase-compensated inversion recovers ~0.1 arrivals/us no
   // matter where inside a half-life the sample lands. (The naive
   // mass / half_life inversion swings by up to 2x with the sample phase.)
-  SchedConfig sched;
-  sched.share_half_life_us = 100.0;
-  const uint32_t tenant = InternTenant("llm");
+  const double half_life_us = 100.0;
   const double interval_us = 50.0;  // => ~5 arrivals per interval
   for (const double sample_at : {2003.0, 2057.0, 2099.0}) {
-    FleetScheduler scheduler(sched);
+    ArrivalRate rate(half_life_us);
     for (double t = 0.0; t < sample_at; t += 10.0) {
-      scheduler.ChargeArrival(tenant, t);
+      rate.Charge(t);
     }
-    const RateEstimate estimate = scheduler.SampleRate(sample_at, interval_us);
+    const RateEstimate estimate = rate.Sample(sample_at, interval_us);
     EXPECT_NEAR(estimate.arrivals_per_interval, 5.0, 0.5) << "at " << sample_at;
   }
   // A ramping rate shows up as a positive trend between samples.
-  FleetScheduler ramping(sched);
+  ArrivalRate ramping(half_life_us);
   for (double t = 0.0; t < 1000.0; t += 20.0) {
-    ramping.ChargeArrival(tenant, t);
+    ramping.Charge(t);
   }
-  const RateEstimate slow = ramping.SampleRate(1000.0, interval_us);
+  const RateEstimate slow = ramping.Sample(1000.0, interval_us);
   for (double t = 1000.0; t < 2000.0; t += 5.0) {
-    ramping.ChargeArrival(tenant, t);
+    ramping.Charge(t);
   }
-  const RateEstimate fast = ramping.SampleRate(2000.0, interval_us);
+  const RateEstimate fast = ramping.Sample(2000.0, interval_us);
   EXPECT_GT(fast.arrivals_per_interval, slow.arrivals_per_interval);
   EXPECT_GT(fast.trend, 0.0);
 }

@@ -79,7 +79,7 @@ TEST(FaultScheduleTest, CsvRoundTripsAndRejectsMalformed) {
 TEST(RetryBackoffTest, DoublesPerAttemptUpToTheTenthAndAddsBoundedJitter) {
   FaultConfig steady;
   steady.retry_backoff_jitter_us = 0.0;
-  double expected = steady.retry_backoff_base_us;
+  double expected = kRetryBackoffBaseUs;
   for (int attempt = 1; attempt <= 14; ++attempt) {
     EXPECT_EQ(RetryBackoffUs(steady, 7, attempt), expected) << attempt;
     if (attempt < 10) {

@@ -1,7 +1,8 @@
-// Fleet-scheduler tests: fair-share priority math, backfill safety (the
-// head job is never delayed), fair-share convergence under an adversarial
-// tenant, preemptive requeue completeness, scheduler-off bit-identity
-// with the pre-sched dispatch, and sched-on bit-identity across reruns.
+// Fleet-scheduler tests: fair-share priority math, the SLO shed's
+// per-run latency state, backfill safety (the head job is never
+// delayed), fair-share convergence under an adversarial tenant,
+// preemptive requeue completeness, scheduler-off bit-identity with the
+// pre-sched dispatch, and sched-on bit-identity across reruns.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -79,6 +80,39 @@ TEST(FleetSchedulerTest, BackfillFitRespectsSlack) {
   SchedConfig off = config;
   off.backfill = false;
   EXPECT_FALSE(FleetScheduler(off).BackfillFits(1.0, 1e9));
+}
+
+TEST(FleetSchedulerTest, SloShedReadsOnlyThisRunsLatencies) {
+  SchedConfig config;
+  config.enabled = true;
+  config.slo_shed = true;
+  config.slo_p99_us = 1000.0;
+  FleetScheduler sched(config);
+  const uint32_t tenant = InternTenant("slo-tenant");
+  EXPECT_FALSE(sched.TenantSloBlown(tenant));
+  for (int i = 0; i < 100; ++i) {
+    sched.ObserveLatency(tenant, 50000.0);
+  }
+  EXPECT_TRUE(sched.TenantSloBlown(tenant));
+  // A new run starts from no latencies: low ones keep the SLO met.
+  sched.ResetRunState();
+  EXPECT_FALSE(sched.TenantSloBlown(tenant));
+  for (int i = 0; i < 100; ++i) {
+    sched.ObserveLatency(tenant, 50.0);
+  }
+  EXPECT_FALSE(sched.TenantSloBlown(tenant));
+  // Unarmed, the SLO is never blown, whatever the latencies.
+  SchedConfig no_shed = config;
+  no_shed.slo_shed = false;
+  SchedConfig no_target = config;
+  no_target.slo_p99_us = 0.0;
+  for (const SchedConfig& unarmed : {no_shed, no_target}) {
+    FleetScheduler off(unarmed);
+    for (int i = 0; i < 100; ++i) {
+      off.ObserveLatency(tenant, 50000.0);
+    }
+    EXPECT_FALSE(off.TenantSloBlown(tenant));
+  }
 }
 
 // --- Cluster-level ----------------------------------------------------------
